@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Bounded concurrency model check for the PR gate: runs the full
 # `pcache conc-check` suite (exhaustive interleaving exploration of the
-# streaming chunk-channel and sweep slot/cursor protocols at preemption
-# bound 2, plus the seeded-bug detections with their replay seeds) and
-# the conc crate's own test battery. The whole script stays under a
+# sweep slot/cursor protocol at preemption bound 2, plus the seeded-bug
+# detection with its replay seed) and the conc crate's own test battery. The whole script stays under a
 # minute — the state spaces at bound 2 are a few hundred schedules.
 # Run locally with `sh ci/conc_smoke.sh`; CONC_BOUND overrides the
 # preemption bound.

@@ -11,8 +11,8 @@
 //! (the dataflow `run_sweep` uses): the suite is recorded into the
 //! compact encoded trace store once, every scheme simulates from replay
 //! cursors, and the report carries `gen:*`/`replay:*`/`sweep:aggregate`
-//! entries alongside the per-scheme numbers. `--live` times the old
-//! generate-per-scheme streaming path instead; `--reference` times the
+//! entries alongside the per-scheme numbers. `--live` times the
+//! generate-per-scheme path instead; `--reference` times the
 //! pre-batching event-at-a-time driver; `--gen-only` skips simulation
 //! entirely and times just the trace pipeline stages.
 //!
@@ -50,8 +50,8 @@ fn main() {
     // --reference: time the pre-batching `Box<dyn SetIndexer>` driver
     // instead (bit-identical results) — the before/after comparison
     // should come from the same machine, same session. --live: the
-    // generate-per-scheme streaming path replay replaced. --gen-only:
-    // just the trace pipeline, no simulation.
+    // generate-per-scheme path replay replaced. --gen-only: just the
+    // trace pipeline, no simulation.
     let reference = args.iter().any(|a| a == "--reference");
     let live = args.iter().any(|a| a == "--live");
     let gen_only = args.iter().any(|a| a == "--gen-only");
@@ -60,7 +60,7 @@ fn main() {
     } else if reference {
         "reference driver"
     } else if live {
-        "live streaming"
+        "live generation"
     } else {
         "recorded replay"
     };

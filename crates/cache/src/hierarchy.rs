@@ -15,7 +15,7 @@ use primecache_obs::{Level, ObsHandle};
 use primecache_core::index::SetIndexer;
 
 use crate::{
-    Cache, CacheConfig, CacheSim, CacheStats, FullyAssociative, SkewedCache, SkewedConfig, NO_HINT,
+    Cache, CacheConfig, CacheSim, CacheStats, FullyAssociative, SkewedCache, SkewedConfig,
 };
 
 /// Which component serviced a memory access.
@@ -98,11 +98,8 @@ impl HierarchyConfig {
 /// concrete L2 type monomorphizes the whole access path.
 pub trait L2Sim {
     /// A demand access (always a read at the L2: write misses
-    /// write-allocate through the L1 fill). `hint` is the L2 set index
-    /// precomputed by a batched driver, or [`NO_HINT`]; organizations
-    /// without a single per-access set (skewed, FA) ignore it. Returns
-    /// `(stats_set, hit)`.
-    fn demand_access(&mut self, addr: u64, hint: u32) -> (usize, bool);
+    /// write-allocate through the L1 fill). Returns `(stats_set, hit)`.
+    fn demand_access(&mut self, addr: u64) -> (usize, bool);
 
     /// A non-demand access: L1 writeback writes and prefetch fills.
     fn plain_access(&mut self, addr: u64, write: bool) -> bool;
@@ -125,8 +122,8 @@ pub trait L2Sim {
 }
 
 impl<I: SetIndexer> L2Sim for Cache<I> {
-    fn demand_access(&mut self, addr: u64, hint: u32) -> (usize, bool) {
-        self.access_indexed_hinted(addr, false, hint)
+    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
+        self.access_indexed(addr, false)
     }
 
     fn plain_access(&mut self, addr: u64, write: bool) -> bool {
@@ -156,7 +153,7 @@ impl<I: SetIndexer> L2Sim for Cache<I> {
 }
 
 impl<B: SetIndexer> L2Sim for SkewedCache<B> {
-    fn demand_access(&mut self, addr: u64, _hint: u32) -> (usize, bool) {
+    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
         self.access_indexed(addr, false)
     }
 
@@ -187,7 +184,7 @@ impl<B: SetIndexer> L2Sim for SkewedCache<B> {
 }
 
 impl L2Sim for FullyAssociative {
-    fn demand_access(&mut self, addr: u64, _hint: u32) -> (usize, bool) {
+    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
         (0, self.access(addr, false))
     }
 
@@ -246,11 +243,11 @@ impl DynL2 {
 }
 
 impl L2Sim for DynL2 {
-    fn demand_access(&mut self, addr: u64, hint: u32) -> (usize, bool) {
+    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
         match self {
-            DynL2::Set(c) => c.demand_access(addr, hint),
-            DynL2::Skewed(c) => c.demand_access(addr, hint),
-            DynL2::Fa(c) => c.demand_access(addr, hint),
+            DynL2::Set(c) => c.demand_access(addr),
+            DynL2::Skewed(c) => c.demand_access(addr),
+            DynL2::Fa(c) => c.demand_access(addr),
         }
     }
 
@@ -404,14 +401,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
 
     /// Simulates one demand access.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        self.access_hinted(addr, write, NO_HINT)
-    }
-
-    /// Simulates one demand access with a precomputed L2 set-index hint
-    /// (the batched drivers compute hints a chunk at a time;
-    /// [`NO_HINT`] falls back to the scalar path). Bit-identical to
-    /// [`Hierarchy::access`].
-    pub fn access_hinted(&mut self, addr: u64, write: bool, hint: u32) -> AccessOutcome {
         let (l1_set, l1_hit) = self.l1.access_indexed(addr, write);
         let _ = l1_set;
         #[cfg(feature = "obs")]
@@ -425,7 +414,7 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
         }
         // L1 miss: demand access to L2. The fill into L1 happened inside
         // `Cache::access`; forward its dirty victims below.
-        let (l2_set, l2_hit) = self.l2.demand_access(addr, hint);
+        let (l2_set, l2_hit) = self.l2.demand_access(addr);
         self.l2_demand.record(l2_set, !l2_hit, write);
         #[cfg(feature = "obs")]
         if let Some(h) = &self.obs {
@@ -653,27 +642,5 @@ mod tests {
         assert_eq!(dynamic.l1_stats(), mono.l1_stats());
         assert_eq!(dynamic.l2_stats(), mono.l2_stats());
         assert_eq!(dynamic.l2_raw_stats(), mono.l2_raw_stats());
-    }
-
-    #[test]
-    fn hinted_access_matches_unhinted() {
-        let l2_cfg = CacheConfig::new(512 * 1024, 4, 64).with_hash(HashKind::PrimeModulo);
-        let config = HierarchyConfig::paper_default(L2Organization::SetAssoc(l2_cfg));
-        let indexer = PrimeModulo::new(Geometry::new(l2_cfg.n_set_phys()));
-        let mut plain = Hierarchy::new(config);
-        let mut hinted = Hierarchy::new(config);
-        let l2_shift = l2_cfg.line_bytes().trailing_zeros();
-        for i in 0..30_000u64 {
-            let addr = (i * 6151) % (1 << 24);
-            let write = i % 5 == 0;
-            #[allow(clippy::cast_possible_truncation)]
-            let hint = indexer.index(addr >> l2_shift) as u32;
-            assert_eq!(
-                plain.access(addr, write),
-                hinted.access_hinted(addr, write, hint),
-                "{i}"
-            );
-        }
-        assert_eq!(plain.l2_stats(), hinted.l2_stats());
     }
 }

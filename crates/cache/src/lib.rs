@@ -59,15 +59,6 @@ pub use stats::CacheStats;
 pub use tlb::{Tlb, TlbStats};
 pub use victim::VictimCache;
 
-/// Sentinel "no precomputed set index" value for the hinted access
-/// paths ([`Cache::access_indexed_hinted`], [`Hierarchy::access_hinted`]).
-///
-/// Batched drivers precompute L2 set indexes a chunk at a time and pass
-/// them down as `u32` hints; `NO_HINT` makes the cache compute the index
-/// itself. Cache constructors reject configurations with `>= NO_HINT`
-/// sets, so every real set index fits.
-pub const NO_HINT: u32 = u32::MAX;
-
 /// Common behaviour shared by every cache organization in this crate.
 ///
 /// `access` simulates one demand access and returns `true` on a hit.

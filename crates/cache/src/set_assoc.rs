@@ -13,7 +13,7 @@ use primecache_core::index::{Geometry, SetIndexer};
 use primecache_obs::{Level, ObsHandle};
 
 use crate::replacement::ReplBank;
-use crate::{CacheConfig, CacheSim, CacheStats, NO_HINT};
+use crate::{CacheConfig, CacheSim, CacheStats};
 
 /// Flag bit: the way holds a valid line.
 const VALID: u8 = 1;
@@ -92,9 +92,9 @@ impl<I: SetIndexer> Cache<I> {
     ///
     /// Panics if the indexer maps into more sets than the configuration
     /// provides, or if the set count cannot be addressed in 32 bits
-    /// (the set-index width the hot path and the batched hint protocol
-    /// use — a >4G-set configuration must fail here, loudly, instead of
-    /// aliasing sets through a silent narrowing).
+    /// (the set-index width the observability events record); a
+    /// configuration with more than 4G sets must fail here, loudly,
+    /// instead of aliasing sets through a silent narrowing.
     #[must_use]
     pub fn with_typed(config: CacheConfig, indexer: I) -> Self {
         assert!(
@@ -104,10 +104,10 @@ impl<I: SetIndexer> Cache<I> {
             config.n_set_phys()
         );
         assert!(
-            indexer.n_set() < u64::from(NO_HINT),
+            indexer.n_set() < u64::from(u32::MAX),
             "{} sets cannot be addressed in 32 bits (max {})",
             indexer.n_set(),
-            NO_HINT - 1
+            u32::MAX - 1
         );
         // The 32-bit guard above makes this conversion infallible on
         // every supported target; `try_from` keeps it checked anyway.
@@ -213,25 +213,6 @@ impl<I: SetIndexer> Cache<I> {
     pub fn access_indexed(&mut self, addr: u64, write: bool) -> (usize, bool) {
         let block = self.block_of(addr);
         let set = self.narrow_set(self.indexer.index(block));
-        (set, self.access_block_in_set(set, block, write))
-    }
-
-    /// [`Cache::access_indexed`] with a set index precomputed by a
-    /// batched front-end ([`NO_HINT`] falls back to computing it here).
-    ///
-    /// The hint must equal `indexer.index(block)` — it is a cache of the
-    /// pure index function, not an override — which debug builds assert.
-    pub fn access_indexed_hinted(&mut self, addr: u64, write: bool, hint: u32) -> (usize, bool) {
-        if hint == NO_HINT {
-            return self.access_indexed(addr, write);
-        }
-        let block = self.block_of(addr);
-        debug_assert_eq!(
-            u64::from(hint),
-            self.indexer.index(block),
-            "stale set-index hint for block {block:#x}"
-        );
-        let set = hint as usize;
         (set, self.access_block_in_set(set, block, write))
     }
 
@@ -577,23 +558,5 @@ mod tests {
             assert_eq!(boxed.take_writebacks(), typed.take_writebacks(), "{i}");
         }
         assert_eq!(boxed.stats(), typed.stats());
-    }
-
-    #[test]
-    fn hinted_access_matches_unhinted() {
-        let cfg = CacheConfig::new(8 * 1024, 4, 64).with_hash(HashKind::Xor);
-        let mut plain = Cache::new(cfg);
-        let mut hinted = Cache::new(cfg);
-        for i in 0..5_000u64 {
-            let addr = (i * 31) % (1 << 20);
-            let write = i % 5 == 0;
-            let hint = u32::try_from(hinted.set_of(addr)).unwrap();
-            assert_eq!(
-                plain.access_indexed(addr, write),
-                hinted.access_indexed_hinted(addr, write, hint),
-                "{i}"
-            );
-        }
-        assert_eq!(plain.stats(), hinted.stats());
     }
 }

@@ -12,7 +12,7 @@ use primecache_core::index::{Geometry, SetIndexer, SkewDispBank, SkewXorBank, SK
 #[cfg(feature = "obs")]
 use primecache_obs::{Level, ObsHandle};
 
-use crate::{CacheSim, CacheStats, SkewHashKind, SkewReplacement, SkewedConfig, NO_HINT};
+use crate::{CacheSim, CacheStats, SkewHashKind, SkewReplacement, SkewedConfig};
 
 /// Flag bit: the slot holds a valid line.
 const VALID: u8 = 1;
@@ -118,7 +118,7 @@ impl<B: SetIndexer> SkewedCache<B> {
             );
         }
         assert!(
-            config.sets_per_bank() < u64::from(NO_HINT),
+            config.sets_per_bank() < u64::from(u32::MAX),
             "{} sets per bank cannot be addressed in 32 bits",
             config.sets_per_bank()
         );

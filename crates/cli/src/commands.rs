@@ -44,7 +44,7 @@ USAGE:
   pcache bench [--scheme S] [--refs N] [--strict] [--live | --gen-only]
                                            simulator throughput (refs/sec);
                                            default records once and replays
-                                           per scheme; --live streams per
+                                           per scheme; --live generates per
                                            scheme; --gen-only times only the
                                            trace pipeline stages
   pcache analyze [--json]                  static certificates + config lints
@@ -417,8 +417,8 @@ fn sweep_tenants(args: &[String]) -> i32 {
 /// per wall-clock second) over the whole workload suite, one row per
 /// scheme. The default mode records the suite once and replays it per
 /// scheme (the `run_sweep` dataflow), reporting the trace-pipeline
-/// stages alongside; `--live` times the old generate-per-scheme
-/// streaming path; `--gen-only` times only the pipeline stages, no
+/// stages alongside; `--live` times the generate-per-scheme path;
+/// `--gen-only` times only the pipeline stages, no
 /// simulation. `--out` writes the `BENCH_throughput.json` document;
 /// `--baseline` turns the run into a regression gate. A measured entry
 /// with no baseline entry is *ungated* — it always warns loudly, and
@@ -485,7 +485,7 @@ pub fn bench(args: &[String]) -> i32 {
     let mode = if gen_only {
         "trace pipeline only"
     } else if live {
-        "live streaming"
+        "live generation"
     } else {
         "recorded replay"
     };
@@ -854,10 +854,9 @@ fn analyze_self_check(args: &[String]) -> i32 {
 }
 
 /// `pcache conc-check [--bound N] [--check NAME] [--replay SEED]`:
-/// exhaustively model-checks the shipped concurrency protocols (the
-/// streaming chunk channel and the sweep claim cursor) up to a
-/// preemption bound, plus the seeded-bug demos that prove the checker
-/// catches what it claims to.
+/// exhaustively model-checks the shipped concurrency protocol (the
+/// sweep claim cursor) up to a preemption bound, plus the seeded-bug
+/// demo that proves the checker catches what it claims to.
 ///
 /// `--replay SEED` (with `--check NAME`) re-executes exactly one
 /// recorded schedule — the workflow for debugging a violation a CI run
@@ -1042,8 +1041,8 @@ fn metrics_app(app: &str, args: &[String]) -> i32 {
 /// totals, and — when built with the `obs` feature — the full named
 /// metric dump. With `--replay`, the simulation consumes a recorded
 /// trace instead of a live generator (bit-identical results); the
-/// metric dump then includes the `trace_store.*` family and the replay
-/// path's `stream.*` counters.
+/// metric dump then includes the `trace_store.*` family, and its
+/// `stream.*` counters show the same chunk cadence as the live run.
 pub fn report(args: &[String]) -> i32 {
     let Some(name) = positional(args) else {
         eprintln!(

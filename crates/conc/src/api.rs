@@ -1,45 +1,12 @@
 //! The sync facade: one trait family, two backends.
 //!
-//! Production code (the streaming trace engine, the sweep scheduler)
-//! is written against these traits and instantiated with
+//! Production code (the sweep scheduler) is written against these
+//! traits and instantiated with
 //! [`crate::sync::StdBackend`], whose methods are `#[inline]` wrappers
 //! over `std` — the compiled protocol is exactly the pre-facade code.
 //! The model checker instantiates the *same* protocol source with
 //! [`crate::model::ModelBackend`], whose primitives hand every
 //! operation to a cooperative scheduler that explores interleavings.
-
-/// Outcome of a non-blocking channel receive.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecv<T> {
-    /// A value was waiting in the channel.
-    Item(T),
-    /// The channel is currently empty but the sender is still alive.
-    Empty,
-    /// The channel is empty and the sender is gone.
-    Disconnected,
-}
-
-/// Sending half of a bounded single-producer/single-consumer channel.
-pub trait SenderApi<T: Send>: Send {
-    /// Blocks while the channel is full. Returns the value back when the
-    /// receiver is gone — the producer's signal to stop generating.
-    ///
-    /// # Errors
-    ///
-    /// `Err(value)` when the receiving half has been dropped.
-    fn send(&self, value: T) -> Result<(), T>;
-}
-
-/// Receiving half of a bounded SPSC channel.
-pub trait ReceiverApi<T: Send> {
-    /// Non-blocking receive, used to *observe* back-pressure before
-    /// committing to a blocking pull.
-    fn try_recv(&self) -> TryRecv<T>;
-
-    /// Blocks until a value arrives; `None` once the channel is empty
-    /// and the sender is gone.
-    fn recv(&self) -> Option<T>;
-}
 
 /// A mutex that only exposes scoped access, so a lock can never be held
 /// across another facade operation.
@@ -83,19 +50,12 @@ pub trait JoinApi {
 /// over. Implemented by [`crate::sync::StdBackend`] (production) and
 /// [`crate::model::ModelBackend`] (schedule-exhaustive verification).
 pub trait Backend: Sized + 'static {
-    /// Sending half of [`Backend::spsc`].
-    type Sender<T: Send + 'static>: SenderApi<T> + 'static;
-    /// Receiving half of [`Backend::spsc`].
-    type Receiver<T: Send + 'static>: ReceiverApi<T>;
     /// Scoped-access mutex.
     type Mutex<T: Send + 'static>: MutexApi<T>;
     /// Atomic claim counter.
     type AtomicUsize: AtomicUsizeApi;
     /// Thread handle returned by [`Backend::spawn`].
     type JoinHandle: JoinApi;
-
-    /// Creates a bounded SPSC channel holding at most `depth` values.
-    fn spsc<T: Send + 'static>(depth: usize) -> (Self::Sender<T>, Self::Receiver<T>);
 
     /// Creates a mutex.
     fn mutex<T: Send + 'static>(value: T) -> Self::Mutex<T>;

@@ -1,31 +1,29 @@
 //! Deterministic concurrency verification for primecache's threaded
-//! engines.
+//! sweep scheduler.
 //!
-//! Two real concurrent protocols live in this workspace: the streaming
-//! trace engine's bounded chunk channel
-//! (`primecache-workloads::stream`) and the sweep scheduler's atomic
-//! claim-cursor/slot hand-off (`primecache-sim::suite`). Testing them
-//! with ordinary unit tests only samples whatever interleavings the OS
-//! happens to produce; this crate makes the interleavings themselves
-//! the test input.
+//! One real concurrent protocol lives in this workspace: the sweep
+//! scheduler's atomic claim-cursor/slot hand-off
+//! (`primecache-sim::suite`). Testing it with ordinary unit tests only
+//! samples whatever interleavings the OS happens to produce; this crate
+//! makes the interleavings themselves the test input.
 //!
 //! The crate has three layers:
 //!
-//! * [`api`] — a minimal sync facade (bounded SPSC channel, scoped
-//!   mutex, atomic counter, named threads) expressed as traits with a
-//!   pluggable [`api::Backend`].
+//! * [`api`] — a minimal sync facade (scoped mutex, atomic counter,
+//!   named threads) expressed as traits with a pluggable
+//!   [`api::Backend`].
 //! * [`sync`] — the production backend: `#[inline]` wrappers over
-//!   `std::sync`, compiling to exactly the primitives the engines used
-//!   before the facade existed.
+//!   `std::sync`, compiling to exactly the primitives the scheduler
+//!   used before the facade existed.
 //! * [`model`] — the verification backend: a cooperative scheduler that
 //!   runs the *same protocol source* and exhaustively explores thread
 //!   interleavings up to a preemption bound, with sleep-set pruning,
-//!   detecting deadlocks, lost wakeups, panics/assertion failures and
-//!   leaked threads, and printing a seed that replays any failing
-//!   schedule deterministically.
+//!   detecting deadlocks, panics/assertion failures and leaked threads,
+//!   and printing a seed that replays any failing schedule
+//!   deterministically.
 //!
-//! The protocols themselves, written once against the facade and
-//! instantiated with both backends, live in [`port`]. [`self_check`]
+//! The protocol itself, written once against the facade and
+//! instantiated with both backends, lives in [`port`]. [`self_check`]
 //! packages the bounded explorations behind `pcache conc-check`.
 //!
 //! Zero dependencies, no `unsafe`: the model checker schedules real OS
@@ -37,6 +35,6 @@ pub mod port;
 pub mod self_check;
 pub mod sync;
 
-pub use api::{Backend, JoinApi, MutexApi, Panicked, ReceiverApi, SenderApi, TryRecv};
+pub use api::{Backend, JoinApi, MutexApi, Panicked};
 pub use model::{Checker, ModelBackend, Report, Violation, ViolationKind};
 pub use sync::StdBackend;

@@ -12,7 +12,6 @@
 //! moment of the grant, so enabledness checked by the controller cannot
 //! be invalidated before the thread acts on it.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -38,12 +37,6 @@ pub(crate) enum Op {
     AtomicStore(ObjId, usize),
     /// Fetch-add on an atomic.
     AtomicAdd(ObjId, usize),
-    /// Blocking bounded-channel send.
-    ChanSend(ObjId),
-    /// Blocking channel receive.
-    ChanRecv(ObjId),
-    /// Non-blocking channel receive.
-    ChanTryRecv(ObjId),
     /// Join a thread.
     Join(Tid),
 }
@@ -54,12 +47,7 @@ impl Op {
         match self {
             Op::Start | Op::Join(_) => None,
             Op::AtomicLoad(o) => Some((o, false)),
-            Op::MutexLock(o)
-            | Op::AtomicStore(o, _)
-            | Op::AtomicAdd(o, _)
-            | Op::ChanSend(o)
-            | Op::ChanRecv(o)
-            | Op::ChanTryRecv(o) => Some((o, true)),
+            Op::MutexLock(o) | Op::AtomicStore(o, _) | Op::AtomicAdd(o, _) => Some((o, true)),
         }
     }
 }
@@ -71,12 +59,6 @@ pub(crate) enum Outcome {
     Done,
     /// Value read by a load or returned by fetch-add.
     Value(usize),
-    /// Channel op succeeded; the caller completes the typed transfer.
-    Transfer,
-    /// Channel is empty (try-recv only).
-    Empty,
-    /// The peer half of the channel is gone.
-    Hungup,
 }
 
 /// Executor-side state of one sync object (the typed payloads live in
@@ -84,18 +66,8 @@ pub(crate) enum Outcome {
 /// enabledness).
 #[derive(Debug)]
 enum ObjState {
-    Mutex {
-        held_by: Option<Tid>,
-    },
-    Atomic {
-        value: usize,
-    },
-    Channel {
-        len: usize,
-        cap: usize,
-        sender_alive: bool,
-        receiver_alive: bool,
-    },
+    Mutex { held_by: Option<Tid> },
+    Atomic { value: usize },
 }
 
 #[derive(Debug)]
@@ -323,15 +295,6 @@ impl Executor {
         self.register(ObjState::Atomic { value })
     }
 
-    pub(crate) fn register_channel(&self, cap: usize) -> ObjId {
-        self.register(ObjState::Channel {
-            len: 0,
-            cap,
-            sender_alive: true,
-            receiver_alive: true,
-        })
-    }
-
     fn register(&self, obj: ObjState) -> ObjId {
         let mut st = self.lock();
         st.objects.push(obj);
@@ -420,44 +383,6 @@ impl Executor {
                 *value = value.wrapping_add(n);
                 Outcome::Value(old)
             }
-            Op::ChanSend(o) => {
-                let ObjState::Channel {
-                    len,
-                    cap,
-                    receiver_alive,
-                    ..
-                } = &mut st.objects[o]
-                else {
-                    unreachable!("object {o} is not a channel");
-                };
-                if !*receiver_alive {
-                    Outcome::Hungup
-                } else {
-                    debug_assert!(*len < *cap, "granted send on a full channel");
-                    *len += 1;
-                    Outcome::Transfer
-                }
-            }
-            Op::ChanRecv(o) | Op::ChanTryRecv(o) => {
-                let ObjState::Channel {
-                    len, sender_alive, ..
-                } = &mut st.objects[o]
-                else {
-                    unreachable!("object {o} is not a channel");
-                };
-                if *len > 0 {
-                    *len -= 1;
-                    Outcome::Transfer
-                } else if *sender_alive {
-                    debug_assert!(
-                        matches!(op, Op::ChanTryRecv(_)),
-                        "granted blocking recv on an empty live channel"
-                    );
-                    Outcome::Empty
-                } else {
-                    Outcome::Hungup
-                }
-            }
         }
     }
 
@@ -480,8 +405,6 @@ impl Executor {
                     Outcome::Done
                 }
             }
-            Op::ChanSend(_) => Outcome::Hungup,
-            Op::ChanRecv(_) | Op::ChanTryRecv(_) => Outcome::Hungup,
         }
     }
 
@@ -493,24 +416,6 @@ impl Executor {
         if let ObjState::Mutex { held_by } = &mut st.objects[obj] {
             if *held_by == Some(me) {
                 *held_by = None;
-            }
-        }
-        st.step.accesses.push((obj, true));
-    }
-
-    /// Immediate effect: a channel half was dropped.
-    pub(crate) fn channel_closed(&self, obj: ObjId, sender_side: bool) {
-        let mut st = self.lock();
-        if let ObjState::Channel {
-            sender_alive,
-            receiver_alive,
-            ..
-        } = &mut st.objects[obj]
-        {
-            if sender_side {
-                *sender_alive = false;
-            } else {
-                *receiver_alive = false;
             }
         }
         st.step.accesses.push((obj, true));
@@ -529,29 +434,10 @@ impl Executor {
 
     fn op_enabled(st: &ExecState, op: Op) -> bool {
         match op {
-            Op::Start
-            | Op::AtomicLoad(_)
-            | Op::AtomicStore(..)
-            | Op::AtomicAdd(..)
-            | Op::ChanTryRecv(_) => true,
+            Op::Start | Op::AtomicLoad(_) | Op::AtomicStore(..) | Op::AtomicAdd(..) => true,
             Op::MutexLock(o) => {
                 matches!(&st.objects[o], ObjState::Mutex { held_by: None })
             }
-            Op::ChanSend(o) => match &st.objects[o] {
-                ObjState::Channel {
-                    len,
-                    cap,
-                    receiver_alive,
-                    ..
-                } => *len < *cap || !*receiver_alive,
-                _ => unreachable!("object {o} is not a channel"),
-            },
-            Op::ChanRecv(o) => match &st.objects[o] {
-                ObjState::Channel {
-                    len, sender_alive, ..
-                } => *len > 0 || !*sender_alive,
-                _ => unreachable!("object {o} is not a channel"),
-            },
             Op::Join(t) => st.threads[t].finished,
         }
     }
@@ -637,30 +523,5 @@ impl Executor {
         for h in handles {
             let _ = h.join();
         }
-    }
-}
-
-/// Typed payload store for a model channel: the executor tracks lengths
-/// for enabledness, the queue itself carries the values.
-#[derive(Debug)]
-pub(crate) struct ChanQueue<T>(Mutex<VecDeque<T>>);
-
-impl<T> ChanQueue<T> {
-    pub(crate) fn new() -> Self {
-        Self(Mutex::new(VecDeque::new()))
-    }
-
-    pub(crate) fn push(&self, value: T) {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(value);
-    }
-
-    pub(crate) fn pop(&self) -> Option<T> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop_front()
     }
 }

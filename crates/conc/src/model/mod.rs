@@ -12,8 +12,8 @@
 //! What the checker detects:
 //!
 //! * **assertion failures / panics** on any model thread,
-//! * **deadlock** — no thread can make progress (includes lost-wakeup
-//!   bugs, which strand a peer blocked forever),
+//! * **deadlock** — no thread can make progress (e.g. two threads
+//!   taking two mutexes in opposite orders),
 //! * **thread leaks** — a join handle dropped without `join`, or the
 //!   root closure returning while spawned threads are still blocked,
 //! * **livelock** — a schedule exceeding the per-run step budget.
@@ -28,8 +28,8 @@ mod explore;
 
 use std::sync::Arc;
 
-use crate::api::{self, Backend, JoinApi, MutexApi, Panicked, ReceiverApi, SenderApi, TryRecv};
-use exec::{current, ChanQueue, Executor, ObjId, Op, Outcome, Tid};
+use crate::api::{self, Backend, JoinApi, MutexApi, Panicked};
+use exec::{current, Executor, ObjId, Op, Outcome, Tid};
 
 /// Bounded exhaustive schedule exploration.
 #[derive(Debug, Clone)]
@@ -345,110 +345,15 @@ impl api::AtomicUsizeApi for AtomicUsize {
     }
 }
 
-/// Sending half of a model SPSC channel.
-#[derive(Debug)]
-pub struct Sender<T> {
-    queue: Arc<ChanQueue<T>>,
-    obj: ObjId,
-    exec: Arc<Executor>,
-}
-
-/// Receiving half of a model SPSC channel.
-#[derive(Debug)]
-pub struct Receiver<T> {
-    queue: Arc<ChanQueue<T>>,
-    obj: ObjId,
-    exec: Arc<Executor>,
-}
-
-/// Creates a bounded model SPSC channel of `depth` slots.
-///
-/// # Panics
-///
-/// Panics when called outside [`Checker::check`] or when `depth` is 0.
-#[must_use]
-pub fn spsc<T: Send>(depth: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(depth > 0, "channel depth must be at least 1");
-    let (exec, _) = current();
-    let obj = exec.register_channel(depth);
-    let queue = Arc::new(ChanQueue::new());
-    (
-        Sender {
-            queue: Arc::clone(&queue),
-            obj,
-            exec: Arc::clone(&exec),
-        },
-        Receiver { queue, obj, exec },
-    )
-}
-
-impl<T: Send> SenderApi<T> for Sender<T> {
-    fn send(&self, value: T) -> Result<(), T> {
-        let (_, me) = current();
-        match self.exec.yield_op(me, Op::ChanSend(self.obj)) {
-            Outcome::Transfer => {
-                self.queue.push(value);
-                Ok(())
-            }
-            _ => Err(value),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        self.exec.channel_closed(self.obj, true);
-    }
-}
-
-impl<T: Send> ReceiverApi<T> for Receiver<T> {
-    fn try_recv(&self) -> TryRecv<T> {
-        let (_, me) = current();
-        match self.exec.yield_op(me, Op::ChanTryRecv(self.obj)) {
-            Outcome::Transfer => TryRecv::Item(
-                self.queue
-                    .pop()
-                    .expect("granted recv on tracked-empty queue"),
-            ),
-            Outcome::Empty => TryRecv::Empty,
-            _ => TryRecv::Disconnected,
-        }
-    }
-
-    fn recv(&self) -> Option<T> {
-        let (_, me) = current();
-        match self.exec.yield_op(me, Op::ChanRecv(self.obj)) {
-            Outcome::Transfer => Some(
-                self.queue
-                    .pop()
-                    .expect("granted recv on tracked-empty queue"),
-            ),
-            _ => None,
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.exec.channel_closed(self.obj, false);
-    }
-}
-
 /// The model-checking sync backend: same facade as
 /// [`crate::sync::StdBackend`], every operation a scheduling point.
 #[derive(Debug, Clone, Copy)]
 pub enum ModelBackend {}
 
 impl Backend for ModelBackend {
-    type Sender<T: Send + 'static> = Sender<T>;
-    type Receiver<T: Send + 'static> = Receiver<T>;
     type Mutex<T: Send + 'static> = Mutex<T>;
     type AtomicUsize = AtomicUsize;
     type JoinHandle = JoinHandle;
-
-    fn spsc<T: Send + 'static>(depth: usize) -> (Sender<T>, Receiver<T>) {
-        spsc(depth)
-    }
 
     fn mutex<T: Send + 'static>(value: T) -> Mutex<T> {
         Mutex::new(value)
@@ -533,16 +438,18 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected() {
-        // Receiver waits on a channel nobody ever sends on.
+        // Lock-order inversion: each thread holds one mutex and waits
+        // for the other's. The schedule that interleaves the two first
+        // locks leaves neither thread able to run.
         let report = Checker::default().check(|| {
-            let (tx, rx) = spsc::<u8>(1);
-            let t = spawn("rx", move || {
-                let _ = rx.recv();
+            let a = Arc::new(Mutex::new(0u8));
+            let b = Arc::new(Mutex::new(0u8));
+            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+            let t = spawn("ba", move || {
+                b2.with(|_| a2.with(|_| ()));
             });
-            // Keep tx alive so recv cannot observe a hangup, then wait
-            // for a thread that can never finish.
+            a.with(|_| b.with(|_| ()));
             t.join().expect("worker");
-            drop(tx);
         });
         let v = report.violation.expect("deadlock must be caught");
         assert!(

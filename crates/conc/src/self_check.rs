@@ -5,14 +5,13 @@
 //! Each check is a closure the [`Checker`] explores exhaustively up to
 //! its preemption bound. The `*-bug` checks run deliberately broken
 //! variants of the protocols and *expect* a violation — they demonstrate
-//! the checker actually catches the bug classes it claims to (lost
-//! events, duplicated work), with a replayable schedule seed.
+//! the checker actually catches the bug class it claims to (duplicated
+//! work), with a replayable schedule seed.
 
 use std::sync::Arc;
 
-use crate::api::{AtomicUsizeApi, Backend, JoinApi, MutexApi, ReceiverApi, SenderApi, TryRecv};
+use crate::api::{AtomicUsizeApi, Backend, JoinApi, MutexApi};
 use crate::model::{self, Checker, ModelBackend, Report};
-use crate::port::stream::ChunkStream;
 use crate::port::sweep::{claim_loop, store_slot};
 
 /// One named model check.
@@ -54,29 +53,10 @@ impl ConcCheck {
 pub fn checks() -> &'static [ConcCheck] {
     &[
         ConcCheck {
-            name: "stream-delivery",
-            what: "chunk channel delivers the exact item sequence under every schedule",
-            expect_violation: false,
-            body: stream_delivery,
-        },
-        ConcCheck {
-            name: "stream-early-drop",
-            what: "dropping the stream mid-chunk always unwinds and joins the producer",
-            expect_violation: false,
-            body: stream_early_drop,
-        },
-        ConcCheck {
             name: "sweep-exactly-once",
             what: "claim cursor gives every task to exactly one worker, slots filled exactly once",
             expect_violation: false,
             body: sweep_exactly_once,
-        },
-        ConcCheck {
-            name: "stream-lost-tail-bug",
-            what:
-                "seeded bug: consumer treating an empty channel as end-of-stream drops tail items",
-            expect_violation: true,
-            body: stream_lost_tail_bug,
         },
         ConcCheck {
             name: "sweep-racy-cursor-bug",
@@ -96,54 +76,6 @@ pub fn find(name: &str) -> Option<&'static ConcCheck> {
 // ---------------------------------------------------------------------
 // Protocol checks (must be clean).
 // ---------------------------------------------------------------------
-
-/// The real streaming protocol, scaled down: 5 items in chunks of 2
-/// through a depth-1 channel. Every schedule must deliver exactly
-/// `0..5` in order, in exactly `ceil(5/2) = 3` chunks.
-fn stream_delivery() {
-    let mut stream: ChunkStream<ModelBackend, u64> = ChunkStream::spawn("gen", 1, 2, |mut sink| {
-        let mut i = 0u64;
-        while !sink.is_closed() && i < 5 {
-            sink.push(i);
-            i += 1;
-        }
-        sink.finish();
-    });
-    let mut got = Vec::new();
-    while let Some(v) = stream.next_item() {
-        got.push(v);
-    }
-    let (chunks, blocked_waits) = stream.stats();
-    assert_eq!(
-        got,
-        vec![0, 1, 2, 3, 4],
-        "delivery must be schedule-invariant"
-    );
-    assert_eq!(chunks, 3, "chunk count must be exact");
-    // How often the consumer outran the producer is schedule-dependent,
-    // but each pull blocks at most once.
-    assert!(
-        blocked_waits <= chunks + 1,
-        "blocked {blocked_waits} of {chunks}"
-    );
-}
-
-/// Early drop: consume one item of an unbounded producer, then drop the
-/// stream. The drop must propagate the hangup to the producer (possibly
-/// parked on a full channel) and join its thread — the checker flags
-/// any schedule that deadlocks or leaks the producer.
-fn stream_early_drop() {
-    let mut stream: ChunkStream<ModelBackend, u64> = ChunkStream::spawn("gen", 1, 1, |mut sink| {
-        let mut i = 0u64;
-        while !sink.is_closed() {
-            sink.push(i);
-            i += 1;
-        }
-        sink.finish();
-    });
-    assert_eq!(stream.next_item(), Some(0));
-    drop(stream);
-}
 
 /// The real sweep claim protocol, scaled down: 2 workers race a shared
 /// cursor for 3 tasks. Every schedule must run each task exactly once
@@ -173,30 +105,6 @@ fn sweep_exactly_once() {
 // ---------------------------------------------------------------------
 // Seeded-bug demos (the checker must find the violation).
 // ---------------------------------------------------------------------
-
-/// A plausible-looking consumer bug: `try_recv() == Empty` is read as
-/// "stream over" instead of "producer is behind". The schedule where
-/// the consumer polls before the producer's first send loses every
-/// item; the checker finds it and prints its seed.
-fn stream_lost_tail_bug() {
-    let (tx, rx) = model::spsc::<u64>(1);
-    let producer = model::spawn("gen", move || {
-        for i in 0..2 {
-            if tx.send(i).is_err() {
-                break;
-            }
-        }
-    });
-    let mut got = Vec::new();
-    // BUG: this exits on `Empty`, which only means the producer has not
-    // sent *yet* — not that the stream is over.
-    while let TryRecv::Item(v) = rx.try_recv() {
-        got.push(v);
-    }
-    drop(rx);
-    producer.join().expect("gen");
-    assert_eq!(got, vec![0, 1], "tail items lost");
-}
 
 /// The claim loop with `fetch_add` replaced by the racy load-then-store
 /// it is often "simplified" to. Two workers can read the same cursor
@@ -238,7 +146,7 @@ mod tests {
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(names.len(), deduped.len());
-        assert!(find("stream-delivery").is_some());
+        assert!(find("sweep-exactly-once").is_some());
         assert!(find("no-such-check").is_none());
     }
 }

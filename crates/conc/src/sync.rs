@@ -5,54 +5,11 @@
 //! [`StdBackend`] compiles to the same machine code as before the
 //! port — the throughput gate (`BENCH_baseline.json`) pins this.
 
-use std::sync::mpsc;
-
-use crate::api::{self, Backend, JoinApi, MutexApi, Panicked, ReceiverApi, SenderApi, TryRecv};
+use crate::api::{self, Backend, JoinApi, MutexApi, Panicked};
 
 /// The production sync backend.
 #[derive(Debug, Clone, Copy)]
 pub enum StdBackend {}
-
-/// Sending half of a bounded SPSC channel (wraps [`mpsc::SyncSender`]).
-#[derive(Debug)]
-pub struct Sender<T>(mpsc::SyncSender<T>);
-
-/// Receiving half of a bounded SPSC channel (wraps [`mpsc::Receiver`]).
-#[derive(Debug)]
-pub struct Receiver<T>(mpsc::Receiver<T>);
-
-/// Creates a bounded SPSC channel of `depth` slots.
-///
-/// The halves are deliberately not `Clone`: single producer, single
-/// consumer is the shape both verified protocols assume.
-#[must_use]
-pub fn spsc<T: Send>(depth: usize) -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::sync_channel(depth);
-    (Sender(tx), Receiver(rx))
-}
-
-impl<T: Send> SenderApi<T> for Sender<T> {
-    #[inline]
-    fn send(&self, value: T) -> Result<(), T> {
-        self.0.send(value).map_err(|e| e.0)
-    }
-}
-
-impl<T: Send> ReceiverApi<T> for Receiver<T> {
-    #[inline]
-    fn try_recv(&self) -> TryRecv<T> {
-        match self.0.try_recv() {
-            Ok(v) => TryRecv::Item(v),
-            Err(mpsc::TryRecvError::Empty) => TryRecv::Empty,
-            Err(mpsc::TryRecvError::Disconnected) => TryRecv::Disconnected,
-        }
-    }
-
-    #[inline]
-    fn recv(&self) -> Option<T> {
-        self.0.recv().ok()
-    }
-}
 
 /// Scoped-access mutex (wraps [`std::sync::Mutex`]).
 ///
@@ -131,16 +88,9 @@ impl JoinApi for JoinHandle {
 }
 
 impl Backend for StdBackend {
-    type Sender<T: Send + 'static> = Sender<T>;
-    type Receiver<T: Send + 'static> = Receiver<T>;
     type Mutex<T: Send + 'static> = Mutex<T>;
     type AtomicUsize = AtomicUsize;
     type JoinHandle = JoinHandle;
-
-    #[inline]
-    fn spsc<T: Send + 'static>(depth: usize) -> (Sender<T>, Receiver<T>) {
-        spsc(depth)
-    }
 
     #[inline]
     fn mutex<T: Send + 'static>(value: T) -> Mutex<T> {
@@ -166,36 +116,6 @@ impl Backend for StdBackend {
 mod tests {
     use super::*;
     use crate::api::AtomicUsizeApi;
-
-    #[test]
-    fn spsc_round_trips_in_order() {
-        let (tx, rx) = spsc::<u32>(2);
-        let h = StdBackend::spawn("tx", move || {
-            for i in 0..10 {
-                tx.send(i).expect("receiver alive");
-            }
-        });
-        let got: Vec<u32> = std::iter::from_fn(|| rx.recv()).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert!(h.join().is_ok());
-    }
-
-    #[test]
-    fn send_returns_value_after_receiver_drop() {
-        let (tx, rx) = spsc::<u32>(1);
-        drop(rx);
-        assert_eq!(tx.send(7), Err(7));
-    }
-
-    #[test]
-    fn try_recv_reports_all_three_states() {
-        let (tx, rx) = spsc::<u32>(1);
-        assert_eq!(rx.try_recv(), TryRecv::Empty);
-        tx.send(3).expect("receiver alive");
-        assert_eq!(rx.try_recv(), TryRecv::Item(3));
-        drop(tx);
-        assert_eq!(rx.try_recv(), TryRecv::Disconnected);
-    }
 
     #[test]
     fn mutex_with_and_into_inner() {

@@ -1,7 +1,6 @@
-//! Exhaustive model checks of the two shipped concurrent protocols —
-//! the streaming chunk channel and the sweep claim cursor — plus the
-//! seeded-bug demos proving the checker catches the failure classes it
-//! exists for.
+//! Exhaustive model check of the shipped concurrent protocol — the
+//! sweep claim cursor — plus the seeded-bug demo proving the checker
+//! catches the failure class it exists for.
 //!
 //! These are the same checks `pcache conc-check` and `ci/conc_smoke.sh`
 //! run; here each one is a separate test with its expectation asserted.
@@ -22,24 +21,6 @@ fn run(name: &str) -> (bool, primecache_conc::Report) {
 }
 
 #[test]
-fn stream_delivery_is_schedule_invariant() {
-    let (passed, report) = run("stream-delivery");
-    assert!(passed, "{:?}", report.violation);
-    assert!(
-        report.schedules > 1,
-        "producer/consumer must admit multiple schedules, got {}",
-        report.schedules
-    );
-}
-
-#[test]
-fn stream_early_drop_always_unwinds_and_joins_producer() {
-    let (passed, report) = run("stream-early-drop");
-    assert!(passed, "{:?}", report.violation);
-    assert!(report.schedules > 1, "got {}", report.schedules);
-}
-
-#[test]
 fn sweep_runs_every_task_exactly_once_under_all_schedules() {
     let (passed, report) = run("sweep-exactly-once");
     assert!(passed, "{:?}", report.violation);
@@ -48,20 +29,6 @@ fn sweep_runs_every_task_exactly_once_under_all_schedules() {
         "two workers racing a cursor must admit many schedules, got {}",
         report.schedules
     );
-}
-
-#[test]
-fn checker_catches_lost_tail_consumer_bug() {
-    let (passed, report) = run("stream-lost-tail-bug");
-    assert!(passed, "checker missed the seeded lost-tail bug");
-    let v = report.violation.expect("expected a violation");
-    assert!(
-        matches!(&v.kind, ViolationKind::Panic { message, .. } if message.contains("tail items lost")),
-        "unexpected violation: {}",
-        v.kind
-    );
-    assert!(v.seed.starts_with("pb"), "seed: {}", v.seed);
-    assert!(!v.trace.is_empty(), "violation must carry a schedule trace");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use primecache_cache::{AccessOutcome, Hierarchy, L2Sim, NO_HINT};
+use primecache_cache::{AccessOutcome, Hierarchy, L2Organization, L2Sim};
 use primecache_core::index::SetIndexer;
 use primecache_mem::Dram;
 use primecache_trace::Event;
@@ -16,11 +16,15 @@ use crate::{CpuConfig, ExecBreakdown};
 /// Trace-driven timing model of the Table-3 core.
 ///
 /// See the crate docs for the modelling rules. A [`Cpu`] is reusable:
-/// each [`Cpu::run`] starts from a clean pipeline.
+/// each [`Cpu::run`] starts from a clean pipeline. A trace that arrives
+/// in pieces goes through [`Cpu::feed`], once per piece, and then
+/// [`Cpu::finish`]; that is exactly [`Cpu::run`] over the whole trace.
 #[derive(Debug, Clone)]
 pub struct Cpu {
     config: CpuConfig,
-    /// Stall attribution of the most recent [`Cpu::run`].
+    /// Pipeline state of the run in progress.
+    st: RunState,
+    /// Stall attribution of the most recently finished run.
     last_stalls: StallAttribution,
     /// Sim-time clock feed for event timestamps.
     #[cfg(feature = "obs")]
@@ -88,6 +92,7 @@ struct InflightLoad {
 }
 
 /// Mutable per-run state.
+#[derive(Debug, Clone)]
 struct RunState {
     now: u64,
     busy: u64,
@@ -191,6 +196,7 @@ impl Cpu {
     pub fn new(config: CpuConfig) -> Self {
         Self {
             config,
+            st: RunState::new(),
             last_stalls: StallAttribution::default(),
             #[cfg(feature = "obs")]
             obs: None,
@@ -210,8 +216,8 @@ impl Cpu {
         self.obs = Some(handle);
     }
 
-    /// Per-cause stall attribution of the most recent [`Cpu::run`]
-    /// (all zeros before the first run).
+    /// Per-cause stall attribution of the most recently finished run
+    /// (all zeros before the first one).
     ///
     /// Invariants: `mem_total()` equals the run's
     /// `ExecBreakdown::mem_stall` and `branch` equals its
@@ -222,10 +228,8 @@ impl Cpu {
     }
 
     /// Runs a trace through the hierarchy and DRAM, returning the cycle
-    /// breakdown.
-    ///
-    /// Dirty L2 victims are issued to DRAM as write traffic (they occupy
-    /// banks and bus but nothing waits on them).
+    /// breakdown: [`Cpu::feed`] over the whole trace, then
+    /// [`Cpu::finish`].
     pub fn run<T, X, J>(
         &mut self,
         trace: T,
@@ -237,32 +241,32 @@ impl Cpu {
         X: L2Sim,
         J: SetIndexer,
     {
-        self.run_hinted(trace.into_iter().map(|ev| (ev, NO_HINT)), hierarchy, dram)
+        self.feed(trace, hierarchy, dram);
+        self.finish()
     }
 
-    /// [`Cpu::run`] over `(event, l2_set_hint)` pairs: batched drivers
-    /// precompute L2 set indexes a chunk at a time and feed them through
-    /// here ([`NO_HINT`] on non-memory events). Bit-identical to
-    /// [`Cpu::run`] over the same events.
-    pub fn run_hinted<T, X, J>(
-        &mut self,
-        trace: T,
-        hierarchy: &mut Hierarchy<X, J>,
-        dram: &mut Dram,
-    ) -> ExecBreakdown
+    /// Continues the run in progress over `events`. Feeding a trace in
+    /// pieces and then calling [`Cpu::finish`] gives exactly the
+    /// breakdown [`Cpu::run`] gives over the whole trace.
+    ///
+    /// Dirty L2 victims are issued to DRAM as write traffic (they occupy
+    /// banks and bus but nothing waits on them).
+    pub fn feed<T, X, J>(&mut self, events: T, hierarchy: &mut Hierarchy<X, J>, dram: &mut Dram)
     where
-        T: IntoIterator<Item = (Event, u32)>,
+        T: IntoIterator<Item = Event>,
         X: L2Sim,
         J: SetIndexer,
     {
         let cfg = self.config;
         let line = match hierarchy.config().l2 {
-            primecache_cache::L2Organization::SetAssoc(c) => c.line_bytes(),
-            primecache_cache::L2Organization::Skewed(c) => c.line_bytes(),
-            primecache_cache::L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
+            L2Organization::SetAssoc(c) => c.line_bytes(),
+            L2Organization::Skewed(c) => c.line_bytes(),
+            L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
         };
-        let mut st = RunState::new();
-        for (ev, hint) in trace {
+        // The loop works on a local copy of the pipeline state; it goes
+        // back into `self` when this piece of the trace is done.
+        let mut st = std::mem::replace(&mut self.st, RunState::new());
+        for ev in events {
             st.retire_completed();
             st.enforce_rob(cfg.rob_size);
             match ev {
@@ -297,7 +301,7 @@ impl Cpu {
                 }
                 Event::Load { addr, dep } => {
                     st.issue(1, IssueClass::Mem, &cfg);
-                    let completion = self.service(addr, false, hint, &mut st, hierarchy, dram);
+                    let completion = self.service(addr, false, &st, hierarchy, dram);
                     match completion {
                         None => {} // L1 hit: fully pipelined
                         // Serializing load: expose the full latency.
@@ -320,7 +324,8 @@ impl Cpu {
                 }
                 Event::Store { addr } => {
                     st.issue(1, IssueClass::Mem, &cfg);
-                    if let Some(t) = self.service(addr, true, hint, &mut st, hierarchy, dram) {
+                    let completion = self.service(addr, true, &st, hierarchy, dram);
+                    if let Some(t) = completion {
                         if st.pending_stores.len() >= cfg.max_pending_stores {
                             if let Some(Reverse(done)) = st.pending_stores.pop() {
                                 if done > st.now {
@@ -346,6 +351,13 @@ impl Cpu {
                 dram.request(block * line, st.now, true);
             }
         }
+        self.st = st;
+    }
+
+    /// Ends the run in progress and returns its breakdown; the next
+    /// [`Cpu::feed`] starts from a clean pipeline.
+    pub fn finish(&mut self) -> ExecBreakdown {
+        let mut st = std::mem::replace(&mut self.st, RunState::new());
         // The program cannot finish before its last load returns.
         let last = st.pending_loads.iter().map(|l| l.completion).max();
         if let Some(t) = last {
@@ -369,8 +381,7 @@ impl Cpu {
         &self,
         addr: u64,
         write: bool,
-        hint: u32,
-        st: &mut RunState,
+        st: &RunState,
         hierarchy: &mut Hierarchy<X, J>,
         dram: &mut Dram,
     ) -> Option<u64> {
@@ -378,7 +389,7 @@ impl Cpu {
         if let Some(h) = &self.obs {
             h.borrow_mut().set_now(st.now);
         }
-        match hierarchy.access_hinted(addr, write, hint) {
+        match hierarchy.access(addr, write) {
             AccessOutcome::L1Hit => None,
             AccessOutcome::L2Hit => Some(st.now + self.config.l2_hit_cycles),
             AccessOutcome::Memory => {
@@ -582,6 +593,22 @@ mod tests {
             assert_eq!(s.mem_total(), b.mem_stall, "{s:?} vs {b:?}");
             assert_eq!(s.branch, b.other_stall, "{s:?} vs {b:?}");
         }
+    }
+
+    #[test]
+    fn feeding_in_pieces_matches_one_run() {
+        let trace: Vec<Event> = strided(4096, 5000, 12).collect();
+        let (mut h1, mut d1, mut whole) = setup();
+        let once = whole.run(trace.iter().copied(), &mut h1, &mut d1);
+        let (mut h2, mut d2, mut pieces) = setup();
+        for piece in trace.chunks(777) {
+            pieces.feed(piece.iter().copied(), &mut h2, &mut d2);
+        }
+        assert_eq!(pieces.finish(), once);
+        assert_eq!(
+            pieces.last_stall_attribution(),
+            whole.last_stall_attribution()
+        );
     }
 
     #[test]

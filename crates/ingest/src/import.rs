@@ -153,7 +153,7 @@ pub struct Imported {
 
 impl Imported {
     /// An `EventChunks` cursor over the imported trace, ready for the
-    /// unchanged batched drivers (`run_replay` / `run_chunks`).
+    /// simulation drivers (`run_chunks`, `observe_chunks`).
     /// Validation already happened at import, so replay cannot fail.
     #[must_use]
     pub fn chunks(&self) -> ReplayCursor<'_> {

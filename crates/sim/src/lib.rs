@@ -42,7 +42,7 @@ pub use artifact::{build_report, report_for_run};
 pub use config::{MachineConfig, Scheme};
 pub use oracle::{static_model, SimOracle, PROBE_BITS};
 pub use run::{
-    run_chunks, run_recorded, run_replay, run_trace, run_trace_reference, run_workload,
-    run_workload_recorded, run_workload_reference, run_workload_warm, RunResult,
+    run_chunks, run_recorded, run_trace, run_trace_reference, run_workload, run_workload_reference,
+    run_workload_warm, RunResult,
 };
 pub use tenants::{run_tenant_mix, tenant_solo_baseline, TenantLane, TenantRun};

@@ -1,29 +1,28 @@
 //! Instrumented run drivers (cargo feature `obs`).
 //!
 //! [`run_workload_observed`] is [`crate::run_workload`] with a
-//! `primecache_obs` recorder attached to every model: the hierarchy
-//! reports demand accesses, each cache its evictions, the DRAM its
-//! requests, and the CPU feeds the sim-time clock. On top of the hot
-//! counters, the harvested [`Metrics`] carry the per-cause stall
-//! attribution (the Fig. 8 stack, subdivided), the streaming-pipeline
-//! back-pressure counters, and the end-of-run L2 occupancy histogram.
+//! `primecache_obs` recorder attached to every model of the run's
+//! engine: the hierarchy reports demand accesses, each cache its
+//! evictions, the DRAM its requests, and the CPU feeds the sim-time
+//! clock. On top of the hot counters, the harvested [`Metrics`] carry
+//! the per-cause stall attribution (the Fig. 8 stack, subdivided), the
+//! chunks the engine was pushed, and the end-of-run L2 occupancy
+//! histogram.
 //!
 //! [`run_workload_observed_replayed`] is the same instrumented run fed
 //! from a recorded trace instead of a live generator: the workload is
 //! recorded once into a [`TraceStore`] and simulated from a replay
 //! cursor, with `trace_store.*` metrics describing the store and the
-//! `stream.*` metrics reflecting the replay path (chunk cadence
-//! identical to streaming, zero blocked waits, zero channel depth).
+//! `stream.*` metrics showing the live chunk cadence.
 
 use std::rc::Rc;
 use std::time::Instant;
 
-use primecache_cache::Hierarchy;
-use primecache_cpu::Cpu;
-use primecache_mem::Dram;
 use primecache_obs::{Histogram, Metrics, ObsConfig, Recorder, RunReport};
+use primecache_trace::Event;
 use primecache_workloads::{EventChunks, TraceStore, Workload};
 
+use crate::run::dispatch;
 use crate::{artifact, MachineConfig, RunResult, Scheme};
 
 /// Everything an instrumented run produces.
@@ -34,7 +33,7 @@ pub struct ObservedRun {
     /// The recorder, holding exact counters and any buffered events.
     pub recorder: Recorder,
     /// Full named-metric dump: the recorder's counters plus the
-    /// CPU/stream/occupancy supplements collected here.
+    /// CPU/chunk/occupancy supplements collected here.
     pub metrics: Metrics,
 }
 
@@ -51,7 +50,7 @@ pub fn run_workload_observed(
     target_refs: u64,
     cfg: ObsConfig,
 ) -> ObservedRun {
-    observe_chunks(workload.events(target_refs), scheme, cfg)
+    observe(scheme, cfg, |push| workload.push_chunks(target_refs, push))
 }
 
 /// [`run_workload_observed`] fed from a recorded trace: `workload` is
@@ -59,9 +58,7 @@ pub fn run_workload_observed(
 /// consumes a replay cursor. Results are bit-identical to the live run;
 /// the metrics additionally carry `trace_store.records`,
 /// `trace_store.replays`, and `trace_store.encoded_bytes`, and the
-/// `stream.*` family describes the replay path (same chunk cadence,
-/// `blocked_waits` and `channel_depth` pinned at zero — a replay never
-/// waits on a generator).
+/// `stream.*` family shows the same chunk cadence as the live run.
 #[must_use]
 pub fn run_workload_observed_replayed(
     workload: &Workload,
@@ -95,9 +92,7 @@ pub fn run_workload_observed_replayed(
 }
 
 /// Runs any [`EventChunks`] source with observability attached — the
-/// instrumented sibling of [`crate::run_chunks`]. This is the shared
-/// engine behind [`run_workload_observed`] and
-/// [`run_workload_observed_replayed`], and is public so imported traces
+/// instrumented sibling of [`crate::run_chunks`], so imported traces
 /// ([`primecache_ingest`](https://docs.rs/primecache-ingest)'s cursors)
 /// and multi-tenant mixes get the same exact counters as native
 /// workloads.
@@ -107,32 +102,30 @@ pub fn observe_chunks<S: EventChunks>(
     scheme: Scheme,
     cfg: ObsConfig,
 ) -> ObservedRun {
-    let machine = MachineConfig::paper_default();
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
+    observe(scheme, cfg, |push| source.push_chunks(push))
+}
+
+/// The engine behind every observed run: `scheme`'s engine on the
+/// paper's machine with one recorder attached, over the chunks `feed`
+/// pushes.
+fn observe(
+    scheme: Scheme,
+    cfg: ObsConfig,
+    feed: impl FnOnce(&mut dyn FnMut(&[Event])),
+) -> ObservedRun {
     let handle = Recorder::handle(cfg);
-
-    let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
-    hierarchy.attach_obs(handle.clone());
-    let mut dram = Dram::new(machine.mem);
-    dram.attach_obs(handle.clone());
-    let mut cpu = Cpu::new(machine.cpu);
-    cpu.attach_obs(handle.clone());
-
-    let breakdown = cpu.run(&mut source, &mut hierarchy, &mut dram);
-    let result = RunResult {
-        scheme,
-        breakdown,
-        l1: hierarchy.l1_stats().clone(),
-        l2: hierarchy.l2_stats().clone(),
-        dram: *dram.stats(),
-    };
-
-    let stalls = cpu.last_stall_attribution();
-    let (chunks, blocked_waits) = source.chunk_stats();
-    let (stream_depth, stream_chunk) = source.chunk_config();
-    let occupancy = hierarchy.l2_occupancy();
-    drop((hierarchy, dram, cpu, source));
+    let mut engine = dispatch(&MachineConfig::paper_default(), scheme);
+    engine.attach_obs(handle.clone());
+    let (mut chunks, mut widest) = (0u64, 0usize);
+    feed(&mut |chunk| {
+        chunks += 1;
+        widest = widest.max(chunk.len());
+        engine.push(chunk);
+    });
+    let result = engine.finish();
+    let stalls = engine.last_stall_attribution();
+    let occupancy = engine.l2_occupancy();
+    drop(engine);
     let recorder = Rc::try_unwrap(handle)
         .expect("all instrumented owners dropped")
         .into_inner();
@@ -180,26 +173,14 @@ pub fn observe_chunks<S: EventChunks>(
     metrics.set_counter(
         "stream.chunks",
         "chunks",
-        "trace chunks pulled from the generator thread",
+        "trace chunks pushed into the simulation engine",
         chunks,
-    );
-    metrics.set_counter(
-        "stream.blocked_waits",
-        "chunks",
-        "chunk pulls that found the channel empty (consumer outran generator)",
-        blocked_waits,
-    );
-    metrics.set_counter(
-        "stream.channel_depth",
-        "slots",
-        "configured chunk slots in flight between generator and consumer",
-        stream_depth as u64,
     );
     metrics.set_counter(
         "stream.chunk_events",
         "events",
-        "configured events per streamed chunk",
-        stream_chunk as u64,
+        "events in the largest chunk pushed into the engine",
+        widest as u64,
     );
     let mut hist = Histogram::new(vec![0, 1, 2, 3, 4, 6, 8]);
     for n in occupancy {
@@ -354,14 +335,11 @@ mod tests {
         assert_eq!(m.counter("trace_store.replays"), Some(1));
         assert!(m.counter("trace_store.encoded_bytes").unwrap() > 0);
         assert!(live.metrics.counter("trace_store.records").is_none());
-        // Replay stream parity: same chunk cadence as the live stream,
-        // but no channel and no generator to wait on.
+        // Replay chunk parity: same chunk cadence as the live generator.
         assert_eq!(
             m.counter("stream.chunks"),
             live.metrics.counter("stream.chunks")
         );
-        assert_eq!(m.counter("stream.blocked_waits"), Some(0));
-        assert_eq!(m.counter("stream.channel_depth"), Some(0));
         assert_eq!(
             m.counter("stream.chunk_events"),
             live.metrics.counter("stream.chunk_events")

@@ -1,13 +1,16 @@
-//! Single-run driver.
+//! Single-run driver: one engine, pushed the trace on the caller's
+//! thread.
 //!
-//! The public entry points ([`run_trace`], [`run_workload`],
-//! [`run_workload_warm`]) dispatch **once** per run on the scheme's L2
-//! organization and hash kind, then hand the whole trace to a driver
-//! monomorphized over the concrete cache and index-function types — no
-//! per-reference `dyn` dispatch on the hot path. The streamed drivers
-//! additionally precompute L2 set indexes a chunk at a time
-//! ([`primecache_workloads::EventStream::next_chunk`]) and pass them to
-//! the hierarchy as hints.
+//! Every entry point ([`run_trace`], [`run_chunks`], [`run_recorded`],
+//! [`run_workload`], [`run_workload_warm`], and the observed and tenant
+//! drivers) builds its run's [`Engine`] with [`dispatch`] — **once** per
+//! run, on the scheme's L2 organization and hash kind — and then pushes
+//! the trace into it as `&[Event]` chunks: a replay, mix or import
+//! cursor pushes the chunks it decodes, a live generator each full
+//! `STREAM_CHUNK` buffer. The engine's caches are monomorphized over
+//! their concrete cache and index-function types, so the per-event
+//! loop ([`Cpu::feed`]) has no `dyn` dispatch; only the call into the
+//! engine, once per chunk, is virtual.
 //!
 //! All drivers are bit-identical to the dynamically-dispatched
 //! reference path, kept as [`run_trace_reference`]; the
@@ -15,8 +18,8 @@
 //! scheme (stats, writeback order, fingerprints).
 
 use primecache_cache::{
-    bank_disp_factor, Cache, CacheStats, FullyAssociative, Hierarchy, HierarchyConfig,
-    L2Organization, L2Sim, SkewHashKind, SkewedCache, NO_HINT,
+    bank_disp_factor, Cache, CacheStats, FullyAssociative, Hierarchy, L2Organization, L2Sim,
+    SkewHashKind, SkewedCache,
 };
 use primecache_core::index::{
     Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
@@ -24,9 +27,14 @@ use primecache_core::index::{
 };
 use primecache_cpu::{Cpu, ExecBreakdown};
 use primecache_mem::{Dram, DramStats};
-use primecache_trace::{EncodedTrace, Event, ReplayCursor};
-use primecache_workloads::{EventChunks, Workload};
+use primecache_trace::{EncodedTrace, Event};
+use primecache_workloads::{EventChunks, Workload, STREAM_CHUNK};
 use serde::{Deserialize, Serialize};
+
+#[cfg(feature = "obs")]
+use primecache_cpu::StallAttribution;
+#[cfg(feature = "obs")]
+use primecache_obs::ObsHandle;
 
 use crate::{MachineConfig, Scheme};
 
@@ -53,354 +61,228 @@ impl RunResult {
     }
 }
 
-/// Per-scheme L2 set-index precomputation for the batched drivers.
-///
-/// The hinter owns a copy of the *same* index function the L2 cache was
-/// built with, so a hint is exactly the value the cache would compute
-/// (debug builds assert this inside the cache).
-trait L2Hint {
-    /// The L2 set index of a block address, or [`NO_HINT`] when the
-    /// organization has no single per-access set (skewed, FA).
-    fn l2_hint(&self, block: u64) -> u32;
+/// One run in progress: the scheme's machine — L1, L2, DRAM and core —
+/// built once by [`dispatch`] and pushed the trace chunk by chunk.
+pub(crate) trait Engine {
+    /// Simulates `chunk`, continuing where the previous chunk stopped.
+    fn push(&mut self, chunk: &[Event]);
+
+    /// Starts the measured phase: ends the core's run so far and zeroes
+    /// every statistic and clock. Cache contents and open DRAM rows
+    /// survive.
+    fn reset_stats(&mut self);
+
+    /// L1 statistics so far.
+    fn l1_stats(&self) -> &CacheStats;
+
+    /// L2 demand statistics so far.
+    fn l2_stats(&self) -> &CacheStats;
+
+    /// Ends the run and packages its results.
+    fn finish(&mut self) -> RunResult;
+
+    /// Attaches one recorder to the hierarchy, the DRAM and the core.
+    #[cfg(feature = "obs")]
+    fn attach_obs(&mut self, handle: ObsHandle);
+
+    /// Stall attribution of the finished run.
+    #[cfg(feature = "obs")]
+    fn last_stall_attribution(&self) -> StallAttribution;
+
+    /// Valid lines per L2 set, now.
+    #[cfg(feature = "obs")]
+    fn l2_occupancy(&self) -> Vec<u64>;
 }
 
-/// No precomputation: skewed and fully-associative L2s probe all their
-/// candidate locations anyway.
-struct NoHint;
-
-impl L2Hint for NoHint {
-    #[inline]
-    fn l2_hint(&self, _block: u64) -> u32 {
-        NO_HINT
-    }
+/// The machine of one run, monomorphized over its L2 (`X`) and its L1
+/// index function (`J`).
+struct Machine<X: L2Sim, J: SetIndexer> {
+    scheme: Scheme,
+    hierarchy: Hierarchy<X, J>,
+    dram: Dram,
+    cpu: Cpu,
 }
 
-/// Precomputes set indexes with a concrete index function (the
-/// set-associative schemes).
-struct IndexHint<I: SetIndexer>(I);
-
-impl<I: SetIndexer> L2Hint for IndexHint<I> {
-    #[inline]
-    #[allow(clippy::cast_possible_truncation)]
-    fn l2_hint(&self, block: u64) -> u32 {
-        // Lossless: cache constructors reject >= 2^32-set configurations,
-        // and this is a copy of the cache's own index function.
-        let set = self.0.index(block);
-        debug_assert!(set < u64::from(NO_HINT), "set {set} out of hint range");
-        set as u32
-    }
-}
-
-/// `(event, L2 set hint)` pairs pulled chunk-at-a-time from any
-/// [`EventChunks`] source — a live `EventStream` or a recorded
-/// [`ReplayCursor`]: each chunk's set indexes are computed in one batch
-/// pass before any event is simulated.
-struct HintedChunks<S: EventChunks, H: L2Hint> {
-    stream: S,
-    hinter: H,
-    l2_line_shift: u32,
-    buf: std::vec::IntoIter<(Event, u32)>,
-}
-
-impl<S: EventChunks, H: L2Hint> HintedChunks<S, H> {
-    fn new(stream: S, hinter: H, l2_line_bytes: u64) -> Self {
+impl<X: L2Sim, J: SetIndexer> Machine<X, J> {
+    fn new(machine: &MachineConfig, scheme: Scheme, hierarchy: Hierarchy<X, J>) -> Self {
         Self {
-            stream,
-            hinter,
-            l2_line_shift: l2_line_bytes.trailing_zeros(),
-            buf: Vec::new().into_iter(),
+            scheme,
+            hierarchy,
+            dram: Dram::new(machine.mem),
+            cpu: Cpu::new(machine.cpu),
         }
     }
 }
 
-impl<S: EventChunks, H: L2Hint> Iterator for HintedChunks<S, H> {
-    type Item = (Event, u32);
+impl<X: L2Sim, J: SetIndexer> Engine for Machine<X, J> {
+    fn push(&mut self, chunk: &[Event]) {
+        self.cpu
+            .feed(chunk.iter().copied(), &mut self.hierarchy, &mut self.dram);
+    }
 
-    fn next(&mut self) -> Option<(Event, u32)> {
-        loop {
-            if let Some(pair) = self.buf.next() {
-                return Some(pair);
-            }
-            let chunk = self.stream.pull_chunk()?;
-            let shift = self.l2_line_shift;
-            let hinted: Vec<(Event, u32)> = chunk
-                .into_iter()
-                .map(|ev| {
-                    let hint = ev
-                        .addr()
-                        .map_or(NO_HINT, |a| self.hinter.l2_hint(a >> shift));
-                    (ev, hint)
-                })
-                .collect();
-            self.buf = hinted.into_iter();
+    fn reset_stats(&mut self) {
+        let _ = self.cpu.finish();
+        self.hierarchy.reset_stats();
+        self.dram.new_epoch();
+    }
+
+    fn l1_stats(&self) -> &CacheStats {
+        self.hierarchy.l1_stats()
+    }
+
+    fn l2_stats(&self) -> &CacheStats {
+        self.hierarchy.l2_stats()
+    }
+
+    fn finish(&mut self) -> RunResult {
+        RunResult {
+            scheme: self.scheme,
+            breakdown: self.cpu.finish(),
+            l1: self.hierarchy.l1_stats().clone(),
+            l2: self.hierarchy.l2_stats().clone(),
+            dram: *self.dram.stats(),
         }
+    }
+
+    #[cfg(feature = "obs")]
+    fn attach_obs(&mut self, handle: ObsHandle) {
+        self.hierarchy.attach_obs(handle.clone());
+        self.dram.attach_obs(handle.clone());
+        self.cpu.attach_obs(handle);
+    }
+
+    #[cfg(feature = "obs")]
+    fn last_stall_attribution(&self) -> StallAttribution {
+        self.cpu.last_stall_attribution()
+    }
+
+    #[cfg(feature = "obs")]
+    fn l2_occupancy(&self) -> Vec<u64> {
+        self.hierarchy.l2_occupancy()
     }
 }
 
-/// One monomorphized run request; [`dispatch`] resolves the scheme's L2
-/// and hinter types once and calls [`DriverOp::exec`] with them.
-trait DriverOp {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, hinter: H) -> RunResult;
-}
-
-/// Resolves `scheme` to concrete L2 cache + hinter types and runs `op`
-/// monomorphized over them. This is the once-per-run dispatch that
-/// replaces per-reference `Box<dyn SetIndexer>` calls.
-fn dispatch<Op: DriverOp>(machine: &MachineConfig, scheme: Scheme, op: Op) -> RunResult {
-    let hcfg = machine.hierarchy_config(scheme);
-    match hcfg.l2 {
+/// Builds `scheme`'s engine on `machine`, resolving the L2 organization
+/// and hash kind to concrete cache and index-function types. This is
+/// the once-per-run dispatch that replaces per-reference `Box<dyn
+/// SetIndexer>` calls.
+pub(crate) fn dispatch(machine: &MachineConfig, scheme: Scheme) -> Box<dyn Engine> {
+    #[cfg(any(debug_assertions, feature = "check"))]
+    machine.check_scheme(scheme);
+    match machine.hierarchy_config(scheme).l2 {
         L2Organization::SetAssoc(cfg) => {
             let geom = Geometry::new(cfg.n_set_phys());
             match cfg.hash() {
-                HashKind::Traditional => {
-                    let ix = Traditional::new(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
-                HashKind::Xor => {
-                    let ix = Xor::new(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
-                HashKind::PrimeModulo => {
-                    let ix = PrimeModulo::new(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
-                HashKind::PrimeDisplacement => {
-                    let ix = PrimeDisplacement::paper_default(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
+                HashKind::Traditional => assemble(
+                    machine,
+                    scheme,
+                    Cache::with_typed(cfg, Traditional::new(geom)),
+                ),
+                HashKind::Xor => assemble(machine, scheme, Cache::with_typed(cfg, Xor::new(geom))),
+                HashKind::PrimeModulo => assemble(
+                    machine,
+                    scheme,
+                    Cache::with_typed(cfg, PrimeModulo::new(geom)),
+                ),
+                HashKind::PrimeDisplacement => assemble(
+                    machine,
+                    scheme,
+                    Cache::with_typed(cfg, PrimeDisplacement::paper_default(geom)),
+                ),
                 HashKind::Expr(id) => {
-                    let ix = id.indexer();
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
+                    assemble(machine, scheme, Cache::with_typed(cfg, id.indexer()))
                 }
             }
         }
         L2Organization::Skewed(cfg) => match cfg.hash() {
-            SkewHashKind::Xor => op.exec(
-                hcfg,
+            SkewHashKind::Xor => assemble(
+                machine,
+                scheme,
                 SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
-                NoHint,
             ),
-            SkewHashKind::PrimeDisplacement => op.exec(
-                hcfg,
+            SkewHashKind::PrimeDisplacement => assemble(
+                machine,
+                scheme,
                 SkewedCache::with_banks(cfg, |b, g| SkewDispBank::new(g, bank_disp_factor(b))),
-                NoHint,
             ),
         },
         L2Organization::FullyAssociative {
             size_bytes,
             line_bytes,
-        } => op.exec(hcfg, FullyAssociative::new(size_bytes, line_bytes), NoHint),
+        } => assemble(
+            machine,
+            scheme,
+            FullyAssociative::new(size_bytes, line_bytes),
+        ),
     }
 }
 
-/// Builds the L1 for a hierarchy: monomorphized [`Traditional`] for the
-/// paper's L1 (always traditional indexing), boxed otherwise, then runs
-/// `and_then` with the assembled hierarchy.
-fn with_hierarchy<X, R>(
-    hcfg: HierarchyConfig,
-    l2: X,
-    and_then: impl FnOnce(HierarchyDispatch<X>) -> R,
-) -> R
-where
-    X: L2Sim,
-{
+/// Builds the engine around a concrete L2: the paper's L1 (always
+/// traditional indexing) monomorphized too, any other L1 boxed.
+fn assemble<X: L2Sim + 'static>(machine: &MachineConfig, scheme: Scheme, l2: X) -> Box<dyn Engine> {
+    let hcfg = machine.hierarchy_config(scheme);
     if hcfg.l1.hash() == HashKind::Traditional {
         let l1 = Cache::with_typed(
             hcfg.l1,
             Traditional::new(Geometry::new(hcfg.l1.n_set_phys())),
         );
-        and_then(HierarchyDispatch::Mono(Hierarchy::with_parts(hcfg, l1, l2)))
+        Box::new(Machine::new(
+            machine,
+            scheme,
+            Hierarchy::with_parts(hcfg, l1, l2),
+        ))
     } else {
-        and_then(HierarchyDispatch::BoxedL1(Hierarchy::with_parts(
-            hcfg,
-            Cache::new(hcfg.l1),
-            l2,
-        )))
+        let l1 = Cache::new(hcfg.l1);
+        Box::new(Machine::new(
+            machine,
+            scheme,
+            Hierarchy::with_parts(hcfg, l1, l2),
+        ))
     }
 }
 
-/// The two L1 shapes [`with_hierarchy`] can produce.
-enum HierarchyDispatch<X: L2Sim> {
-    Mono(Hierarchy<X, Traditional>),
-    BoxedL1(Hierarchy<X, Box<dyn SetIndexer>>),
-}
-
-/// Runs one hinted event sequence to completion and packages the result.
-fn drive<X>(
+/// Runs `scheme`'s engine over the chunks `feed` pushes and returns the
+/// results.
+fn simulate(
     machine: &MachineConfig,
     scheme: Scheme,
-    hcfg: HierarchyConfig,
-    l2: X,
-    trace: impl IntoIterator<Item = (Event, u32)>,
-) -> RunResult
-where
-    X: L2Sim,
-{
-    with_hierarchy(hcfg, l2, |mut hd| {
-        let mut dram = Dram::new(machine.mem);
-        let mut cpu = Cpu::new(machine.cpu);
-        let (breakdown, l1, l2, dram_stats) = match &mut hd {
-            HierarchyDispatch::Mono(h) => {
-                let b = cpu.run_hinted(trace, h, &mut dram);
-                (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-            }
-            HierarchyDispatch::BoxedL1(h) => {
-                let b = cpu.run_hinted(trace, h, &mut dram);
-                (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-            }
-        };
-        RunResult {
-            scheme,
-            breakdown,
-            l1,
-            l2,
-            dram: dram_stats,
-        }
-    })
+    feed: impl FnOnce(&mut dyn FnMut(&[Event])),
+) -> RunResult {
+    let mut engine = dispatch(machine, scheme);
+    feed(&mut |chunk| engine.push(chunk));
+    engine.finish()
 }
 
-/// [`run_trace`]'s op: drive an arbitrary event iterator (monomorphized
-/// caches, no batching — hints need chunked input).
-struct TraceOp<'m, T> {
-    trace: T,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
-}
-
-impl<T: IntoIterator<Item = Event>> DriverOp for TraceOp<'_, T> {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, _hinter: H) -> RunResult {
-        drive(
-            self.machine,
-            self.scheme,
-            hcfg,
-            l2,
-            self.trace.into_iter().map(|ev| (ev, NO_HINT)),
-        )
-    }
-}
-
-/// [`run_workload`]'s / [`run_replay`]'s op: drive any [`EventChunks`]
-/// source chunk-batched, with per-chunk L2 set-index precomputation.
-struct StreamOp<'m, S: EventChunks> {
-    stream: S,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
-}
-
-impl<S: EventChunks> DriverOp for StreamOp<'_, S> {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, hinter: H) -> RunResult {
-        let line = l2_line_bytes(&hcfg.l2);
-        let hinted = HintedChunks::new(self.stream, hinter, line);
-        drive(self.machine, self.scheme, hcfg, l2, hinted)
-    }
-}
-
-/// [`run_workload_warm`]'s op: chunk-batched like [`StreamOp`], with the
-/// warm/measure stat reset spliced mid-stream.
-struct WarmStreamOp<'m, S: EventChunks> {
-    stream: S,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
-    warm_refs: u64,
-}
-
-impl<S: EventChunks> DriverOp for WarmStreamOp<'_, S> {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, hinter: H) -> RunResult {
-        let scheme = self.scheme;
-        let machine = self.machine;
-        let warm_refs = self.warm_refs;
-        let line = l2_line_bytes(&hcfg.l2);
-        let mut hinted = HintedChunks::new(self.stream, hinter, line);
-        with_hierarchy(hcfg, l2, |mut hd| {
-            let mut dram = Dram::new(machine.mem);
-            let mut cpu = Cpu::new(machine.cpu);
-
-            // Warm phase: pull events until `warm_refs` memory references
-            // have passed. The boundary falls immediately *after* the
-            // event that completes the `warm_refs`-th reference, exactly
-            // where the materialized-split implementation cut.
-            let mut seen = 0u64;
-            let mut boundary = false;
-            let warm = std::iter::from_fn(|| {
-                if boundary {
-                    return None;
-                }
-                let (ev, hint) = hinted.next()?;
-                if ev.is_memory() {
-                    seen += 1;
-                }
-                if seen >= warm_refs {
-                    boundary = true;
-                }
-                Some((ev, hint))
-            });
-
-            let (breakdown, l1, l2, dram_stats) = match &mut hd {
-                HierarchyDispatch::Mono(h) => {
-                    let _ = cpu.run_hinted(warm, h, &mut dram);
-                    h.reset_stats();
-                    dram.new_epoch();
-                    let b = cpu.run_hinted(&mut hinted, h, &mut dram);
-                    (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-                }
-                HierarchyDispatch::BoxedL1(h) => {
-                    let _ = cpu.run_hinted(warm, h, &mut dram);
-                    h.reset_stats();
-                    dram.new_epoch();
-                    let b = cpu.run_hinted(&mut hinted, h, &mut dram);
-                    (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-                }
-            };
-            RunResult {
-                scheme,
-                breakdown,
-                l1,
-                l2,
-                dram: dram_stats,
-            }
-        })
-    }
-}
-
-/// The L2 line size of an organization.
-fn l2_line_bytes(l2: &L2Organization) -> u64 {
-    match l2 {
-        L2Organization::SetAssoc(c) => c.line_bytes(),
-        L2Organization::Skewed(c) => c.line_bytes(),
-        L2Organization::FullyAssociative { line_bytes, .. } => *line_bytes,
-    }
-}
-
-/// Runs an explicit event stream under a scheme on the paper's machine.
+/// Runs an explicit event sequence under a scheme.
 ///
-/// Accepts anything iterable — a materialized `Vec<Event>` or a lazy
-/// [`primecache_workloads::EventStream`] — so peak memory can stay O(1)
-/// in trace length. The caches are monomorphized over the scheme's
-/// index functions (selected here, once).
+/// Accepts anything iterable, e.g. a materialized `Vec<Event>` or a
+/// slice's copied iterator; the events reach the engine in
+/// `STREAM_CHUNK`-event chunks.
 #[must_use]
 pub fn run_trace<T>(trace: T, scheme: Scheme, machine: &MachineConfig) -> RunResult
 where
     T: IntoIterator<Item = Event>,
 {
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        machine,
-        scheme,
-        TraceOp {
-            trace,
-            machine,
-            scheme,
-        },
-    )
+    simulate(machine, scheme, |push| {
+        let mut trace = trace.into_iter();
+        let mut chunk = Vec::with_capacity(STREAM_CHUNK);
+        loop {
+            chunk.clear();
+            chunk.extend(trace.by_ref().take(STREAM_CHUNK));
+            if chunk.is_empty() {
+                break;
+            }
+            push(&chunk);
+        }
+    })
 }
 
 /// The dynamically-dispatched reference driver: `Box<dyn SetIndexer>`
-/// caches behind [`Hierarchy::new`], exactly the pre-batching hot path.
+/// caches behind [`Hierarchy::new`], driven event-at-a-time.
 ///
-/// Kept as the differential baseline for the monomorphized drivers —
-/// the `batched_equivalence` integration test asserts bit-identical
-/// stats, writeback order, and breakdowns against it. Not intended for
+/// Kept as the differential baseline for the engine — the
+/// `batched_equivalence` integration test asserts bit-identical stats,
+/// writeback order, and breakdowns against it. Not intended for
 /// performance work.
 #[must_use]
 pub fn run_trace_reference<T>(trace: T, scheme: Scheme, machine: &MachineConfig) -> RunResult
@@ -422,23 +304,22 @@ where
     }
 }
 
-/// [`run_workload`] on the dynamically-dispatched reference driver:
-/// the same streamed trace, driven event-at-a-time through boxed-index
-/// caches. The before side of the before/after throughput tables
-/// (`pcache bench`/`throughput --reference`); results are bit-identical
-/// to [`run_workload`], only slower.
+/// [`run_workload`] on the dynamically-dispatched reference driver: the
+/// same trace, materialized and driven event-at-a-time through
+/// boxed-index caches. The before side of the before/after throughput
+/// tables (`pcache bench`/`throughput --reference`); results are
+/// bit-identical to [`run_workload`], only slower.
 #[must_use]
 pub fn run_workload_reference(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
     let machine = MachineConfig::paper_default();
-    run_trace_reference(workload.events(target_refs), scheme, &machine)
+    run_trace_reference(workload.trace(target_refs), scheme, &machine)
 }
 
 /// Runs a workload under a scheme on the paper's default machine.
 ///
 /// `target_refs` controls the trace length (memory references). The
-/// trace is streamed from a generator thread, never materialized; the
-/// driver pulls it chunk-at-a-time and precomputes each chunk's L2 set
-/// indexes before simulating it.
+/// generator runs on the calling thread and pushes each full chunk
+/// straight into the engine, so the trace is never materialized.
 ///
 /// # Examples
 ///
@@ -452,80 +333,50 @@ pub fn run_workload_reference(workload: &Workload, scheme: Scheme, target_refs: 
 #[must_use]
 pub fn run_workload(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
     let machine = MachineConfig::paper_default();
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        &machine,
-        scheme,
-        StreamOp {
-            stream: workload.events(target_refs),
-            machine: &machine,
-            scheme,
-        },
-    )
+    simulate(&machine, scheme, |push| {
+        workload.push_chunks(target_refs, push);
+    })
 }
 
-/// Runs a *recorded* trace replay under a scheme: the chunk-batched
-/// driver of [`run_workload`] fed from a [`ReplayCursor`] instead of a
-/// live generator stream.
+/// Runs any [`EventChunks`] source — a recorded [`primecache_trace::ReplayCursor`],
+/// an imported trace's cursor, or a multi-tenant
+/// [`primecache_workloads::MixCursor`] — through the engine, each chunk
+/// as the source pushes it. Results across sources differ only by
+/// their event sequences; `tests/ingest_equivalence.rs` pins a
+/// single-tenant mix to the plain replay, bit-exactly.
+#[must_use]
+pub fn run_chunks<S: EventChunks>(
+    mut source: S,
+    scheme: Scheme,
+    machine: &MachineConfig,
+) -> RunResult {
+    simulate(machine, scheme, |push| source.push_chunks(push))
+}
+
+/// Runs a *recorded* trace from its start: [`run_chunks`] over its
+/// replay cursor.
 ///
 /// Decode is bit-identical to live generation (the codec is lossless
 /// and the recording sink sees the same push sequence), so results
 /// match [`run_workload`] exactly — stats, writeback order, breakdowns —
 /// which the `replay_equivalence` integration test pins for all 23
-/// workloads × all 8 schemes. This is the per-cell hot path of
-/// [`crate::suite::run_sweep`]: one generation, eight replays.
-#[must_use]
-pub fn run_replay(cursor: ReplayCursor<'_>, scheme: Scheme, machine: &MachineConfig) -> RunResult {
-    run_chunks(cursor, scheme, machine)
-}
-
-/// Runs any [`EventChunks`] source through the chunk-batched driver.
-///
-/// This is the generic entry behind [`run_replay`]: a recorded
-/// [`ReplayCursor`], an imported trace's cursor, or a multi-tenant
-/// [`primecache_workloads::MixCursor`] all drive the identical
-/// monomorphized hot path, so results across sources differ only by
-/// their event sequences — pinned by `tests/ingest_equivalence.rs`
-/// (single-tenant mix == plain replay, bit-exactly).
-#[must_use]
-pub fn run_chunks<S: EventChunks>(stream: S, scheme: Scheme, machine: &MachineConfig) -> RunResult {
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        machine,
-        scheme,
-        StreamOp {
-            stream,
-            machine,
-            scheme,
-        },
-    )
-}
-
-/// [`run_replay`] over a whole recorded trace, from its start.
+/// workloads × every scheme. This is the per-cell hot path of
+/// [`crate::suite::run_sweep`]: one generation, one replay per scheme.
 #[must_use]
 pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfig) -> RunResult {
-    run_replay(trace.replay(), scheme, machine)
-}
-
-/// Records `workload` once (same-thread, compact encoding) and replays
-/// the recording through the batched driver — bit-identical to
-/// [`run_workload`] on the paper's default machine.
-#[must_use]
-pub fn run_workload_recorded(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
-    let machine = MachineConfig::paper_default();
-    run_recorded(&workload.record(target_refs), scheme, &machine)
+    run_chunks(trace.replay(), scheme, machine)
 }
 
 /// Runs a workload with a warmup phase: the first `warm_refs` memory
 /// references fill the caches and open the DRAM rows, then every
 /// statistic (and the cycle clock) resets and only the next
 /// `measure_refs` references are measured — excluding compulsory misses
-/// from the figures, as steady-state methodology prescribes.
+/// from the figures, as steady-state methodology prescribes. A
+/// `warm_refs` of 0 means no warmup: the run equals [`run_workload`].
 ///
-/// The warm/measure boundary is a mid-stream stat reset on one
-/// continuous event stream: no combined `warm + measure` trace is ever
+/// The warm/measure boundary is a stat reset in the middle of one
+/// continuous generator run, right after the event that completes the
+/// `warm_refs`-th reference: no combined `warm + measure` trace is ever
 /// built in memory.
 ///
 /// # Examples
@@ -545,18 +396,28 @@ pub fn run_workload_warm(
     measure_refs: u64,
 ) -> RunResult {
     let machine = MachineConfig::paper_default();
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        &machine,
-        scheme,
-        WarmStreamOp {
-            stream: workload.events(warm_refs + measure_refs),
-            machine: &machine,
-            scheme,
-            warm_refs,
-        },
-    )
+    let mut engine = dispatch(&machine, scheme);
+    let mut warm_left = warm_refs;
+    workload.push_chunks(warm_refs + measure_refs, &mut |chunk| {
+        let mut rest = chunk;
+        if warm_left > 0 {
+            let split = chunk
+                .iter()
+                .position(|ev| {
+                    warm_left -= u64::from(ev.is_memory());
+                    warm_left == 0
+                })
+                .map_or(chunk.len(), |i| i + 1);
+            engine.push(&chunk[..split]);
+            if warm_left > 0 {
+                return;
+            }
+            engine.reset_stats();
+            rest = &chunk[split..];
+        }
+        engine.push(rest);
+    });
+    engine.finish()
 }
 
 #[cfg(test)]
@@ -612,8 +473,8 @@ mod tests {
 
     /// The pre-streaming `run_workload_warm` materialized the combined
     /// trace and split it at the warm boundary. Reproduce that path here
-    /// (on the reference dyn driver) and assert the mid-stream-reset
-    /// batched implementation is bit-identical.
+    /// (on the reference dyn driver) and assert the mid-run reset of the
+    /// engine is bit-identical. A warm count of 0 means no warm phase.
     fn warm_via_materialized_split(
         workload: &primecache_workloads::Workload,
         scheme: Scheme,
@@ -623,15 +484,19 @@ mod tests {
         let machine = MachineConfig::paper_default();
         let trace = workload.trace(warm_refs + measure_refs);
         let mut seen = 0u64;
-        let split = trace
-            .iter()
-            .position(|e| {
-                if e.is_memory() {
-                    seen += 1;
-                }
-                seen >= warm_refs
-            })
-            .map_or(trace.len(), |i| i + 1);
+        let split = if warm_refs == 0 {
+            0
+        } else {
+            trace
+                .iter()
+                .position(|e| {
+                    if e.is_memory() {
+                        seen += 1;
+                    }
+                    seen >= warm_refs
+                })
+                .map_or(trace.len(), |i| i + 1)
+        };
         let (warm, measure) = trace.split_at(split);
 
         let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
@@ -652,24 +517,41 @@ mod tests {
 
     #[test]
     fn warm_stream_reset_matches_legacy_split_path() {
-        for (name, scheme, warm, measure) in [
-            ("tree", Scheme::PrimeModulo, 20_000, 20_000),
-            ("mcf", Scheme::Base, 5_000, 15_000),
-            ("swim", Scheme::Xor, 0, 10_000), // zero-warm edge case
+        let (tree, mcf, swim) = (
+            by_name("tree").unwrap(),
+            by_name("mcf").unwrap(),
+            by_name("swim").unwrap(),
+        );
+        let pmod = Scheme::PrimeModulo;
+        for (ctx, streamed, expected) in [
+            (
+                "tree/pMod 20k+20k",
+                run_workload_warm(tree, pmod, 20_000, 20_000),
+                warm_via_materialized_split(tree, pmod, 20_000, 20_000),
+            ),
+            (
+                "mcf/Base 5k+15k",
+                run_workload_warm(mcf, Scheme::Base, 5_000, 15_000),
+                warm_via_materialized_split(mcf, Scheme::Base, 5_000, 15_000),
+            ),
+            (
+                "swim/XOR 0+10k", // zero-warm edge case
+                run_workload_warm(swim, Scheme::Xor, 0, 10_000),
+                warm_via_materialized_split(swim, Scheme::Xor, 0, 10_000),
+            ),
+            (
+                "swim/XOR 0+10k vs run_workload",
+                run_workload_warm(swim, Scheme::Xor, 0, 10_000),
+                run_workload(swim, Scheme::Xor, 10_000),
+            ),
         ] {
-            let w = by_name(name).unwrap();
-            let streamed = run_workload_warm(w, scheme, warm, measure);
-            let legacy = warm_via_materialized_split(w, scheme, warm, measure);
             assert_eq!(
-                streamed.breakdown, legacy.breakdown,
-                "{name}/{scheme:?}: breakdown diverges"
+                streamed.breakdown, expected.breakdown,
+                "{ctx}: breakdown diverges"
             );
-            assert_eq!(streamed.l1, legacy.l1, "{name}/{scheme:?}: L1 diverges");
-            assert_eq!(streamed.l2, legacy.l2, "{name}/{scheme:?}: L2 diverges");
-            assert_eq!(
-                streamed.dram, legacy.dram,
-                "{name}/{scheme:?}: DRAM diverges"
-            );
+            assert_eq!(streamed.l1, expected.l1, "{ctx}: L1 diverges");
+            assert_eq!(streamed.l2, expected.l2, "{ctx}: L2 diverges");
+            assert_eq!(streamed.dram, expected.dram, "{ctx}: DRAM diverges");
         }
     }
 
@@ -678,7 +560,7 @@ mod tests {
         let machine = MachineConfig::paper_default();
         for name in ["tree", "swim", "cg"] {
             let w = by_name(name).unwrap();
-            let streamed = run_trace(w.events(15_000), Scheme::PrimeModulo, &machine);
+            let streamed = run_workload(w, Scheme::PrimeModulo, 15_000);
             let materialized = run_trace(w.trace(15_000), Scheme::PrimeModulo, &machine);
             assert_eq!(streamed.breakdown, materialized.breakdown, "{name}");
             assert_eq!(streamed.l2, materialized.l2, "{name}");
@@ -688,8 +570,8 @@ mod tests {
     #[test]
     fn dsl_pmod_scheme_matches_builtin_pmod_bit_for_bit() {
         // The DSL-compiled `a % 2039` closure must be indistinguishable
-        // from the hand-written pMod indexer inside the batched driver:
-        // same sets, same hints, same latency class, same stats.
+        // from the hand-written pMod indexer inside the engine: same
+        // sets, same latency class, same stats.
         let id = primecache_core::expr::register_anonymous("a % 2039").expect("valid expression");
         let w = by_name("tree").unwrap();
         let expr = run_workload(w, Scheme::Expr(id), 20_000);
@@ -712,8 +594,8 @@ mod tests {
     #[test]
     fn batched_drivers_match_reference_quick() {
         // A quick per-scheme smoke of what the root `batched_equivalence`
-        // battery proves exhaustively: the monomorphized chunk-batched
-        // driver is bit-identical to the dyn reference path.
+        // battery proves exhaustively: the monomorphized engine is
+        // bit-identical to the dyn reference path.
         let machine = MachineConfig::paper_default();
         let w = by_name("mcf").unwrap();
         for scheme in [

@@ -14,7 +14,7 @@ use primecache_conc::sync::{AtomicUsize, Mutex};
 use primecache_workloads::{all, TraceStore, TraceStoreStats, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::{run_replay, run_workload, RunResult, Scheme};
+use crate::{run_chunks, run_workload, RunResult, Scheme};
 
 /// Results of one (workload, scheme) cell of a sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -323,7 +323,7 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
                             let cursor = store
                                 .replay(w.name)
                                 .expect("record phase stored every suite workload");
-                            run_replay(cursor, s, machine)
+                            run_chunks(cursor, s, machine)
                         }
                         None => run_workload(w, s, target_refs),
                     };

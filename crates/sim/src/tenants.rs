@@ -1,23 +1,16 @@
 //! Multi-tenant interleaved runs: N recorded traces time-sliced through
 //! one shared hierarchy, with per-tenant cache attribution.
 //!
-//! The driver is two-pass so the shared run stays bit-exact with the
-//! ordinary single-stream path:
-//!
-//! 1. **Aggregate pass** — the interleaved stream (a
-//!    [`MixCursor`]) drives the unchanged chunk-batched engine via
-//!    [`crate::run_chunks`]. Timing, DRAM behaviour, and the execution
-//!    breakdown come from this one continuous simulation; a
-//!    single-tenant mix is therefore bit-identical to [`crate::run_replay`]
-//!    on the plain trace (the namespace tag is the identity for tenant
-//!    0), which `tests/ingest_equivalence.rs` pins.
-//! 2. **Attribution pass** — a second, cache-only walk over the *same*
-//!    deterministic interleaving replays every memory reference through
-//!    a fresh [`Hierarchy`] and snapshots [`CacheStats`] at each quantum
-//!    boundary. Cache contents depend only on the access sequence (the
-//!    clock feeds timing, not placement), so the per-tenant deltas sum
-//!    to the aggregate statistics **exactly** — asserted in debug/check
-//!    builds.
+//! The interleaved stream (a [`primecache_workloads::MixCursor`])
+//! drives the one engine every run uses, a scheduling quantum at a
+//! time. Timing, DRAM behaviour, and the execution breakdown come from
+//! that one continuous simulation; a single-tenant mix is therefore
+//! bit-identical to [`crate::run_recorded`] on the plain trace (the
+//! namespace tag is the identity for tenant 0), which
+//! `tests/ingest_equivalence.rs` pins. After each quantum the run
+//! snapshots the L1 and L2 statistics and credits the delta to the
+//! tenant that ran it, so the per-tenant deltas sum to the aggregate
+//! statistics exactly.
 //!
 //! The interesting output is interference: comparing a tenant's shared
 //! miss count against [`tenant_solo_baseline`] (same tagged address
@@ -25,11 +18,10 @@
 //! contention, per scheme — the multi-programmed cousin of the paper's
 //! conflict-miss question.
 
-use primecache_cache::{CacheStats, Hierarchy, NO_HINT};
-use primecache_trace::Event;
-use primecache_workloads::{MixCursor, MixStats, TenantMix};
+use primecache_cache::CacheStats;
+use primecache_workloads::{MixStats, TenantMix};
 
-use crate::run::run_chunks;
+use crate::run::{dispatch, run_chunks};
 use crate::{MachineConfig, RunResult, Scheme};
 
 /// One tenant's share of an interleaved run.
@@ -66,55 +58,48 @@ pub struct TenantRun {
 /// deterministic quantum scheduling, per-tenant attribution.
 #[must_use]
 pub fn run_tenant_mix(mix: &TenantMix, scheme: Scheme, machine: &MachineConfig) -> TenantRun {
-    let aggregate = run_chunks(mix.cursor(), scheme, machine);
-    let (stats, mix_stats) = attribute(mix.cursor(), mix.n_tenants(), scheme, machine);
-
-    #[cfg(any(debug_assertions, feature = "check"))]
-    {
-        let sum = |f: fn(&LaneCache) -> &CacheStats| {
-            let mut acc = f(&stats[0]).clone();
-            for lane in &stats[1..] {
-                add_into(&mut acc, f(lane));
-            }
-            acc
-        };
-        assert_eq!(
-            sum(|l| &l.l1),
-            aggregate.l1,
-            "tenant L1 attribution must sum to the aggregate run"
-        );
-        assert_eq!(
-            sum(|l| &l.l2),
-            aggregate.l2,
-            "tenant L2 attribution must sum to the aggregate run"
-        );
-    }
-
-    let lanes = stats
+    let mut engine = dispatch(machine, scheme);
+    let mut prev_l1 = engine.l1_stats().clone();
+    let mut prev_l2 = engine.l2_stats().clone();
+    let mut lanes: Vec<TenantLane> = mix
+        .names()
         .into_iter()
-        .enumerate()
-        .map(|(i, lane)| TenantLane {
-            name: mix.names()[i].to_owned(),
-            events: mix_stats.events[i],
-            refs: mix_stats.refs[i],
-            quanta: lane.quanta,
-            l1: lane.l1,
-            l2: lane.l2,
+        .map(|name| TenantLane {
+            name: name.to_owned(),
+            events: 0,
+            refs: 0,
+            quanta: 0,
+            l1: CacheStats::new(prev_l1.set_accesses.len()),
+            l2: CacheStats::new(prev_l2.set_accesses.len()),
         })
         .collect();
 
+    let mut cursor = mix.cursor();
+    while let Some((tenant, events)) = cursor.pull_quantum() {
+        engine.push(&events);
+        let lane = &mut lanes[tenant];
+        lane.quanta += 1;
+        add_delta(&mut lane.l1, engine.l1_stats(), &mut prev_l1);
+        add_delta(&mut lane.l2, engine.l2_stats(), &mut prev_l2);
+    }
+    let mix_stats = cursor.mix_stats().clone();
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        lane.events = mix_stats.events[i];
+        lane.refs = mix_stats.refs[i];
+    }
+
     TenantRun {
-        aggregate,
+        aggregate: engine.finish(),
         lanes,
         mix: mix_stats,
     }
 }
 
 /// The no-contention baseline for tenant `idx`: its tagged address
-/// stream replayed *alone* through a fresh hierarchy under the same
-/// scheme. Returns `(l1, l2)` statistics; the miss delta against the
-/// shared lane in [`run_tenant_mix`] is pure inter-tenant interference
-/// (same addresses, same scheme — only the co-tenants differ).
+/// stream run *alone* through a fresh machine under the same scheme.
+/// Returns `(l1, l2)` statistics; the miss delta against the shared
+/// lane in [`run_tenant_mix`] is pure inter-tenant interference (same
+/// addresses, same scheme — only the co-tenants differ).
 #[must_use]
 pub fn tenant_solo_baseline(
     mix: &TenantMix,
@@ -122,60 +107,8 @@ pub fn tenant_solo_baseline(
     scheme: Scheme,
     machine: &MachineConfig,
 ) -> (CacheStats, CacheStats) {
-    let (mut stats, _) = attribute(mix.solo_cursor(idx), 1, scheme, machine);
-    let lane = stats.pop().expect("solo attribution has exactly one lane");
-    (lane.l1, lane.l2)
-}
-
-/// Per-lane accumulator of the attribution pass.
-struct LaneCache {
-    l1: CacheStats,
-    l2: CacheStats,
-    quanta: u64,
-}
-
-/// The cache-only attribution pass: replays the interleaving through a
-/// fresh hierarchy quantum by quantum, crediting each quantum's
-/// statistics delta to the tenant that ran it. Mirrors the CPU model's
-/// memory path exactly — one [`Hierarchy::access_hinted`] per load or
-/// store, writebacks drained — so the hierarchy sees the identical
-/// access sequence the aggregate run did.
-fn attribute(
-    mut cursor: MixCursor<'_>,
-    n_tenants: usize,
-    scheme: Scheme,
-    machine: &MachineConfig,
-) -> (Vec<LaneCache>, MixStats) {
-    let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
-    let n_l1 = hierarchy.l1_stats().set_accesses.len();
-    let n_l2 = hierarchy.l2_stats().set_accesses.len();
-    let mut lanes: Vec<LaneCache> = (0..n_tenants)
-        .map(|_| LaneCache {
-            l1: CacheStats::new(n_l1),
-            l2: CacheStats::new(n_l2),
-            quanta: 0,
-        })
-        .collect();
-
-    let mut prev_l1 = hierarchy.l1_stats().clone();
-    let mut prev_l2 = hierarchy.l2_stats().clone();
-    while let Some((tenant, events)) = cursor.pull_quantum() {
-        for ev in &events {
-            if let Some(addr) = ev.addr() {
-                let write = matches!(ev, Event::Store { .. });
-                let _ = hierarchy.access_hinted(addr, write, NO_HINT);
-            }
-        }
-        let _ = hierarchy.take_memory_writes();
-
-        let lane = &mut lanes[tenant];
-        lane.quanta += 1;
-        add_delta(&mut lane.l1, hierarchy.l1_stats(), &mut prev_l1);
-        add_delta(&mut lane.l2, hierarchy.l2_stats(), &mut prev_l2);
-    }
-
-    let mix_stats = cursor.mix_stats().clone();
-    (lanes, mix_stats)
+    let solo = run_chunks(mix.solo_cursor(idx), scheme, machine);
+    (solo.l1, solo.l2)
 }
 
 /// Adds `now - prev` into `into`, then advances `prev` to `now`.
@@ -200,22 +133,6 @@ fn add_delta(into: &mut CacheStats, now: &CacheStats, prev: &mut CacheStats) {
         *acc += n - p;
     }
     *prev = now.clone();
-}
-
-/// Field-wise sum, used by the debug-build consistency assertion.
-#[cfg(any(debug_assertions, feature = "check"))]
-fn add_into(acc: &mut CacheStats, more: &CacheStats) {
-    acc.accesses += more.accesses;
-    acc.hits += more.hits;
-    acc.misses += more.misses;
-    acc.writes += more.writes;
-    acc.writebacks += more.writebacks;
-    for (a, m) in acc.set_accesses.iter_mut().zip(&more.set_accesses) {
-        *a += m;
-    }
-    for (a, m) in acc.set_misses.iter_mut().zip(&more.set_misses) {
-        *a += m;
-    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! The ROADMAP's north star is a simulator that runs "as fast as the
 //! hardware allows"; this module is how that claim stays honest. It
-//! drives the full streaming pipeline — generator thread, bounded
-//! channel, CPU model, hierarchy, DRAM — over all 23 workloads per
-//! scheme, measures wall-clock, and reports memory references retired
-//! per second. The `throughput` bench binary emits the result as
+//! drives the whole pipeline — generator, CPU model, hierarchy, DRAM,
+//! all on the calling thread — over all 23 workloads per scheme,
+//! measures wall-clock, and reports memory references retired per
+//! second. The `throughput` bench binary emits the result as
 //! `BENCH_throughput.json`, and CI fails when a scheme regresses more
 //! than the allowed fraction against the committed baseline.
 
@@ -31,7 +31,7 @@ pub struct SchemeThroughput {
 }
 
 /// A labeled non-scheme throughput entry: the trace-pipeline stages
-/// (`gen:stream`, `gen:record`, `replay:decode`) and the whole-sweep
+/// (`gen:record`, `replay:decode`, `replay:materialize`) and the whole-sweep
 /// aggregate (`sweep:aggregate`). Written into the same `"schemes"`
 /// array of `BENCH_throughput.json`, keyed by label, so the baseline
 /// scanner and regression gate treat them exactly like scheme entries.
@@ -62,8 +62,8 @@ pub struct ThroughputReport {
 }
 
 /// Measures end-to-end refs/sec for each scheme: all 23 workloads,
-/// `refs_per_workload` references each, streamed through the batched
-/// monomorphized drivers (the production hot path).
+/// `refs_per_workload` references each, every generator pushing its
+/// chunks straight into the engine (generation included in the time).
 #[must_use]
 pub fn measure(schemes: &[Scheme], refs_per_workload: u64) -> ThroughputReport {
     measure_with(schemes, refs_per_workload, run_workload)
@@ -132,22 +132,11 @@ fn timed_extra(label: &'static str, stage: impl FnOnce() -> u64) -> NamedThrough
     }
 }
 
-/// Records the whole suite (timed as `gen:record`) and measures the two
-/// other pure pipeline stages: `gen:stream` (drain the live
-/// spawn+channel generator path) and `replay:decode` (drain replay
-/// cursors over the fresh store). Returns the store for reuse.
+/// Records the whole suite (timed as `gen:record`) and measures the
+/// other pure pipeline stage, `replay:decode` (drain replay cursors
+/// over the fresh store). Returns the store for reuse.
 fn measure_pipeline_stages(refs_per_workload: u64) -> (TraceStore, Vec<NamedThroughput>) {
     let suite = all();
-    let gen_stream = timed_extra("gen:stream", || {
-        suite
-            .iter()
-            .map(|w| {
-                w.events(refs_per_workload)
-                    .filter(primecache_trace::Event::is_memory)
-                    .count() as u64
-            })
-            .sum()
-    });
     let mut store = TraceStore::new(refs_per_workload);
     let gen_record = timed_extra("gen:record", || {
         for w in suite {
@@ -167,16 +156,15 @@ fn measure_pipeline_stages(refs_per_workload: u64) -> (TraceStore, Vec<NamedThro
             })
             .sum()
     });
-    (store, vec![gen_stream, gen_record, replay_decode])
+    (store, vec![gen_record, replay_decode])
 }
 
 /// [`measure`] on the generate-once/replay-everywhere hot path: the
 /// suite is recorded once into the compact store (`gen:record` extra),
 /// then each workload's trace is decoded once into a flat event buffer
 /// (`replay:materialize` extra) and every scheme simulates straight off
-/// that buffer through the slice driver — no per-scheme re-decode, no
-/// chunk re-batching, no hint precompute. Also measures the pure
-/// pipeline stages (`gen:stream`, `replay:decode`) and an end-to-end
+/// that buffer — no per-scheme re-decode. Also measures the pure
+/// pipeline stage `replay:decode` and an end-to-end
 /// `sweep:aggregate` entry: total simulated refs across all schemes
 /// divided by record + materialize + simulation time, the number a
 /// whole sweep actually experiences.
@@ -254,9 +242,9 @@ pub fn measure_replayed(schemes: &[Scheme], refs_per_workload: u64) -> Throughpu
     }
 }
 
-/// Pure trace-pipeline throughput, no simulation: `gen:stream`,
-/// `gen:record`, and `replay:decode` over the whole suite (the `bench
-/// --gen-only` mode). The report's `schemes` list is empty.
+/// Pure trace-pipeline throughput, no simulation: `gen:record` and
+/// `replay:decode` over the whole suite (the `bench --gen-only` mode).
+/// The report's `schemes` list is empty.
 #[must_use]
 pub fn measure_gen_only(refs_per_workload: u64) -> ThroughputReport {
     let (_store, extras) = measure_pipeline_stages(refs_per_workload);
@@ -519,7 +507,6 @@ mod tests {
         assert_eq!(
             labels,
             [
-                "gen:stream",
                 "gen:record",
                 "replay:decode",
                 "replay:materialize",
@@ -541,10 +528,9 @@ mod tests {
         let report = measure_gen_only(300);
         assert!(report.schemes.is_empty());
         let labels: Vec<&str> = report.extras.iter().map(|e| e.label).collect();
-        assert_eq!(labels, ["gen:stream", "gen:record", "replay:decode"]);
-        // Stream and record see the same trace; decode replays it.
+        assert_eq!(labels, ["gen:record", "replay:decode"]);
+        // Decode replays exactly the recorded trace.
         assert_eq!(report.extras[0].refs, report.extras[1].refs);
-        assert_eq!(report.extras[1].refs, report.extras[2].refs);
     }
 
     #[test]

@@ -446,8 +446,6 @@ impl EncodedTrace {
         ReplayCursor {
             chunks: self.chunks.iter(),
             current: Vec::new().into_iter(),
-            chunks_read: 0,
-            chunk_events: self.chunk_events,
         }
     }
 
@@ -638,17 +636,14 @@ impl EncodedTrace {
 ///
 /// Replay is read-only: any number of cursors can replay the same
 /// recording concurrently, each decoding one chunk at a time (peak
-/// decoded memory is one chunk, as in the live streaming path).
+/// decoded memory is one chunk, as in the live generator path).
 ///
-/// `next_chunk` is remainder-first like
-/// `primecache_workloads::EventStream::next_chunk`: interleaving item
-/// and chunk pulls still yields the recorded sequence exactly once.
+/// `next_chunk` is remainder-first: interleaving item and chunk pulls
+/// still yields the recorded sequence exactly once.
 #[derive(Debug)]
 pub struct ReplayCursor<'a> {
     chunks: std::slice::Iter<'a, EncodedChunk>,
     current: std::vec::IntoIter<Event>,
-    chunks_read: u64,
-    chunk_events: usize,
 }
 
 impl ReplayCursor<'_> {
@@ -665,26 +660,9 @@ impl ReplayCursor<'_> {
 
     fn decode_next(&mut self) -> Option<Vec<Event>> {
         let chunk = self.chunks.next()?;
-        self.chunks_read += 1;
         // Traces only exist validated: the encoder produced these bytes,
         // or `from_bytes` already decoded them once.
         Some(chunk.decode().expect("validated chunk decodes"))
-    }
-
-    /// Replay-side mirror of `EventStream::stream_stats`: `(chunks
-    /// decoded, blocked_waits)`. A replay never waits on a generator, so
-    /// `blocked_waits` is always 0 — the signature a store-served run
-    /// leaves in the obs metrics.
-    #[must_use]
-    pub fn stream_stats(&self) -> (u64, u64) {
-        (self.chunks_read, 0)
-    }
-
-    /// Replay-side mirror of `EventStream::stream_config`: `(0,
-    /// chunk_events)` — a replay has no channel, so its depth is 0.
-    #[must_use]
-    pub fn stream_config(&self) -> (usize, usize) {
-        (0, self.chunk_events)
     }
 }
 
@@ -794,7 +772,6 @@ mod tests {
             chunked.extend(c);
         }
         assert_eq!(chunked, events);
-        assert_eq!(cur.stream_stats(), (trace.chunks().len() as u64, 0));
     }
 
     #[test]

@@ -37,12 +37,10 @@ mod registry;
 mod sparse;
 mod spec_int;
 mod store;
-mod stream;
 pub mod tenant;
 mod util;
 
 pub use registry::{all, by_name, non_uniform_names, uniform_names, Workload};
 pub use store::{EventChunks, TraceStore, TraceStoreStats};
-pub use stream::EventStream;
 pub use tenant::{MixConfig, MixCursor, MixStats, TenantMix};
 pub use util::{materialize, record, Lcg, TraceSink, STREAM_CHUNK};

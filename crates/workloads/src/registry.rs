@@ -2,8 +2,7 @@
 
 use primecache_trace::{EncodedTrace, Event};
 
-use crate::stream::EventStream;
-use crate::util::{materialize, record, TraceSink};
+use crate::util::{materialize, push_chunks, record, TraceSink};
 use crate::{grid, md, nas, pointer, sparse, spec_int};
 
 /// One application model: a named deterministic trace generator plus the
@@ -22,39 +21,27 @@ pub struct Workload {
 impl Workload {
     /// Materializes a trace with at least `target_refs` memory references.
     ///
-    /// Peak memory is linear in trace length; prefer [`Workload::events`]
-    /// for large reference counts.
+    /// Peak memory is linear in trace length; prefer
+    /// [`Workload::push_chunks`] for large reference counts.
     #[must_use]
     pub fn trace(&self, target_refs: u64) -> Vec<Event> {
         materialize(self.generator, target_refs)
     }
 
-    /// Streams the same event sequence as [`Workload::trace`] with O(1)
-    /// peak memory: the generator runs on its own thread and events
-    /// arrive through a bounded channel.
-    #[must_use]
-    pub fn events(&self, target_refs: u64) -> EventStream {
-        EventStream::spawn(self.generator, target_refs)
+    /// Generates the same event sequence as [`Workload::trace`] on the
+    /// calling thread and hands it to `consume` one chunk at a time, as
+    /// each [`crate::STREAM_CHUNK`]-event buffer fills (the last chunk
+    /// may be shorter; none is empty). Peak memory is that one buffer,
+    /// whatever `target_refs` is.
+    pub fn push_chunks(&self, target_refs: u64, consume: &mut dyn FnMut(&[Event])) {
+        push_chunks(self.generator, target_refs, consume);
     }
 
-    /// [`Workload::events`] with explicit streaming knobs: `depth` chunk
-    /// slots in flight and `chunk_events` events per chunk. Peak
-    /// buffered memory is proportional to `depth * chunk_events`; the
-    /// delivered event sequence is identical for every setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `depth` or `chunk_events` is zero.
-    #[must_use]
-    pub fn events_with(&self, target_refs: u64, depth: usize, chunk_events: usize) -> EventStream {
-        EventStream::spawn_with(self.generator, target_refs, depth, chunk_events)
-    }
-
-    /// Generates the same event sequence as [`Workload::trace`] /
-    /// [`Workload::events`] **once**, on the calling thread, into a
-    /// compact delta/varint [`EncodedTrace`] that can be replayed any
-    /// number of times ([`EncodedTrace::replay`]) — the generate-once
-    /// path behind [`crate::TraceStore`] and sweep replay.
+    /// Generates the same event sequence as [`Workload::trace`] **once**,
+    /// on the calling thread, into a compact delta/varint
+    /// [`EncodedTrace`] that can be replayed any number of times
+    /// ([`EncodedTrace::replay`]) — the generate-once path behind
+    /// [`crate::TraceStore`] and sweep replay.
     #[must_use]
     pub fn record(&self, target_refs: u64) -> EncodedTrace {
         record(self.generator, target_refs)
@@ -281,9 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn every_workload_streams_memory_refs() {
+    fn every_workload_pushes_memory_refs() {
         for w in all() {
-            let refs = w.events(1_000).filter(Event::is_memory).count();
+            let mut refs = 0;
+            w.push_chunks(1_000, &mut |c| {
+                refs += c.iter().filter(|e| e.is_memory()).count();
+            });
             assert!(refs >= 1_000, "{}: {refs}", w.name);
         }
     }

@@ -1,6 +1,7 @@
 //! The in-memory recorded-trace store behind generate-once sweeps, and
-//! the [`EventChunks`] abstraction that lets the simulation drivers pull
-//! chunks from either a live generator stream or a recorded replay.
+//! the [`EventChunks`] abstraction through which recorded sources push
+//! their events into a simulation, chunk by chunk, on the caller's
+//! thread.
 //!
 //! A design-space sweep runs every scheme over the *identical* 23
 //! traces; generating them once per scheme makes the sweep
@@ -16,71 +17,24 @@ use primecache_trace::{EncodedTrace, Event, ReplayCursor};
 use serde::Serialize;
 
 use crate::registry::Workload;
-use crate::stream::EventStream;
 
-/// A source of trace events the batched simulation drivers can consume
-/// chunk-at-a-time: a live [`EventStream`] or a recorded
-/// [`ReplayCursor`]. Implementors must deliver the same event sequence
-/// through `next` and `next_chunk` (remainder-first on interleaving).
-pub trait EventChunks: Iterator<Item = Event> {
-    /// Next whole chunk of events, or `None` at end of trace.
-    ///
-    /// (Named `pull_chunk` rather than `next_chunk` to stay clear of the
-    /// unstable `Iterator::next_chunk`.)
-    fn pull_chunk(&mut self) -> Option<Vec<Event>>;
-
-    /// `(chunks delivered, blocked_waits)` so far. Replays never block:
-    /// their second component is always 0.
-    fn chunk_stats(&self) -> (u64, u64);
-
-    /// `(channel depth, events per chunk)`. Replays have no channel:
-    /// their depth is 0.
-    fn chunk_config(&self) -> (usize, usize);
-}
-
-impl EventChunks for EventStream {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        self.next_chunk()
-    }
-
-    fn chunk_stats(&self) -> (u64, u64) {
-        self.stream_stats()
-    }
-
-    fn chunk_config(&self) -> (usize, usize) {
-        self.stream_config()
-    }
+/// A source of trace events that pushes them, in order, into a consumer
+/// on the caller's thread, one chunk at a time: a recorded or imported
+/// trace's [`ReplayCursor`] (one chunk per encoded chunk) or a tenant
+/// [`crate::MixCursor`] (one chunk per scheduling quantum). A live
+/// generator pushes the same way through
+/// [`Workload::push_chunks`].
+pub trait EventChunks {
+    /// Hands every remaining event to `consume`, in order, in non-empty
+    /// chunks (the remainder of a partially iterated chunk first).
+    fn push_chunks(&mut self, consume: &mut dyn FnMut(&[Event]));
 }
 
 impl EventChunks for ReplayCursor<'_> {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        self.next_chunk()
-    }
-
-    fn chunk_stats(&self) -> (u64, u64) {
-        self.stream_stats()
-    }
-
-    fn chunk_config(&self) -> (usize, usize) {
-        self.stream_config()
-    }
-}
-
-/// Mirror of the standard library's `Iterator for &mut I`: a driver can
-/// consume a mutable borrow and leave the source inspectable afterwards
-/// (e.g. an importer stream whose deferred parse error the caller checks
-/// once the run finishes).
-impl<S: EventChunks + ?Sized> EventChunks for &mut S {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        (**self).pull_chunk()
-    }
-
-    fn chunk_stats(&self) -> (u64, u64) {
-        (**self).chunk_stats()
-    }
-
-    fn chunk_config(&self) -> (usize, usize) {
-        (**self).chunk_config()
+    fn push_chunks(&mut self, consume: &mut dyn FnMut(&[Event])) {
+        while let Some(chunk) = self.next_chunk() {
+            consume(&chunk);
+        }
     }
 }
 
@@ -260,22 +214,19 @@ mod tests {
     }
 
     #[test]
-    fn event_chunks_is_object_safe_enough_for_both_sources() {
-        // The same driver-side consumption pattern must see the same
-        // events from a live stream and a replay cursor.
-        fn drain(mut src: impl EventChunks) -> (Vec<Event>, u64) {
-            let mut out = Vec::new();
-            while let Some(chunk) = src.pull_chunk() {
-                out.extend(chunk);
-            }
-            (out, src.chunk_stats().0)
-        }
+    fn replay_pushes_the_live_chunks() {
+        // A replay must push the events, and the chunk cadence, of the
+        // live generator it recorded.
         let w = by_name("tree").unwrap();
-        let store = TraceStore::record_all(&[*w], 3_000);
-        let (live, live_chunks) = drain(w.events(3_000));
-        let (replayed, replay_chunks) = drain(store.replay("tree").unwrap());
+        let store = TraceStore::record_all(&[*w], 20_000);
+        let mut live: Vec<Vec<Event>> = Vec::new();
+        w.push_chunks(20_000, &mut |c| live.push(c.to_vec()));
+        let mut replayed: Vec<Vec<Event>> = Vec::new();
+        store
+            .replay("tree")
+            .unwrap()
+            .push_chunks(&mut |c| replayed.push(c.to_vec()));
+        assert!(live.len() > 1, "the trace spans several chunks");
         assert_eq!(replayed, live);
-        // Same chunk cadence: recording cuts chunks at STREAM_CHUNK too.
-        assert_eq!(replay_chunks, live_chunks);
     }
 }

@@ -13,10 +13,7 @@
 //!
 //! * The schedule is a pure function of `(tenant traces, MixConfig)` —
 //!   the scheduler PRNG is a seeded [`Lcg`], so every cursor over the
-//!   same mix replays the identical interleaved sequence. The simulation
-//!   side exploits this to run its timing pass and its per-tenant
-//!   attribution pass over two cursors and know they saw the same
-//!   stream.
+//!   same mix replays the identical interleaved sequence.
 //! * Tenant 0's namespace tag is `0 << ns_shift = 0`, and XOR with 0 is
 //!   the identity: a **single-tenant mix replays its trace unchanged**,
 //!   so `run_chunks(mix.cursor(), ..)` is bit-identical to
@@ -180,8 +177,8 @@ struct Lane<'a> {
 
 /// The interleaved event stream of a [`TenantMix`]: an
 /// [`EventChunks`] source (one chunk = one scheduling quantum) that the
-/// unchanged batched drivers consume, plus [`MixCursor::pull_quantum`]
-/// for consumers that need to know which tenant each slice belongs to.
+/// simulation drivers consume, plus [`MixCursor::pull_quantum`] for
+/// consumers that need to know which tenant each slice belongs to.
 #[derive(Debug)]
 pub struct MixCursor<'a> {
     lanes: Vec<Lane<'a>>,
@@ -219,9 +216,8 @@ impl<'a> MixCursor<'a> {
     /// The next scheduling quantum as `(tenant index, tagged events)`,
     /// or `None` once every tenant is exhausted.
     ///
-    /// This is the tenant-aware twin of
-    /// [`EventChunks::pull_chunk`]; interleaving the two (or `next`)
-    /// drains the same sequence exactly once, remainder-first.
+    /// This is the tenant-aware twin of [`EventChunks::push_chunks`];
+    /// it skips any remainder a partial `next` iteration left behind.
     pub fn pull_quantum(&mut self) -> Option<(usize, Vec<Event>)> {
         while !self.live.is_empty() {
             let slot = self.rng.below(self.live.len() as u64) as usize;
@@ -296,22 +292,14 @@ impl Iterator for MixCursor<'_> {
 }
 
 impl EventChunks for MixCursor<'_> {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
+    fn push_chunks(&mut self, consume: &mut dyn FnMut(&[Event])) {
         if !self.buf.is_empty() {
-            return Some(self.buf.drain(..).collect());
+            consume(self.buf.make_contiguous());
+            self.buf.clear();
         }
-        self.pull_quantum().map(|(_, events)| events)
-    }
-
-    fn chunk_stats(&self) -> (u64, u64) {
-        // A mix replays recordings: it never blocks on a generator.
-        (self.stats.quanta, 0)
-    }
-
-    fn chunk_config(&self) -> (usize, usize) {
-        // No channel; the "chunk size" is the quantum, in instructions
-        // rather than events (usize::MAX-saturating for giant quanta).
-        (0, usize::try_from(self.quantum).unwrap_or(usize::MAX))
+        while let Some((_, quantum)) = self.pull_quantum() {
+            consume(&quantum);
+        }
     }
 }
 
@@ -336,10 +324,8 @@ mod tests {
         let via_next: Vec<Event> = mix.cursor().collect();
         assert_eq!(via_next, expected, "tenant 0's tag must be the identity");
         let mut chunked = Vec::new();
-        let mut cur = mix.cursor();
-        while let Some(c) = cur.pull_chunk() {
-            chunked.extend(c);
-        }
+        mix.cursor()
+            .push_chunks(&mut |c| chunked.extend_from_slice(c));
         assert_eq!(chunked, expected);
     }
 
@@ -404,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn next_and_pull_chunk_interleave_remainder_first() {
+    fn next_and_push_chunks_interleave_remainder_first() {
         let mix = TenantMix::new(
             vec![recorded("swim", 2_000)],
             MixConfig {
@@ -418,12 +404,10 @@ mod tests {
         for _ in 0..5 {
             got.push(cur.next().unwrap());
         }
-        let remainder = cur.pull_chunk().unwrap();
-        assert!(remainder.len() < expected.len() - 5, "remainder, not all");
-        got.extend(remainder);
-        while let Some(c) = cur.pull_chunk() {
-            got.extend(c);
-        }
+        let mut chunks = Vec::new();
+        cur.push_chunks(&mut |c| chunks.push(c.to_vec()));
+        assert!(chunks[0].len() < expected.len() - 5, "remainder, not all");
+        got.extend(chunks.concat());
         assert_eq!(got, expected);
     }
 

@@ -1,7 +1,5 @@
 //! Generator utilities: deterministic PRNG and trace-emission helpers.
 
-use primecache_conc::port::stream::ChunkSink;
-use primecache_conc::StdBackend;
 use primecache_trace::{EncodedTrace, Event, TraceEncoder};
 
 /// A 64-bit linear congruential generator (Knuth's MMIX multiplier).
@@ -86,13 +84,13 @@ impl Lcg {
     }
 }
 
-/// Default events per channel chunk when a sink streams to an
-/// [`crate::EventStream`] (overridable via [`crate::Workload::events_with`]),
-/// and the chunk cadence of every recorded trace ([`record`]).
+/// Events per chunk a live generator hands its consumer
+/// ([`crate::Workload::push_chunks`]), and the chunk cadence of every
+/// recorded trace ([`record`]).
 ///
-/// Large enough to amortize channel synchronization over thousands of
-/// events, small enough that peak buffered memory (chunk × channel depth)
-/// stays well under a megabyte.
+/// Large enough that a consumer's per-chunk work (one call, one stats
+/// check) vanishes against the events inside, small enough that the one
+/// chunk buffer a live run holds stays well under a megabyte.
 ///
 /// Public because bit-exact trace round trips depend on it: an importer
 /// that re-encodes an exported trace must cut chunks at the same cadence
@@ -101,18 +99,18 @@ impl Lcg {
 pub const STREAM_CHUNK: usize = 16384;
 
 /// Where a [`TraceSink`] delivers its events.
-#[derive(Debug)]
-enum Output {
-    /// Materialize the whole trace (legacy `Workload::trace` path, tests).
+enum Output<'a> {
+    /// Materialize the whole trace (`Workload::trace`, tests).
     Buffer(Vec<Event>),
-    /// Stream fixed-size chunks to a consumer thread through the
-    /// model-checked chunk protocol; the sink's `is_closed` flips when
-    /// the consumer hangs up, which makes [`TraceSink::done`] return true
-    /// so the generator unwinds early instead of producing into the void.
-    Channel(ChunkSink<StdBackend, Event>),
-    /// Same-thread pull-mode recording: events go straight into a
-    /// delta/varint [`TraceEncoder`] — no generator thread, no channel
-    /// hop — producing the compact [`EncodedTrace`] a
+    /// Same-thread push: events fill one `STREAM_CHUNK` buffer, which is
+    /// handed to `consume` each time it fills and once more, partial, at
+    /// the end. Memory stays O(1) in trace length.
+    Chunks {
+        chunk: Vec<Event>,
+        consume: &'a mut dyn FnMut(&[Event]),
+    },
+    /// Same-thread recording: events go straight into a delta/varint
+    /// [`TraceEncoder`], producing the compact [`EncodedTrace`] a
     /// [`crate::TraceStore`] replays to every scheme of a sweep.
     Record(TraceEncoder),
 }
@@ -120,20 +118,28 @@ enum Output {
 /// Builder that appends events while tracking how many memory references
 /// have been emitted — generators loop until [`TraceSink::done`].
 ///
-/// The streaming generator contract: a generator is a
-/// `fn(&mut TraceSink)` that emits a deterministic event sequence
-/// (independent of the output mode) and polls `done()` at least once per
-/// bounded number of events. The same generator therefore serves both the
-/// materialized `Workload::trace` path and the O(1)-memory
-/// `Workload::events` stream.
-#[derive(Debug)]
-pub struct TraceSink {
-    out: Output,
+/// The generator contract: a generator is a `fn(&mut TraceSink)` that
+/// emits a deterministic event sequence (independent of the output
+/// mode) and polls `done()` at least once per bounded number of events.
+/// The same generator therefore serves the materialized
+/// `Workload::trace` path, the chunk-pushing `Workload::push_chunks`
+/// path and `Workload::record`, all on the calling thread.
+pub struct TraceSink<'a> {
+    out: Output<'a>,
     refs: u64,
     target: u64,
 }
 
-impl TraceSink {
+impl std::fmt::Debug for TraceSink<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceSink")
+            .field("refs", &self.refs)
+            .field("target", &self.target)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> TraceSink<'a> {
     /// Creates a buffering sink, pre-allocating for `target_refs`
     /// references.
     #[must_use]
@@ -147,11 +153,16 @@ impl TraceSink {
         }
     }
 
-    /// Creates a sink that streams chunks through `sink` (used by
-    /// [`crate::EventStream`]).
-    pub(crate) fn for_channel(target_refs: u64, sink: ChunkSink<StdBackend, Event>) -> Self {
+    /// Creates a sink that hands `consume` every full
+    /// [`STREAM_CHUNK`]-event chunk as it fills (used by
+    /// [`crate::Workload::push_chunks`]); [`TraceSink::finish`] hands
+    /// over the last, partial one.
+    pub(crate) fn for_chunks(target_refs: u64, consume: &'a mut dyn FnMut(&[Event])) -> Self {
         Self {
-            out: Output::Channel(sink),
+            out: Output::Chunks {
+                chunk: Vec::with_capacity(STREAM_CHUNK),
+                consume,
+            },
             refs: 0,
             target: target_refs,
         }
@@ -180,18 +191,17 @@ impl TraceSink {
         self.target
     }
 
-    /// True once the generator should stop: the reference target is met,
-    /// or (in streaming mode) the consumer dropped the stream.
+    /// True once the generator should stop: the reference target is met.
     #[must_use]
     pub fn done(&self) -> bool {
-        self.refs >= self.target || matches!(&self.out, Output::Channel(sink) if sink.is_closed())
+        self.refs >= self.target
     }
 
     #[inline]
     fn push(&mut self, ev: Event) {
         match &mut self.out {
             Output::Buffer(events) => events.push(ev),
-            Output::Channel(sink) => sink.push(ev),
+            Output::Chunks { chunk, consume } => push_chunked(chunk, *consume, ev),
             Output::Record(enc) => enc.push(ev),
         }
     }
@@ -240,11 +250,15 @@ impl TraceSink {
         self.push(Event::Branch { mispredict });
     }
 
-    /// Flushes any partially filled streaming chunk (no-op when
-    /// buffering or recording — the encoder flushes in `into_recorded`).
+    /// Hands the last, partial chunk of a chunk-pushing sink to its
+    /// consumer (no-op when it is empty, and when buffering or recording
+    /// — the encoder flushes in `into_recorded`).
     pub(crate) fn finish(&mut self) {
-        if let Output::Channel(sink) = &mut self.out {
-            sink.finish();
+        if let Output::Chunks { chunk, consume } = &mut self.out {
+            if !chunk.is_empty() {
+                consume(chunk);
+                chunk.clear();
+            }
         }
     }
 
@@ -252,14 +266,14 @@ impl TraceSink {
     ///
     /// # Panics
     ///
-    /// Panics when called on a streaming or recording sink; streamed
+    /// Panics when called on a chunk-pushing or recording sink; pushed
     /// events have already been handed to the consumer, recorded ones to
     /// the encoder.
     #[must_use]
     pub fn into_events(self) -> Vec<Event> {
         match self.out {
             Output::Buffer(events) => events,
-            Output::Channel(_) | Output::Record(_) => {
+            Output::Chunks { .. } | Output::Record(_) => {
                 panic!("into_events on a non-buffering TraceSink")
             }
         }
@@ -274,14 +288,27 @@ impl TraceSink {
     pub fn into_recorded(self) -> EncodedTrace {
         match self.out {
             Output::Record(enc) => enc.finish(),
-            Output::Buffer(_) | Output::Channel(_) => {
+            Output::Buffer(_) | Output::Chunks { .. } => {
                 panic!("into_recorded on a non-recording TraceSink")
             }
         }
     }
 }
 
-/// Runs a streaming generator to completion into a materialized `Vec`.
+/// Appends `ev` to `chunk`, handing the chunk to `consume` (and
+/// emptying it) once it holds `STREAM_CHUNK` events. Kept out of line
+/// so the push inlined into every generator stays small enough to
+/// inline.
+#[inline(never)]
+fn push_chunked(chunk: &mut Vec<Event>, consume: &mut dyn FnMut(&[Event]), ev: Event) {
+    chunk.push(ev);
+    if chunk.len() == STREAM_CHUNK {
+        consume(chunk);
+        chunk.clear();
+    }
+}
+
+/// Runs a generator to completion into a materialized `Vec`.
 ///
 /// This is the legacy-compatible path: `materialize(f, n)` produces
 /// exactly the event sequence the pre-streaming `fn(u64) -> Vec<Event>`
@@ -293,18 +320,32 @@ pub fn materialize(generator: fn(&mut TraceSink), target_refs: u64) -> Vec<Event
     sink.into_events()
 }
 
-/// Runs a streaming generator to completion on the *calling* thread,
+/// Runs a generator to completion on the calling thread,
 /// encoding its events into a compact [`EncodedTrace`].
 ///
-/// This is the pull-mode recording path: it produces exactly the event
-/// sequence [`materialize`] / [`crate::EventStream`] deliver (generators
-/// are deterministic and output-mode-blind), but skips the spawn+channel
-/// hop and stores the result at a few bytes per event instead of 16.
+/// It produces exactly the event sequence [`materialize`] and
+/// [`crate::Workload::push_chunks`] deliver (generators are
+/// deterministic and output-mode-blind), stored at a few bytes per event
+/// instead of 16.
 #[must_use]
 pub fn record(generator: fn(&mut TraceSink), target_refs: u64) -> EncodedTrace {
     let mut sink = TraceSink::for_recording(target_refs, STREAM_CHUNK);
     generator(&mut sink);
     sink.into_recorded()
+}
+
+/// Runs a generator to completion on the calling thread, handing
+/// `consume` its events in order, [`STREAM_CHUNK`] at a time (the last
+/// chunk may be shorter; none is empty). Memory is one chunk buffer,
+/// whatever `target_refs` is.
+pub(crate) fn push_chunks(
+    generator: fn(&mut TraceSink),
+    target_refs: u64,
+    consume: &mut dyn FnMut(&[Event]),
+) {
+    let mut sink = TraceSink::for_chunks(target_refs, consume);
+    generator(&mut sink);
+    sink.finish();
 }
 
 #[cfg(test)]
@@ -369,40 +410,29 @@ mod tests {
         assert!(sink.done());
     }
 
-    #[test]
-    fn channel_sink_reports_done_after_receiver_drops() {
-        let (tx, rx) = primecache_conc::sync::spsc(1);
-        let mut sink = TraceSink::for_channel(u64::MAX, ChunkSink::new(tx, STREAM_CHUNK));
-        drop(rx);
-        // The hangup is only observed at the next chunk flush.
-        for i in 0..2 * STREAM_CHUNK as u64 {
-            sink.load(i * 64);
+    fn counting(t: &mut TraceSink) {
+        let mut i = 0u64;
+        while !t.done() {
+            t.load(i * 64);
+            if i.is_multiple_of(7) {
+                t.work(3);
+            }
+            i += 1;
         }
-        assert!(sink.done());
     }
 
     #[test]
-    fn channel_sink_streams_all_events_in_order() {
-        use primecache_conc::ReceiverApi;
-        let (tx, rx) = primecache_conc::sync::spsc(4);
-        let mut sink = TraceSink::for_channel(u64::MAX, ChunkSink::new(tx, STREAM_CHUNK));
-        let n = STREAM_CHUNK as u64 + 17;
-        let consumer = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            while let Some(chunk) = rx.recv() {
-                got.extend(chunk);
+    fn pushed_chunks_concatenate_to_the_materialized_trace() {
+        for target in [0, 1, 10_000, 3 * STREAM_CHUNK as u64] {
+            let mut chunks: Vec<Vec<Event>> = Vec::new();
+            push_chunks(counting, target, &mut |c| chunks.push(c.to_vec()));
+            // None is empty, and every chunk but the last is full.
+            for (i, c) in chunks.iter().enumerate() {
+                assert!(!c.is_empty() && c.len() <= STREAM_CHUNK, "{target}");
+                assert!(i + 1 == chunks.len() || c.len() == STREAM_CHUNK, "{target}");
             }
-            got
-        });
-        for i in 0..n {
-            sink.load(i * 64);
+            assert_eq!(chunks.concat(), materialize(counting, target), "{target}");
         }
-        sink.finish();
-        drop(sink);
-        let got = consumer.join().expect("consumer thread");
-        assert_eq!(got.len() as u64, n);
-        assert_eq!(got[0], Event::load(0));
-        assert_eq!(got[got.len() - 1], Event::load((n - 1) * 64));
     }
 
     #[test]
@@ -420,7 +450,7 @@ mod tests {
         assert_eq!(recorded.decode_all().unwrap(), buffered);
         assert_eq!(recorded.events(), buffered.len() as u64);
         assert_eq!(recorded.refs(), 40_000);
-        // Chunk boundaries mirror the streaming path's STREAM_CHUNK.
+        // Chunk boundaries mirror the live push path's STREAM_CHUNK.
         assert_eq!(recorded.chunk_events(), STREAM_CHUNK);
         // The compactness target the format exists for.
         assert!(

@@ -1,7 +1,7 @@
 //! Scalar-vs-batched differential battery.
 //!
-//! The monomorphized, chunk-batched drivers behind
-//! [`primecache::sim::run_workload`] must be *bit-identical* to the
+//! The monomorphized engine behind [`primecache::sim::run_workload`]
+//! and every other driver must be *bit-identical* to the
 //! dynamically-dispatched reference path
 //! ([`primecache::sim::run_trace_reference`]) — same stats, same
 //! eviction/writeback order, same observability counters, same config
@@ -12,12 +12,11 @@
 
 use primecache::cache::{
     bank_disp_factor, Cache, FullyAssociative, Hierarchy, HierarchyConfig, L2Organization, L2Sim,
-    SkewHashKind, SkewedCache, NO_HINT,
+    SkewHashKind, SkewedCache,
 };
 use primecache::core::expr::register_anonymous;
 use primecache::core::index::{
-    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
-    Traditional, Xor,
+    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SkewDispBank, SkewXorBank, Traditional, Xor,
 };
 use primecache::obs::ObsConfig;
 use primecache::sim::observe::run_workload_observed;
@@ -80,32 +79,18 @@ fn write_heavy_refs(n: usize) -> Vec<(u64, bool)> {
     out
 }
 
-/// Feeds the same reference stream to a monomorphized (typed-L2,
-/// hinted) hierarchy and the boxed `dyn` reference hierarchy, draining
-/// and diffing the *complete* memory-write sequence after every access.
-///
-/// `hint` mirrors the batched drivers: the set-associative schemes
-/// precompute the L2 set index with a copy of the cache's own index
-/// function; skewed/FA pass [`NO_HINT`].
-fn diff_writeback_sequences<X: L2Sim>(
-    hcfg: HierarchyConfig,
-    l2: X,
-    hint: impl Fn(u64) -> u32,
-    label: &str,
-) {
+/// Feeds the same reference stream to a monomorphized (typed-L2)
+/// hierarchy and the boxed `dyn` reference hierarchy, draining and
+/// diffing the *complete* memory-write sequence after every access.
+fn diff_writeback_sequences<X: L2Sim>(hcfg: HierarchyConfig, l2: X, label: &str) {
     let l1 = Cache::with_typed(
         hcfg.l1,
         Traditional::new(Geometry::new(hcfg.l1.n_set_phys())),
     );
     let mut mono = Hierarchy::with_parts(hcfg, l1, l2);
     let mut reference = Hierarchy::new(hcfg);
-    let l2_line = match hcfg.l2 {
-        L2Organization::SetAssoc(c) => c.line_bytes(),
-        L2Organization::Skewed(c) => c.line_bytes(),
-        L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
-    };
     for (i, &(addr, write)) in write_heavy_refs(20_000).iter().enumerate() {
-        let m = mono.access_hinted(addr, write, hint(addr / l2_line));
+        let m = mono.access(addr, write);
         let r = reference.access(addr, write);
         assert_eq!(m, r, "{label}: outcome diverged at access {i} ({addr:#x})");
         assert_eq!(
@@ -122,7 +107,7 @@ fn diff_writeback_sequences<X: L2Sim>(
 fn writeback_sequences_identical_scalar_vs_batched() {
     let machine = MachineConfig::paper_default();
     // The built-in schemes plus a DSL-compiled one, so the expression
-    // closure's hinted fast path is held to the same writeback-order
+    // closure's typed fast path is held to the same writeback-order
     // contract as the hand-written indexers.
     let expr_pmod = register_anonymous("a % 2039").expect("pMod source compiles");
     let mut schemes = Scheme::ALL.to_vec();
@@ -131,56 +116,41 @@ fn writeback_sequences_identical_scalar_vs_batched() {
         let hcfg = machine.hierarchy_config(scheme);
         let label = scheme.label();
         // Mirror the once-per-run dispatch in the sim crate: same typed
-        // L2, same hinter.
+        // L2.
         match hcfg.l2 {
             L2Organization::SetAssoc(cfg) => {
                 let geom = Geometry::new(cfg.n_set_phys());
-                #[allow(clippy::cast_possible_truncation)]
                 match cfg.hash() {
                     HashKind::Traditional => {
-                        let ix = Traditional::new(geom);
                         diff_writeback_sequences(
                             hcfg,
-                            Cache::with_typed(cfg, ix),
-                            |b| ix.index(b) as u32,
+                            Cache::with_typed(cfg, Traditional::new(geom)),
                             label,
                         );
                     }
                     HashKind::Xor => {
-                        let ix = Xor::new(geom);
                         diff_writeback_sequences(
                             hcfg,
-                            Cache::with_typed(cfg, ix),
-                            |b| ix.index(b) as u32,
+                            Cache::with_typed(cfg, Xor::new(geom)),
                             label,
                         );
                     }
                     HashKind::PrimeModulo => {
-                        let ix = PrimeModulo::new(geom);
                         diff_writeback_sequences(
                             hcfg,
-                            Cache::with_typed(cfg, ix),
-                            |b| ix.index(b) as u32,
+                            Cache::with_typed(cfg, PrimeModulo::new(geom)),
                             label,
                         );
                     }
                     HashKind::PrimeDisplacement => {
-                        let ix = PrimeDisplacement::paper_default(geom);
                         diff_writeback_sequences(
                             hcfg,
-                            Cache::with_typed(cfg, ix),
-                            |b| ix.index(b) as u32,
+                            Cache::with_typed(cfg, PrimeDisplacement::paper_default(geom)),
                             label,
                         );
                     }
                     HashKind::Expr(id) => {
-                        let ix = id.indexer();
-                        diff_writeback_sequences(
-                            hcfg,
-                            Cache::with_typed(cfg, ix),
-                            |b| ix.index(b) as u32,
-                            label,
-                        );
+                        diff_writeback_sequences(hcfg, Cache::with_typed(cfg, id.indexer()), label);
                     }
                 }
             }
@@ -188,35 +158,29 @@ fn writeback_sequences_identical_scalar_vs_batched() {
                 SkewHashKind::Xor => diff_writeback_sequences(
                     hcfg,
                     SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
-                    |_| NO_HINT,
                     label,
                 ),
                 SkewHashKind::PrimeDisplacement => diff_writeback_sequences(
                     hcfg,
                     SkewedCache::with_banks(cfg, |b, g| SkewDispBank::new(g, bank_disp_factor(b))),
-                    |_| NO_HINT,
                     label,
                 ),
             },
             L2Organization::FullyAssociative {
                 size_bytes,
                 line_bytes,
-            } => diff_writeback_sequences(
-                hcfg,
-                FullyAssociative::new(size_bytes, line_bytes),
-                |_| NO_HINT,
-                label,
-            ),
+            } => {
+                diff_writeback_sequences(hcfg, FullyAssociative::new(size_bytes, line_bytes), label)
+            }
         }
     }
 }
 
 #[test]
 fn obs_counters_match_batched_stats_on_every_scheme() {
-    // The instrumented driver runs the reference hierarchy; its recorder
-    // counters must equal the *batched* driver's stats — chaining the
-    // obs==reference invariant (obs_layer test) with batched==reference
-    // into obs==batched, per scheme.
+    // The instrumented driver runs the same engine with a recorder
+    // attached; its recorder counters must equal the plain driver's
+    // stats, per scheme.
     let w = primecache::workloads::by_name("mcf").unwrap();
     for &scheme in &Scheme::ALL {
         let batched = run_workload(w, scheme, 10_000);
@@ -236,9 +200,9 @@ fn obs_counters_match_batched_stats_on_every_scheme() {
 #[test]
 fn config_fingerprints_unchanged_by_the_batched_drivers() {
     // The fingerprint hashes the machine and the hierarchy it *builds*,
-    // not the driver that runs it: running batched must not perturb it,
-    // and the RunReport emitted from an instrumented (reference-path)
-    // run must carry the same hash a batched caller would record.
+    // not the driver that runs it: running must not perturb it, and the
+    // RunReport emitted from an instrumented run must carry the same
+    // hash a plain caller would record.
     let machine = MachineConfig::paper_default();
     let w = primecache::workloads::by_name("tree").unwrap();
     for &scheme in &Scheme::ALL {

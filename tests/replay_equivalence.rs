@@ -2,7 +2,7 @@
 //!
 //! The generate-once/replay-everywhere sweep path (record each workload
 //! into the compact encoded trace store, feed every scheme from replay
-//! cursors) must be *bit-identical* to live streaming: the same event
+//! cursors) must be *bit-identical* to live generation: the same event
 //! sequence, the same chunk cadence, the same simulation results for
 //! every workload and every scheme, the same observability counters.
 //! This battery pins that equivalence so a future codec or store change
@@ -15,9 +15,9 @@
 
 use primecache::obs::ObsConfig;
 use primecache::sim::observe::{run_workload_observed, run_workload_observed_replayed};
-use primecache::sim::{run_trace, run_workload, run_workload_recorded, MachineConfig, Scheme};
+use primecache::sim::{run_recorded, run_trace, run_workload, MachineConfig, Scheme};
 use primecache::trace::{EncodedTrace, Event};
-use primecache::workloads::{all, TraceStore};
+use primecache::workloads::{all, TraceStore, STREAM_CHUNK};
 
 /// References per workload; override with `REPLAY_REFS=N`.
 fn replay_refs() -> u64 {
@@ -43,7 +43,20 @@ fn assert_results_equal(
 fn encoded_replay_reproduces_every_live_stream() {
     let refs = replay_refs();
     for w in all() {
-        let live: Vec<Event> = w.events(refs).collect();
+        // The live path: the generator hands each chunk to its consumer
+        // on this thread. Chunks never exceed STREAM_CHUNK events and
+        // concatenate to the materialized trace.
+        let mut live: Vec<Event> = Vec::new();
+        w.push_chunks(refs, &mut |chunk| {
+            assert!(
+                chunk.len() <= STREAM_CHUNK,
+                "{}: {}-event chunk",
+                w.name,
+                chunk.len()
+            );
+            live.extend_from_slice(chunk);
+        });
+        assert_eq!(live, w.trace(refs), "{}: chunks differ from trace", w.name);
         let trace = w.record(refs);
         let replayed: Vec<Event> = trace.replay().collect();
         assert_eq!(
@@ -70,15 +83,11 @@ fn replayed_runs_match_live_on_all_workloads_and_schemes() {
         let decoded: Vec<Event> = trace.replay().collect();
         for &scheme in &Scheme::ALL {
             let live = run_workload(w, scheme, refs);
-            let replayed = run_workload_recorded(w, scheme, refs);
             let ctx = format!("{}/{}", w.name, scheme.label());
+            // One record replayed for every scheme — the sweep's actual
+            // shape.
+            let replayed = run_recorded(&trace, scheme, &MachineConfig::paper_default());
             assert_results_equal(&replayed, &live, &ctx);
-            // The same recorded trace replayed through the recorded-run
-            // entry point must also agree (one record, many replays —
-            // the sweep's actual shape).
-            let from_store =
-                primecache::sim::run_recorded(&trace, scheme, &MachineConfig::paper_default());
-            assert_results_equal(&from_store, &live, &format!("{ctx} (shared record)"));
             // The bench's decode-once-per-workload shape drives the
             // slice driver straight off the materialized buffer; that
             // path must be bit-identical too.
@@ -103,16 +112,13 @@ fn replay_preserves_observability_counters_and_stream_parity() {
         assert_results_equal(&replayed.result, &live.result, name);
         // Exact hot counters, not just aggregates.
         assert_eq!(live.recorder.hot, replayed.recorder.hot, "{name}");
-        // Replay keeps the live chunk cadence but never blocks and has
-        // no channel.
+        // Replay keeps the live chunk cadence.
         let m = &replayed.metrics;
         assert_eq!(
             m.counter("stream.chunks"),
             live.metrics.counter("stream.chunks"),
             "{name}"
         );
-        assert_eq!(m.counter("stream.blocked_waits"), Some(0), "{name}");
-        assert_eq!(m.counter("stream.channel_depth"), Some(0), "{name}");
         assert_eq!(m.counter("trace_store.records"), Some(1), "{name}");
         assert_eq!(m.counter("trace_store.replays"), Some(1), "{name}");
     }
