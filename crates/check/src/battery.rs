@@ -11,9 +11,9 @@
 //! [`run_battery`] directly (the crate's tests do, with a smaller budget).
 
 use crate::oracle::{
-    ref_mersenne, ref_prime_displacement, ref_prime_modulo, ref_skew_xor, ref_subtract_select,
-    ref_tlb_index, ref_traditional, ref_xor, ref_xor_folded, OracleCache, OracleDram, OraclePolicy,
-    OracleSkewed, OracleVictim,
+    ref_mersenne, ref_prime_displacement, ref_prime_modulo, ref_read_text, ref_skew_xor,
+    ref_subtract_select, ref_tlb_index, ref_traditional, ref_xor, ref_xor_folded, OracleCache,
+    OracleDram, OraclePolicy, OracleSkewed, OracleVictim, TextRead,
 };
 use crate::prop::{forall_result, Rng, Shrink};
 
@@ -28,6 +28,7 @@ use primecache_core::index::{
     FastMod, Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank,
     SkewXorBank, XorFolded, SKEW_DISP_FACTORS,
 };
+use primecache_ingest::MAX_LINE_BYTES;
 use primecache_mem::{Dram, MemConfig};
 
 /// Accesses per cache/DRAM stream case (the shrinkable unit of replay).
@@ -927,7 +928,8 @@ fn codec_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
 
 fn ingest_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     use primecache_ingest::text::{format_event, parse_line, write_text};
-    use primecache_ingest::{import_bytes, SourceFormat};
+    use primecache_ingest::{import_bytes, ImportError, SourceFormat, TextEvents};
+    use primecache_trace::EncodedTrace;
     use primecache_workloads::STREAM_CHUNK;
 
     let mut out = Vec::new();
@@ -944,7 +946,7 @@ fn ingest_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
         |tuple| {
             let ev = tuple_event(tuple);
             let line = format_event(ev);
-            let back = parse_line(&line)
+            let back = parse_line(line.as_bytes())
                 .unwrap_or_else(|e| panic!("canonical line '{line}' rejected: {e}"))
                 .unwrap_or_else(|| panic!("canonical line '{line}' parsed as silent"));
             assert_eq!(back, ev, "text round trip via '{line}'");
@@ -984,7 +986,263 @@ fn ingest_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
             );
         },
     ));
+
+    // The byte-level streaming reader against the naive whole-input
+    // reference, on traces generated from the TRACE_FORMAT.md grammar
+    // and then mutated. Each input is read whole (`import_bytes`) and
+    // through a `BufReader` of the case's capacity, so lines straddle
+    // buffer ends at every offset.
+    out.push(run_unit(
+        cfg,
+        "ingest/text-parse",
+        cfg.addrs_per_unit.div_ceil(TEXT_LINES),
+        TEXT_LINES,
+        |rng| {
+            let capacity = match rng.range_u64(0, 4) {
+                0 => rng.range_usize(MAX_LINE_BYTES - 2, MAX_LINE_BYTES + 5),
+                _ => rng.range_usize(1, 17),
+            };
+            (gen_text_trace(rng), capacity)
+        },
+        |(input, capacity): &(TextInput, usize)| {
+            let want = ref_read_text(&input.0);
+            // A `PCTE` or `PCT1` magic would make `import_bytes` read binary.
+            if !input.0.starts_with(b"PCT") {
+                match import_bytes(&input.0) {
+                    Ok(imported) => {
+                        assert_eq!(want.error, None, "import_bytes accepted");
+                        assert_eq!(imported.stats.format, SourceFormat::Text);
+                        assert_eq!(imported.stats.lines, want.lines, "lines");
+                        assert_eq!(imported.stats.silent_lines, want.silent_lines);
+                        let frame = EncodedTrace::encode(&want.events, STREAM_CHUNK);
+                        assert_eq!(imported.trace.to_bytes(), frame.to_bytes(), "frame");
+                    }
+                    Err(ImportError::Text(e)) => {
+                        assert_eq!(Some(e), want.error, "import_bytes error");
+                    }
+                    Err(e) => panic!("text input failed as {e}"),
+                }
+            }
+            let reader = std::io::BufReader::with_capacity((*capacity).max(1), &input.0[..]);
+            let mut src = TextEvents::new(reader);
+            let mut got = TextRead::default();
+            for ev in &mut src {
+                match ev {
+                    Ok(ev) => got.events.push(ev),
+                    Err(e) => got.error = Some(e),
+                }
+            }
+            got.lines = src.lines();
+            got.silent_lines = src.silent_lines();
+            assert_eq!(got, want, "streamed read");
+        },
+    ));
     out
+}
+
+/// Grammar lines per `ingest/text-parse` case (the unit's case weight).
+const TEXT_LINES: usize = 16;
+
+/// A text trace input, shown as an escaped byte string. It shrinks by
+/// halves, then by whole lines, then by its last byte.
+#[derive(Clone)]
+struct TextInput(Vec<u8>);
+
+impl std::fmt::Debug for TextInput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "b\"{}\"", self.0.escape_ascii())
+    }
+}
+
+impl Shrink for TextInput {
+    fn shrink(&self) -> Vec<Self> {
+        let b = &self.0;
+        if b.is_empty() {
+            return Vec::new();
+        }
+        let mut out = vec![b[..b.len() / 2].to_vec(), b[b.len() / 2..].to_vec()];
+        let mut start = 0;
+        for (i, _) in b.iter().enumerate().filter(|&(_, &c)| c == b'\n') {
+            out.push([&b[..start], &b[i + 1..]].concat());
+            start = i + 1;
+        }
+        out.push(b[..b.len() - 1].to_vec());
+        out.into_iter().map(TextInput).collect()
+    }
+}
+
+/// Pushes one to three whitespace bytes (space, tab, form feed).
+fn gen_text_ws(rng: &mut Rng, out: &mut Vec<u8>) {
+    for _ in 0..rng.range_usize(1, 4) {
+        out.push([b' ', b' ', b'\t', 0x0C][rng.range_usize(0, 4)]);
+    }
+}
+
+/// Pushes `digits` after a run of leading zeros that sometimes takes
+/// the field to or past 16 digits.
+fn push_padded(rng: &mut Rng, digits: &str, out: &mut Vec<u8>) {
+    let zeros = match rng.range_u64(0, 4) {
+        0 => 16usize.saturating_sub(digits.len()) + rng.range_usize(0, 6),
+        1 => rng.range_usize(1, 4),
+        _ => 0,
+    };
+    out.extend(std::iter::repeat_n(b'0', zeros));
+    out.extend_from_slice(digits.as_bytes());
+}
+
+/// An `addr` field: optional `0x`/`0X`, hex digits in either case
+/// (rarely 17 significant ones, past 64 bits), optional `,size`.
+fn gen_text_addr(rng: &mut Rng, out: &mut Vec<u8>) {
+    out.extend_from_slice([&b"0x"[..], b"0X", b"", b""][rng.range_usize(0, 4)]);
+    let value = gen_codec_payload(rng);
+    let mut digits = if rng.range_u64(0, 64) == 0 {
+        format!("1{value:016x}")
+    } else {
+        format!("{value:x}")
+    };
+    if rng.bool() {
+        digits.make_ascii_uppercase();
+    }
+    push_padded(rng, &digits, out);
+    if rng.range_u64(0, 4) == 0 {
+        out.push(b',');
+        out.extend_from_slice(rng.range_u64(1, 65).to_string().as_bytes());
+    }
+}
+
+/// A `count` field: small, uniform, at the top of `u32`, or (rarely)
+/// just past it.
+fn gen_text_count(rng: &mut Rng, out: &mut Vec<u8>) {
+    let top = u64::from(u32::MAX);
+    let n = match rng.range_u64(0, 64) {
+        0 => top + rng.range_u64(1, 3),
+        1..=15 => top - rng.range_u64(0, 3),
+        16..=39 => rng.range_u64(0, 20),
+        _ => rng.range_u64(0, top + 1),
+    };
+    push_padded(rng, &n.to_string(), out);
+}
+
+/// One grammar line, terminator excluded: blank, comment-only, or a
+/// record of any form, with optional surrounding whitespace and an
+/// optional trailing comment.
+fn gen_text_line(rng: &mut Rng, out: &mut Vec<u8>) {
+    if rng.bool() {
+        gen_text_ws(rng, out);
+    }
+    let tag = b"ILSWFB-#"[rng.range_usize(0, 8)];
+    if tag != b'-' && tag != b'#' {
+        out.push(tag);
+        match tag {
+            b'W' | b'F' => {
+                gen_text_ws(rng, out);
+                gen_text_count(rng, out);
+            }
+            b'B' => {
+                if rng.bool() {
+                    gen_text_ws(rng, out);
+                    out.push(b'm');
+                }
+            }
+            _ => {
+                gen_text_ws(rng, out);
+                gen_text_addr(rng, out);
+                if tag == b'L' && rng.bool() {
+                    gen_text_ws(rng, out);
+                    out.push(b'd');
+                }
+            }
+        }
+        if rng.bool() {
+            gen_text_ws(rng, out);
+        }
+    }
+    if tag == b'#' || rng.range_u64(0, 4) == 0 {
+        out.push(b'#');
+        for _ in 0..rng.range_usize(0, 12) {
+            let piece: &[u8] =
+                [&b"x"[..], b" ", b"#", b"L 40", b"\xc3\xa9", b"\t"][rng.range_usize(0, 6)];
+            out.extend_from_slice(piece);
+        }
+    }
+}
+
+/// A line of `MAX_LINE_BYTES - 1` to `+ 2` bytes (one `\r` may follow):
+/// a record padded with spaces or zeros, a long comment, or garbage.
+fn gen_long_line(rng: &mut Rng) -> Vec<u8> {
+    let len = rng.range_usize(MAX_LINE_BYTES - 1, MAX_LINE_BYTES + 3);
+    let (head, pad): (&[u8], u8) = match rng.range_u64(0, 4) {
+        0 => (b"W 7", b' '),
+        1 => (b"L ", b'0'),
+        2 => (b"# ", b'c'),
+        _ => (b"", b'z'),
+    };
+    let mut line = head.to_vec();
+    line.resize(len, pad);
+    if head == b"L " {
+        let n = line.len();
+        line[n - 2..].copy_from_slice(b"40");
+    }
+    if rng.bool() {
+        line.push(b'\r');
+    }
+    line
+}
+
+/// A grammar-generated text trace of [`TEXT_LINES`] lines (LF or CRLF,
+/// the last one maybe unterminated), then zero to three mutations: a
+/// byte flip, an inserted `+`, `#` or non-UTF-8 byte, or an overlong
+/// line mid-file or at the end.
+fn gen_text_trace(rng: &mut Rng) -> TextInput {
+    let mut out = Vec::new();
+    for i in 0..TEXT_LINES {
+        gen_text_line(rng, &mut out);
+        if i + 1 < TEXT_LINES || rng.bool() {
+            out.extend_from_slice(if rng.range_u64(0, 4) == 0 {
+                b"\r\n"
+            } else {
+                b"\n"
+            });
+        }
+    }
+    for _ in 0..rng.range_usize(0, 4) {
+        let at = rng.range_usize(0, out.len() + 1);
+        match rng.range_u64(0, 6) {
+            0 if !out.is_empty() => {
+                let i = at.min(out.len() - 1);
+                out[i] ^= 1 << rng.range_u64(0, 8);
+            }
+            0 | 1 => out.insert(at, b'+'),
+            2 => out.insert(at, b'#'),
+            3 => {
+                let bad: &[u8] =
+                    [&b"\xff"[..], b"\x80", b"\xc3", b"\xed\xa0\x80"][rng.range_usize(0, 4)];
+                out.splice(at..at, bad.iter().copied());
+            }
+            _ => {
+                // Mid-file at a line start, or appended with no newline.
+                let line = gen_long_line(rng);
+                let starts: Vec<usize> = std::iter::once(0)
+                    .chain(
+                        out.iter()
+                            .enumerate()
+                            .filter(|&(_, &c)| c == b'\n')
+                            .map(|(i, _)| i + 1),
+                    )
+                    .collect();
+                if rng.bool() {
+                    let at = starts[rng.range_usize(0, starts.len())];
+                    out.splice(at..at, line.into_iter().chain(std::iter::once(b'\n')));
+                } else {
+                    if !out.is_empty() && out.last() != Some(&b'\n') {
+                        out.push(b'\n');
+                    }
+                    out.extend(line);
+                }
+            }
+        }
+    }
+    TextInput(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1272,6 +1530,7 @@ mod tests {
             "codec/varint",
             "codec/zigzag",
             "codec/event-roundtrip",
+            "ingest/text-parse",
             "mem/dram",
         ] {
             assert!(

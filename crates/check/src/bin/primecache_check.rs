@@ -2,9 +2,9 @@
 //! prints a pass/fail report.
 //!
 //! Every set-index function, hardware modulo unit, cache organization,
-//! and the DRAM timing model is checked against a deliberately naive
-//! reference implementation over randomized and adversarial strided
-//! address streams. Any disagreement is shrunk to a minimal
+//! the DRAM timing model, and the text trace reader is checked against
+//! a deliberately naive reference implementation over randomized and
+//! adversarial inputs. Any disagreement is shrunk to a minimal
 //! counterexample and reported; the process exits nonzero.
 //!
 //! Usage: `primecache-check [--cases N] [--seed S]`

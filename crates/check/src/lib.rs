@@ -9,7 +9,8 @@
 //!
 //! - [`prop`]: dependency-free property-testing harness with shrinking.
 //! - [`oracle`]: naive reference implementations (plain `%` indexing,
-//!   textbook LRU set-associative lookup, straight-line DRAM latency).
+//!   textbook LRU set-associative lookup, straight-line DRAM latency,
+//!   the `&str` text-trace parser over a whole input split at newlines).
 //! - [`battery`]: the differential battery run by the `primecache-check`
 //!   binary and the crate tests.
 

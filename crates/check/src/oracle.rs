@@ -10,7 +10,9 @@
 
 use std::collections::HashMap;
 
+use primecache_ingest::{TextError, TextErrorKind, MAX_LINE_BYTES};
 use primecache_mem::{Completion, DramMapping, MemConfig};
+use primecache_trace::Event;
 
 // ---------------------------------------------------------------------------
 // Index-function oracles (crates/core/src/index).
@@ -494,6 +496,161 @@ impl OracleDram {
             row_hit,
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Text trace oracle (crates/ingest/src/text.rs).
+//
+// The importer parses bytes in place as they stream through a buffer.
+// The reference parses `&str` lines with `split_once`,
+// `split_ascii_whitespace` and the standard integer parsers, over the
+// whole input split at newlines, so the two share no technique.
+// ---------------------------------------------------------------------------
+
+/// What reading a whole text trace yields: the events before the first
+/// error, that error, and the line counts `TextEvents` reports.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TextRead {
+    /// Events in input order, up to the first error.
+    pub events: Vec<Event>,
+    /// The first error, which ends the stream.
+    pub error: Option<TextError>,
+    /// Lines consumed, the failing one included.
+    pub lines: u64,
+    /// Lines among them that carried no event.
+    pub silent_lines: u64,
+}
+
+/// Hex address with optional `0x`/`0X` prefix and `,size` suffix; the
+/// grammar admits no sign, which `from_str_radix` would take.
+fn ref_parse_addr(token: &str) -> Result<u64, TextErrorKind> {
+    let bad = || TextErrorKind::BadAddress(token.to_string());
+    let (addr, size) = match token.split_once(',') {
+        Some((a, s)) => (a, Some(s)),
+        None => (token, None),
+    };
+    if let Some(size) = size {
+        if size.is_empty() || !size.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad());
+        }
+    }
+    let digits = addr
+        .strip_prefix("0x")
+        .or_else(|| addr.strip_prefix("0X"))
+        .unwrap_or(addr);
+    if digits.is_empty() || digits.starts_with('+') {
+        return Err(bad());
+    }
+    u64::from_str_radix(digits, 16).map_err(|_| bad())
+}
+
+/// Decimal `u32` count, unsigned as the grammar says.
+fn ref_parse_count(token: &str) -> Result<u32, TextErrorKind> {
+    let bad = || TextErrorKind::BadCount(token.to_string());
+    if token.starts_with('+') {
+        return Err(bad());
+    }
+    token.parse::<u32>().map_err(|_| bad())
+}
+
+/// Parses one line (already UTF-8, terminator stripped). `Ok(None)` is
+/// a blank or comment-only line.
+///
+/// # Errors
+///
+/// The grammar's error class for the first field that fails.
+pub fn ref_parse_line(line: &str) -> Result<Option<Event>, TextErrorKind> {
+    let line = line.split_once('#').map_or(line, |(pre, _)| pre);
+    let mut fields = line.split_ascii_whitespace();
+    let Some(tag) = fields.next() else {
+        return Ok(None);
+    };
+    let addr_field =
+        |fields: &mut std::str::SplitAsciiWhitespace<'_>| -> Result<u64, TextErrorKind> {
+            ref_parse_addr(
+                fields
+                    .next()
+                    .ok_or(TextErrorKind::MissingField("address"))?,
+            )
+        };
+    let event = match tag {
+        "I" => {
+            let _ = addr_field(&mut fields)?;
+            Event::Work(1)
+        }
+        "L" => {
+            let addr = addr_field(&mut fields)?;
+            let dep = match fields.next() {
+                None => false,
+                Some("d") => true,
+                Some(other) => return Err(TextErrorKind::BadMarker(other.to_string())),
+            };
+            Event::Load { addr, dep }
+        }
+        "S" => Event::Store {
+            addr: addr_field(&mut fields)?,
+        },
+        "W" => Event::Work(ref_parse_count(
+            fields.next().ok_or(TextErrorKind::MissingField("count"))?,
+        )?),
+        "F" => Event::FpWork(ref_parse_count(
+            fields.next().ok_or(TextErrorKind::MissingField("count"))?,
+        )?),
+        "B" => Event::Branch {
+            mispredict: match fields.next() {
+                None => false,
+                Some("m") => true,
+                Some(other) => return Err(TextErrorKind::BadMarker(other.to_string())),
+            },
+        },
+        other => return Err(TextErrorKind::UnknownTag(other.to_string())),
+    };
+    if let Some(extra) = fields.next() {
+        return Err(TextErrorKind::TrailingField(extra.to_string()));
+    }
+    Ok(Some(event))
+}
+
+/// Reads a whole text trace: split at `\n`, look at no more than
+/// `MAX_LINE_BYTES + 2` bytes of each line (newline included), strip
+/// the newline and then one `\r`, reject a longer remainder, check
+/// UTF-8, then [`ref_parse_line`].
+#[must_use]
+pub fn ref_read_text(data: &[u8]) -> TextRead {
+    let mut out = TextRead::default();
+    let mut rest = data;
+    while !rest.is_empty() {
+        out.lines += 1;
+        let len = rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1);
+        let (line, tail) = rest.split_at(len);
+        rest = tail;
+        let seen = &line[..line.len().min(MAX_LINE_BYTES + 2)];
+        let text = match seen.strip_suffix(b"\n") {
+            Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
+            None => seen,
+        };
+        let parsed = if text.len() > MAX_LINE_BYTES {
+            Err(TextErrorKind::LineTooLong(text.len()))
+        } else {
+            std::str::from_utf8(text).map_or(Err(TextErrorKind::NotUtf8), ref_parse_line)
+        };
+        match parsed {
+            Ok(Some(ev)) => out.events.push(ev),
+            Ok(None) => {}
+            Err(kind) => {
+                out.error = Some(TextError {
+                    line: out.lines,
+                    kind,
+                });
+                break;
+            }
+        }
+    }
+    out.silent_lines = out.lines - out.events.len() as u64;
+    out
 }
 
 #[cfg(test)]

@@ -14,8 +14,13 @@
 //!
 //! Addresses are hexadecimal (optional `0x` prefix, optional
 //! cachegrind-style `,size` suffix — parsed, then ignored); counts are
-//! decimal. `#` starts a comment; blank lines are skipped. Every error
-//! carries the 1-based line number it occurred on.
+//! decimal; neither takes a sign. `#` starts a comment; blank lines are
+//! skipped. Every error carries the 1-based line number it occurred on.
+//!
+//! [`parse_line`] works on bytes, one field at a time, and reads
+//! numbers in place; [`TextEvents`] hands it each line straight from the
+//! reader's buffer. Only lines holding a byte ≥ 0x80 are checked for
+//! UTF-8.
 
 use primecache_trace::Event;
 
@@ -90,99 +95,194 @@ impl std::fmt::Display for TextError {
 
 impl std::error::Error for TextError {}
 
-/// Parses an address token: hex digits with optional `0x`/`0X` prefix
-/// and optional `,size` decimal suffix (accepted for cachegrind
-/// compatibility, then discarded — the simulator derives line-sized
-/// blocks from the address alone).
-fn parse_addr(token: &str) -> Result<u64, TextErrorKind> {
-    let bad = || TextErrorKind::BadAddress(token.to_string());
-    let (addr, size) = match token.split_once(',') {
-        Some((a, s)) => (a, Some(s)),
-        None => (token, None),
-    };
-    if let Some(size) = size {
-        if size.is_empty() || !size.bytes().all(|b| b.is_ascii_digit()) {
-            return Err(bad());
+/// A field as error payload text. [`parse_line`] returns such an error
+/// only for a line that is valid UTF-8, and fields end at ASCII bytes,
+/// so the conversion is exact.
+fn text(field: &[u8]) -> String {
+    String::from_utf8_lossy(field).into_owned()
+}
+
+/// Ends a field: ASCII whitespace, or `#`, which starts a comment.
+fn is_delimiter(b: u8) -> bool {
+    b.is_ascii_whitespace() || b == b'#'
+}
+
+/// Each byte's value as a hex digit, or `u8::MAX` for a byte that is not
+/// one (a lookup, where a digit test would branch on every byte).
+const DIGIT_VALUE: [u8; 256] = {
+    let mut table = [u8::MAX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Reads the longest run of `radix` digits that starts `bytes`: its
+/// value (`None` past `u64`) and the bytes after it. No sign is taken.
+fn read_digits(bytes: &[u8], radix: u32) -> (Option<u64>, &[u8]) {
+    let mut value = Some(0u64);
+    let mut rest = bytes;
+    while let Some((&b, tail)) = rest.split_first() {
+        let digit = u32::from(DIGIT_VALUE[usize::from(b)]);
+        if digit >= radix {
+            break;
+        }
+        value = value.and_then(|v| v.checked_mul(radix.into())?.checked_add(digit.into()));
+        rest = tail;
+    }
+    (value, rest)
+}
+
+/// The unread rest of a line. Fields are runs of bytes that end at a
+/// delimiter; a `#` where a field would start begins the comment, which
+/// ends the fields. Numeric fields are read in place, in one pass.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// Skips whitespace; returns the rest when a field starts there.
+    fn start(&mut self) -> Option<&'a [u8]> {
+        let at = self
+            .0
+            .iter()
+            .position(|b| !b.is_ascii_whitespace())
+            .unwrap_or(self.0.len());
+        self.0 = &self.0[at..];
+        match self.0 {
+            [] | [b'#', ..] => None,
+            rest => Some(rest),
         }
     }
-    let digits = addr
-        .strip_prefix("0x")
-        .or_else(|| addr.strip_prefix("0X"))
-        .unwrap_or(addr);
-    if digits.is_empty() {
-        return Err(bad());
+
+    /// Takes the next field.
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.start()?;
+        let end = rest
+            .iter()
+            .position(|&b| is_delimiter(b))
+            .unwrap_or(rest.len());
+        let (field, tail) = rest.split_at(end);
+        self.0 = tail;
+        Some(field)
     }
-    u64::from_str_radix(digits, 16).map_err(|_| bad())
+
+    /// Ends the numeric field that starts here and whose digits end at
+    /// `rest`: it is `value` if the field ends there too, else `bad`
+    /// of the whole field.
+    fn end_field<T>(
+        &mut self,
+        value: Option<T>,
+        rest: &'a [u8],
+        bad: fn(String) -> TextErrorKind,
+    ) -> Result<T, TextErrorKind> {
+        match value {
+            Some(v) if rest.first().is_none_or(|&b| is_delimiter(b)) => {
+                self.0 = rest;
+                Ok(v)
+            }
+            _ => Err(bad(text(self.next().unwrap_or_default()))),
+        }
+    }
+
+    /// Takes an `addr` field: hex digits with optional `0x`/`0X` prefix
+    /// and optional `,size` decimal suffix (accepted for cachegrind
+    /// compatibility, then discarded — the simulator derives line-sized
+    /// blocks from the address alone).
+    fn addr(&mut self) -> Result<u64, TextErrorKind> {
+        let field = self.start().ok_or(TextErrorKind::MissingField("address"))?;
+        let digits = match field {
+            [b'0', b'x' | b'X', digits @ ..] => digits,
+            _ => field,
+        };
+        let (mut value, mut rest) = read_digits(digits, 16);
+        if rest.len() == digits.len() {
+            value = None; // no digits
+        }
+        if let [b',', size @ ..] = rest {
+            (_, rest) = read_digits(size, 10);
+            if rest.len() == size.len() {
+                value = None; // no size digits
+            }
+        }
+        self.end_field(value, rest, TextErrorKind::BadAddress)
+    }
+
+    /// Takes a `count` field: decimal digits that fit `u32`.
+    fn count(&mut self) -> Result<u32, TextErrorKind> {
+        let field = self.start().ok_or(TextErrorKind::MissingField("count"))?;
+        let (value, rest) = read_digits(field, 10);
+        let value = value
+            .and_then(|v| u32::try_from(v).ok())
+            .filter(|_| rest.len() < field.len());
+        self.end_field(value, rest, TextErrorKind::BadCount)
+    }
+
+    /// Takes an optional marker field: absent is `false`, `want` is `true`.
+    fn marker(&mut self, want: u8) -> Result<bool, TextErrorKind> {
+        match self.next() {
+            None => Ok(false),
+            Some(&[b]) if b == want => Ok(true),
+            Some(other) => Err(TextErrorKind::BadMarker(text(other))),
+        }
+    }
 }
 
-/// Parses a decimal `u32` count token.
-fn parse_count(token: &str) -> Result<u32, TextErrorKind> {
-    token
-        .parse::<u32>()
-        .map_err(|_| TextErrorKind::BadCount(token.to_string()))
+/// Parses one line (its bytes, without the terminator). `Ok(None)`
+/// means the line carries no event (blank, or comment-only). The `#`
+/// comment strip happens here, so trailing comments after a record are
+/// legal. A line holding a byte ≥ 0x80 must be valid UTF-8 as a whole,
+/// comment included; [`TextErrorKind::NotUtf8`] comes before any other
+/// error.
+pub fn parse_line(line: &[u8]) -> Result<Option<Event>, TextErrorKind> {
+    let mut fields = Fields(line);
+    let parsed = parse_record(&mut fields);
+    // A parsed record is ASCII up to its comment, so only what is left
+    // can hold other bytes.
+    let unchecked = if parsed.is_ok() { fields.0 } else { line };
+    if !unchecked.is_ascii() && std::str::from_utf8(line).is_err() {
+        return Err(TextErrorKind::NotUtf8);
+    }
+    parsed
 }
 
-/// Parses one line. `Ok(None)` means the line carries no event (blank,
-/// or comment-only). The `#` comment strip happens here, so trailing
-/// comments after a record are legal.
-pub fn parse_line(line: &str) -> Result<Option<Event>, TextErrorKind> {
-    let line = line.split_once('#').map_or(line, |(pre, _)| pre);
-    let mut fields = line.split_ascii_whitespace();
+/// The grammar of one line, read field by field.
+fn parse_record(fields: &mut Fields<'_>) -> Result<Option<Event>, TextErrorKind> {
     let Some(tag) = fields.next() else {
         return Ok(None);
     };
-    let addr_field =
-        |fields: &mut std::str::SplitAsciiWhitespace<'_>| -> Result<u64, TextErrorKind> {
-            parse_addr(
-                fields
-                    .next()
-                    .ok_or(TextErrorKind::MissingField("address"))?,
-            )
-        };
     let event = match tag {
         // Instruction fetch: one instruction of pipeline work. The
         // machine models no instruction cache (see TRACE_FORMAT.md),
         // so the address is validated and then dropped.
-        "I" => {
-            let _ = addr_field(&mut fields)?;
+        b"I" => {
+            fields.addr()?;
             Event::Work(1)
         }
-        "L" => {
-            let addr = addr_field(&mut fields)?;
-            let dep = match fields.next() {
-                None => false,
-                Some("d") => true,
-                Some(other) => return Err(TextErrorKind::BadMarker(other.to_string())),
-            };
-            Event::Load { addr, dep }
-        }
-        "S" => Event::Store {
-            addr: addr_field(&mut fields)?,
+        b"L" => Event::Load {
+            addr: fields.addr()?,
+            dep: fields.marker(b'd')?,
         },
-        "W" => Event::Work(parse_count(
-            fields.next().ok_or(TextErrorKind::MissingField("count"))?,
-        )?),
-        "F" => Event::FpWork(parse_count(
-            fields.next().ok_or(TextErrorKind::MissingField("count"))?,
-        )?),
-        "B" => Event::Branch {
-            mispredict: match fields.next() {
-                None => false,
-                Some("m") => true,
-                Some(other) => return Err(TextErrorKind::BadMarker(other.to_string())),
-            },
+        b"S" => Event::Store {
+            addr: fields.addr()?,
         },
-        other => return Err(TextErrorKind::UnknownTag(other.to_string())),
+        b"W" => Event::Work(fields.count()?),
+        b"F" => Event::FpWork(fields.count()?),
+        b"B" => Event::Branch {
+            mispredict: fields.marker(b'm')?,
+        },
+        other => return Err(TextErrorKind::UnknownTag(text(other))),
     };
     if let Some(extra) = fields.next() {
-        return Err(TextErrorKind::TrailingField(extra.to_string()));
+        return Err(TextErrorKind::TrailingField(text(extra)));
     }
     Ok(Some(event))
 }
 
 /// Formats one event as its canonical text line (no trailing newline).
-/// Total inverse of [`parse_line`]: `parse_line(&format_event(ev)) ==
-/// Ok(Some(ev))` for every event — the `ingest/text-roundtrip`
+/// Total inverse of [`parse_line`]: `parse_line(format_event(ev).as_bytes())
+/// == Ok(Some(ev))` for every event — the `ingest/text-roundtrip`
 /// differential unit in `primecache-check` proves it on adversarial
 /// streams.
 #[must_use]
@@ -215,9 +315,19 @@ pub fn write_text<W: std::io::Write, I: IntoIterator<Item = Event>>(
     Ok(())
 }
 
+/// Bytes of one line, terminator included, gathered before giving up
+/// on it: a line of exactly [`MAX_LINE_BYTES`] plus `\r\n` still fits,
+/// and anything longer is rejected once this many bytes are seen.
+const LINE_BUDGET: usize = MAX_LINE_BYTES + 2;
+
 /// Streaming line-by-line event reader: an iterator of
 /// `Result<Event, TextError>` over any `BufRead` source. Stops at the
 /// first error (the error is yielded once, then the iterator ends).
+///
+/// Each line is parsed in place in the reader's buffer. Only a line
+/// that straddles the end of that buffer is copied, into a line buffer
+/// bounded by [`MAX_LINE_BYTES`], so memory stays O(1) in the input. A
+/// read interrupted by a signal is retried.
 #[derive(Debug)]
 pub struct TextEvents<R> {
     reader: R,
@@ -232,7 +342,7 @@ impl<R: std::io::BufRead> TextEvents<R> {
     pub fn new(reader: R) -> Self {
         Self {
             reader,
-            buf: Vec::with_capacity(128),
+            buf: Vec::new(),
             line: 0,
             event_lines: 0,
             done: false,
@@ -251,35 +361,73 @@ impl<R: std::io::BufRead> TextEvents<R> {
         self.line - self.event_lines
     }
 
-    /// Reads the next line into `self.buf`, enforcing the length cap.
-    /// Returns `Ok(false)` at EOF.
-    fn fill_line(&mut self) -> Result<bool, TextErrorKind> {
-        use std::io::{BufRead as _, Read as _};
+    /// Reads and parses the next line: `Ok(None)` at end of input, else
+    /// what [`parse_line`] made of it.
+    fn read_line(&mut self) -> Result<Option<Option<Event>>, TextErrorKind> {
         self.buf.clear();
-        // Cap + 2 budget: a line of exactly MAX_LINE_BYTES plus its
-        // newline still fits; anything longer trips the check below
-        // without buffering the rest of the oversized line.
-        let budget = (MAX_LINE_BYTES + 2) as u64;
-        let n = self
-            .reader
-            .by_ref()
-            .take(budget)
-            .read_until(b'\n', &mut self.buf)
-            .map_err(|e| TextErrorKind::Io(e.to_string()))?;
-        if n == 0 {
-            return Ok(false);
-        }
-        if self.buf.last() == Some(&b'\n') {
-            self.buf.pop();
-            if self.buf.last() == Some(&b'\r') {
-                self.buf.pop();
+        loop {
+            let avail = match self.reader.fill_buf() {
+                Ok(avail) => avail,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(TextErrorKind::Io(e.to_string())),
+            };
+            if avail.is_empty() {
+                // End of input: the last line had no terminator.
+                if self.buf.is_empty() {
+                    return Ok(None);
+                }
+                return finish_line(&self.buf, false).map(Some);
+            }
+            let window = &avail[..avail.len().min(LINE_BUDGET - self.buf.len())];
+            if let Some(end) = find_newline(window) {
+                let parsed = if self.buf.is_empty() {
+                    finish_line(&window[..end], true)
+                } else {
+                    self.buf.extend_from_slice(&window[..end]);
+                    finish_line(&self.buf, true)
+                };
+                self.reader.consume(end + 1);
+                return parsed.map(Some);
+            }
+            let taken = window.len();
+            self.buf.extend_from_slice(window);
+            self.reader.consume(taken);
+            if self.buf.len() == LINE_BUDGET {
+                return Err(TextErrorKind::LineTooLong(LINE_BUDGET));
             }
         }
-        if self.buf.len() > MAX_LINE_BYTES {
-            return Err(TextErrorKind::LineTooLong(self.buf.len()));
-        }
-        Ok(true)
     }
+}
+
+/// Index of the first `\n` in `bytes`, tested a word at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ NEWLINES;
+        // The lowest high bit set here marks the first zero byte of `x`,
+        // that is, the first newline.
+        let zero = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zero != 0 {
+            return Some(i * 8 + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|i| at + i)
+}
+
+/// Enforces the length cap on a line, then parses it. A `terminated`
+/// line loses one `\r` before its `\n`.
+fn finish_line(line: &[u8], terminated: bool) -> Result<Option<Event>, TextErrorKind> {
+    let line = match line {
+        [body @ .., b'\r'] if terminated => body,
+        _ => line,
+    };
+    if line.len() > MAX_LINE_BYTES {
+        return Err(TextErrorKind::LineTooLong(line.len()));
+    }
+    parse_line(line)
 }
 
 impl<R: std::io::BufRead> Iterator for TextEvents<R> {
@@ -288,32 +436,22 @@ impl<R: std::io::BufRead> Iterator for TextEvents<R> {
     fn next(&mut self) -> Option<Self::Item> {
         while !self.done {
             self.line += 1;
-            let fail = |line: u64, kind| Some(Err(TextError { line, kind }));
-            match self.fill_line() {
-                Err(kind) => {
-                    self.done = true;
-                    return fail(self.line, kind);
-                }
-                Ok(false) => {
+            match self.read_line() {
+                Ok(None) => {
                     self.line -= 1; // nothing was read
                     self.done = true;
-                    return None;
                 }
-                Ok(true) => {}
-            }
-            let Ok(text) = std::str::from_utf8(&self.buf) else {
-                self.done = true;
-                return fail(self.line, TextErrorKind::NotUtf8);
-            };
-            match parse_line(text) {
-                Ok(None) => {}
-                Ok(Some(ev)) => {
+                Ok(Some(None)) => {}
+                Ok(Some(Some(ev))) => {
                     self.event_lines += 1;
                     return Some(Ok(ev));
                 }
                 Err(kind) => {
                     self.done = true;
-                    return fail(self.line, kind);
+                    return Some(Err(TextError {
+                        line: self.line,
+                        kind,
+                    }));
                 }
             }
         }
@@ -340,10 +478,10 @@ mod tests {
             ("B m", Event::Branch { mispredict: true }),
             ("  L 40  # trailing comment", Event::load(0x40)),
         ] {
-            assert_eq!(parse_line(line), Ok(Some(want)), "{line:?}");
+            assert_eq!(parse_line(line.as_bytes()), Ok(Some(want)), "{line:?}");
         }
         for silent in ["", "   ", "# whole-line comment", "\t"] {
-            assert_eq!(parse_line(silent), Ok(None), "{silent:?}");
+            assert_eq!(parse_line(silent.as_bytes()), Ok(None), "{silent:?}");
         }
     }
 
@@ -364,13 +502,19 @@ mod tests {
             ("W 1f", K::BadCount("1f".into())),
             ("W 4294967296", K::BadCount("4294967296".into())),
             ("W -3", K::BadCount("-3".into())),
+            ("L +40", K::BadAddress("+40".into())),
+            ("L 0x+40", K::BadAddress("0x+40".into())),
+            ("S +ff", K::BadAddress("+ff".into())),
+            ("I +4006f0", K::BadAddress("+4006f0".into())),
+            ("W +5", K::BadCount("+5".into())),
+            ("F +0", K::BadCount("+0".into())),
             ("L 40 x", K::BadMarker("x".into())),
             ("B d", K::BadMarker("d".into())),
             ("S 40 d", K::TrailingField("d".into())),
             ("L 40 d d", K::TrailingField("d".into())),
             ("B m 7", K::TrailingField("7".into())),
         ] {
-            assert_eq!(parse_line(line), Err(want), "{line:?}");
+            assert_eq!(parse_line(line.as_bytes()), Err(want), "{line:?}");
         }
     }
 
@@ -387,7 +531,11 @@ mod tests {
             Event::chase(u64::MAX),
             Event::Store { addr: 0xDEAD_BEEF },
         ] {
-            assert_eq!(parse_line(&format_event(ev)), Ok(Some(ev)), "{ev:?}");
+            assert_eq!(
+                parse_line(format_event(ev).as_bytes()),
+                Ok(Some(ev)),
+                "{ev:?}"
+            );
         }
     }
 
@@ -458,6 +606,35 @@ mod tests {
         assert_eq!(reader.next(), Some(Ok(Event::load(0x40))));
         let err = reader.next().unwrap().unwrap_err();
         assert_eq!(err.kind, TextErrorKind::NotUtf8);
+    }
+
+    #[test]
+    fn reader_retries_interrupted_reads() {
+        // Every other read is interrupted; a 3-byte buffer makes lines
+        // straddle it, so the retry happens mid-line too.
+        struct Interrupting<'a>(&'a [u8], bool);
+        impl std::io::Read for Interrupting<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                self.0.read(out)
+            }
+        }
+        let src = b"L 40\nW 12 # work\nS 0x80";
+        let reader = std::io::BufReader::with_capacity(3, Interrupting(src, false));
+        let events: Vec<_> = TextEvents::new(reader)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        assert_eq!(
+            events,
+            vec![
+                Event::load(0x40),
+                Event::Work(12),
+                Event::Store { addr: 0x80 }
+            ]
+        );
     }
 
     #[test]

@@ -248,7 +248,9 @@ impl EncodedChunk {
     /// failed (the start of the offending event, or the end of the last
     /// event on trailing garbage).
     fn decode_at(&self) -> Result<Vec<Event>, (usize, TraceCodecError)> {
-        let mut out = Vec::with_capacity(self.events as usize);
+        // Every event encodes to at least one byte, so the payload bounds
+        // the allocation whatever event count a frame declares.
+        let mut out = Vec::with_capacity((self.events as usize).min(self.bytes.len()));
         let mut prev = self.base_addr;
         let mut pos = 0usize;
         for _ in 0..self.events {

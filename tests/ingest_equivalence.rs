@@ -21,7 +21,7 @@ use primecache::sim::observe::observe_chunks;
 use primecache::sim::{
     run_chunks, run_recorded, run_tenant_mix, tenant_solo_baseline, MachineConfig, Scheme,
 };
-use primecache::trace::EncodedTrace;
+use primecache::trace::{EncodedTrace, TraceCodecError};
 use primecache::workloads::{by_name, MixConfig, TenantMix, STREAM_CHUNK};
 
 const APPS: [&str; 3] = ["tree", "mcf", "swim"];
@@ -124,6 +124,25 @@ fn malformed_inputs_error_cleanly() {
     let mut long = frame.clone();
     long.extend_from_slice(b"tail");
     assert!(import_bytes(&long).is_err(), "trailing bytes must fail");
+    // A 49-byte frame whose one chunk declares u32::MAX events over a
+    // 1-byte payload (one `Work(1)`) fails as truncated; the declared
+    // count must not size an allocation.
+    let mut hostile = b"PCTE\x01\0\0\0".to_vec();
+    hostile.extend_from_slice(&u64::from(u32::MAX).to_le_bytes()); // events
+    hostile.extend_from_slice(&0u64.to_le_bytes()); // refs
+    hostile.extend_from_slice(&1u32.to_le_bytes()); // chunk_events
+    hostile.extend_from_slice(&1u32.to_le_bytes()); // chunk count
+    hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // chunk events
+    hostile.extend_from_slice(&0u64.to_le_bytes()); // base_addr
+    hostile.extend_from_slice(&1u32.to_le_bytes()); // payload len
+    hostile.push(0x10);
+    assert_eq!(hostile.len(), 49);
+    match import_bytes(&hostile) {
+        Err(ImportError::Frame(e)) => {
+            assert_eq!((e.offset, e.error), (49, TraceCodecError::Truncated));
+        }
+        other => panic!("hostile event count must fail as truncated, got {other:?}"),
+    }
 
     // Text error classes: overlong line, bad address, bad count,
     // unknown tag, trailing field, non-UTF-8.
