@@ -1,7 +1,7 @@
 //! Machine-readable (JSON) rendering of certificates and lints.
 //!
-//! The workspace's `serde` is an offline no-op shim, so this module
-//! renders JSON by hand — the schema is small and stable, and the output
+//! The workspace has no external dependencies, so this module renders
+//! JSON by hand — the schema is small and stable, and the output
 //! is consumed by scripts, not re-parsed by the workspace.
 
 use crate::canonical::{canonicalize, CanonicalModel};

@@ -1,8 +1,8 @@
 //! Machine-readable (JSON) rendering of an attack campaign.
 //!
 //! Same hand-rolled convention as `primecache_analyze::report`: the
-//! workspace's `serde` is an offline no-op shim, so the schema is
-//! rendered directly — it is small, versioned, and consumed by scripts.
+//! workspace has no external dependencies, so the schema is rendered
+//! directly — it is small, versioned, and consumed by scripts.
 
 use primecache_analyze::{canonical_json, canonicalize};
 

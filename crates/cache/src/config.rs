@@ -1,7 +1,6 @@
 //! Cache configuration types.
 
 use primecache_core::index::HashKind;
-use serde::{Deserialize, Serialize};
 
 /// Replacement policies available to the set-associative [`Cache`].
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// configured via [`SkewedConfig`].
 ///
 /// [`Cache`]: crate::Cache
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementKind {
     /// True least-recently-used.
     Lru,
@@ -54,7 +53,7 @@ impl ReplacementKind {
 ///     .with_replacement(ReplacementKind::Lru);
 /// assert_eq!(cfg.n_set_phys(), 2048);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     size_bytes: u64,
     assoc: u32,
@@ -149,7 +148,7 @@ impl CacheConfig {
 }
 
 /// Index-function family of a skewed-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkewHashKind {
     /// Seznec's circular-shift + XOR per-bank functions (`SKW`).
     Xor,
@@ -159,7 +158,7 @@ pub enum SkewHashKind {
 }
 
 /// Inter-bank replacement policy of a skewed cache (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkewReplacement {
     /// Enhanced Not Recently Used (Seznec \[19\]) — the paper's default.
     Enru,
@@ -179,7 +178,7 @@ pub enum SkewReplacement {
 /// let cfg = SkewedConfig::new(512 * 1024, 4, 64, SkewHashKind::PrimeDisplacement);
 /// assert_eq!(cfg.sets_per_bank(), 2048);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkewedConfig {
     size_bytes: u64,
     banks: u32,

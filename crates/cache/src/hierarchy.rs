@@ -7,8 +7,6 @@
 //! dynamic [`DynL2`] form for callers that pick the organization at
 //! runtime; both forms are bit-identical.
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(feature = "obs")]
 use primecache_obs::{Level, ObsHandle};
 
@@ -19,7 +17,7 @@ use crate::{
 };
 
 /// Which component serviced a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Hit in the L1 data cache.
     L1Hit,
@@ -30,7 +28,7 @@ pub enum AccessOutcome {
 }
 
 /// The L2 organizations the paper compares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum L2Organization {
     /// A set-associative L2 (Base / 8-way / XOR / pMod / pDisp).
     SetAssoc(CacheConfig),
@@ -60,7 +58,7 @@ pub enum L2Organization {
 /// );
 /// assert_eq!(cfg.l1.n_set_phys(), 256);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 data cache configuration (always traditional indexing — the
     /// paper only rehashes the L2).

@@ -1,7 +1,5 @@
 //! Cache statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters and histograms accumulated by a cache simulation.
 ///
 /// Per-set histograms drive the paper's §4 uniformity classification
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.set_misses[2], 1);
 /// assert!((s.miss_rate() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total demand accesses.
     pub accesses: u64,

@@ -2,10 +2,8 @@
 
 use primecache_core::hw::TlbAssist;
 
-use serde::{Deserialize, Serialize};
-
 /// TLB statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Total translations requested.
     pub accesses: u64,

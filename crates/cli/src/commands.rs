@@ -16,9 +16,6 @@ use primecache_ingest::{import_path, SourceFormat};
 use primecache_sim::experiments::miss_taxonomy;
 use primecache_sim::report::render_table;
 use primecache_sim::suite::run_sweep;
-use primecache_sim::throughput::{
-    baseline_refs_per_sec, measure, measure_gen_only, measure_replayed,
-};
 use primecache_sim::{
     run_chunks, run_tenant_mix, run_workload, static_model, tenant_solo_baseline, MachineConfig,
     RunResult, Scheme, SimOracle, PROBE_BITS,
@@ -41,12 +38,6 @@ USAGE:
   pcache metrics --stride S                balance/concentration at a stride
   pcache metrics --app <name> [--refs N]   same metrics over a workload trace
   pcache taxonomy [--refs N]               three-C miss decomposition
-  pcache bench [--scheme S] [--refs N] [--strict] [--live | --gen-only]
-                                           simulator throughput (refs/sec);
-                                           default records once and replays
-                                           per scheme; --live generates per
-                                           scheme; --gen-only times only the
-                                           trace pipeline stages
   pcache analyze [--json]                  static certificates + config lints
   pcache analyze --expr 'SRC' [--name N] [--json]
                                            certify one DSL index expression
@@ -56,8 +47,6 @@ USAGE:
                                            eviction-set construction cost;
                                            checks every recovered model
                                            against the static one
-  pcache conc-check [--bound N] [--check NAME] [--replay SEED]
-                                           model-check the concurrency protocols
   pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]
                [--replay]                  self-describing run report (JSON);
                                            --replay simulates from a recorded
@@ -84,19 +73,34 @@ USAGE:
 
 SCHEMES: Base, 8-way, XOR, pMod, pDisp, SKW, skw+pDisp, FA,
          or a DSL expression: expr:'a % 2039' (see DESIGN.md for the grammar;
-         the scheme is statically certified before any simulation runs)
+         the scheme is statically certified before any simulation runs, and
+         one with an error-level lint is refused with exit code 2)
 ";
 
+/// Resolves a `--scheme` label, then runs the config lint pass on it:
+/// a scheme with any error-level lint is refused before any simulation
+/// runs. Warning-only lints pass.
 fn parse_scheme(label: &str) -> Result<Scheme, String> {
-    if let Some(src) = label.strip_prefix("expr:") {
-        return primecache_core::expr::register_anonymous(src)
+    let scheme = if let Some(src) = label.strip_prefix("expr:") {
+        primecache_core::expr::register_anonymous(src)
             .map(Scheme::Expr)
-            .map_err(|e| format!("invalid expression scheme '{src}': {e}"));
+            .map_err(|e| format!("invalid expression scheme '{src}': {e}"))?
+    } else {
+        Scheme::ALL
+            .into_iter()
+            .find(|s| s.label() == label)
+            .ok_or_else(|| format!("unknown scheme '{label}' (built-ins or expr:<src>)"))?
+    };
+    let lints = MachineConfig::paper_default().lint_scheme(scheme);
+    if has_errors(&lints) {
+        let listed: Vec<String> = lints.iter().map(|l| format!("  {l}")).collect();
+        return Err(format!(
+            "refusing degenerate {} configuration:\n{}",
+            scheme.label(),
+            listed.join("\n")
+        ));
     }
-    Scheme::ALL
-        .into_iter()
-        .find(|s| s.label() == label)
-        .ok_or_else(|| format!("unknown scheme '{label}' (built-ins or expr:<src>)"))
+    Ok(scheme)
 }
 
 /// `pcache list [--verbose]`
@@ -410,143 +414,6 @@ fn sweep_tenants(args: &[String]) -> i32 {
     0
 }
 
-/// `pcache bench [--scheme S] [--refs N] [--out FILE] [--baseline FILE]
-/// [--max-regress PCT] [--strict] [--live | --gen-only]`
-///
-/// Measures end-to-end simulator throughput (simulated memory references
-/// per wall-clock second) over the whole workload suite, one row per
-/// scheme. The default mode records the suite once and replays it per
-/// scheme (the `run_sweep` dataflow), reporting the trace-pipeline
-/// stages alongside; `--live` times the generate-per-scheme path;
-/// `--gen-only` times only the pipeline stages, no
-/// simulation. `--out` writes the `BENCH_throughput.json` document;
-/// `--baseline` turns the run into a regression gate. A measured entry
-/// with no baseline entry is *ungated* — it always warns loudly, and
-/// with `--strict` (CI) it fails the run, so new schemes cannot slip
-/// past the perf floor unbaselined.
-pub fn bench(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 50_000u64) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let schemes: Vec<Scheme> = match flag_value(args, "--scheme") {
-        None => Scheme::ALL.to_vec(),
-        Some(label) => match parse_scheme(label) {
-            Ok(s) => vec![s],
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
-    let max_regress = match flag_parsed(args, "--max-regress", 30.0f64) {
-        Ok(v) => v / 100.0,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let live = args.iter().any(|a| a == "--live");
-    let gen_only = args.iter().any(|a| a == "--gen-only");
-    if live && gen_only {
-        eprintln!("--live and --gen-only are mutually exclusive");
-        return 2;
-    }
-    let report = if gen_only {
-        measure_gen_only(refs)
-    } else if live {
-        measure(&schemes, refs)
-    } else {
-        measure_replayed(&schemes, refs)
-    };
-    let mut rows: Vec<Vec<String>> = report
-        .schemes
-        .iter()
-        .map(|s| {
-            vec![
-                s.scheme.label().to_owned(),
-                s.refs.to_string(),
-                format!("{:.2}", s.seconds),
-                format!("{:.0}", s.refs_per_sec),
-            ]
-        })
-        .collect();
-    rows.extend(report.extras.iter().map(|e| {
-        vec![
-            e.label.to_owned(),
-            e.refs.to_string(),
-            format!("{:.2}", e.seconds),
-            format!("{:.0}", e.refs_per_sec),
-        ]
-    }));
-    let mode = if gen_only {
-        "trace pipeline only"
-    } else if live {
-        "live generation"
-    } else {
-        "recorded replay"
-    };
-    println!(
-        "simulator throughput ({mode}): {refs} refs/workload x {} workloads per scheme:\n",
-        report.workloads
-    );
-    print!(
-        "{}",
-        render_table(&["entry", "refs", "seconds", "refs/sec"], &rows)
-    );
-    if let Some(out) = flag_value(args, "--out") {
-        if let Err(e) = std::fs::write(out, report.to_json()) {
-            eprintln!("cannot write {out}: {e}");
-            return 1;
-        }
-        println!("\nwrote {out}");
-    }
-    if let Some(path) = flag_value(args, "--baseline") {
-        let json = match std::fs::read_to_string(path) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                return 1;
-            }
-        };
-        let baseline = baseline_refs_per_sec(&json);
-        if baseline.is_empty() {
-            eprintln!("baseline {path} contains no scheme entries");
-            return 1;
-        }
-        let strict = args.iter().any(|a| a == "--strict");
-        let missing = report.missing_from_baseline(&baseline);
-        if !missing.is_empty() {
-            eprintln!(
-                "WARNING: {} entr(y/ies) measured but absent from baseline {path} \
-                 (ungated by the regression check): {}",
-                missing.len(),
-                missing.join(", ")
-            );
-            if strict {
-                eprintln!("--strict: unbaselined entries are an error; add entries to {path}");
-                return 1;
-            }
-        }
-        let regressions = report.regressions(&baseline, max_regress);
-        if !regressions.is_empty() {
-            eprintln!("throughput regression vs {path}:");
-            for msg in &regressions {
-                eprintln!("  {msg}");
-            }
-            return 1;
-        }
-        println!(
-            "no entry regressed more than {:.0}% vs {path}",
-            max_regress * 100.0
-        );
-    }
-    0
-}
-
 /// `pcache metrics --stride S [--sets N]` or `--app <name> [--refs N]`
 pub fn metrics(args: &[String]) -> i32 {
     if let Some(app) = flag_value(args, "--app") {
@@ -849,81 +716,6 @@ fn analyze_self_check(args: &[String]) -> i32 {
         println!("  ok   config-lints ({} schemes)", Scheme::ALL.len());
     } else {
         failed = true;
-    }
-    i32::from(failed)
-}
-
-/// `pcache conc-check [--bound N] [--check NAME] [--replay SEED]`:
-/// exhaustively model-checks the shipped concurrency protocol (the
-/// sweep claim cursor) up to a preemption bound, plus the seeded-bug
-/// demo that proves the checker catches what it claims to.
-///
-/// `--replay SEED` (with `--check NAME`) re-executes exactly one
-/// recorded schedule — the workflow for debugging a violation a CI run
-/// printed.
-pub fn conc_check(args: &[String]) -> i32 {
-    let bound = match flag_parsed(args, "--bound", 2usize) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let only = flag_value(args, "--check");
-    let checker = primecache_conc::Checker::with_bound(bound);
-    if let Some(seed) = flag_value(args, "--replay") {
-        let Some(name) = only else {
-            eprintln!("--replay needs --check NAME to know which protocol to re-run");
-            return 2;
-        };
-        let Some(check) = primecache_conc::self_check::find(name) else {
-            eprintln!("unknown check '{name}' (try `pcache conc-check` to list them)");
-            return 2;
-        };
-        let report = check.replay(&checker, seed);
-        return match report.violation {
-            Some(v) => {
-                println!("replayed {name} @ {seed}:\n{v}");
-                1
-            }
-            None => {
-                println!("replayed {name} @ {seed}: schedule completed cleanly");
-                0
-            }
-        };
-    }
-    println!("model-checking the shipped concurrency protocols (preemption bound {bound}):");
-    let mut failed = false;
-    for check in primecache_conc::self_check::checks() {
-        if only.is_some_and(|n| n != check.name) {
-            continue;
-        }
-        let report = check.run(&checker);
-        let stats = format!(
-            "{} schedules, {} pruned, depth {}{}",
-            report.schedules,
-            report.pruned,
-            report.max_depth,
-            if report.truncated { ", TRUNCATED" } else { "" }
-        );
-        match (&report.violation, check.expect_violation) {
-            (None, false) => println!("  ok   {} ({stats})", check.name),
-            (Some(v), true) => println!(
-                "  ok   {} (expected violation found; replay seed {}; {stats})",
-                check.name, v.seed
-            ),
-            (Some(v), false) => {
-                println!("  FAIL {} ({stats}):\n{v}", check.name);
-                failed = true;
-            }
-            (None, true) => {
-                println!(
-                    "  FAIL {}: seeded bug not found in {} schedules — checker lost coverage",
-                    check.name, report.schedules
-                );
-                failed = true;
-            }
-        }
     }
     i32::from(failed)
 }
@@ -1513,19 +1305,6 @@ pub fn attack(args: &[String]) -> i32 {
         Scheme::ALL.to_vec()
     };
     let machine = MachineConfig::paper_default();
-    for &scheme in &schemes {
-        let lints = machine.lint_scheme(scheme);
-        if has_errors(&lints) {
-            eprintln!(
-                "refusing to attack degenerate {} configuration:",
-                scheme.label()
-            );
-            for l in &lints {
-                eprintln!("  {l}");
-            }
-            return 2;
-        }
-    }
     let entries: Vec<AttackEntry> = schemes
         .iter()
         .map(|&s| attack_scheme(&machine, s, seed))
@@ -1636,5 +1415,22 @@ fn attack_scheme(machine: &MachineConfig, scheme: Scheme, seed: u64) -> AttackEn
         agrees_static,
         static_canonical: statik.as_ref().map(primecache_analyze::canonicalize),
         eviction,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_scheme_refuses_error_lints_and_names_them() {
+        let err = parse_scheme("expr:a % 2046").unwrap_err();
+        assert!(err.contains("non-prime-modulus"), "{err}");
+        // Warning-only lints (XOR's null-space strides) pass the gate.
+        assert!(!MachineConfig::paper_default()
+            .lint_scheme(Scheme::Xor)
+            .is_empty());
+        assert_eq!(parse_scheme("XOR"), Ok(Scheme::Xor));
+        assert!(parse_scheme("expr:a % 2039").is_ok());
     }
 }

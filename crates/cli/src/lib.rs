@@ -6,10 +6,11 @@
 //! `classify` reprints the §4 uniform/non-uniform split, `metrics`
 //! evaluates the §2 balance/concentration equations at a stride,
 //! `analyze` runs the static GF(2)/residue certificates and config
-//! lints, `bench` measures simulator throughput, and `report` /
-//! `trace-events` emit the observability artifacts (versioned
-//! [`RunReport`](primecache_obs::RunReport) JSON and JSONL event
-//! traces — see `OBSERVABILITY.md`). Flag parsing is hand-rolled in
+//! lints, and `report` / `trace-events` emit the observability
+//! artifacts (versioned [`RunReport`](primecache_obs::RunReport) JSON
+//! and JSONL event traces — see `OBSERVABILITY.md`). Every `--scheme`
+//! passes the config lint gate before anything simulates: a scheme
+//! with an error-level lint exits 2. Flag parsing is hand-rolled in
 //! [`args`]; there are no external CLI dependencies.
 
 pub mod args;

@@ -6,10 +6,8 @@
 //! pcache classify [--refs N]               §4 uniformity classification
 //! pcache sweep [--refs N]                  all apps x main schemes
 //! pcache metrics --stride S                balance/concentration at a stride
-//! pcache bench [--scheme S] [--refs N]     simulator throughput (refs/sec)
 //! pcache analyze [--json|--self-check]     static certificates + config lints
 //! pcache attack [--scheme S] [--json]      black-box index recovery + eviction cost
-//! pcache conc-check [--bound N]            model-check the concurrency protocols
 //! pcache report <app> [--out FILE]         self-describing run report (JSON)
 //! pcache trace-events <app>|--sweep        event trace (JSONL)
 //! pcache trace <app> --out FILE [--refs N] dump a trace (pct1/pcte/text)
@@ -29,10 +27,8 @@ fn main() {
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("metrics") => commands::metrics(&argv[1..]),
         Some("taxonomy") => commands::taxonomy(&argv[1..]),
-        Some("bench") => commands::bench(&argv[1..]),
         Some("analyze") => commands::analyze(&argv[1..]),
         Some("attack") => commands::attack(&argv[1..]),
-        Some("conc-check") => commands::conc_check(&argv[1..]),
         Some("report") => commands::report(&argv[1..]),
         Some("trace-events") => commands::trace_events(&argv[1..]),
         Some("trace") => commands::trace(&argv[1..]),

@@ -67,60 +67,41 @@ fn classify_and_taxonomy_run() {
 }
 
 #[test]
-fn bench_measures_and_gates_on_a_baseline() {
-    assert_eq!(commands::bench(&args(&["--scheme", "wat"])), 2);
-    assert_eq!(commands::bench(&args(&["--refs", "nope"])), 2);
-    assert_eq!(
-        commands::bench(&args(&["--baseline", "/nonexistent/baseline.json"])),
-        1
-    );
+fn schemes_with_error_lints_exit_2_before_simulating() {
+    // A composite modulus is an error-level lint (non-prime-modulus):
+    // every command that takes --scheme refuses it, in every profile.
+    let composite = "expr:a % 2046";
+    let app = ["tree", "--scheme", composite, "--refs", "2000"];
+    assert_eq!(commands::run(&args(&app)), 2);
+    assert_eq!(commands::report(&args(&app)), 2);
+    assert_eq!(commands::trace_events(&args(&app)), 2);
 
-    let dir = std::env::temp_dir().join("pcache_cli_bench");
+    let dir = std::env::temp_dir().join("pcache_cli_lint_gate");
     std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("thrpt.json");
-    let out_str = out.to_str().unwrap();
-    // Measure one scheme and write the JSON document.
+    let path = dir.join("swim.txt");
+    let path_str = path.to_str().unwrap();
     assert_eq!(
-        commands::bench(&args(&[
-            "--scheme", "pMod", "--refs", "2000", "--out", out_str
+        commands::trace(&args(&[
+            "swim", "--out", path_str, "--refs", "2000", "--format", "text"
         ])),
         0
     );
-    let json = std::fs::read_to_string(&out).unwrap();
-    assert!(json.contains("\"scheme\": \"pMod\""), "{json}");
-
-    // Gating against its own numbers (with a wide tolerance for timing
-    // noise) passes; against an impossible baseline it fails.
     assert_eq!(
-        commands::bench(&args(&[
-            "--scheme",
-            "pMod",
-            "--refs",
-            "2000",
-            "--baseline",
-            out_str,
-            "--max-regress",
-            "95"
-        ])),
-        0
+        commands::import(&args(&[path_str, "--run", "--scheme", composite])),
+        2
     );
-    let impossible = dir.join("impossible.json");
-    std::fs::write(
-        &impossible,
-        "{\"schemes\": [{\"scheme\": \"pMod\", \"refs_per_sec\": 1e18}]}",
-    )
-    .unwrap();
-    assert_eq!(
-        commands::bench(&args(&[
-            "--scheme",
-            "pMod",
-            "--refs",
-            "2000",
-            "--baseline",
-            impossible.to_str().unwrap()
-        ])),
-        1
-    );
-    std::fs::remove_file(out).ok();
-    std::fs::remove_file(impossible).ok();
+    // A prime modulus and a warning-only scheme still simulate.
+    for scheme in ["expr:a % 2039", "XOR"] {
+        assert_eq!(
+            commands::run(&args(&["tree", "--scheme", scheme, "--refs", "2000"])),
+            0,
+            "{scheme}"
+        );
+        assert_eq!(
+            commands::import(&args(&[path_str, "--run", "--scheme", scheme])),
+            0,
+            "{scheme}"
+        );
+    }
+    std::fs::remove_file(path).ok();
 }

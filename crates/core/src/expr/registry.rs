@@ -12,8 +12,6 @@
 use std::fmt;
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::SetIndexer;
 
 use super::ast::Expr;
@@ -61,7 +59,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// assert_eq!(id.n_set(), 2048);
 /// assert_eq!(id.indexer().index(0b1_0000_0000_0001), 1 ^ 2);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExprId(u32);
 
 impl ExprId {

@@ -1,7 +1,5 @@
 //! Physical index geometry shared by all hash functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical geometry of the indexed structure: a power-of-two number of
 /// sets, from which every hash function derives its bit fields (Fig. 1).
 ///
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.x(0b1_0000_0000_101), 0b101);
 /// assert_eq!(g.tag(0b1_0000_0000_101), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     n_set_phys: u64,
 }

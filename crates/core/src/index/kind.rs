@@ -1,7 +1,5 @@
 //! Named hash-function kinds for configuration plumbing.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Geometry, PrimeDisplacement, PrimeModulo, SetIndexer, Traditional, Xor};
 use crate::expr::ExprId;
 
@@ -22,7 +20,7 @@ use crate::expr::ExprId;
 /// assert_eq!(idx.name(), "pDisp");
 /// assert_eq!(idx.n_set(), 2048);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HashKind {
     /// Low index bits (`Base` in the figures).
     Traditional,
@@ -105,19 +103,5 @@ mod tests {
     fn display_uses_paper_names() {
         assert_eq!(HashKind::PrimeModulo.to_string(), "pMod");
         assert_eq!(HashKind::Traditional.to_string(), "Base");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        for kind in HashKind::ALL {
-            let json = serde_json_like(kind);
-            assert!(!json.is_empty());
-        }
-    }
-
-    /// Minimal serialization smoke test without pulling in serde_json:
-    /// ensures the Serialize impl is derivable and callable.
-    fn serde_json_like(kind: HashKind) -> String {
-        format!("{kind:?}")
     }
 }

@@ -1,7 +1,5 @@
 //! Execution-time breakdown.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle breakdown of one simulated run — the three bar segments of the
 /// paper's Figs. 7–10.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.total(), 1000);
 /// assert!((b.mem_fraction() - 0.3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecBreakdown {
     /// Cycles spent executing instructions (*Busy*).
     pub busy: u64,

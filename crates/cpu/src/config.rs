@@ -1,7 +1,5 @@
 //! Processor configuration (Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// First-order parameters of the modelled core.
 ///
 /// Defaults are the paper's Table 3: 6-issue dynamic, 1.6 GHz; pending
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.issue_width, 6);
 /// assert_eq!(cfg.branch_penalty, 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
     /// Instructions retired per cycle at peak.
     pub issue_width: u32,

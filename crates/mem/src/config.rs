@@ -1,7 +1,5 @@
 //! Memory-system configuration (Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM address-mapping policy: how lines map onto channels, banks and
 /// rows.
 ///
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// power-of-two bank conflicts. Implementing both lets the reproduction
 /// show the same pathology/remedy pair one level down the hierarchy
 /// (`ablation_dram_mapping`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramMapping {
     /// Row-linear: consecutive rows walk the banks (the classic layout;
     /// power-of-two strides collide on a single bank).
@@ -39,7 +37,7 @@ pub enum DramMapping {
 /// assert_eq!(cfg.row_miss_cycles, 243);
 /// assert_eq!(cfg.bus_occupancy_cycles(), 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemConfig {
     /// Round-trip latency on a DRAM row miss (cycles).
     pub row_miss_cycles: u64,

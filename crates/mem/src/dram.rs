@@ -1,7 +1,5 @@
 //! Event-driven DRAM + bus model.
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(feature = "obs")]
 use primecache_obs::ObsHandle;
 
@@ -19,7 +17,7 @@ pub struct Completion {
 }
 
 /// Aggregate DRAM statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Read requests serviced.
     pub reads: u64,

@@ -1,11 +1,10 @@
 //! Minimal JSON document model: a writer and a strict parser.
 //!
-//! The workspace `serde` is a no-op shim (see the root `Cargo.toml`), so
-//! every artifact in this repository is serialized by hand. Earlier
-//! crates each grew a bespoke one-way writer (`ThroughputReport::to_json`,
-//! the analyzer report); this module centralizes the idiom and adds the
-//! inverse direction — a parser — so report artifacts can be loaded back,
-//! diffed, and round-trip-tested.
+//! The workspace has no external dependencies, so every artifact in
+//! this repository is serialized by hand. Earlier crates each grew a
+//! bespoke one-way writer (the analyzer report among them); this module
+//! centralizes the idiom and adds the inverse direction — a parser — so
+//! report artifacts can be loaded back, diffed, and round-trip-tested.
 //!
 //! Integers are kept exact: `U64`/`I64` variants survive a
 //! render → parse round trip bit-for-bit, which the run-report equality

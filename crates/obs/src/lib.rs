@@ -24,7 +24,8 @@
 //!   metric dump, so every regenerated figure is reproducible from the
 //!   artifact alone,
 //! * [`Json`] — the hand-rolled JSON model (writer *and* parser) all of
-//!   the above serialize through; the workspace `serde` is a no-op shim.
+//!   the above serialize through; the workspace has no external
+//!   dependencies.
 //!
 //! Simulator crates depend on this one only under their `obs` cargo
 //! feature, and every instrumented structure holds an

@@ -9,10 +9,9 @@ use primecache_core::expr::ExprId;
 use primecache_core::index::{Geometry, HashKind};
 use primecache_cpu::CpuConfig;
 use primecache_mem::MemConfig;
-use serde::{Deserialize, Serialize};
 
 /// The cache configurations the paper's figures compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Traditional 4-way L2 (`Base`).
     Base,
@@ -111,7 +110,7 @@ impl std::fmt::Display for Scheme {
 /// let h = m.hierarchy_config(Scheme::PrimeModulo);
 /// assert_eq!(h.l1.size_bytes(), 16 * 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Processor parameters.
     pub cpu: CpuConfig,

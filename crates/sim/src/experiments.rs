@@ -9,7 +9,6 @@ use primecache_core::index::{Geometry, HashKind, SetIndexer};
 use primecache_core::metrics::{balance, concentration, strided_addresses};
 use primecache_trace::Event;
 use primecache_workloads::{by_name, Workload};
-use serde::{Deserialize, Serialize};
 
 use crate::suite::{run_sweep, Sweep};
 use crate::{run_trace, run_workload, MachineConfig, RunResult, Scheme};
@@ -19,7 +18,7 @@ use crate::{run_trace, run_workload, MachineConfig, RunResult, Scheme};
 pub const METRIC_ACCESSES: usize = 8192;
 
 /// One point of the Fig. 5/6 sweeps.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StridePoint {
     /// Stride in blocks.
     pub stride: u64,
@@ -175,7 +174,7 @@ mod tests {
 /// compulsory, and conflict misses as the organization's excess over
 /// fully-associative (clamped at zero — skewed caches occasionally beat
 /// FA-LRU, as the paper notes for cg).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MissTaxonomy {
     /// First-touch (cold) misses.
     pub compulsory: u64,

@@ -36,13 +36,12 @@ pub mod report;
 mod run;
 pub mod suite;
 pub mod tenants;
-pub mod throughput;
 
 pub use artifact::{build_report, report_for_run};
 pub use config::{MachineConfig, Scheme};
 pub use oracle::{static_model, SimOracle, PROBE_BITS};
 pub use run::{
-    run_chunks, run_recorded, run_trace, run_trace_reference, run_workload, run_workload_reference,
-    run_workload_warm, RunResult,
+    run_chunks, run_recorded, run_trace, run_trace_reference, run_workload, run_workload_warm,
+    RunResult,
 };
 pub use tenants::{run_tenant_mix, tenant_solo_baseline, TenantLane, TenantRun};

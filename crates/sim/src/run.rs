@@ -29,7 +29,6 @@ use primecache_cpu::{Cpu, ExecBreakdown};
 use primecache_mem::{Dram, DramStats};
 use primecache_trace::{EncodedTrace, Event};
 use primecache_workloads::{EventChunks, Workload, STREAM_CHUNK};
-use serde::{Deserialize, Serialize};
 
 #[cfg(feature = "obs")]
 use primecache_cpu::StallAttribution;
@@ -39,7 +38,7 @@ use primecache_obs::ObsHandle;
 use crate::{MachineConfig, Scheme};
 
 /// Everything one simulation produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// The scheme simulated.
     pub scheme: Scheme,
@@ -302,17 +301,6 @@ where
         l2: hierarchy.l2_stats().clone(),
         dram: *dram.stats(),
     }
-}
-
-/// [`run_workload`] on the dynamically-dispatched reference driver: the
-/// same trace, materialized and driven event-at-a-time through
-/// boxed-index caches. The before side of the before/after throughput
-/// tables (`pcache bench`/`throughput --reference`); results are
-/// bit-identical to [`run_workload`], only slower.
-#[must_use]
-pub fn run_workload_reference(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
-    let machine = MachineConfig::paper_default();
-    run_trace_reference(workload.trace(target_refs), scheme, &machine)
 }
 
 /// Runs a workload under a scheme on the paper's default machine.

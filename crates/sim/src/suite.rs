@@ -1,23 +1,19 @@
 //! Full-suite sweeps: all 23 applications across schemes, in parallel.
 //!
-//! The worker protocol — an atomic claim cursor handing each task to
-//! exactly one worker, results deposited into pre-sized per-task slots —
-//! is [`primecache_conc::port::sweep`], instantiated here with the
-//! production sync backend. The same source under the model backend is
-//! verified schedule-exhaustively (`pcache conc-check`): every task runs
-//! exactly once and lands in its own slot, no task is ever lost.
+//! Recording and the sweep itself share one fan-out: scoped worker
+//! threads claim task indices from a single atomic cursor and hand
+//! their results back through `join`. The caller checks, in every
+//! build, that each task ran exactly once and none is missing.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use primecache_conc::port::sweep::{claim_loop, store_slot};
-use primecache_conc::sync::{AtomicUsize, Mutex};
 use primecache_workloads::{all, TraceStore, TraceStoreStats, Workload};
-use serde::{Deserialize, Serialize};
 
 use crate::{run_chunks, run_workload, RunResult, Scheme};
 
 /// Results of one (workload, scheme) cell of a sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// Workload name.
     pub workload: &'static str,
@@ -31,7 +27,7 @@ pub struct Cell {
 /// when (µs since sweep start), and at what LPT cost priority.
 /// The raw data behind `pcache trace-events --sweep` and any
 /// load-balance analysis of the LPT dispatcher.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// Workload name.
     pub workload: &'static str,
@@ -48,7 +44,7 @@ pub struct TaskRecord {
 }
 
 /// A complete sweep: `results[workload][scheme]`.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Default)]
 pub struct Sweep {
     /// All cells, keyed by workload then scheme label.
     pub cells: BTreeMap<&'static str, BTreeMap<&'static str, Cell>>,
@@ -234,32 +230,74 @@ fn task_cost(workload: &Workload, scheme: Scheme) -> u64 {
 /// at the cost of regenerating each trace once per scheme.
 pub const STORE_MAX_REFS: u64 = 2_000_000;
 
-/// Records all 23 workloads in parallel (one generation each, fanned
-/// across cores with the same model-checked claim/slot protocol the
-/// sweep itself uses) into a [`TraceStore`].
+/// Worker threads a fan-out may use: the machine's available
+/// parallelism (4 when it cannot be queried).
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+}
+
+/// Runs `task(worker, i)` once for every `i` in `0..n` on up to
+/// `workers` scoped threads (never more than there are tasks) and
+/// returns the results in index order.
+///
+/// Each worker claims indices from one shared cursor — `fetch_add`
+/// hands every index to exactly one worker — and returns its
+/// `(index, result)` pairs through `join`; a panicking task propagates
+/// out of the fan-out with its own payload. Putting the results in
+/// order asserts, in every build, that each index arrived exactly once
+/// and that none is missing.
+fn fan_out<T: Send>(n: usize, workers: usize, task: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let batches: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1).min(n))
+            .map(|worker| {
+                let (cursor, task) = (&cursor, &task);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed suffices: the cursor publishes no other
+                        // data, and results reach the caller through
+                        // `join`, which synchronizes.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        done.push((i, task(worker, i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, result) in batches.into_iter().flatten() {
+        assert!(
+            slots[i].replace(result).is_none(),
+            "fan-out ran task {i} twice"
+        );
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.unwrap_or_else(|| panic!("fan-out lost task {i}")))
+        .collect()
+}
+
+/// Records all 23 workloads in parallel (one generation each, on the
+/// same fan-out the sweep itself uses) into a [`TraceStore`].
 fn record_suite(workloads: &[Workload], target_refs: u64) -> TraceStore {
-    let slots: Vec<Mutex<Option<(usize, primecache_trace::EncodedTrace)>>> =
-        workloads.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let avail = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let workers = avail.min(workloads.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let slots = &slots;
-            scope.spawn(move || {
-                claim_loop(next, workloads.len(), |i| {
-                    store_slot(&slots[i], (i, workloads[i].record(target_refs)));
-                });
-            });
-        }
+    let traces = fan_out(workloads.len(), available_workers(), |_, i| {
+        workloads[i].record(target_refs)
     });
     let mut store = TraceStore::new(target_refs);
-    for slot in slots {
-        let (i, trace) = slot
-            .into_inner()
-            .expect("every dispatched recording fills its slot");
-        store.insert(workloads[i].name, trace);
+    for (w, trace) in workloads.iter().zip(traces) {
+        store.insert(w.name, trace);
     }
     store
 }
@@ -278,8 +316,8 @@ fn record_suite(workloads: &[Workload], target_refs: u64) -> TraceStore {
 ///
 /// Scheduling: cells are dispatched longest-cost-first (`task_cost`),
 /// so a slow cell (e.g. fully-associative `charmm`) starts early instead
-/// of serializing the tail of the sweep. Each task writes into its own
-/// pre-sized result slot — no contended collection vector.
+/// of serializing the tail of the sweep. Each worker keeps its own
+/// results and returns them when it joins — no shared collection vector.
 #[must_use]
 pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
     // Static lint pass first: refuse to burn a 23-application sweep on a
@@ -295,64 +333,46 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
         .flat_map(|w| schemes.iter().map(move |&s| (w, s)))
         .collect();
     tasks.sort_by_key(|&(w, s)| std::cmp::Reverse(task_cost(w, s)));
-    let slots: Vec<Mutex<Option<(Cell, TaskRecord)>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let avail = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    // The clamp below keeps surplus workers from spawning at all, but a
-    // grid smaller than the machine is still worth flagging: the run's
-    // wall-clock won't reflect the hardware's parallelism.
+    let avail = available_workers();
+    // The fan-out never spawns surplus workers, but a grid smaller than
+    // the machine is still worth flagging: the run's wall-clock won't
+    // reflect the hardware's parallelism.
     for lint in primecache_analyze::lint_sweep_shape(tasks.len(), avail) {
         eprintln!("{lint}");
     }
-    let workers = avail.min(tasks.len().max(1));
     let epoch = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let next = &next;
-            let tasks = &tasks;
-            let slots = &slots;
-            let store = store.as_ref();
-            let machine = &machine;
-            scope.spawn(move || {
-                claim_loop(next, tasks.len(), |i| {
-                    let (w, s) = tasks[i];
-                    let start_us = epoch.elapsed().as_micros() as u64;
-                    let result = match store {
-                        Some(store) => {
-                            let cursor = store
-                                .replay(w.name)
-                                .expect("record phase stored every suite workload");
-                            run_chunks(cursor, s, machine)
-                        }
-                        None => run_workload(w, s, target_refs),
-                    };
-                    let record = TaskRecord {
-                        workload: w.name,
-                        scheme: s.label(),
-                        cost: task_cost(w, s),
-                        worker: worker as u32,
-                        start_us,
-                        end_us: epoch.elapsed().as_micros() as u64,
-                    };
-                    let cell = Cell {
-                        workload: w.name,
-                        non_uniform: w.expected_non_uniform,
-                        result,
-                    };
-                    store_slot(&slots[i], (cell, record));
-                });
-            });
-        }
+    let done = fan_out(tasks.len(), avail, |worker, i| {
+        let (w, s) = tasks[i];
+        let start_us = epoch.elapsed().as_micros() as u64;
+        let result = match &store {
+            Some(store) => {
+                let cursor = store
+                    .replay(w.name)
+                    .expect("record phase stored every suite workload");
+                run_chunks(cursor, s, &machine)
+            }
+            None => run_workload(w, s, target_refs),
+        };
+        let record = TaskRecord {
+            workload: w.name,
+            scheme: s.label(),
+            cost: task_cost(w, s),
+            worker: worker as u32,
+            start_us,
+            end_us: epoch.elapsed().as_micros() as u64,
+        };
+        let cell = Cell {
+            workload: w.name,
+            non_uniform: w.expected_non_uniform,
+            result,
+        };
+        (cell, record)
     });
     let mut sweep = Sweep {
         store: store.as_ref().map(TraceStore::stats),
         ..Sweep::default()
     };
-    for slot in slots {
-        let (cell, record) = slot
-            .into_inner()
-            .expect("every dispatched task fills its slot");
+    for (cell, record) in done {
         sweep.tasks.push(record);
         sweep
             .cells
@@ -368,7 +388,7 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
 }
 
 /// One row of the paper's Table 4.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table4Row {
     /// The hashing scheme.
     pub scheme: Scheme,
@@ -421,6 +441,53 @@ pub fn table4(sweep: &Sweep, schemes: &[Scheme]) -> Vec<Table4Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fans `n` tasks out over `workers` threads, counting each index's
+    /// runs with its own counter: every index must run exactly once, on
+    /// a worker below `min(workers, n)`, and the results must come back
+    /// in index order.
+    fn check_fan_out(n: usize, workers: usize) {
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let out = fan_out(n, workers, |worker, i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            (i * 7 + 1, worker)
+        });
+        let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, (0..n).map(|i| i * 7 + 1).collect::<Vec<_>>());
+        assert!(out.iter().all(|&(_, worker)| worker < workers.min(n)));
+        for (i, count) in runs.iter().enumerate() {
+            assert_eq!(count.load(Ordering::Relaxed), 1, "task {i}");
+        }
+    }
+
+    #[test]
+    fn fan_out_with_no_tasks_returns_nothing() {
+        check_fan_out(0, 4);
+    }
+
+    #[test]
+    fn fan_out_with_one_task() {
+        check_fan_out(1, 4);
+    }
+
+    #[test]
+    fn fan_out_with_fewer_tasks_than_workers() {
+        check_fan_out(3, 8);
+    }
+
+    #[test]
+    fn fan_out_with_many_more_tasks_than_workers() {
+        check_fan_out(4 * 64, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 5 failed")]
+    fn fan_out_propagates_a_task_panic() {
+        fan_out(16, 4, |_, i| {
+            assert_ne!(i, 5, "task {i} failed");
+            i
+        });
+    }
 
     #[test]
     fn small_sweep_covers_everything() {

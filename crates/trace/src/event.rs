@@ -1,7 +1,5 @@
 //! Trace events.
 
-use serde::{Deserialize, Serialize};
-
 /// One event of a trace-driven simulation.
 ///
 /// Memory addresses are byte addresses. A load's `dep` flag marks it as
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(chase.is_memory());
 /// assert_eq!(Event::Work(10).instructions(), 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// `n` non-memory instructions (integer/address mix, issue-width
     /// limited only).

@@ -1,7 +1,5 @@
 //! Trace statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Event;
 
 /// Summary statistics of a trace.
@@ -17,7 +15,7 @@ use crate::Event;
 /// assert_eq!(stats.loads, 1);
 /// assert_eq!(stats.instructions, 10);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Total instructions (work + fp work + memory ops + branches).
     pub instructions: u64,

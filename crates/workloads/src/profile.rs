@@ -1,10 +1,8 @@
 //! Structured per-workload profiles: what each model imitates and why it
 //! behaves the way it does.
 
-use serde::{Deserialize, Serialize};
-
 /// The dominant access-pattern class of a workload model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternClass {
     /// Unit-/odd-stride stencil sweeps over grids.
     GridSweep,
@@ -28,7 +26,7 @@ pub enum PatternClass {
 }
 
 /// Why a workload does (or does not) conflict under traditional indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConflictMechanism {
     /// No engineered conflicts: odd strides / packed records.
     None,
@@ -43,7 +41,7 @@ pub enum ConflictMechanism {
 }
 
 /// A workload's profile: pattern, conflict mechanism and footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Profile {
     /// Dominant pattern class.
     pub pattern: PatternClass,

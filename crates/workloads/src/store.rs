@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use primecache_trace::{EncodedTrace, Event, ReplayCursor};
-use serde::Serialize;
 
 use crate::registry::Workload;
 
@@ -39,7 +38,7 @@ impl EventChunks for ReplayCursor<'_> {
 }
 
 /// Counters a [`TraceStore`] exposes to observability and sweep reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStoreStats {
     /// Workload traces recorded (one generation each).
     pub records: u64,

@@ -25,13 +25,12 @@
 //! quantum boundary falls after the event that reaches the target.
 
 use primecache_trace::{EncodedTrace, Event, ReplayCursor};
-use serde::Serialize;
 
 use crate::store::EventChunks;
 use crate::util::Lcg;
 
 /// Scheduling and namespace parameters of a [`TenantMix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixConfig {
     /// Instructions per scheduling quantum (events are never split; the
     /// slice ends after the event that reaches this target, and
@@ -59,7 +58,7 @@ impl Default for MixConfig {
 }
 
 /// Per-cursor interleaving counters, indexed by tenant.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MixStats {
     /// Scheduling quanta delivered.
     pub quanta: u64,
