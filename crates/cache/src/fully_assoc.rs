@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-#[cfg(feature = "obs")]
 use primecache_obs::{Level, ObsHandle};
 
 use crate::{CacheSim, CacheStats};
@@ -140,7 +139,6 @@ pub struct FullyAssociative {
     stats: CacheStats,
     pending_writebacks: Vec<u64>,
     /// Eviction recorder, tagged with the level this cache plays.
-    #[cfg(feature = "obs")]
     obs: Option<(Level, ObsHandle)>,
 }
 
@@ -181,14 +179,12 @@ impl FullyAssociative {
             // All stats land in a single pseudo-set.
             stats: CacheStats::new(1),
             pending_writebacks: Vec::new(),
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
 
     /// Attaches an observability recorder; evictions are reported to it
     /// tagged with `level` (set 0 — the single pseudo-set).
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         self.obs = Some((level, handle));
     }
@@ -234,7 +230,6 @@ impl FullyAssociative {
                 self.stats.record_writeback();
                 self.pending_writebacks.push(victim_block);
             }
-            #[cfg(feature = "obs")]
             if let Some((level, h)) = &self.obs {
                 h.borrow_mut().eviction(*level, 0, dirty);
             }

@@ -7,10 +7,8 @@
 //! dynamic [`DynL2`] form for callers that pick the organization at
 //! runtime; both forms are bit-identical.
 
-#[cfg(feature = "obs")]
-use primecache_obs::{Level, ObsHandle};
-
 use primecache_core::index::SetIndexer;
+use primecache_obs::{Level, ObsHandle};
 
 use crate::{
     Cache, CacheConfig, CacheSim, CacheStats, FullyAssociative, SkewedCache, SkewedConfig,
@@ -115,7 +113,6 @@ pub trait L2Sim {
     fn occupancy(&self) -> Vec<u64>;
 
     /// Attaches an eviction recorder tagged with `level`.
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, level: Level, handle: ObsHandle);
 }
 
@@ -144,7 +141,6 @@ impl<I: SetIndexer> L2Sim for Cache<I> {
         Cache::occupancy(self)
     }
 
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         Cache::attach_obs(self, level, handle);
     }
@@ -175,7 +171,6 @@ impl<B: SetIndexer> L2Sim for SkewedCache<B> {
         SkewedCache::occupancy(self)
     }
 
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         SkewedCache::attach_obs(self, level, handle);
     }
@@ -206,7 +201,6 @@ impl L2Sim for FullyAssociative {
         FullyAssociative::occupancy(self)
     }
 
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         FullyAssociative::attach_obs(self, level, handle);
     }
@@ -289,7 +283,6 @@ impl L2Sim for DynL2 {
         }
     }
 
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         match self {
             DynL2::Set(c) => c.attach_obs(level, handle),
@@ -341,7 +334,6 @@ where
     prefetches: u64,
     /// Demand-access recorder (evictions are reported by the caches
     /// themselves through their own attached handles).
-    #[cfg(feature = "obs")]
     obs: Option<ObsHandle>,
 }
 
@@ -366,7 +358,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
             l2_demand: CacheStats::new(n_demand_sets),
             memory_writes: Vec::new(),
             prefetches: 0,
-            #[cfg(feature = "obs")]
             obs: None,
             config,
         }
@@ -376,7 +367,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
     /// hierarchy reports demand accesses (L1, and L2 demand traffic —
     /// the counts the paper's figures use), and each level reports its
     /// own evictions.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, handle: ObsHandle) {
         self.l1.attach_obs(Level::L1, handle.clone());
         self.l2.attach_obs(Level::L2, handle.clone());
@@ -400,8 +390,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
     /// Simulates one demand access.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         let (l1_set, l1_hit) = self.l1.access_indexed(addr, write);
-        let _ = l1_set;
-        #[cfg(feature = "obs")]
         if let Some(h) = &self.obs {
             h.borrow_mut()
                 .cache_access(Level::L1, l1_set as u32, l1_hit, write);
@@ -414,7 +402,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
         // `Cache::access`; forward its dirty victims below.
         let (l2_set, l2_hit) = self.l2.demand_access(addr);
         self.l2_demand.record(l2_set, !l2_hit, write);
-        #[cfg(feature = "obs")]
         if let Some(h) = &self.obs {
             h.borrow_mut()
                 .cache_access(Level::L2, l2_set as u32, l2_hit, write);

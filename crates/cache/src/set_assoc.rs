@@ -8,8 +8,6 @@
 //! `primecache-sim` inline the index function into the probe.
 
 use primecache_core::index::{Geometry, SetIndexer};
-
-#[cfg(feature = "obs")]
 use primecache_obs::{Level, ObsHandle};
 
 use crate::replacement::ReplBank;
@@ -58,7 +56,6 @@ pub struct Cache<I: SetIndexer = Box<dyn SetIndexer>> {
     /// Block addresses written back (observable by an L2 below).
     pending_writebacks: Vec<u64>,
     /// Eviction recorder, tagged with the level this cache plays.
-    #[cfg(feature = "obs")]
     obs: Option<(Level, ObsHandle)>,
 }
 
@@ -125,7 +122,6 @@ impl<I: SetIndexer> Cache<I> {
             repl: ReplBank::new(config.replacement(), n_set, config.assoc()),
             stats: CacheStats::new(n_set),
             pending_writebacks: Vec::new(),
-            #[cfg(feature = "obs")]
             obs: None,
             config,
         }
@@ -135,7 +131,6 @@ impl<I: SetIndexer> Cache<I> {
     /// it tagged with `level`. Demand-access recording stays with the
     /// caller (the [`Hierarchy`](crate::Hierarchy)) so writeback traffic
     /// is not double-counted as demand.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         self.obs = Some((level, handle));
     }
@@ -253,7 +248,6 @@ impl<I: SetIndexer> Cache<I> {
         let way = invalid_way.unwrap_or_else(|| self.repl.victim(set));
         let slot = base + way;
         let victim_valid = self.flags[slot] & VALID != 0;
-        #[cfg(feature = "obs")]
         let evicted_dirty = victim_valid.then_some(self.flags[slot] & DIRTY != 0);
         if victim_valid && self.flags[slot] & DIRTY != 0 {
             self.stats.record_writeback();
@@ -262,7 +256,6 @@ impl<I: SetIndexer> Cache<I> {
         self.tags[slot] = block;
         self.flags[slot] = if write { VALID | DIRTY } else { VALID };
         self.repl.fill(set, way);
-        #[cfg(feature = "obs")]
         if let (Some((level, h)), Some(dirty)) = (&self.obs, evicted_dirty) {
             h.borrow_mut().eviction(*level, set as u32, dirty);
         }

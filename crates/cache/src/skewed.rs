@@ -8,8 +8,6 @@
 //! bank's hash inlines into the probe loop.
 
 use primecache_core::index::{Geometry, SetIndexer, SkewDispBank, SkewXorBank, SKEW_DISP_FACTORS};
-
-#[cfg(feature = "obs")]
 use primecache_obs::{Level, ObsHandle};
 
 use crate::{CacheSim, CacheStats, SkewHashKind, SkewReplacement, SkewedConfig};
@@ -64,7 +62,6 @@ pub struct SkewedCache<B: SetIndexer = Box<dyn SetIndexer>> {
     stats: CacheStats,
     pending_writebacks: Vec<u64>,
     /// Eviction recorder, tagged with the level this cache plays.
-    #[cfg(feature = "obs")]
     obs: Option<(Level, ObsHandle)>,
 }
 
@@ -139,7 +136,6 @@ impl<B: SetIndexer> SkewedCache<B> {
             rr: 0,
             stats: CacheStats::new(sets_per_bank),
             pending_writebacks: Vec::new(),
-            #[cfg(feature = "obs")]
             obs: None,
             config,
         }
@@ -149,7 +145,6 @@ impl<B: SetIndexer> SkewedCache<B> {
     /// it tagged with `level` (set index = the victim's bank-0 stats set
     /// is unavailable post-hoc, so the evicting access's bank-0 set is
     /// used — the same axis the per-set miss histogram uses).
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
         self.obs = Some((level, handle));
     }
@@ -305,13 +300,11 @@ impl<B: SetIndexer> SkewedCache<B> {
         let victim_i = self.pick_victim(slots);
         let slot = slots[victim_i];
         let victim_valid = self.flags[slot] & VALID != 0;
-        #[cfg(feature = "obs")]
         let evicted_dirty = victim_valid.then_some(self.flags[slot] & DIRTY != 0);
         if victim_valid && self.flags[slot] & DIRTY != 0 {
             self.stats.record_writeback();
             self.pending_writebacks.push(self.tags[slot]);
         }
-        #[cfg(feature = "obs")]
         if let (Some((level, h)), Some(dirty)) = (&self.obs, evicted_dirty) {
             h.borrow_mut().eviction(*level, stat_set as u32, dirty);
         }

@@ -48,9 +48,7 @@ USAGE:
                                            checks every recovered model
                                            against the static one
   pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]
-               [--replay]                  self-describing run report (JSON);
-                                           --replay simulates from a recorded
-                                           trace and adds trace_store.* metrics
+                                           self-describing run report (JSON)
   pcache trace-events <app> [--scheme S] [--refs N] [--sample N] [--ring N]
                       [--out FILE]         per-access event trace (JSONL)
   pcache trace-events --sweep [--refs N] [--out FILE]
@@ -824,23 +822,16 @@ fn metrics_app(app: &str, args: &[String]) -> i32 {
     0
 }
 
-/// `pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]
-/// [--replay]`
+/// `pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]`
 ///
-/// Runs one simulation and emits the versioned `primecache.run-report`
-/// JSON document: provenance (config fingerprint, git revision, wall and
-/// simulated time), the execution breakdown, per-level cache and DRAM
-/// totals, and — when built with the `obs` feature — the full named
-/// metric dump. With `--replay`, the simulation consumes a recorded
-/// trace instead of a live generator (bit-identical results); the
-/// metric dump then includes the `trace_store.*` family, and its
-/// `stream.*` counters show the same chunk cadence as the live run.
+/// Runs one observed simulation and emits the versioned
+/// `primecache.run-report` JSON document: provenance (config
+/// fingerprint, git revision, wall and simulated time), the execution
+/// breakdown, per-level cache and DRAM totals, and the full named
+/// metric dump, read from the run's own statistics.
 pub fn report(args: &[String]) -> i32 {
     let Some(name) = positional(args) else {
-        eprintln!(
-            "usage: pcache report <app> [--scheme S] [--refs N] [--out FILE] \
-             [--compact] [--replay]"
-        );
+        eprintln!("usage: pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]");
         return 2;
     };
     let Some(workload) = by_name(name) else {
@@ -862,36 +853,12 @@ pub fn report(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let replay = args.iter().any(|a| a == "--replay");
-    #[cfg(feature = "obs")]
-    let report = if replay {
-        primecache_sim::observe::observed_report_replayed(
-            workload,
-            scheme,
-            refs,
-            primecache_obs::ObsConfig::default(),
-        )
-        .0
-    } else {
-        primecache_sim::observe::observed_report(
-            workload,
-            scheme,
-            refs,
-            primecache_obs::ObsConfig::default(),
-        )
-        .0
-    };
-    #[cfg(not(feature = "obs"))]
-    let report = {
-        if replay {
-            eprintln!(
-                "note: this pcache was built without the `obs` feature; --replay \
-                 results are bit-identical to the live path, and the trace_store.* \
-                 metrics need an obs build"
-            );
-        }
-        primecache_sim::report_for_run(workload, scheme, refs)
-    };
+    let (report, _) = primecache_sim::observe::observed_report(
+        workload,
+        scheme,
+        refs,
+        primecache_obs::ObsConfig::default(),
+    );
     let text = if args.iter().any(|a| a == "--compact") {
         let mut t = report.to_json().render();
         t.push('\n');
@@ -918,8 +885,8 @@ pub fn report(args: &[String]) -> i32 {
 ///
 /// Emits JSONL: one event object per line (`"ev"` discriminates
 /// access/eviction/dram/task; schema in OBSERVABILITY.md). The per-run
-/// form needs the `obs` build feature; the `--sweep` form (scheduling
-/// records of the parallel sweep) works in every build.
+/// form traces one observed simulation; the `--sweep` form records the
+/// scheduling of the parallel sweep.
 pub fn trace_events(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--sweep") {
         return trace_events_sweep(args);
@@ -956,7 +923,6 @@ fn emit_jsonl(args: &[String], events: &[primecache_obs::ObsEvent]) -> i32 {
     0
 }
 
-#[cfg(feature = "obs")]
 fn trace_events_run(args: &[String]) -> i32 {
     let Some(name) = positional(args) else {
         eprintln!(
@@ -1004,16 +970,6 @@ fn trace_events_run(args: &[String]) -> i32 {
     let mut mem = primecache_obs::MemorySink::default();
     recorder.drain_events(&mut mem);
     emit_jsonl(args, &mem.events)
-}
-
-#[cfg(not(feature = "obs"))]
-fn trace_events_run(_args: &[String]) -> i32 {
-    eprintln!(
-        "this pcache was built without the `obs` feature; per-access event \
-         tracing is unavailable (rebuild with `--features obs`). \
-         `pcache trace-events --sweep` works in every build."
-    );
-    2
 }
 
 /// `pcache trace-events --sweep [--refs N] [--out FILE]`: runs a small

@@ -105,3 +105,23 @@ fn schemes_with_error_lints_exit_2_before_simulating() {
     }
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn huge_ring_bounds_allocate_only_for_the_events_recorded() {
+    // `--ring` is a bound, not a reservation: neither the largest
+    // `usize` nor a multi-terabyte bound may size an allocation.
+    let dir = std::env::temp_dir().join("pcache_cli_ring");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("events.jsonl");
+    let path_str = path.to_str().unwrap();
+    for ring in ["18446744073709551615", "4000000000000"] {
+        assert_eq!(
+            commands::trace_events(&args(&[
+                "tree", "--refs", "1000", "--ring", ring, "--out", path_str
+            ])),
+            0,
+            "--ring {ring}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}

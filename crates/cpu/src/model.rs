@@ -6,10 +6,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use primecache_cache::{AccessOutcome, Hierarchy, L2Organization, L2Sim};
 use primecache_core::index::SetIndexer;
 use primecache_mem::Dram;
-use primecache_trace::Event;
-
-#[cfg(feature = "obs")]
 use primecache_obs::ObsHandle;
+use primecache_trace::Event;
 
 use crate::{CpuConfig, ExecBreakdown};
 
@@ -27,7 +25,6 @@ pub struct Cpu {
     /// Stall attribution of the most recently finished run.
     last_stalls: StallAttribution,
     /// Sim-time clock feed for event timestamps.
-    #[cfg(feature = "obs")]
     obs: Option<ObsHandle>,
 }
 
@@ -198,7 +195,6 @@ impl Cpu {
             config,
             st: RunState::new(),
             last_stalls: StallAttribution::default(),
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -211,7 +207,6 @@ impl Cpu {
 
     /// Attaches an observability recorder; the core advances its
     /// sim-time clock so cache/DRAM events carry cycle timestamps.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, handle: ObsHandle) {
         self.obs = Some(handle);
     }
@@ -341,7 +336,6 @@ impl Cpu {
             }
             // Dirty L2 victims stream to DRAM without blocking the core.
             let writebacks = hierarchy.take_memory_writes();
-            #[cfg(feature = "obs")]
             if !writebacks.is_empty() {
                 if let Some(h) = &self.obs {
                     h.borrow_mut().set_now(st.now);
@@ -385,7 +379,6 @@ impl Cpu {
         hierarchy: &mut Hierarchy<X, J>,
         dram: &mut Dram,
     ) -> Option<u64> {
-        #[cfg(feature = "obs")]
         if let Some(h) = &self.obs {
             h.borrow_mut().set_now(st.now);
         }

@@ -1,6 +1,5 @@
 //! Event-driven DRAM + bus model.
 
-#[cfg(feature = "obs")]
 use primecache_obs::ObsHandle;
 
 use crate::MemConfig;
@@ -71,7 +70,6 @@ pub struct Dram {
     bus_free: Vec<u64>,
     stats: DramStats,
     /// Per-request event recorder.
-    #[cfg(feature = "obs")]
     obs: Option<ObsHandle>,
 }
 
@@ -85,7 +83,6 @@ impl Dram {
             bank_free: vec![0; banks],
             bus_free: vec![0; config.channels as usize],
             stats: DramStats::default(),
-            #[cfg(feature = "obs")]
             obs: None,
             config,
         }
@@ -94,7 +91,6 @@ impl Dram {
     /// Attaches an observability recorder; every request is reported
     /// with its channel, global bank index, row-hit outcome, and
     /// queueing delay.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, handle: ObsHandle) {
         self.obs = Some(handle);
     }
@@ -170,7 +166,6 @@ impl Dram {
             self.stats.row_misses += 1;
         }
         self.stats.queue_cycles += queue;
-        #[cfg(feature = "obs")]
         if let Some(h) = &self.obs {
             h.borrow_mut()
                 .dram_request(channel as u32, bank as u32, row_hit, write, queue);

@@ -5,10 +5,11 @@
 //! sets* thrash under a given index function (the per-set eviction
 //! streams used by the randomized-cache literature to explain index
 //! behaviour), *when* DRAM banks conflict, and *how* the sweep scheduler
-//! packed its tasks. Events are recorded into a fixed-capacity
-//! [`RingBuffer`] — a full ring drops the oldest events and counts the
-//! drops, so tracing never reallocates on the hot path — then drained to
-//! an [`EventSink`]: [`JsonlSink`] for files, [`MemorySink`] for tests.
+//! packed its tasks. Events are recorded into a bounded [`RingBuffer`] —
+//! it grows as events arrive, and a full ring drops the oldest events
+//! and counts the drops, so memory never exceeds the bound — then
+//! drained to an [`EventSink`]: [`JsonlSink`] for files, [`MemorySink`]
+//! for tests.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -217,8 +218,8 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Fixed-capacity event buffer: overwrites oldest on overflow and counts
-/// the drops.
+/// Bounded event buffer: overwrites oldest on overflow and counts the
+/// drops. Storage grows as events arrive, up to the bound.
 #[derive(Debug)]
 pub struct RingBuffer {
     buf: VecDeque<ObsEvent>,
@@ -228,13 +229,13 @@ pub struct RingBuffer {
 }
 
 impl RingBuffer {
-    /// Creates a ring holding at most `capacity` events (min 1).
+    /// Creates a ring holding at most `capacity` events (min 1). Nothing
+    /// is allocated until the first push.
     #[must_use]
     pub fn new(capacity: usize) -> RingBuffer {
-        let capacity = capacity.max(1);
         RingBuffer {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
+            buf: VecDeque::new(),
+            capacity: capacity.max(1),
             recorded: 0,
             dropped: 0,
         }
@@ -315,6 +316,20 @@ mod tests {
         assert_eq!(ring.dropped(), 3);
         let ts: Vec<u64> = ring.iter().map(|e| e.t).collect();
         assert_eq!(ts, vec![3, 4]);
+    }
+
+    #[test]
+    fn unbounded_capacity_reserves_nothing_and_still_works() {
+        let mut ring = RingBuffer::new(usize::MAX);
+        for i in 0..3 {
+            ring.push(access(i, 0));
+        }
+        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.recorded(), 3);
+        assert_eq!(ring.dropped(), 0);
+        let ts: Vec<u64> = ring.iter().map(|e| e.t).collect();
+        assert_eq!(ts, vec![0, 1, 2]);
+        drop(ring);
     }
 
     #[test]

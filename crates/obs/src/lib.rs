@@ -12,8 +12,9 @@
 //!   eviction histograms, DRAM row-hit and bank-wait totals, ROB-stall
 //!   attribution, streaming back-pressure),
 //! * [`Recorder`] + [`ObsHandle`] — the hot-path hook the cache
-//!   hierarchy, DRAM model, and CPU share during one run; counters are
-//!   plain field increments, and event tracing goes through a bounded
+//!   hierarchy, DRAM model, and CPU share during one run; it counts
+//!   evictions (the caches' statistics count only dirty victims, as
+//!   writebacks), and event tracing goes through a bounded
 //!   [`RingBuffer`] with a runtime sampling knob ([`ObsConfig`]),
 //! * [`ObsEvent`] / [`EventSink`] — sim-time-stamped trace events
 //!   (cache accesses, evictions, DRAM bank activity, sweep-task
@@ -27,12 +28,12 @@
 //!   the above serialize through; the workspace has no external
 //!   dependencies.
 //!
-//! Simulator crates depend on this one only under their `obs` cargo
-//! feature, and every instrumented structure holds an
-//! `Option<ObsHandle>`: with the feature off the code does not exist,
-//! and with the feature on but nothing attached the cost is one branch
-//! per access. See `OBSERVABILITY.md` at the repo root for the metric
-//! and event reference.
+//! Every simulator build includes the hooks: each instrumented structure
+//! holds an `Option<ObsHandle>`, and with nothing attached the cost is
+//! one branch per access. Metrics are read from the run's own
+//! statistics at the end of the run, never re-counted. See
+//! `OBSERVABILITY.md` at the repo root for the metric and event
+//! reference.
 
 pub mod events;
 pub mod json;

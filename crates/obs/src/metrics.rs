@@ -2,10 +2,10 @@
 //!
 //! Metric names are dotted paths (`cache.l2.demand_misses`), each with a
 //! unit and one-line help string so a report artifact explains itself.
-//! The registry is *not* on the simulation hot path: inner loops bump
-//! plain fields on [`crate::HotCounters`] and the recorder converts them
-//! into named metrics once, at end of run. `OBSERVABILITY.md` documents
-//! every name this workspace emits.
+//! The registry is *not* on the simulation hot path: it is filled once,
+//! at end of run, from the run's own statistics plus the recorder's
+//! eviction counts (`primecache_sim::observe`). `OBSERVABILITY.md`
+//! documents every name this workspace emits.
 
 use std::collections::BTreeMap;
 

@@ -8,7 +8,8 @@
 //! (execution-time breakdown, per-level cache totals, DRAM totals — the
 //! Fig. 8 / Table 5 inputs) and the full [`Metrics`] dump, versioned
 //! under [`RUN_REPORT_SCHEMA`] so future readers can detect format
-//! drift. Reports serialize to JSON and parse back losslessly.
+//! drift. Reports serialize to JSON and parse back losslessly;
+//! `primecache_sim::observe::observed_report` builds them.
 
 use std::path::Path;
 
@@ -103,7 +104,7 @@ pub struct RunReport {
     pub l2: CacheSummary,
     /// DRAM totals.
     pub dram: DramSummary,
-    /// Full named-metric dump (empty when the `obs` feature is off).
+    /// Full named-metric dump.
     pub metrics: Metrics,
     /// Trace events recorded during the run (0 without tracing).
     pub events_recorded: u64,
@@ -264,13 +265,16 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         .fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
-/// Resolves the current git commit by walking up from `start` to the
-/// first directory containing `.git`, then reading `HEAD` (following
-/// one level of `ref:` indirection, with `packed-refs` fallback). No
-/// subprocess — works in sandboxes without a `git` binary.
+/// Resolves the current git commit by walking up from `start` (made
+/// absolute first, so a relative `.` walks past the working directory)
+/// to the first directory containing `.git`, then reading `HEAD`
+/// (following one level of `ref:` indirection, with `packed-refs`
+/// fallback). No subprocess — works in sandboxes without a `git`
+/// binary.
 #[must_use]
 pub fn git_revision(start: &Path) -> Option<String> {
-    let mut dir = Some(start);
+    let start = std::path::absolute(start).ok()?;
+    let mut dir = Some(start.as_path());
     while let Some(d) = dir {
         let git = d.join(".git");
         if git.is_dir() {
@@ -393,5 +397,13 @@ mod tests {
             assert!(rev.len() >= 7, "{rev}");
             assert!(rev.chars().all(|c| c.is_ascii_hexdigit()), "{rev}");
         }
+    }
+
+    #[test]
+    fn relative_start_walks_up_like_the_absolute_one() {
+        // Tests run with the crate directory as cwd, below the checkout
+        // root: "." must still find the `.git` above it.
+        let cwd = std::env::current_dir().unwrap();
+        assert_eq!(git_revision(Path::new(".")), git_revision(&cwd));
     }
 }

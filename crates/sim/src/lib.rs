@@ -11,7 +11,10 @@
 //!   the Table-4 summary,
 //! * [`experiments`] — data producers for every figure (5 through 13) and
 //!   table, each returning plain data structures the bench binaries print,
-//! * [`report`] — text-table rendering.
+//! * [`report`] — text-table rendering,
+//! * [`observe`] — observed runs: a recorder attached to the engine, the
+//!   metric dump read from the run's stats, and the versioned run
+//!   report.
 //!
 //! # Examples
 //!
@@ -25,11 +28,9 @@
 //! assert!(pmod.l2.misses < base.l2.misses);
 //! ```
 
-pub mod artifact;
 mod config;
 pub mod experiments;
 pub mod export;
-#[cfg(feature = "obs")]
 pub mod observe;
 pub mod oracle;
 pub mod report;
@@ -37,7 +38,6 @@ mod run;
 pub mod suite;
 pub mod tenants;
 
-pub use artifact::{build_report, report_for_run};
 pub use config::{MachineConfig, Scheme};
 pub use oracle::{static_model, SimOracle, PROBE_BITS};
 pub use run::{

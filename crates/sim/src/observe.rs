@@ -1,48 +1,51 @@
-//! Instrumented run drivers (cargo feature `obs`).
+//! Observed runs and the run report.
 //!
 //! [`run_workload_observed`] is [`crate::run_workload`] with a
 //! `primecache_obs` recorder attached to every model of the run's
 //! engine: the hierarchy reports demand accesses, each cache its
 //! evictions, the DRAM its requests, and the CPU feeds the sim-time
-//! clock. On top of the hot counters, the harvested [`Metrics`] carry
-//! the per-cause stall attribution (the Fig. 8 stack, subdivided), the
-//! chunks the engine was pushed, and the end-of-run L2 occupancy
-//! histogram.
+//! clock. [`observe_chunks`] does the same for any [`EventChunks`]
+//! source (a recorded or imported trace, a tenant mix). Attaching a
+//! recorder never changes the simulation.
 //!
-//! [`run_workload_observed_replayed`] is the same instrumented run fed
-//! from a recorded trace instead of a live generator: the workload is
-//! recorded once into a [`TraceStore`] and simulated from a replay
-//! cursor, with `trace_store.*` metrics describing the store and the
-//! `stream.*` metrics showing the live chunk cadence.
+//! The metric dump is built once, when the run ends, from the run's
+//! own statistics — [`RunResult`]'s cache and DRAM stats, the core's
+//! stall attribution, the L2 occupancy, the chunks pushed — plus the
+//! recorder's eviction counts, which the stats do not hold.
+//! Nothing is counted twice. [`observed_report`] wraps a run in the
+//! versioned [`RunReport`] artifact.
 
+use std::path::Path;
 use std::rc::Rc;
 use std::time::Instant;
 
-use primecache_obs::{Histogram, Metrics, ObsConfig, Recorder, RunReport};
+use primecache_cache::CacheStats;
+use primecache_obs::{
+    BreakdownSummary, CacheSummary, DramSummary, Histogram, Metrics, ObsConfig, Provenance,
+    Recorder, RunReport, RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,
+};
 use primecache_trace::Event;
-use primecache_workloads::{EventChunks, TraceStore, Workload};
+use primecache_workloads::{EventChunks, Workload};
 
 use crate::run::dispatch;
-use crate::{artifact, MachineConfig, RunResult, Scheme};
+use crate::{MachineConfig, RunResult, Scheme};
 
-/// Everything an instrumented run produces.
+/// Everything an observed run produces.
 #[derive(Debug)]
 pub struct ObservedRun {
-    /// The plain run result (identical to the uninstrumented driver's).
+    /// The plain run result (identical to the unobserved driver's).
     pub result: RunResult,
-    /// The recorder, holding exact counters and any buffered events.
+    /// The recorder, holding the eviction counts and any buffered
+    /// events.
     pub recorder: Recorder,
-    /// Full named-metric dump: the recorder's counters plus the
-    /// CPU/chunk/occupancy supplements collected here.
+    /// Full named-metric dump (names in `OBSERVABILITY.md`).
     pub metrics: Metrics,
 }
 
-/// Runs `workload` under `scheme` with observability attached.
+/// Runs `workload` under `scheme` with a recorder attached.
 ///
-/// Counters are exact regardless of `cfg` (sampling only thins traced
-/// `access` events), so `recorder.hot` matches the `stats.rs` aggregates
-/// in `result` bit-exactly — an invariant the `obs_layer` integration
-/// test pins.
+/// Counts are exact regardless of `cfg` (sampling only thins traced
+/// `access` events).
 #[must_use]
 pub fn run_workload_observed(
     workload: &Workload,
@@ -53,49 +56,11 @@ pub fn run_workload_observed(
     observe(scheme, cfg, |push| workload.push_chunks(target_refs, push))
 }
 
-/// [`run_workload_observed`] fed from a recorded trace: `workload` is
-/// recorded once into a single-entry [`TraceStore`] and the simulation
-/// consumes a replay cursor. Results are bit-identical to the live run;
-/// the metrics additionally carry `trace_store.records`,
-/// `trace_store.replays`, and `trace_store.encoded_bytes`, and the
-/// `stream.*` family shows the same chunk cadence as the live run.
-#[must_use]
-pub fn run_workload_observed_replayed(
-    workload: &Workload,
-    scheme: Scheme,
-    target_refs: u64,
-    cfg: ObsConfig,
-) -> ObservedRun {
-    let store = TraceStore::record_all(std::slice::from_ref(workload), target_refs);
-    let cursor = store.replay(workload.name).expect("workload just recorded");
-    let mut run = observe_chunks(cursor, scheme, cfg);
-    let st = store.stats();
-    run.metrics.set_counter(
-        "trace_store.records",
-        "traces",
-        "workload traces recorded into the store (one generation each)",
-        st.records,
-    );
-    run.metrics.set_counter(
-        "trace_store.replays",
-        "cursors",
-        "replay cursors served from the store",
-        st.replays,
-    );
-    run.metrics.set_counter(
-        "trace_store.encoded_bytes",
-        "bytes",
-        "compact encoded size of all recorded traces",
-        st.encoded_bytes,
-    );
-    run
-}
-
-/// Runs any [`EventChunks`] source with observability attached — the
-/// instrumented sibling of [`crate::run_chunks`], so imported traces
-/// ([`primecache_ingest`](https://docs.rs/primecache-ingest)'s cursors)
-/// and multi-tenant mixes get the same exact counters as native
-/// workloads.
+/// Runs any [`EventChunks`] source with a recorder attached — the
+/// observed sibling of [`crate::run_chunks`], so imported traces
+/// ([`primecache_ingest`](https://docs.rs/primecache-ingest)'s cursors),
+/// recorded traces and multi-tenant mixes get the same metrics as
+/// native workloads.
 #[must_use]
 pub fn observe_chunks<S: EventChunks>(
     mut source: S,
@@ -116,10 +81,10 @@ fn observe(
     let handle = Recorder::handle(cfg);
     let mut engine = dispatch(&MachineConfig::paper_default(), scheme);
     engine.attach_obs(handle.clone());
-    let (mut chunks, mut widest) = (0u64, 0usize);
+    let (mut chunks, mut widest) = (0u64, 0u64);
     feed(&mut |chunk| {
         chunks += 1;
-        widest = widest.max(chunk.len());
+        widest = widest.max(chunk.len() as u64);
         engine.push(chunk);
     });
     let result = engine.finish();
@@ -130,67 +95,173 @@ fn observe(
         .expect("all instrumented owners dropped")
         .into_inner();
 
-    let mut metrics = recorder.metrics();
-    let cycles = |m: &mut Metrics, name: &str, help: &str, v: u64| {
-        m.set_counter(name, "cycles", help, v);
-    };
-    cycles(
-        &mut metrics,
-        "cpu.stall.rob_cycles",
-        "stall cycles from the ROB window filling behind a load",
-        stalls.rob,
+    let (l1, l2, d, h) = (&result.l1, &result.l2, &result.dram, &recorder.hot);
+    let mut metrics = Metrics::new();
+    for (name, unit, help, value) in [
+        (
+            "cache.l1.accesses",
+            "refs",
+            "L1 demand accesses",
+            l1.accesses,
+        ),
+        ("cache.l1.hits", "refs", "L1 demand hits", l1.hits),
+        ("cache.l1.misses", "refs", "L1 demand misses", l1.misses),
+        ("cache.l1.writes", "refs", "L1 store accesses", l1.writes),
+        (
+            "cache.l1.evictions",
+            "blocks",
+            "valid blocks evicted from L1",
+            h.l1_evictions,
+        ),
+        (
+            "cache.l1.dirty_evictions",
+            "blocks",
+            "dirty L1 victims written back to L2",
+            h.l1_dirty_evictions,
+        ),
+        (
+            "cache.l2.demand_accesses",
+            "refs",
+            "L2 demand accesses (L1 misses)",
+            l2.accesses,
+        ),
+        ("cache.l2.demand_hits", "refs", "L2 demand hits", l2.hits),
+        (
+            "cache.l2.demand_misses",
+            "refs",
+            "L2 demand misses",
+            l2.misses,
+        ),
+        (
+            "cache.l2.demand_writes",
+            "refs",
+            "L2 demand stores",
+            l2.writes,
+        ),
+        (
+            "cache.l2.evictions",
+            "blocks",
+            "valid blocks evicted from L2",
+            h.l2_evictions,
+        ),
+        (
+            "cache.l2.dirty_evictions",
+            "blocks",
+            "dirty L2 victims written back to memory",
+            h.l2_dirty_evictions,
+        ),
+        ("dram.reads", "requests", "DRAM read requests", d.reads),
+        ("dram.writes", "requests", "DRAM write requests", d.writes),
+        (
+            "dram.row_hits",
+            "requests",
+            "DRAM requests hitting the open row",
+            d.row_hits,
+        ),
+        (
+            "dram.row_misses",
+            "requests",
+            "DRAM requests missing the open row",
+            d.row_misses,
+        ),
+        (
+            "dram.queue_cycles",
+            "cycles",
+            "total cycles DRAM requests queued on busy banks/buses",
+            d.queue_cycles,
+        ),
+        (
+            "cpu.stall.rob_cycles",
+            "cycles",
+            "stall cycles from the ROB window filling behind a load",
+            stalls.rob,
+        ),
+        (
+            "cpu.stall.mlp_cycles",
+            "cycles",
+            "stall cycles from the in-flight-load (MLP) limit",
+            stalls.mlp,
+        ),
+        (
+            "cpu.stall.dep_cycles",
+            "cycles",
+            "stall cycles exposed by dependent (serializing) loads",
+            stalls.dep,
+        ),
+        (
+            "cpu.stall.store_cycles",
+            "cycles",
+            "stall cycles waiting on a full store buffer",
+            stalls.store,
+        ),
+        (
+            "cpu.stall.drain_cycles",
+            "cycles",
+            "stall cycles draining in-flight loads at program end",
+            stalls.drain,
+        ),
+        (
+            "cpu.stall.branch_cycles",
+            "cycles",
+            "branch-misprediction penalty cycles (other_stall)",
+            stalls.branch,
+        ),
+        (
+            "stream.chunks",
+            "chunks",
+            "trace chunks pushed into the simulation engine",
+            chunks,
+        ),
+        (
+            "stream.chunk_events",
+            "events",
+            "events in the largest chunk pushed into the engine",
+            widest,
+        ),
+        (
+            "trace.events_recorded",
+            "events",
+            "events recorded into the ring buffer",
+            recorder.events_recorded(),
+        ),
+        (
+            "trace.events_dropped",
+            "events",
+            "events dropped by ring overflow",
+            recorder.events_dropped(),
+        ),
+    ] {
+        metrics.set_counter(name, unit, help, value);
+    }
+    if d.reads + d.writes > 0 {
+        metrics.set_gauge(
+            "dram.row_hit_rate",
+            "fraction",
+            "row-buffer hit rate",
+            d.row_hit_rate(),
+        );
+    }
+    // Every L2 set is a sample, including the sets that never evicted.
+    let per_set = recorder.l2_set_evictions();
+    let mut evictions = Histogram::new(vec![0, 1, 4, 16, 64, 256, 1024, 4096]);
+    for set in 0..l2.set_accesses.len() {
+        evictions.observe(per_set.get(set).copied().unwrap_or(0));
+    }
+    metrics.set_histogram(
+        "cache.l2.evictions_per_set",
+        "evictions",
+        "distribution of eviction counts across L2 sets",
+        evictions,
     );
-    cycles(
-        &mut metrics,
-        "cpu.stall.mlp_cycles",
-        "stall cycles from the in-flight-load (MLP) limit",
-        stalls.mlp,
-    );
-    cycles(
-        &mut metrics,
-        "cpu.stall.dep_cycles",
-        "stall cycles exposed by dependent (serializing) loads",
-        stalls.dep,
-    );
-    cycles(
-        &mut metrics,
-        "cpu.stall.store_cycles",
-        "stall cycles waiting on a full store buffer",
-        stalls.store,
-    );
-    cycles(
-        &mut metrics,
-        "cpu.stall.drain_cycles",
-        "stall cycles draining in-flight loads at program end",
-        stalls.drain,
-    );
-    cycles(
-        &mut metrics,
-        "cpu.stall.branch_cycles",
-        "branch-misprediction penalty cycles (other_stall)",
-        stalls.branch,
-    );
-    metrics.set_counter(
-        "stream.chunks",
-        "chunks",
-        "trace chunks pushed into the simulation engine",
-        chunks,
-    );
-    metrics.set_counter(
-        "stream.chunk_events",
-        "events",
-        "events in the largest chunk pushed into the engine",
-        widest as u64,
-    );
-    let mut hist = Histogram::new(vec![0, 1, 2, 3, 4, 6, 8]);
+    let mut lines = Histogram::new(vec![0, 1, 2, 3, 4, 6, 8]);
     for n in occupancy {
-        hist.observe(n);
+        lines.observe(n);
     }
     metrics.set_histogram(
         "cache.l2.occupancy_per_set",
         "lines",
         "end-of-run distribution of valid lines across L2 sets",
-        hist,
+        lines,
     );
 
     ObservedRun {
@@ -200,9 +271,10 @@ fn observe(
     }
 }
 
-/// Runs an instrumented simulation and wraps it in a [`RunReport`]
-/// carrying the full metric dump; also returns the recorder so callers
-/// can drain traced events.
+/// Runs `workload` under `scheme` observed and wraps it in a
+/// [`RunReport`]: provenance, the end-of-run aggregates and the full
+/// metric dump. Also returns the recorder so callers can drain traced
+/// events.
 #[must_use]
 pub fn observed_report(
     workload: &Workload,
@@ -211,45 +283,54 @@ pub fn observed_report(
     cfg: ObsConfig,
 ) -> (RunReport, Recorder) {
     let started = Instant::now();
-    let run = run_workload_observed(workload, scheme, refs, cfg);
+    let ObservedRun {
+        result,
+        recorder,
+        metrics,
+    } = run_workload_observed(workload, scheme, refs, cfg);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = artifact::build_report(
-        &run.result,
-        &MachineConfig::paper_default(),
-        workload.name,
-        refs,
-        wall_ms,
-        run.metrics,
-        run.recorder.events_recorded(),
-        run.recorder.events_dropped(),
-    );
-    (report, run.recorder)
-}
-
-/// [`observed_report`] on the record-then-replay path: the wall-clock
-/// covers recording plus the replayed simulation, and the metric dump
-/// includes the `trace_store.*` family.
-#[must_use]
-pub fn observed_report_replayed(
-    workload: &Workload,
-    scheme: Scheme,
-    refs: u64,
-    cfg: ObsConfig,
-) -> (RunReport, Recorder) {
-    let started = Instant::now();
-    let run = run_workload_observed_replayed(workload, scheme, refs, cfg);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = artifact::build_report(
-        &run.result,
-        &MachineConfig::paper_default(),
-        workload.name,
-        refs,
-        wall_ms,
-        run.metrics,
-        run.recorder.events_recorded(),
-        run.recorder.events_dropped(),
-    );
-    (report, run.recorder)
+    let cache = |s: &CacheStats| CacheSummary {
+        accesses: s.accesses,
+        hits: s.hits,
+        misses: s.misses,
+        writes: s.writes,
+        writebacks: s.writebacks,
+    };
+    let report = RunReport {
+        schema: RUN_REPORT_SCHEMA.to_owned(),
+        version: RUN_REPORT_VERSION,
+        provenance: Provenance {
+            workload: workload.name.to_owned(),
+            scheme: scheme.label().to_owned(),
+            refs,
+            // The bundled generators are deterministic functions of the
+            // workload name; there is no RNG seed to record.
+            seed: 0,
+            config_hash: MachineConfig::paper_default().fingerprint(scheme),
+            git_rev: primecache_obs::git_revision(Path::new("."))
+                .unwrap_or_else(|| "unknown".to_owned()),
+            wall_ms,
+            sim_cycles: result.breakdown.total(),
+        },
+        breakdown: BreakdownSummary {
+            busy: result.breakdown.busy,
+            other_stall: result.breakdown.other_stall,
+            mem_stall: result.breakdown.mem_stall,
+        },
+        l1: cache(&result.l1),
+        l2: cache(&result.l2),
+        dram: DramSummary {
+            reads: result.dram.reads,
+            writes: result.dram.writes,
+            row_hits: result.dram.row_hits,
+            row_misses: result.dram.row_misses,
+            queue_cycles: result.dram.queue_cycles,
+        },
+        metrics,
+        events_recorded: recorder.events_recorded(),
+        events_dropped: recorder.events_dropped(),
+    };
+    (report, recorder)
 }
 
 #[cfg(test)]
@@ -257,27 +338,6 @@ mod tests {
     use super::*;
     use crate::run_workload;
     use primecache_workloads::by_name;
-
-    #[test]
-    fn observed_counters_match_stats_bit_exactly() {
-        for name in ["tree", "swim", "mcf"] {
-            let w = by_name(name).unwrap();
-            let run = run_workload_observed(w, Scheme::PrimeModulo, 20_000, ObsConfig::default());
-            let h = &run.recorder.hot;
-            assert_eq!(h.l1_accesses, run.result.l1.accesses, "{name}");
-            assert_eq!(h.l1_hits, run.result.l1.hits, "{name}");
-            assert_eq!(h.l1_misses, run.result.l1.misses, "{name}");
-            assert_eq!(h.l1_writes, run.result.l1.writes, "{name}");
-            assert_eq!(h.l2_accesses, run.result.l2.accesses, "{name}");
-            assert_eq!(h.l2_hits, run.result.l2.hits, "{name}");
-            assert_eq!(h.l2_misses, run.result.l2.misses, "{name}");
-            assert_eq!(h.l2_writes, run.result.l2.writes, "{name}");
-            assert_eq!(h.dram_reads, run.result.dram.reads, "{name}");
-            assert_eq!(h.dram_writes, run.result.dram.writes, "{name}");
-            assert_eq!(h.dram_row_hits, run.result.dram.row_hits, "{name}");
-            assert_eq!(h.dram_queue_cycles, run.result.dram.queue_cycles, "{name}");
-        }
-    }
 
     #[test]
     fn observation_does_not_perturb_the_simulation() {
@@ -296,6 +356,19 @@ mod tests {
         assert_eq!(plain.breakdown, observed.result.breakdown);
         assert_eq!(plain.l2, observed.result.l2);
         assert_eq!(plain.dram, observed.result.dram);
+    }
+
+    #[test]
+    fn report_mirrors_the_run_result_bit_exactly() {
+        let w = by_name("tree").unwrap();
+        let (report, _) = observed_report(w, Scheme::PrimeModulo, 10_000, ObsConfig::default());
+        let rerun = run_workload(w, Scheme::PrimeModulo, 10_000);
+        assert_eq!(report.l2.misses, rerun.l2.misses);
+        assert_eq!(report.l2.accesses, rerun.l2.accesses);
+        assert_eq!(report.l1.hits, rerun.l1.hits);
+        assert_eq!(report.breakdown.busy, rerun.breakdown.busy);
+        assert_eq!(report.provenance.sim_cycles, rerun.breakdown.total());
+        assert_eq!(report.provenance.scheme, "pMod");
     }
 
     #[test]
@@ -319,31 +392,33 @@ mod tests {
     }
 
     #[test]
-    fn replayed_observation_matches_live_and_reports_the_store() {
-        let w = by_name("mcf").unwrap();
-        let live = run_workload_observed(w, Scheme::PrimeModulo, 12_000, ObsConfig::default());
-        let replayed =
-            run_workload_observed_replayed(w, Scheme::PrimeModulo, 12_000, ObsConfig::default());
-        // Bit-identical simulation: breakdown, both cache levels, DRAM.
-        assert_eq!(live.result.breakdown, replayed.result.breakdown);
-        assert_eq!(live.result.l1, replayed.result.l1);
-        assert_eq!(live.result.l2, replayed.result.l2);
-        assert_eq!(live.result.dram, replayed.result.dram);
-        // The store counters describe one record serving one replay.
-        let m = &replayed.metrics;
-        assert_eq!(m.counter("trace_store.records"), Some(1));
-        assert_eq!(m.counter("trace_store.replays"), Some(1));
-        assert!(m.counter("trace_store.encoded_bytes").unwrap() > 0);
-        assert!(live.metrics.counter("trace_store.records").is_none());
-        // Replay chunk parity: same chunk cadence as the live generator.
-        assert_eq!(
-            m.counter("stream.chunks"),
-            live.metrics.counter("stream.chunks")
-        );
-        assert_eq!(
-            m.counter("stream.chunk_events"),
-            live.metrics.counter("stream.chunk_events")
-        );
+    fn evictions_per_set_samples_every_l2_set() {
+        for name in ["tree", "cg"] {
+            let w = by_name(name).unwrap();
+            for scheme in [
+                Scheme::Base,
+                Scheme::Xor,
+                Scheme::PrimeModulo,
+                Scheme::FullyAssociative,
+            ] {
+                let run = run_workload_observed(w, scheme, 20_000, ObsConfig::default());
+                let ctx = format!("{name}/{}", scheme.label());
+                let hist = run
+                    .metrics
+                    .histogram("cache.l2.evictions_per_set")
+                    .unwrap_or_else(|| panic!("{ctx}: histogram missing"));
+                assert_eq!(
+                    hist.count(),
+                    run.result.l2.set_accesses.len() as u64,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    Some(hist.sum()),
+                    run.metrics.counter("cache.l2.evictions"),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! `STREAM_CHUNK` buffer. The engine's caches are monomorphized over
 //! their concrete cache and index-function types, so the per-event
 //! loop ([`Cpu::feed`]) has no `dyn` dispatch; only the call into the
-//! engine, once per chunk, is virtual.
+//! engine, once per chunk, is virtual. Before building the engine, every
+//! driver runs [`MachineConfig::check_scheme`], in every build profile,
+//! and so panics on a scheme the config linter rejects.
 //!
 //! All drivers are bit-identical to the dynamically-dispatched
 //! reference path, kept as [`run_trace_reference`]; the
@@ -25,15 +27,11 @@ use primecache_core::index::{
     Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
     Traditional, Xor,
 };
-use primecache_cpu::{Cpu, ExecBreakdown};
+use primecache_cpu::{Cpu, ExecBreakdown, StallAttribution};
 use primecache_mem::{Dram, DramStats};
+use primecache_obs::ObsHandle;
 use primecache_trace::{EncodedTrace, Event};
 use primecache_workloads::{EventChunks, Workload, STREAM_CHUNK};
-
-#[cfg(feature = "obs")]
-use primecache_cpu::StallAttribution;
-#[cfg(feature = "obs")]
-use primecache_obs::ObsHandle;
 
 use crate::{MachineConfig, Scheme};
 
@@ -81,15 +79,12 @@ pub(crate) trait Engine {
     fn finish(&mut self) -> RunResult;
 
     /// Attaches one recorder to the hierarchy, the DRAM and the core.
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, handle: ObsHandle);
 
     /// Stall attribution of the finished run.
-    #[cfg(feature = "obs")]
     fn last_stall_attribution(&self) -> StallAttribution;
 
     /// Valid lines per L2 set, now.
-    #[cfg(feature = "obs")]
     fn l2_occupancy(&self) -> Vec<u64>;
 }
 
@@ -143,19 +138,16 @@ impl<X: L2Sim, J: SetIndexer> Engine for Machine<X, J> {
         }
     }
 
-    #[cfg(feature = "obs")]
     fn attach_obs(&mut self, handle: ObsHandle) {
         self.hierarchy.attach_obs(handle.clone());
         self.dram.attach_obs(handle.clone());
         self.cpu.attach_obs(handle);
     }
 
-    #[cfg(feature = "obs")]
     fn last_stall_attribution(&self) -> StallAttribution {
         self.cpu.last_stall_attribution()
     }
 
-    #[cfg(feature = "obs")]
     fn l2_occupancy(&self) -> Vec<u64> {
         self.hierarchy.l2_occupancy()
     }
@@ -166,7 +158,6 @@ impl<X: L2Sim, J: SetIndexer> Engine for Machine<X, J> {
 /// the once-per-run dispatch that replaces per-reference `Box<dyn
 /// SetIndexer>` calls.
 pub(crate) fn dispatch(machine: &MachineConfig, scheme: Scheme) -> Box<dyn Engine> {
-    #[cfg(any(debug_assertions, feature = "check"))]
     machine.check_scheme(scheme);
     match machine.hierarchy_config(scheme).l2 {
         L2Organization::SetAssoc(cfg) => {
@@ -288,7 +279,6 @@ pub fn run_trace_reference<T>(trace: T, scheme: Scheme, machine: &MachineConfig)
 where
     T: IntoIterator<Item = Event>,
 {
-    #[cfg(any(debug_assertions, feature = "check"))]
     machine.check_scheme(scheme);
     let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
     let mut dram = Dram::new(machine.mem);
@@ -571,7 +561,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "non-prime-modulus")]
     fn run_trace_rejects_uncertified_expr_scheme_before_simulation() {
         let id = primecache_core::expr::register_anonymous("a % 2046").expect("valid expression");

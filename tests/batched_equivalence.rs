@@ -178,22 +178,22 @@ fn writeback_sequences_identical_scalar_vs_batched() {
 
 #[test]
 fn obs_counters_match_batched_stats_on_every_scheme() {
-    // The instrumented driver runs the same engine with a recorder
-    // attached; its recorder counters must equal the plain driver's
-    // stats, per scheme.
-    let w = primecache::workloads::by_name("mcf").unwrap();
-    for &scheme in &Scheme::ALL {
-        let batched = run_workload(w, scheme, 10_000);
-        let observed = run_workload_observed(w, scheme, 10_000, ObsConfig::default());
-        let ctx = format!("mcf/{}", scheme.label());
-        assert_results_equal(&batched, &observed.result, &ctx);
-        let h = &observed.recorder.hot;
-        assert_eq!(h.l1_accesses, batched.l1.accesses, "{ctx}");
-        assert_eq!(h.l1_misses, batched.l1.misses, "{ctx}");
-        assert_eq!(h.l2_accesses, batched.l2.accesses, "{ctx}");
-        assert_eq!(h.l2_misses, batched.l2.misses, "{ctx}");
-        assert_eq!(h.dram_reads, batched.dram.reads, "{ctx}");
-        assert_eq!(h.dram_writes, batched.dram.writes, "{ctx}");
+    // The observed driver runs the same engine with a recorder attached:
+    // its results equal the plain driver's, and the eviction counts only
+    // the recorder keeps agree with the stats where both see the same
+    // thing — a dirty L1 victim is an L1 writeback, a dirty L2 victim a
+    // DRAM write.
+    for name in ["mcf", "tree", "cg"] {
+        let w = primecache::workloads::by_name(name).unwrap();
+        for &scheme in &Scheme::ALL {
+            let batched = run_workload(w, scheme, 10_000);
+            let observed = run_workload_observed(w, scheme, 10_000, ObsConfig::default());
+            let ctx = format!("{name}/{}", scheme.label());
+            assert_results_equal(&batched, &observed.result, &ctx);
+            let h = &observed.recorder.hot;
+            assert_eq!(h.l1_dirty_evictions, observed.result.l1.writebacks, "{ctx}");
+            assert_eq!(h.l2_dirty_evictions, observed.result.dram.writes, "{ctx}");
+        }
     }
 }
 

@@ -1,12 +1,15 @@
-//! Integration tests for the observability layer (PR 4).
+//! Integration tests for the observability layer.
 //!
-//! Exercises the `obs` feature through the umbrella crate exactly as an
+//! Exercises the observed runs through the umbrella crate exactly as an
 //! external consumer would: the self-describing [`RunReport`] must
-//! survive a JSON round trip, and the recorder's hot counters must match
-//! the simulator's own `stats.rs` aggregates bit-exactly — observation
-//! is a read-only tap, never a second bookkeeping system that can drift.
+//! survive a JSON round trip, its metrics must equal the simulator's
+//! own `stats.rs` aggregates they are read from, and the metric
+//! reference in `OBSERVABILITY.md` must list exactly what a report
+//! emits.
 
-use primecache::obs::{ObsConfig, RunReport, RUN_REPORT_SCHEMA, RUN_REPORT_VERSION};
+use std::collections::BTreeSet;
+
+use primecache::obs::{MetricValue, ObsConfig, RunReport, RUN_REPORT_SCHEMA, RUN_REPORT_VERSION};
 use primecache::sim::observe::{observed_report, run_workload_observed};
 use primecache::sim::Scheme;
 use primecache::workloads::by_name;
@@ -93,4 +96,50 @@ fn report_miss_totals_match_embedded_metrics() {
         report.metrics.counter("dram.reads"),
         Some(report.dram.reads)
     );
+}
+
+/// `(name, type, unit)` of every row in the "Metric reference" tables of
+/// `OBSERVABILITY.md`.
+fn documented_metrics() -> BTreeSet<(String, String, String)> {
+    let doc = include_str!("../OBSERVABILITY.md");
+    let start = doc
+        .find("\n## Metric reference")
+        .expect("OBSERVABILITY.md has a Metric reference section");
+    let section = &doc[start + 1..];
+    let section = &section[..section[1..].find("\n## ").map_or(section.len(), |i| i + 1)];
+    section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            (
+                cells[1].trim_matches('`').to_owned(),
+                cells[2].to_owned(),
+                cells[3].to_owned(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn metric_reference_lists_exactly_what_a_report_emits() {
+    let (report, _recorder) = observed_report(
+        by_name("mcf").unwrap(),
+        Scheme::Base,
+        20_000,
+        ObsConfig::default(),
+    );
+    let emitted: BTreeSet<(String, String, String)> = report
+        .metrics
+        .iter()
+        .map(|(name, m)| {
+            let kind = match m.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            (name.to_owned(), kind.to_owned(), m.unit.clone())
+        })
+        .collect();
+    assert_eq!(documented_metrics(), emitted);
 }

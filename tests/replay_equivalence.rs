@@ -14,7 +14,7 @@
 //! (`ci/replay_smoke.sh`) without a separate test body.
 
 use primecache::obs::ObsConfig;
-use primecache::sim::observe::{run_workload_observed, run_workload_observed_replayed};
+use primecache::sim::observe::{observe_chunks, run_workload_observed};
 use primecache::sim::{run_recorded, run_trace, run_workload, MachineConfig, Scheme};
 use primecache::trace::{EncodedTrace, Event};
 use primecache::workloads::{all, TraceStore, STREAM_CHUNK};
@@ -107,8 +107,11 @@ fn replay_preserves_observability_counters_and_stream_parity() {
     for name in ["tree", "mcf", "swim"] {
         let w = primecache::workloads::by_name(name).unwrap();
         let live = run_workload_observed(w, Scheme::PrimeModulo, refs, ObsConfig::default());
-        let replayed =
-            run_workload_observed_replayed(w, Scheme::PrimeModulo, refs, ObsConfig::default());
+        let replayed = observe_chunks(
+            w.record(refs).replay(),
+            Scheme::PrimeModulo,
+            ObsConfig::default(),
+        );
         assert_results_equal(&replayed.result, &live.result, name);
         // Exact hot counters, not just aggregates.
         assert_eq!(live.recorder.hot, replayed.recorder.hot, "{name}");
@@ -119,8 +122,11 @@ fn replay_preserves_observability_counters_and_stream_parity() {
             live.metrics.counter("stream.chunks"),
             "{name}"
         );
-        assert_eq!(m.counter("trace_store.records"), Some(1), "{name}");
-        assert_eq!(m.counter("trace_store.replays"), Some(1), "{name}");
+        assert_eq!(
+            m.counter("stream.chunk_events"),
+            live.metrics.counter("stream.chunk_events"),
+            "{name}"
+        );
     }
 }
 
