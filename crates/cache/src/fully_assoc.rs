@@ -13,7 +13,7 @@ use crate::{CacheSim, CacheStats};
 /// lookup; block addresses need no DoS resistance, so a Fibonacci
 /// multiply plus an avalanche shift is enough. Results cannot depend on
 /// the hasher: iteration order is never observed (LRU order lives in the
-/// age tree), only key lookups.
+/// recency list), only key lookups.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BlockHasher {
     state: u64,
@@ -39,63 +39,16 @@ impl Hasher for BlockHasher {
     }
 }
 
-/// Packed LRU age counters over a flat tournament (min) tree.
-///
-/// Leaves hold per-slot last-use stamps; each internal node holds the
-/// minimum of its children, so the least-recently-used slot is found by
-/// walking from the root (`O(log n)` over a contiguous array — no
-/// pointer chasing) and a stamp update rewrites one leaf-to-root path.
-/// Empty slots carry `u64::MAX` and are never selected while any live
-/// stamp exists.
-#[derive(Debug, Clone)]
-struct AgeTree {
-    /// 1-based heap: `tree[1]` is the root, leaves start at `leaf_base`.
-    tree: Vec<u64>,
-    leaf_base: usize,
-}
+/// The "no slot" link.
+const NIL: u32 = u32::MAX;
 
-impl AgeTree {
-    fn new(slots: usize) -> Self {
-        let leaf_base = slots.next_power_of_two().max(1);
-        Self {
-            tree: vec![u64::MAX; 2 * leaf_base],
-            leaf_base,
-        }
-    }
-
-    /// Sets `slot`'s stamp and repairs the min path to the root,
-    /// stopping as soon as a parent's min is unchanged (every node above
-    /// it aggregates the same value). The common case — re-stamping a
-    /// slot that was not its subtree's minimum — exits after one level
-    /// instead of walking the full path through the cold upper tree.
-    #[inline]
-    fn set(&mut self, slot: usize, stamp: u64) {
-        let mut i = self.leaf_base + slot;
-        self.tree[i] = stamp;
-        while i > 1 {
-            i /= 2;
-            let m = self.tree[2 * i].min(self.tree[2 * i + 1]);
-            if self.tree[i] == m {
-                return;
-            }
-            self.tree[i] = m;
-        }
-    }
-
-    /// The slot holding the minimum stamp (ties impossible: stamps are
-    /// unique). Must not be called while the tree is all-empty.
-    #[inline]
-    fn min_slot(&self) -> usize {
-        let mut i = 1;
-        while i < self.leaf_base {
-            i = if self.tree[2 * i] <= self.tree[2 * i + 1] {
-                2 * i
-            } else {
-                2 * i + 1
-            };
-        }
-        i - self.leaf_base
-    }
+/// A slot's neighbours in recency order.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The next more recently used slot (`NIL` at the head).
+    prev: u32,
+    /// The next less recently used slot (`NIL` at the tail).
+    next: u32,
 }
 
 /// A fully-associative LRU cache — the `FA` reference of Figs. 11/12.
@@ -105,12 +58,11 @@ impl AgeTree {
 /// capacity effects.
 ///
 /// Storage is a structure-of-arrays slab (`blocks` / `dirty` per slot)
-/// located through a fast-hashed block→slot map; LRU order lives in
-/// packed age counters over a flat tournament min-tree (`AgeTree`), so an
-/// access costs one hash probe plus one `O(log n_lines)` path over a
-/// contiguous array — no `BTreeMap` node chasing, no per-access
-/// allocation. Victim choice (minimum stamp) is bit-identical to the
-/// previous stamp-keyed `BTreeMap` implementation.
+/// located through a fast-hashed block→slot map. Recency is an
+/// intrusive doubly-linked list over the slots, most recently used at
+/// the head: a hit moves its slot to the head, a miss evicts the tail.
+/// An access costs one hash probe plus `O(1)` link updates — no
+/// per-access allocation, no search for the victim.
 ///
 /// # Examples
 ///
@@ -131,11 +83,14 @@ pub struct FullyAssociative {
     blocks: Vec<u64>,
     /// Dirty bit per slot.
     dirty: Vec<bool>,
-    /// Packed last-use stamps with an embedded min tree.
-    ages: AgeTree,
+    /// Recency list links per slot.
+    links: Vec<Link>,
+    /// Most recently used slot (`NIL` while empty).
+    head: u32,
+    /// Least recently used slot, the next victim (`NIL` while empty).
+    tail: u32,
     /// Occupied slots (slots fill in order until capacity).
     live: usize,
-    clock: u64,
     stats: CacheStats,
     pending_writebacks: Vec<u64>,
     /// Eviction recorder, tagged with the level this cache plays.
@@ -173,9 +128,16 @@ impl FullyAssociative {
             ),
             blocks: vec![0; capacity_lines],
             dirty: vec![false; capacity_lines],
-            ages: AgeTree::new(capacity_lines),
+            links: vec![
+                Link {
+                    prev: NIL,
+                    next: NIL
+                };
+                capacity_lines
+            ],
+            head: NIL,
+            tail: NIL,
             live: 0,
-            clock: 0,
             // All stats land in a single pseudo-set.
             stats: CacheStats::new(1),
             pending_writebacks: Vec::new(),
@@ -196,9 +158,10 @@ impl FullyAssociative {
         vec![self.live as u64]
     }
 
-    /// Drains the block addresses written back since the last call.
-    pub fn take_writebacks(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pending_writebacks)
+    /// Drains the block addresses written back since the last call, in
+    /// place (the buffer keeps its capacity).
+    pub fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
+        self.pending_writebacks.drain(..)
     }
 
     /// Number of lines the cache can hold.
@@ -207,25 +170,53 @@ impl FullyAssociative {
         self.capacity_lines
     }
 
+    /// Links `slot`, which is on no list, in at the head.
+    #[inline]
+    fn push_head(&mut self, slot: u32) {
+        self.links[slot as usize] = Link {
+            prev: NIL,
+            next: self.head,
+        };
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.links[self.head as usize].prev = slot;
+        }
+        self.head = slot;
+    }
+
+    /// Moves the listed `slot` to the head.
+    #[inline]
+    fn move_to_head(&mut self, slot: u32) {
+        if slot == self.head {
+            return;
+        }
+        // Not the head, so it has a more recent neighbour.
+        let Link { prev, next } = self.links[slot as usize];
+        self.links[prev as usize].next = next;
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.links[next as usize].prev = prev;
+        }
+        self.push_head(slot);
+    }
+
     /// Simulates an access to a block address directly.
     pub fn access_block(&mut self, block: u64, write: bool) -> bool {
-        self.clock += 1;
-        let stamp = self.clock;
         if let Some(&slot) = self.slot_of.get(&block) {
-            let slot = slot as usize;
-            self.ages.set(slot, stamp);
-            self.dirty[slot] |= write;
+            self.move_to_head(slot);
+            self.dirty[slot as usize] |= write;
             self.stats.record(0, false, write);
             return true;
         }
         self.stats.record(0, true, write);
         let slot = if self.live == self.capacity_lines {
-            // Evict the least recently used block (minimum stamp —
-            // stamps are unique, so the choice is exact LRU).
-            let slot = self.ages.min_slot();
-            let victim_block = self.blocks[slot];
+            // Evict the least recently used block: the tail.
+            let slot = self.tail;
+            let victim_block = self.blocks[slot as usize];
             self.slot_of.remove(&victim_block).expect("victim resident");
-            let dirty = self.dirty[slot];
+            let dirty = self.dirty[slot as usize];
             if dirty {
                 self.stats.record_writeback();
                 self.pending_writebacks.push(victim_block);
@@ -233,19 +224,19 @@ impl FullyAssociative {
             if let Some((level, h)) = &self.obs {
                 h.borrow_mut().eviction(*level, 0, dirty);
             }
+            self.move_to_head(slot);
             slot
         } else {
-            let slot = self.live;
+            // `new` caps the capacity below `u32::MAX`, so every slot
+            // fits the u32 links and map values.
+            let slot = u32::try_from(self.live).expect("slot fits u32");
             self.live += 1;
+            self.push_head(slot);
             slot
         };
-        self.blocks[slot] = block;
-        self.dirty[slot] = write;
-        self.ages.set(slot, stamp);
-        // Capacity is checked above, so slots always fit the u32 map
-        // value (`new` rejects >4G-line configurations loudly).
-        self.slot_of
-            .insert(block, u32::try_from(slot).expect("slot fits u32"));
+        self.blocks[slot as usize] = block;
+        self.dirty[slot as usize] = write;
+        self.slot_of.insert(block, slot);
         false
     }
 
@@ -334,13 +325,12 @@ mod tests {
         assert!(!fa.access_block(1, true));
         assert!(fa.access_block(1, false));
         assert!(!fa.access_block(2, false)); // evicts dirty block 1
-        assert_eq!(fa.take_writebacks(), vec![1]);
+        assert_eq!(fa.take_writebacks().as_slice(), [1]);
     }
 
     #[test]
     fn non_power_of_two_capacity_works() {
-        // 3 lines: the age tree pads to 4 leaves; padding (u64::MAX)
-        // must never be chosen as a victim.
+        // 3 lines: a capacity that is not a power of two.
         let mut fa = FullyAssociative::new(3 * 64, 64);
         for b in 0..3u64 {
             fa.access_block(b, false);
@@ -352,9 +342,8 @@ mod tests {
         assert!(fa.contains(3 * 64));
     }
 
-    /// The packed-age implementation must replay the old
-    /// `BTreeMap`-ordered semantics exactly: same hits, same writeback
-    /// sequence, against a naive stamp-scan model.
+    /// The recency list must replay exact LRU: same hits, same
+    /// writeback sequence, against a naive stamp-scan model.
     #[test]
     fn matches_naive_lru_model() {
         struct Naive {
@@ -405,6 +394,6 @@ mod tests {
             let write = i % 3 == 0;
             assert_eq!(fa.access_block(block, write), naive.access(block, write));
         }
-        assert_eq!(fa.take_writebacks(), naive.writebacks);
+        assert_eq!(fa.take_writebacks().as_slice(), naive.writebacks);
     }
 }

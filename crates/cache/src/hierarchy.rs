@@ -106,8 +106,9 @@ pub trait L2Sim {
     /// Resets statistics (contents survive).
     fn reset_stats(&mut self);
 
-    /// Drains dirty-victim block addresses accumulated since the last call.
-    fn take_writebacks(&mut self) -> Vec<u64>;
+    /// Drains, in place, the dirty-victim block addresses accumulated
+    /// since the last call.
+    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64>;
 
     /// Point-in-time occupancy snapshot (valid lines per set).
     fn occupancy(&self) -> Vec<u64>;
@@ -133,7 +134,7 @@ impl<I: SetIndexer> L2Sim for Cache<I> {
         CacheSim::reset_stats(self);
     }
 
-    fn take_writebacks(&mut self) -> Vec<u64> {
+    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
         Cache::take_writebacks(self)
     }
 
@@ -163,7 +164,7 @@ impl<B: SetIndexer> L2Sim for SkewedCache<B> {
         CacheSim::reset_stats(self);
     }
 
-    fn take_writebacks(&mut self) -> Vec<u64> {
+    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
         SkewedCache::take_writebacks(self)
     }
 
@@ -193,7 +194,7 @@ impl L2Sim for FullyAssociative {
         CacheSim::reset_stats(self);
     }
 
-    fn take_writebacks(&mut self) -> Vec<u64> {
+    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
         FullyAssociative::take_writebacks(self)
     }
 
@@ -267,7 +268,7 @@ impl L2Sim for DynL2 {
         }
     }
 
-    fn take_writebacks(&mut self) -> Vec<u64> {
+    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
         match self {
             DynL2::Set(c) => c.take_writebacks(),
             DynL2::Skewed(c) => c.take_writebacks(),
@@ -302,7 +303,8 @@ impl L2Sim for DynL2 {
 /// * dirty L1 victims are written into L2 (counted in L2's `writes`, not
 ///   as demand traffic for the figures — see [`Hierarchy::l2_stats`]);
 /// * dirty L2 victims become memory write traffic
-///   ([`Hierarchy::take_memory_writes`]).
+///   ([`Hierarchy::take_memory_writes`]), queued in the L2's own
+///   writeback buffer until taken.
 ///
 /// # Examples
 ///
@@ -328,8 +330,6 @@ where
     /// Demand stats of the L2 only (excludes L1 writeback traffic), used
     /// by the figures.
     l2_demand: CacheStats,
-    /// Block addresses of dirty L2 victims (memory write traffic).
-    memory_writes: Vec<u64>,
     /// Lines prefetched into the L2 so far.
     prefetches: u64,
     /// Demand-access recorder (evictions are reported by the caches
@@ -356,7 +356,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
             l1,
             l2,
             l2_demand: CacheStats::new(n_demand_sets),
-            memory_writes: Vec::new(),
             prefetches: 0,
             obs: None,
             config,
@@ -395,7 +394,7 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
                 .cache_access(Level::L1, l1_set as u32, l1_hit, write);
         }
         if l1_hit {
-            self.drain_l1_writebacks();
+            // A hit evicts nothing, so there is nothing to forward.
             return AccessOutcome::L1Hit;
         }
         // L1 miss: demand access to L2. The fill into L1 happened inside
@@ -418,8 +417,12 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
                 self.prefetches += 1;
             }
         }
-        self.drain_l1_writebacks();
-        self.drain_l2_writebacks();
+        // Forward the L1 fill's dirty victim into the L2 (write-allocate
+        // on miss); the L2's own victims wait for `take_memory_writes`.
+        let line = self.config.l1.line_bytes();
+        for block in self.l1.take_writebacks() {
+            self.l2.plain_access(block * line, true);
+        }
         if l2_hit {
             AccessOutcome::L2Hit
         } else {
@@ -431,20 +434,6 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
     #[must_use]
     pub fn prefetches(&self) -> u64 {
         self.prefetches
-    }
-
-    fn drain_l1_writebacks(&mut self) {
-        let line = self.config.l1.line_bytes();
-        for block in self.l1.take_writebacks() {
-            // Write the victim into L2 (write-allocate on miss).
-            self.l2.plain_access(block * line, true);
-        }
-        self.drain_l2_writebacks();
-    }
-
-    fn drain_l2_writebacks(&mut self) {
-        let blocks = self.l2.take_writebacks();
-        self.memory_writes.extend(blocks);
     }
 
     /// L1 statistics.
@@ -467,9 +456,10 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
     }
 
     /// Drains the block addresses of dirty L2 victims sent to memory
-    /// since the last call (DRAM write traffic).
-    pub fn take_memory_writes(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.memory_writes)
+    /// since the last call (DRAM write traffic), in eviction order. The
+    /// buffer drains in place and keeps its capacity.
+    pub fn take_memory_writes(&mut self) -> std::vec::Drain<'_, u64> {
+        self.l2.take_writebacks()
     }
 
     /// Resets all statistics (contents survive — use after warmup).
@@ -477,7 +467,7 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
         CacheSim::reset_stats(&mut self.l1);
         self.l2.reset_stats();
         self.l2_demand.reset();
-        self.memory_writes.clear();
+        self.l2.take_writebacks();
         self.prefetches = 0;
     }
 }
@@ -619,8 +609,8 @@ mod tests {
             let write = i % 3 == 0;
             assert_eq!(dynamic.access(addr, write), mono.access(addr, write), "{i}");
             assert_eq!(
-                dynamic.take_memory_writes(),
-                mono.take_memory_writes(),
+                dynamic.take_memory_writes().as_slice(),
+                mono.take_memory_writes().as_slice(),
                 "memory-write divergence at access {i}"
             );
         }

@@ -164,9 +164,10 @@ impl<I: SetIndexer> Cache<I> {
     }
 
     /// Drains the block addresses of lines written back since the last
-    /// call (the traffic an L2 below would observe).
-    pub fn take_writebacks(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pending_writebacks)
+    /// call (the traffic an L2 below would observe). The buffer drains in
+    /// place and keeps its capacity, so steady state allocates nothing.
+    pub fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
+        self.pending_writebacks.drain(..)
     }
 
     /// Converts a byte address to a block address.
@@ -419,8 +420,8 @@ mod tests {
         c.access(256, false);
         c.access(512, false); // evicts block 0 (dirty)
         assert_eq!(c.stats().writebacks, 1);
-        assert_eq!(c.take_writebacks(), vec![0]);
-        assert!(c.take_writebacks().is_empty());
+        assert_eq!(c.take_writebacks().as_slice(), [0]);
+        assert!(c.take_writebacks().as_slice().is_empty());
     }
 
     #[test]
@@ -548,7 +549,11 @@ mod tests {
             let addr = (i * 7919) % (1 << 24);
             let write = i % 3 == 0;
             assert_eq!(boxed.access(addr, write), typed.access(addr, write), "{i}");
-            assert_eq!(boxed.take_writebacks(), typed.take_writebacks(), "{i}");
+            assert_eq!(
+                boxed.take_writebacks().as_slice(),
+                typed.take_writebacks().as_slice(),
+                "{i}"
+            );
         }
         assert_eq!(boxed.stats(), typed.stats());
     }

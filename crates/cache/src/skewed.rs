@@ -165,9 +165,10 @@ impl<B: SetIndexer> SkewedCache<B> {
         &self.config
     }
 
-    /// Drains the block addresses written back since the last call.
-    pub fn take_writebacks(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pending_writebacks)
+    /// Drains the block addresses written back since the last call, in
+    /// place (the buffer keeps its capacity).
+    pub fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
+        self.pending_writebacks.drain(..)
     }
 
     /// Narrows an indexer-produced set index to `usize` (lossless:
@@ -478,7 +479,7 @@ mod tests {
             c.access(i * 64, true);
         }
         assert!(c.stats().writebacks > 0);
-        assert!(!c.take_writebacks().is_empty());
+        assert!(!c.take_writebacks().as_slice().is_empty());
     }
 
     #[test]
@@ -597,7 +598,11 @@ mod tests {
             let addr = (i * 7919) % (1 << 24);
             let write = i % 3 == 0;
             assert_eq!(boxed.access(addr, write), typed.access(addr, write), "{i}");
-            assert_eq!(boxed.take_writebacks(), typed.take_writebacks(), "{i}");
+            assert_eq!(
+                boxed.take_writebacks().as_slice(),
+                typed.take_writebacks().as_slice(),
+                "{i}"
+            );
         }
         assert_eq!(boxed.stats(), typed.stats());
     }

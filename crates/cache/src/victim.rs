@@ -133,20 +133,19 @@ impl CacheSim for VictimCache {
         let block = addr >> self.line_shift;
         let set = self.main.set_of(addr);
         if self.main.access_block(block, write) {
+            // A main hit evicts nothing, so there is nothing to park.
             self.stats.record(set, false, write);
-            // A main hit may have evicted nothing; clear stale writebacks.
-            for victim in self.main.take_writebacks() {
-                self.park(victim, true);
-            }
             #[cfg(any(debug_assertions, feature = "check"))]
             self.debug_check();
             return true;
         }
-        // Main miss: the fill already happened; park its victims (dirty
-        // lines come via take_writebacks; clean evictions are invisible,
-        // an accepted simplification — the buffer still sees the dirty,
-        // i.e. most conflict-prone, traffic of write-back workloads).
-        for victim in self.main.take_writebacks() {
+        // Main miss: the fill already happened; park its victim (an
+        // access evicts at most one line; dirty lines come via
+        // take_writebacks; clean evictions are invisible, an accepted
+        // simplification — the buffer still sees the dirty, i.e. most
+        // conflict-prone, traffic of write-back workloads).
+        let victim = self.main.take_writebacks().next();
+        if let Some(victim) = victim {
             self.park(victim, true);
         }
         // Probe the buffer for the requested block.

@@ -1,9 +1,9 @@
 //! The differential-oracle battery.
 //!
 //! Each *unit* pits one fast path — an index function, a §3.1 hardware
-//! modulo unit, or a cache organization — against its naive
-//! [oracle](crate::oracle) over a mixed stream of randomized and
-//! adversarial strided addresses, asserting bit-exact agreement. A
+//! modulo unit, a cache organization, the DRAM or the CPU timing model —
+//! against its naive [oracle](crate::oracle) over a mixed stream of
+//! randomized and adversarial inputs, asserting bit-exact agreement. A
 //! disagreement is shrunk to a minimal counterexample by the
 //! [prop](crate::prop) harness before being reported.
 //!
@@ -13,13 +13,13 @@
 use crate::oracle::{
     ref_mersenne, ref_prime_displacement, ref_prime_modulo, ref_read_text, ref_skew_xor,
     ref_subtract_select, ref_tlb_index, ref_traditional, ref_xor, ref_xor_folded, OracleCache,
-    OracleDram, OraclePolicy, OracleSkewed, OracleVictim, TextRead,
+    OracleCpu, OracleDram, OraclePolicy, OracleSkewed, OracleVictim, TextRead,
 };
 use crate::prop::{forall_result, Rng, Shrink};
 
 use primecache_cache::{
-    Cache, CacheConfig, CacheSim, FullyAssociative, ReplacementKind, SkewHashKind, SkewReplacement,
-    SkewedCache, SkewedConfig, VictimCache,
+    Cache, CacheConfig, CacheSim, FullyAssociative, Hierarchy, HierarchyConfig, L2Organization,
+    ReplacementKind, SkewHashKind, SkewReplacement, SkewedCache, SkewedConfig, VictimCache,
 };
 use primecache_core::hw::{
     mersenne_fold, IterativeLinear, Polynomial, SubtractSelect, TlbAssist, Wired2039,
@@ -28,6 +28,7 @@ use primecache_core::index::{
     FastMod, Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank,
     SkewXorBank, XorFolded, SKEW_DISP_FACTORS,
 };
+use primecache_cpu::{Cpu, CpuConfig};
 use primecache_ingest::MAX_LINE_BYTES;
 use primecache_mem::{Dram, MemConfig};
 
@@ -518,7 +519,8 @@ fn fastmod_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     }
 
     // FastMod itself over arbitrary divisors, not just the cache primes:
-    // the reciprocal construction must be exact for every (x, d) pair.
+    // the reciprocal construction must be exact for every (x, d) pair,
+    // both the remainder and the quotient the timing models divide by.
     out.push(run_unit(
         cfg,
         "hw/fastmod-fuzz",
@@ -527,10 +529,16 @@ fn fastmod_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
         move |rng| (rng.next_u64(), rng.next_u64().max(1)),
         move |&(x, d)| {
             let d = d.max(1);
+            let m = FastMod::new(d);
             assert_eq!(
-                FastMod::new(d).reduce(x),
+                m.reduce(x),
                 x % d,
                 "FastMod({d}).reduce({x:#x}) diverges from native %"
+            );
+            assert_eq!(
+                m.quotient(x),
+                x / d,
+                "FastMod({d}).quotient({x:#x}) diverges from native /"
             );
         },
     ));
@@ -632,7 +640,7 @@ fn replay_set_assoc(fast: &mut Cache, oracle: &mut OracleCache, stream: &[(u64, 
             fast_hit, want.hit,
             "access {i} (block {block:#x}, write {write}): hit/miss mismatch"
         );
-        let fast_wb = fast.take_writebacks();
+        let fast_wb: Vec<u64> = fast.take_writebacks().collect();
         let want_wb: Vec<u64> = want.writeback.into_iter().collect();
         assert_eq!(
             fast_wb, want_wb,
@@ -701,7 +709,7 @@ fn skewed_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
                             fast_hit, want.hit,
                             "access {i} (block {block:#x}): hit/miss mismatch"
                         );
-                        let fast_wb = fast.take_writebacks();
+                        let fast_wb: Vec<u64> = fast.take_writebacks().collect();
                         let want_wb: Vec<u64> = want.writeback.into_iter().collect();
                         assert_eq!(
                             fast_wb, want_wb,
@@ -715,10 +723,10 @@ fn skewed_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
 }
 
 fn fully_assoc_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
-    // The fully-associative cache tracks recency with packed age stamps
-    // in a min-heap (not an ordered map); pit it against the single-set
-    // LRU oracle at two capacities — tiny (constant thrash, every miss
-    // evicts) and moderate (hit/miss mix, heap several levels deep).
+    // The fully-associative cache tracks recency with an intrusive
+    // linked list over its slots; pit it against the single-set LRU
+    // oracle at two capacities — tiny (constant thrash, every miss
+    // evicts) and moderate (hit/miss mix, victims deep in the list).
     [
         ("cache/fully_assoc/16-line", 16u64),
         ("cache/fully_assoc/96-line", 96u64),
@@ -744,7 +752,7 @@ fn fully_assoc_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
                         fast_hit, want.hit,
                         "access {i} (block {block:#x}, write {write}): hit/miss mismatch"
                     );
-                    let fast_wb = fast.take_writebacks();
+                    let fast_wb: Vec<u64> = fast.take_writebacks().collect();
                     let want_wb: Vec<u64> = want.writeback.into_iter().collect();
                     assert_eq!(
                         fast_wb, want_wb,
@@ -1250,12 +1258,28 @@ fn gen_text_trace(rng: &mut Rng) -> TextInput {
 // ---------------------------------------------------------------------------
 
 fn dram_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
+    // The paper's geometry, then geometries where a shift or mask in
+    // place of the address map's divisions would be wrong: 3 channels
+    // and 5 banks, and 3 channels under the permutation (which needs a
+    // power-of-two bank count).
+    let odd = MemConfig {
+        channels: 3,
+        banks_per_channel: 5,
+        ..MemConfig::paper_default()
+    };
+    let odd_permuted = MemConfig {
+        channels: 3,
+        ..MemConfig::paper_default()
+    }
+    .with_permutation_mapping();
     [
         ("mem/dram", MemConfig::paper_default()),
         (
             "mem/dram-permuted",
             MemConfig::paper_default().with_permutation_mapping(),
         ),
+        ("mem/dram-3ch-5bank", odd),
+        ("mem/dram-3ch-8bank-permuted", odd_permuted),
     ]
     .into_iter()
     .map(|(name, mc)| {
@@ -1288,6 +1312,117 @@ fn dram_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
         )
     })
     .collect()
+}
+
+// ---------------------------------------------------------------------------
+// CPU timing units.
+// ---------------------------------------------------------------------------
+
+/// A `(kind, payload, flag)` event stream for [`tuple_event`] in one of
+/// six shapes: any event, dependent-load chains, store bursts longer
+/// than the store buffer, work longer than the ROB between loads,
+/// mispredict runs, and FP mixes. Addresses fall half in an 8 KB hot
+/// window (L2 hits) and half in 256 KB (L2 misses and dirty victims)
+/// under the units' 1 KB L1 and 4 KB L2.
+fn gen_cpu_stream(rng: &mut Rng) -> Vec<(u64, u64, bool)> {
+    const WORK: u64 = 0;
+    const FP: u64 = 1;
+    const BRANCH: u64 = 2;
+    const LOAD: u64 = 3;
+    const STORE: u64 = 4;
+    let shape = rng.range_u32(0, 6);
+    (0..STREAM_LEN)
+        .map(|_| {
+            let cold = rng.range_u64(0, 256 << 10);
+            let addr = if rng.bool() {
+                rng.range_u64(0, 8 << 10)
+            } else {
+                cold
+            };
+            match shape {
+                0 => {
+                    let kind = rng.range_u64(0, 5);
+                    let payload = if kind < BRANCH {
+                        rng.range_u64(0, 40)
+                    } else {
+                        addr
+                    };
+                    (kind, payload, rng.bool())
+                }
+                1 if rng.range_u32(0, 4) == 0 => (WORK, rng.range_u64(0, 12), false),
+                1 => (LOAD, addr, true),
+                2 if rng.range_u32(0, 24) == 0 => (LOAD, addr, false),
+                2 => (STORE, cold, false),
+                3 if rng.bool() => (WORK, rng.range_u64(100, 1000), false),
+                3 => (LOAD, addr, false),
+                4 if rng.range_u32(0, 4) == 0 => (LOAD, addr, rng.bool()),
+                4 => (BRANCH, 0, rng.range_u32(0, 8) != 0),
+                _ => match rng.range_u32(0, 4) {
+                    0 => (FP, rng.range_u64(0, 64), false),
+                    1 => (WORK, rng.range_u64(0, 64), false),
+                    2 => (LOAD, addr, rng.bool()),
+                    _ => (STORE, addr, false),
+                },
+            }
+        })
+        .collect()
+}
+
+/// The CPU units' machines: a tiny hierarchy, so 256 events reach the
+/// L2, DRAM and dirty L2 victims, under the paper core and under one
+/// with every limit moved.
+fn cpu_unit_machines() -> (HierarchyConfig, [(&'static str, CpuConfig); 2]) {
+    let hcfg = HierarchyConfig {
+        l1: CacheConfig::new(1024, 2, 32),
+        l2: L2Organization::SetAssoc(CacheConfig::new(4096, 4, 64)),
+        prefetch_depth: 0,
+    };
+    let narrow = CpuConfig {
+        issue_width: 5,
+        fp_width: 3,
+        mem_width: 1,
+        max_pending_loads: 1,
+        rob_size: 32,
+        ..CpuConfig::paper_default()
+    };
+    (
+        hcfg,
+        [
+            ("cpu/timing", CpuConfig::paper_default()),
+            ("cpu/timing-narrow", narrow),
+        ],
+    )
+}
+
+fn cpu_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
+    let (hcfg, cpus) = cpu_unit_machines();
+    cpus.into_iter()
+        .map(|(name, cpu)| {
+            run_unit(
+                cfg,
+                name,
+                stream_cases(cfg),
+                STREAM_LEN,
+                gen_cpu_stream,
+                move |stream: &Vec<(u64, u64, bool)>| {
+                    let events: Vec<_> = stream.iter().map(tuple_event).collect();
+                    let mem = MemConfig::paper_default();
+                    let (mut h, mut d) = (Hierarchy::new(hcfg), Dram::new(mem));
+                    let mut fast = Cpu::new(cpu);
+                    let got = fast.run(events.iter().copied(), &mut h, &mut d);
+                    let (mut oh, mut od) = (Hierarchy::new(hcfg), Dram::new(mem));
+                    let (want, want_stalls) = OracleCpu::new(cpu).run(&events, &mut oh, &mut od);
+                    assert_eq!(got, want, "breakdown mismatch");
+                    assert_eq!(
+                        fast.last_stall_attribution(),
+                        want_stalls,
+                        "stall attribution mismatch"
+                    );
+                    assert_eq!(d.stats(), od.stats(), "DRAM traffic mismatch");
+                },
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1443,6 +1578,7 @@ pub fn run_battery(cfg: &BatteryConfig) -> Vec<UnitReport> {
     out.extend(codec_units(cfg));
     out.extend(ingest_units(cfg));
     out.extend(dram_units(cfg));
+    out.extend(cpu_units(cfg));
     out.extend(attack_units(cfg));
     out
 }
@@ -1532,10 +1668,45 @@ mod tests {
             "codec/event-roundtrip",
             "ingest/text-parse",
             "mem/dram",
+            "mem/dram-3ch-5bank",
+            "mem/dram-3ch-8bank-permuted",
+            "cpu/timing",
+            "cpu/timing-narrow",
         ] {
             assert!(
                 names.iter().any(|n| n == prefix),
                 "battery lost coverage of {prefix}; units: {names:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cpu_streams_reach_every_stall_cause() {
+        // The cpu/timing units only check what their streams exercise:
+        // every stall cause must occur, under both configurations.
+        let (hcfg, cpus) = cpu_unit_machines();
+        for (_, cpu) in cpus {
+            let mut rng = Rng::new(7);
+            let mut seen = primecache_cpu::StallAttribution::default();
+            let mut writes = 0;
+            for _ in 0..200 {
+                let events: Vec<_> = gen_cpu_stream(&mut rng).iter().map(tuple_event).collect();
+                let mut h = Hierarchy::new(hcfg);
+                let mut d = Dram::new(MemConfig::paper_default());
+                let (_, s) = OracleCpu::new(cpu).run(&events, &mut h, &mut d);
+                seen.rob += s.rob;
+                seen.mlp += s.mlp;
+                seen.dep += s.dep;
+                seen.store += s.store;
+                seen.drain += s.drain;
+                seen.branch += s.branch;
+                writes += d.stats().writes;
+            }
+            let causes = [seen.rob, seen.mlp, seen.dep, seen.store, seen.drain];
+            assert!(causes.iter().all(|&c| c > 0), "{cpu:?}: {seen:?}");
+            assert!(
+                seen.branch > 0 && writes > 0,
+                "{cpu:?}: {seen:?}, {writes} writes"
             );
         }
     }

@@ -10,7 +10,8 @@
 //! - [`prop`]: dependency-free property-testing harness with shrinking.
 //! - [`oracle`]: naive reference implementations (plain `%` indexing,
 //!   textbook LRU set-associative lookup, straight-line DRAM latency,
-//!   the `&str` text-trace parser over a whole input split at newlines).
+//!   the CPU timing rules restated with plain `/` and `Vec` scans, the
+//!   `&str` text-trace parser over a whole input split at newlines).
 //! - [`battery`]: the differential battery run by the `primecache-check`
 //!   binary and the crate tests.
 

@@ -10,8 +10,11 @@
 
 use std::collections::HashMap;
 
+use primecache_cache::{AccessOutcome, Hierarchy, L2Organization, L2Sim};
+use primecache_core::index::SetIndexer;
+use primecache_cpu::{CpuConfig, ExecBreakdown, StallAttribution};
 use primecache_ingest::{TextError, TextErrorKind, MAX_LINE_BYTES};
-use primecache_mem::{Completion, DramMapping, MemConfig};
+use primecache_mem::{Completion, Dram, DramMapping, MemConfig};
 use primecache_trace::Event;
 
 // ---------------------------------------------------------------------------
@@ -494,6 +497,213 @@ impl OracleDram {
             complete,
             latency: complete - now,
             row_hit,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// CPU timing oracle (crates/cpu).
+//
+// Restated from the rules in the `primecache-cpu` crate docs: busy time
+// is recomputed from the class totals with plain `/` after every issue,
+// and in-flight loads and stores are plain `Vec`s scanned linearly.
+// ---------------------------------------------------------------------------
+
+/// A straight-line restatement of the trace-driven core model. It drives
+/// the real [`Hierarchy`] and [`Dram`], which have oracles of their own.
+pub struct OracleCpu {
+    cfg: CpuConfig,
+    clock: u64,
+    busy: u64,
+    other: u64,
+    mem_stall: u64,
+    stalls: StallAttribution,
+    /// Instructions issued: all, FP, loads and stores.
+    all: u64,
+    fp: u64,
+    mem: u64,
+    /// In-flight loads as `(completion, instructions issued when it
+    /// issued)`, oldest first.
+    loads: Vec<(u64, u64)>,
+    /// Completion times of in-flight stores, in no particular order.
+    stores: Vec<u64>,
+}
+
+impl OracleCpu {
+    /// A core with the given configuration, before its first event.
+    #[must_use]
+    pub fn new(cfg: CpuConfig) -> Self {
+        Self {
+            cfg,
+            clock: 0,
+            busy: 0,
+            other: 0,
+            mem_stall: 0,
+            stalls: StallAttribution::default(),
+            all: 0,
+            fp: 0,
+            mem: 0,
+            loads: Vec::new(),
+            stores: Vec::new(),
+        }
+    }
+
+    /// Runs `events` from a clean pipeline and returns the breakdown and
+    /// its stall attribution.
+    pub fn run<X: L2Sim, J: SetIndexer>(
+        mut self,
+        events: &[Event],
+        hierarchy: &mut Hierarchy<X, J>,
+        dram: &mut Dram,
+    ) -> (ExecBreakdown, StallAttribution) {
+        let l2_line = match hierarchy.config().l2 {
+            L2Organization::SetAssoc(c) => c.line_bytes(),
+            L2Organization::Skewed(c) => c.line_bytes(),
+            L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
+        };
+        for &ev in events {
+            self.retire_and_bound();
+            match ev {
+                Event::Work(n) => self.issue_run(u64::from(n), false),
+                Event::FpWork(n) => self.issue_run(u64::from(n), true),
+                Event::Branch { mispredict } => {
+                    self.issue(1, false, false);
+                    if mispredict {
+                        self.clock += self.cfg.branch_penalty;
+                        self.other += self.cfg.branch_penalty;
+                        self.stalls.branch += self.cfg.branch_penalty;
+                    }
+                }
+                Event::Load { addr, dep } => {
+                    self.issue(1, false, true);
+                    if let Some(done) = self.access(addr, false, hierarchy, dram) {
+                        if dep {
+                            self.stalls.dep += self.stall_to(done);
+                        } else {
+                            if self.loads.len() >= self.cfg.max_pending_loads {
+                                let (oldest, _) = self.loads.remove(0);
+                                self.stalls.mlp += self.stall_to(oldest);
+                                self.retire();
+                            }
+                            self.loads.push((done, self.all));
+                        }
+                        self.write_back(l2_line, hierarchy, dram);
+                    }
+                }
+                Event::Store { addr } => {
+                    self.issue(1, false, true);
+                    if let Some(done) = self.access(addr, true, hierarchy, dram) {
+                        if self.stores.len() >= self.cfg.max_pending_stores {
+                            let first = (0..self.stores.len())
+                                .min_by_key(|&i| self.stores[i])
+                                .expect("a full store buffer is not empty");
+                            let earliest = self.stores.remove(first);
+                            self.stalls.store += self.stall_to(earliest);
+                        }
+                        self.stores.push(done);
+                        self.write_back(l2_line, hierarchy, dram);
+                    }
+                }
+            }
+        }
+        if let Some(last) = self.loads.iter().map(|&(done, _)| done).max() {
+            self.stalls.drain += self.stall_to(last);
+        }
+        let breakdown = ExecBreakdown {
+            busy: self.busy,
+            other_stall: self.other,
+            mem_stall: self.mem_stall,
+        };
+        (breakdown, self.stalls)
+    }
+
+    /// Issues `n` instructions and raises busy time (and the clock) to
+    /// the bound the class totals set.
+    fn issue(&mut self, n: u64, fp: bool, mem: bool) {
+        self.all += n;
+        if fp {
+            self.fp += n;
+        }
+        if mem {
+            self.mem += n;
+        }
+        let need = (self.all / u64::from(self.cfg.issue_width))
+            .max(self.fp / u64::from(self.cfg.fp_width))
+            .max(self.mem / u64::from(self.cfg.mem_width));
+        if need > self.busy {
+            self.clock += need - self.busy;
+            self.busy = need;
+        }
+    }
+
+    /// `Work(n)` / `FpWork(n)`: chunks of a quarter ROB, with the retire
+    /// and ROB step between chunks.
+    fn issue_run(&mut self, n: u64, fp: bool) {
+        let chunk = (self.cfg.rob_size / 4).max(1);
+        let mut left = n;
+        while left > 0 {
+            let step = left.min(chunk);
+            self.issue(step, fp, false);
+            left -= step;
+            if left > 0 {
+                self.retire_and_bound();
+            }
+        }
+    }
+
+    /// Stalls until `t` if `t` is later; returns the cycles stalled.
+    fn stall_to(&mut self, t: u64) -> u64 {
+        let wait = t.saturating_sub(self.clock);
+        self.clock += wait;
+        self.mem_stall += wait;
+        wait
+    }
+
+    /// Drops complete loads from the oldest, and every complete store.
+    fn retire(&mut self) {
+        while !self.loads.is_empty() && self.loads[0].0 <= self.clock {
+            self.loads.remove(0);
+        }
+        let clock = self.clock;
+        self.stores.retain(|&done| done > clock);
+    }
+
+    /// Retires, then waits out every oldest load the ROB bound holds.
+    fn retire_and_bound(&mut self) {
+        self.retire();
+        while !self.loads.is_empty() && self.all - self.loads[0].1 >= self.cfg.rob_size {
+            let (oldest, _) = self.loads.remove(0);
+            self.stalls.rob += self.stall_to(oldest);
+            self.retire();
+        }
+    }
+
+    /// One access: `None` on an L1 hit, else its completion time.
+    fn access<X: L2Sim, J: SetIndexer>(
+        &self,
+        addr: u64,
+        write: bool,
+        hierarchy: &mut Hierarchy<X, J>,
+        dram: &mut Dram,
+    ) -> Option<u64> {
+        let at_l2 = self.clock + self.cfg.l2_hit_cycles;
+        match hierarchy.access(addr, write) {
+            AccessOutcome::L1Hit => None,
+            AccessOutcome::L2Hit => Some(at_l2),
+            AccessOutcome::Memory => Some(dram.request(addr, at_l2, false).complete),
+        }
+    }
+
+    /// Writes the access's dirty L2 victims to DRAM at the current clock.
+    fn write_back<X: L2Sim, J: SetIndexer>(
+        &self,
+        l2_line: u64,
+        hierarchy: &mut Hierarchy<X, J>,
+        dram: &mut Dram,
+    ) {
+        let victims: Vec<u64> = hierarchy.take_memory_writes().collect();
+        for block in victims {
+            dram.request(block * l2_line, self.clock, true);
         }
     }
 }

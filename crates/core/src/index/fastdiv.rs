@@ -1,16 +1,20 @@
-//! Division-free modulo by a runtime constant (strength reduction for
-//! the software pMod model).
+//! Division-free modulo and quotient by a runtime constant (strength
+//! reduction for the software pMod model and the timing models).
 //!
 //! The paper's §3.1 point is that `a mod p` needs no divider in
 //! hardware; the software model should not pay one either. [`FastMod`]
 //! precomputes the 128-bit fixed-point reciprocal of the divisor once
 //! (per indexer construction) and reduces every subsequent address with
 //! two multiplies — Lemire, Kaser & Kurz, *Faster remainder by direct
-//! computation* (2019). The method is exact for **all** 64-bit
-//! dividends and any nonzero divisor, so it substitutes for `%`
-//! bit-for-bit; the `check` battery fuzzes that equivalence.
+//! computation* (2019). The same reciprocal yields the quotient with one
+//! multiply-high, exact because its 128 fraction bits cover the 64-bit
+//! dividend plus `log2 d` bits of the divisor. Both are exact for
+//! **all** 64-bit dividends and any nonzero divisor, so they substitute
+//! for `%` and `/` bit-for-bit; the `check` battery fuzzes that
+//! equivalence.
 
-/// Precomputed-reciprocal remainder: `reduce(x) == x % d` for all `x`.
+/// Precomputed-reciprocal division: `reduce(x) == x % d` and
+/// `quotient(x) == x / d` for all `x`.
 ///
 /// # Examples
 ///
@@ -19,6 +23,8 @@
 ///
 /// let m = FastMod::new(2039);
 /// assert_eq!(m.reduce(2048), 9);
+/// assert_eq!(m.quotient(5000), 2);
+/// assert_eq!(m.div_rem(5000), (2, 922));
 /// assert_eq!(m.divisor(), 2039);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +69,28 @@ impl FastMod {
     pub fn reduce(&self, x: u64) -> u64 {
         let lowbits = self.m.wrapping_mul(u128::from(x));
         mulhi_u128_by_u64(lowbits, self.d)
+    }
+
+    /// Computes `x / d` with one multiply-high and no division:
+    /// `floor(m * x / 2^128)`. The `d == 1` encoding (`m == 0`) is the
+    /// identity.
+    #[inline]
+    #[must_use]
+    pub fn quotient(&self, x: u64) -> u64 {
+        if self.m == 0 {
+            x
+        } else {
+            mulhi_u128_by_u64(self.m, x)
+        }
+    }
+
+    /// Computes `(x / d, x % d)`: the quotient, then the remainder by one
+    /// multiply-subtract.
+    #[inline]
+    #[must_use]
+    pub fn div_rem(&self, x: u64) -> (u64, u64) {
+        let q = self.quotient(x);
+        (q, x - q * self.d)
     }
 }
 
@@ -114,6 +142,17 @@ mod tests {
     }
 
     #[test]
+    fn quotient_matches_native_division_at_extremes() {
+        for d in [1u64, 2, 3, 6, u64::MAX] {
+            let m = FastMod::new(d);
+            for x in [0u64, d - 1, d, u64::MAX] {
+                assert_eq!(m.quotient(x), x / d, "x={x} d={d}");
+                assert_eq!(m.div_rem(x), (x / d, x % d), "x={x} d={d}");
+            }
+        }
+    }
+
+    #[test]
     fn divisor_one_always_reduces_to_zero() {
         let m = FastMod::new(1);
         for x in [0u64, 1, 12345, u64::MAX] {
@@ -138,6 +177,7 @@ mod tests {
             for _ in 0..10 {
                 let x = next();
                 assert_eq!(m.reduce(x), x % d, "x={x} d={d}");
+                assert_eq!(m.quotient(x), x / d, "x={x} d={d}");
             }
         }
     }

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use primecache_cache::{AccessOutcome, Hierarchy, L2Organization, L2Sim};
-use primecache_core::index::SetIndexer;
+use primecache_core::index::{FastMod, SetIndexer};
 use primecache_mem::Dram;
 use primecache_obs::ObsHandle;
 use primecache_trace::Event;
@@ -20,6 +20,9 @@ use crate::{CpuConfig, ExecBreakdown};
 #[derive(Debug, Clone)]
 pub struct Cpu {
     config: CpuConfig,
+    /// Reciprocals of the three issue widths, built once so issuing
+    /// divides by nothing.
+    widths: Widths,
     /// Pipeline state of the run in progress.
     st: RunState,
     /// Stall attribution of the most recently finished run.
@@ -81,14 +84,43 @@ enum IssueClass {
     Mem,
 }
 
+/// The issue widths as reciprocals.
+#[derive(Debug, Clone, Copy)]
+struct Widths {
+    issue: FastMod,
+    fp: FastMod,
+    mem: FastMod,
+}
+
+impl Widths {
+    fn new(cfg: &CpuConfig) -> Self {
+        let width = |name: &str, w: u32| {
+            assert!(w > 0, "CpuConfig::{name} must be nonzero");
+            FastMod::new(u64::from(w))
+        };
+        Self {
+            issue: width("issue_width", cfg.issue_width),
+            fp: width("fp_width", cfg.fp_width),
+            mem: width("mem_width", cfg.mem_width),
+        }
+    }
+}
+
 /// One in-flight load, retired in program order.
 #[derive(Debug, Clone, Copy)]
 struct InflightLoad {
     completion: u64,
-    issued_at_instr: u64,
+    /// Instruction count at which this load fills the ROB window: its
+    /// issue point plus the ROB size.
+    rob_limit: u64,
 }
 
 /// Mutable per-run state.
+///
+/// The oldest load's completion and ROB limit, and the earliest store
+/// completion, are mirrored in plain fields (`u64::MAX` when nothing is
+/// in flight), so the per-event retire and ROB checks are one compare
+/// each and touch the queues only when something retires.
 #[derive(Debug, Clone)]
 struct RunState {
     now: u64,
@@ -101,11 +133,20 @@ struct RunState {
     fp_total: u64,
     /// Memory instructions issued so far (ld/st-FU constraint).
     mem_total: u64,
+    /// `fp_total / fp_width` and `mem_total / mem_width`: the busy time
+    /// those units need, refreshed only when their totals move.
+    fp_cycles: u64,
+    mem_cycles: u64,
     /// In-flight loads in program order (front = oldest).
     pending_loads: VecDeque<InflightLoad>,
+    /// The front load's `completion` and `rob_limit`.
+    oldest_load_done: u64,
+    oldest_load_rob_limit: u64,
     /// Completion times of in-flight stores (min-heap; the store buffer
     /// drains out of order and does not occupy the ROB).
     pending_stores: BinaryHeap<Reverse<u64>>,
+    /// The heap's minimum.
+    first_store_done: u64,
     /// Per-cause stall attribution (partitions `mem_stall` exactly).
     stalls: StallAttribution,
 }
@@ -120,8 +161,13 @@ impl RunState {
             instr_total: 0,
             fp_total: 0,
             mem_total: 0,
+            fp_cycles: 0,
+            mem_cycles: 0,
             pending_loads: VecDeque::new(),
+            oldest_load_done: u64::MAX,
+            oldest_load_rob_limit: u64::MAX,
             pending_stores: BinaryHeap::new(),
+            first_store_done: u64::MAX,
             stalls: StallAttribution::default(),
         }
     }
@@ -130,16 +176,24 @@ impl RunState {
     /// per-class functional-unit limits: busy time is the maximum of the
     /// class throughput requirements
     /// (`total/issue_width`, `fp/fp_width`, `mem/mem_width`).
-    fn issue(&mut self, n: u64, class: IssueClass, cfg: &CpuConfig) {
+    fn issue(&mut self, n: u64, class: IssueClass, widths: &Widths) {
         self.instr_total += n;
         match class {
             IssueClass::Generic => {}
-            IssueClass::Fp => self.fp_total += n,
-            IssueClass::Mem => self.mem_total += n,
+            IssueClass::Fp => {
+                self.fp_total += n;
+                self.fp_cycles = widths.fp.quotient(self.fp_total);
+            }
+            IssueClass::Mem => {
+                self.mem_total += n;
+                self.mem_cycles = widths.mem.quotient(self.mem_total);
+            }
         }
-        let target = (self.instr_total / u64::from(cfg.issue_width))
-            .max(self.fp_total / u64::from(cfg.fp_width))
-            .max(self.mem_total / u64::from(cfg.mem_width));
+        let target = widths
+            .issue
+            .quotient(self.instr_total)
+            .max(self.fp_cycles)
+            .max(self.mem_cycles);
         if target > self.busy {
             let delta = target - self.busy;
             self.busy += delta;
@@ -147,14 +201,44 @@ impl RunState {
         }
     }
 
+    /// Refreshes the mirrored front-of-queue load fields.
+    fn sync_oldest_load(&mut self) {
+        (self.oldest_load_done, self.oldest_load_rob_limit) = self
+            .pending_loads
+            .front()
+            .map_or((u64::MAX, u64::MAX), |l| (l.completion, l.rob_limit));
+    }
+
+    /// Refreshes the mirrored earliest store completion.
+    fn sync_first_store(&mut self) {
+        self.first_store_done = self.pending_stores.peek().map_or(u64::MAX, |r| r.0);
+    }
+
     /// Drops pending operations that completed by `now` (in program order
     /// for loads — the ROB retires in order).
     fn retire_completed(&mut self) {
-        while matches!(self.pending_loads.front(), Some(l) if l.completion <= self.now) {
-            self.pending_loads.pop_front();
+        if self.oldest_load_done <= self.now {
+            while matches!(self.pending_loads.front(), Some(l) if l.completion <= self.now) {
+                self.pending_loads.pop_front();
+            }
+            self.sync_oldest_load();
         }
-        while matches!(self.pending_stores.peek(), Some(&Reverse(t)) if t <= self.now) {
-            self.pending_stores.pop();
+        if self.first_store_done <= self.now {
+            while matches!(self.pending_stores.peek(), Some(&Reverse(t)) if t <= self.now) {
+                self.pending_stores.pop();
+            }
+            self.sync_first_store();
+        }
+    }
+
+    /// Starts tracking an in-flight load.
+    fn push_load(&mut self, completion: u64, rob: u64) {
+        self.pending_loads.push_back(InflightLoad {
+            completion,
+            rob_limit: self.instr_total.saturating_add(rob),
+        });
+        if self.pending_loads.len() == 1 {
+            self.sync_oldest_load();
         }
     }
 
@@ -162,6 +246,7 @@ impl RunState {
     /// exposed cycles to `cause`.
     fn wait_oldest_load(&mut self, cause: StallCause) {
         if let Some(l) = self.pending_loads.pop_front() {
+            self.sync_oldest_load();
             if l.completion > self.now {
                 let delta = l.completion - self.now;
                 self.mem_stall += delta;
@@ -175,23 +260,42 @@ impl RunState {
         }
     }
 
-    /// Enforces the ROB window: the core cannot run more than `rob`
-    /// instructions past an outstanding load.
-    fn enforce_rob(&mut self, rob: u64) {
-        while matches!(
-            self.pending_loads.front(),
-            Some(l) if self.instr_total.saturating_sub(l.issued_at_instr) >= rob
-        ) {
+    /// Enforces the ROB window: the core cannot run more than the ROB
+    /// size in instructions past an outstanding load.
+    fn enforce_rob(&mut self) {
+        while self.instr_total >= self.oldest_load_rob_limit {
             self.wait_oldest_load(StallCause::Rob);
         }
+    }
+
+    /// Waits for the earliest store if the store buffer is full, then
+    /// starts tracking a store completing at `completion`.
+    fn push_store(&mut self, completion: u64, max_pending: usize) {
+        if self.pending_stores.len() >= max_pending {
+            if let Some(Reverse(done)) = self.pending_stores.pop() {
+                if done > self.now {
+                    self.mem_stall += done - self.now;
+                    self.stalls.store += done - self.now;
+                    self.now = done;
+                }
+            }
+        }
+        self.pending_stores.push(Reverse(completion));
+        self.sync_first_store();
     }
 }
 
 impl Cpu {
     /// Creates a core model with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `issue_width`, `fp_width` or
+    /// `mem_width` is zero.
     #[must_use]
     pub fn new(config: CpuConfig) -> Self {
         Self {
+            widths: Widths::new(&config),
             config,
             st: RunState::new(),
             last_stalls: StallAttribution::default(),
@@ -253,6 +357,7 @@ impl Cpu {
         J: SetIndexer,
     {
         let cfg = self.config;
+        let widths = self.widths;
         let line = match hierarchy.config().l2 {
             L2Organization::SetAssoc(c) => c.line_bytes(),
             L2Organization::Skewed(c) => c.line_bytes(),
@@ -263,8 +368,10 @@ impl Cpu {
         let mut st = std::mem::replace(&mut self.st, RunState::new());
         for ev in events {
             st.retire_completed();
-            st.enforce_rob(cfg.rob_size);
-            match ev {
+            st.enforce_rob();
+            // Whether the event reached the L2, the only way dirty L2
+            // victims (memory writes) arise.
+            let missed_l1 = match ev {
                 Event::Work(n) | Event::FpWork(n) => {
                     let class = if matches!(ev, Event::FpWork(_)) {
                         IssueClass::Fp
@@ -278,24 +385,26 @@ impl Cpu {
                     let chunk = (cfg.rob_size / 4).max(1);
                     while remaining > 0 {
                         let step = remaining.min(chunk);
-                        st.issue(step, class, &cfg);
+                        st.issue(step, class, &widths);
                         remaining -= step;
                         if remaining > 0 {
                             st.retire_completed();
-                            st.enforce_rob(cfg.rob_size);
+                            st.enforce_rob();
                         }
                     }
+                    false
                 }
                 Event::Branch { mispredict } => {
-                    st.issue(1, IssueClass::Generic, &cfg);
+                    st.issue(1, IssueClass::Generic, &widths);
                     if mispredict {
                         st.now += cfg.branch_penalty;
                         st.other_stall += cfg.branch_penalty;
                         st.stalls.branch += cfg.branch_penalty;
                     }
+                    false
                 }
                 Event::Load { addr, dep } => {
-                    st.issue(1, IssueClass::Mem, &cfg);
+                    st.issue(1, IssueClass::Mem, &widths);
                     let completion = self.service(addr, false, &st, hierarchy, dram);
                     match completion {
                         None => {} // L1 hit: fully pipelined
@@ -310,39 +419,31 @@ impl Cpu {
                             if st.pending_loads.len() >= cfg.max_pending_loads {
                                 st.wait_oldest_load(StallCause::Mlp);
                             }
-                            st.pending_loads.push_back(InflightLoad {
-                                completion: t,
-                                issued_at_instr: st.instr_total,
-                            });
+                            st.push_load(t, cfg.rob_size);
                         }
                     }
+                    completion.is_some()
                 }
                 Event::Store { addr } => {
-                    st.issue(1, IssueClass::Mem, &cfg);
+                    st.issue(1, IssueClass::Mem, &widths);
                     let completion = self.service(addr, true, &st, hierarchy, dram);
                     if let Some(t) = completion {
-                        if st.pending_stores.len() >= cfg.max_pending_stores {
-                            if let Some(Reverse(done)) = st.pending_stores.pop() {
-                                if done > st.now {
-                                    st.mem_stall += done - st.now;
-                                    st.stalls.store += done - st.now;
-                                    st.now = done;
-                                }
-                            }
-                        }
-                        st.pending_stores.push(Reverse(t));
+                        st.push_store(t, cfg.max_pending_stores);
+                    }
+                    completion.is_some()
+                }
+            };
+            if missed_l1 {
+                // Dirty L2 victims stream to DRAM without blocking the core.
+                let writebacks = hierarchy.take_memory_writes();
+                if !writebacks.as_slice().is_empty() {
+                    if let Some(h) = &self.obs {
+                        h.borrow_mut().set_now(st.now);
                     }
                 }
-            }
-            // Dirty L2 victims stream to DRAM without blocking the core.
-            let writebacks = hierarchy.take_memory_writes();
-            if !writebacks.is_empty() {
-                if let Some(h) = &self.obs {
-                    h.borrow_mut().set_now(st.now);
+                for block in writebacks {
+                    dram.request(block * line, st.now, true);
                 }
-            }
-            for block in writebacks {
-                dram.request(block * line, st.now, true);
             }
         }
         self.st = st;

@@ -1,5 +1,6 @@
 //! Event-driven DRAM + bus model.
 
+use primecache_core::index::FastMod;
 use primecache_obs::ObsHandle;
 
 use crate::MemConfig;
@@ -62,6 +63,11 @@ impl DramStats {
 #[derive(Debug)]
 pub struct Dram {
     config: MemConfig,
+    /// Reciprocals of the address-map divisors, built once so a request
+    /// divides by nothing.
+    div: MapDivisors,
+    /// [`MemConfig::bus_occupancy_cycles`], computed once.
+    bus_occ: u64,
     /// Open row per (channel, bank); `u64::MAX` = closed.
     open_rows: Vec<u64>,
     /// Cycle each bank becomes free.
@@ -73,12 +79,59 @@ pub struct Dram {
     obs: Option<ObsHandle>,
 }
 
+/// The address map's divisors: line size, channels, lines per row and
+/// banks per channel.
+#[derive(Debug, Clone, Copy)]
+struct MapDivisors {
+    line: FastMod,
+    channels: FastMod,
+    lines_per_row: FastMod,
+    banks: FastMod,
+}
+
+/// A reciprocal for the config field `name`, which must be nonzero.
+fn divisor(name: &str, d: u64) -> FastMod {
+    assert!(d > 0, "MemConfig::{name} must be nonzero");
+    FastMod::new(d)
+}
+
 impl Dram {
     /// Creates the DRAM model.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `line_bytes`, `bus_bytes`,
+    /// `channels` or `banks_per_channel` is zero, if `row_bytes` holds
+    /// no whole line, or if the permutation mapping is asked of a bank
+    /// count that is not a power of two (\[26\] permutes bank-index
+    /// bits; any other count would XOR a bank outside its channel).
     #[must_use]
     pub fn new(config: MemConfig) -> Self {
+        assert!(config.bus_bytes > 0, "MemConfig::bus_bytes must be nonzero");
+        assert!(
+            config.row_bytes >= config.line_bytes,
+            "MemConfig::row_bytes ({}) must hold at least one line ({} bytes)",
+            config.row_bytes,
+            config.line_bytes
+        );
+        assert!(
+            config.mapping != crate::DramMapping::PermutationBased
+                || config.banks_per_channel.is_power_of_two(),
+            "permutation mapping needs a power-of-two banks_per_channel, got {}",
+            config.banks_per_channel
+        );
+        // Fields evaluate in order: `line_bytes` is known nonzero before
+        // it divides `row_bytes`.
+        let div = MapDivisors {
+            line: divisor("line_bytes", config.line_bytes),
+            channels: divisor("channels", u64::from(config.channels)),
+            lines_per_row: FastMod::new(config.row_bytes / config.line_bytes),
+            banks: divisor("banks_per_channel", u64::from(config.banks_per_channel)),
+        };
         let banks = config.total_banks() as usize;
         Self {
+            div,
+            bus_occ: config.bus_occupancy_cycles(),
             open_rows: vec![u64::MAX; banks],
             bank_free: vec![0; banks],
             bus_free: vec![0; config.channels as usize],
@@ -103,22 +156,19 @@ impl Dram {
 
     /// Decomposes an address into (channel, global bank index, row).
     fn map(&self, addr: u64) -> (usize, usize, u64) {
-        let line = addr / self.config.line_bytes;
-        let channel = (line % u64::from(self.config.channels)) as usize;
-        let line_in_channel = line / u64::from(self.config.channels);
-        let lines_per_row = self.config.row_bytes / self.config.line_bytes;
-        let row_linear = line_in_channel / lines_per_row;
-        let banks = u64::from(self.config.banks_per_channel);
-        let mut bank_in_channel = row_linear % banks;
-        let row = row_linear / banks;
+        let line = self.div.line.quotient(addr);
+        let (line_in_channel, channel) = self.div.channels.div_rem(line);
+        let row_linear = self.div.lines_per_row.quotient(line_in_channel);
+        let (row, mut bank_in_channel) = self.div.banks.div_rem(row_linear);
         if self.config.mapping == crate::DramMapping::PermutationBased {
             // [26]: XOR low row (page) bits into the bank index so
             // power-of-two strides spread across banks. The row id is
             // untouched, so row locality is preserved.
-            bank_in_channel ^= row % banks;
+            bank_in_channel ^= self.div.banks.reduce(row);
         }
-        let bank = channel * self.config.banks_per_channel as usize + bank_in_channel as usize;
-        (channel, bank, row)
+        let bank =
+            channel as usize * self.config.banks_per_channel as usize + bank_in_channel as usize;
+        (channel as usize, bank, row)
     }
 
     /// Issues a request at cycle `now`; returns its completion.
@@ -138,7 +188,7 @@ impl Dram {
         // tail of the round trip. The round-trip `service` latency is
         // longer than either occupancy — it includes controller and
         // interconnect time that pipelines across requests.
-        let bus_occ = self.config.bus_occupancy_cycles();
+        let bus_occ = self.bus_occ;
         let bank_busy = if row_hit {
             self.config.bank_busy_row_hit
         } else {
@@ -331,6 +381,43 @@ mod tests {
                 "aliased placement for line {line}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation mapping needs a power-of-two banks_per_channel, got 6")]
+    fn permutation_mapping_rejects_a_non_power_of_two_bank_count() {
+        let cfg = MemConfig {
+            banks_per_channel: 6,
+            ..MemConfig::paper_default()
+        };
+        let _ = Dram::new(cfg.with_permutation_mapping());
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::channels must be nonzero")]
+    fn zero_channels_are_rejected() {
+        let _ = Dram::new(MemConfig {
+            channels: 0,
+            ..MemConfig::paper_default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::banks_per_channel must be nonzero")]
+    fn zero_banks_are_rejected() {
+        let _ = Dram::new(MemConfig {
+            banks_per_channel: 0,
+            ..MemConfig::paper_default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::row_bytes (32) must hold at least one line (64 bytes)")]
+    fn a_row_shorter_than_a_line_is_rejected() {
+        let _ = Dram::new(MemConfig {
+            row_bytes: 32,
+            ..MemConfig::paper_default()
+        });
     }
 
     #[test]

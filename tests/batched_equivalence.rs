@@ -94,8 +94,8 @@ fn diff_writeback_sequences<X: L2Sim>(hcfg: HierarchyConfig, l2: X, label: &str)
         let r = reference.access(addr, write);
         assert_eq!(m, r, "{label}: outcome diverged at access {i} ({addr:#x})");
         assert_eq!(
-            mono.take_memory_writes(),
-            reference.take_memory_writes(),
+            mono.take_memory_writes().as_slice(),
+            reference.take_memory_writes().as_slice(),
             "{label}: writeback sequence diverged at access {i} ({addr:#x})"
         );
     }
