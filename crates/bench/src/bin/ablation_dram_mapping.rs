@@ -7,11 +7,9 @@
 //! redundant or complementary?
 
 use primecache_bench::refs_from_args;
-use primecache_cache::Hierarchy;
-use primecache_cpu::{Cpu, CpuConfig};
-use primecache_mem::{Dram, MemConfig};
+use primecache_mem::MemConfig;
 use primecache_sim::report::render_table;
-use primecache_sim::{MachineConfig, Scheme};
+use primecache_sim::{run_trace, MachineConfig, Scheme};
 use primecache_workloads::all;
 
 fn run(
@@ -20,11 +18,13 @@ fn run(
     mem: MemConfig,
     refs: u64,
 ) -> u64 {
-    let machine = MachineConfig::paper_default();
-    let mut h = Hierarchy::new(machine.hierarchy_config(scheme));
-    let mut d = Dram::new(mem);
-    let mut cpu = Cpu::new(CpuConfig::paper_default());
-    cpu.run(workload.trace(refs), &mut h, &mut d).total()
+    let machine = MachineConfig {
+        mem,
+        ..MachineConfig::paper_default()
+    };
+    run_trace(workload.trace(refs), scheme, &machine)
+        .breakdown
+        .total()
 }
 
 fn main() {

@@ -7,20 +7,30 @@
 //! and shows that prime indexing's gains survive.
 
 use primecache_bench::refs_from_args;
-use primecache_cache::Hierarchy;
-use primecache_cpu::{Cpu, CpuConfig};
-use primecache_mem::{Dram, MemConfig};
+use primecache_cache::{Hierarchy, HierarchyOp, L2Sim};
+use primecache_cpu::Cpu;
+use primecache_mem::Dram;
 use primecache_sim::report::render_table;
 use primecache_sim::{MachineConfig, Scheme};
-use primecache_workloads::all;
+use primecache_workloads::{all, Workload};
 
-fn run(workload: &primecache_workloads::Workload, scheme: Scheme, depth: u32, refs: u64) -> u64 {
-    let machine = MachineConfig::paper_default();
-    let cfg = machine.hierarchy_config(scheme).with_prefetch_depth(depth);
-    let mut h = Hierarchy::new(cfg);
-    let mut d = Dram::new(MemConfig::paper_default());
-    let mut cpu = Cpu::new(CpuConfig::paper_default());
-    cpu.run(workload.trace(refs), &mut h, &mut d).total()
+/// Total cycles of `refs` references of a workload on a hierarchy.
+struct Cycles<'w>(&'w Workload, u64);
+
+impl HierarchyOp for Cycles<'_> {
+    type Out = u64;
+
+    fn run<X: L2Sim>(self, mut h: Hierarchy<X>) -> u64 {
+        let machine = MachineConfig::paper_default();
+        let mut d = Dram::new(machine.mem);
+        let trace = self.0.trace(self.1);
+        Cpu::new(machine.cpu).run(trace, &mut h, &mut d).total()
+    }
+}
+
+fn run(workload: &Workload, scheme: Scheme, depth: u32, refs: u64) -> u64 {
+    let cfg = MachineConfig::paper_default().hierarchy_config(scheme);
+    cfg.with_prefetch_depth(depth).build(Cycles(workload, refs))
 }
 
 fn main() {

@@ -1,5 +1,4 @@
-//! Benchmark harness: shared helpers for the per-table/per-figure
-//! binaries and the [`microbench`] micro-benches.
+//! Shared helpers for the per-table/per-figure binaries.
 //!
 //! Every table and figure of the paper has a binary that regenerates it:
 //!
@@ -24,8 +23,6 @@
 //! Run any of them with `cargo run --release -p primecache-bench --bin <target>`.
 //! Figure binaries accept `--refs N` to set the trace length (default
 //! 1,000,000 memory references).
-
-pub mod microbench;
 
 use primecache_sim::suite::Sweep;
 use primecache_sim::{report, Scheme};

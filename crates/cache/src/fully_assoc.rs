@@ -264,6 +264,7 @@ impl CacheSim for FullyAssociative {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use primecache_check::oracle::{OracleCache, OraclePolicy};
 
     #[test]
     fn lru_eviction_order() {
@@ -343,48 +344,13 @@ mod tests {
     }
 
     /// The recency list must replay exact LRU: same hits, same
-    /// writeback sequence, against a naive stamp-scan model.
+    /// writeback sequence, against the check crate's single-set LRU
+    /// oracle.
     #[test]
     fn matches_naive_lru_model() {
-        struct Naive {
-            cap: usize,
-            // (block, stamp, dirty)
-            lines: Vec<(u64, u64, bool)>,
-            clock: u64,
-            writebacks: Vec<u64>,
-        }
-        impl Naive {
-            fn access(&mut self, block: u64, write: bool) -> bool {
-                self.clock += 1;
-                if let Some(l) = self.lines.iter_mut().find(|l| l.0 == block) {
-                    l.1 = self.clock;
-                    l.2 |= write;
-                    return true;
-                }
-                if self.lines.len() == self.cap {
-                    let i = self
-                        .lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.1)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    let (b, _, d) = self.lines.swap_remove(i);
-                    if d {
-                        self.writebacks.push(b);
-                    }
-                }
-                self.lines.push((block, self.clock, write));
-                false
-            }
-        }
+        let mut naive = OracleCache::new(1, 16, OraclePolicy::Lru, |_| 0);
+        let mut writebacks = Vec::new();
         let mut fa = FullyAssociative::new(16 * 64, 64);
-        let mut naive = Naive {
-            cap: 16,
-            lines: Vec::new(),
-            clock: 0,
-            writebacks: Vec::new(),
-        };
         let mut x = 0x1234_5678_9ABC_DEF0u64;
         for i in 0..50_000u64 {
             x ^= x >> 12;
@@ -392,8 +358,10 @@ mod tests {
             x ^= x >> 27;
             let block = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % 48;
             let write = i % 3 == 0;
-            assert_eq!(fa.access_block(block, write), naive.access(block, write));
+            let want = naive.access_block(block, write);
+            assert_eq!(fa.access_block(block, write), want.hit);
+            writebacks.extend(want.writeback);
         }
-        assert_eq!(fa.take_writebacks().as_slice(), naive.writebacks);
+        assert_eq!(fa.take_writebacks().as_slice(), writebacks);
     }
 }

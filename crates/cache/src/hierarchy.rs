@@ -1,17 +1,22 @@
 //! Two-level cache hierarchy (L1 + L2).
 //!
-//! The hierarchy is generic over its L2 simulator ([`L2Sim`]) and its L1
-//! index function, so the monomorphized scheme drivers in
-//! `primecache-sim` can instantiate it with concrete cache types (no
-//! per-reference virtual dispatch). [`Hierarchy::new`] keeps the
-//! dynamic [`DynL2`] form for callers that pick the organization at
-//! runtime; both forms are bit-identical.
+//! The hierarchy is generic over its L2 simulator ([`L2Sim`]), so every
+//! caller runs it with a concrete cache and index-function type and the
+//! access path has no per-reference virtual dispatch. The L1 is always
+//! the paper's traditionally indexed cache. [`HierarchyConfig::build`]
+//! is the one place that picks the concrete L2 type for an
+//! [`L2Organization`]; the `check` crate's oracle machine restates the
+//! whole composition from the [`Hierarchy`] docs.
 
-use primecache_core::index::SetIndexer;
+use primecache_core::index::{
+    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
+    Traditional, Xor,
+};
 use primecache_obs::{Level, ObsHandle};
 
 use crate::{
-    Cache, CacheConfig, CacheSim, CacheStats, FullyAssociative, SkewedCache, SkewedConfig,
+    bank_disp_factor, Cache, CacheConfig, CacheSim, CacheStats, FullyAssociative, SkewHashKind,
+    SkewedCache, SkewedConfig,
 };
 
 /// Which component serviced a memory access.
@@ -39,6 +44,18 @@ pub enum L2Organization {
         /// Line size in bytes.
         line_bytes: u64,
     },
+}
+
+impl L2Organization {
+    /// The L2 line size in bytes.
+    #[must_use]
+    pub fn line_bytes(&self) -> u64 {
+        match self {
+            L2Organization::SetAssoc(c) => c.line_bytes(),
+            L2Organization::Skewed(c) => c.line_bytes(),
+            L2Organization::FullyAssociative { line_bytes, .. } => *line_bytes,
+        }
+    }
 }
 
 /// Configuration of the two-level hierarchy.
@@ -87,11 +104,65 @@ impl HierarchyConfig {
         self.prefetch_depth = depth;
         self
     }
+
+    /// Builds the hierarchy this configuration describes, its L2 as the
+    /// concrete cache and index-function type the organization and hash
+    /// kind name, and runs `op` on it.
+    pub fn build<O: HierarchyOp>(self, op: O) -> O::Out {
+        fn run<O: HierarchyOp, X: L2Sim + 'static>(cfg: HierarchyConfig, op: O, l2: X) -> O::Out {
+            op.run(Hierarchy::with_l2(cfg, l2))
+        }
+        match self.l2 {
+            L2Organization::SetAssoc(cfg) => {
+                let geom = Geometry::new(cfg.n_set_phys());
+                match cfg.hash() {
+                    HashKind::Traditional => {
+                        run(self, op, Cache::with_typed(cfg, Traditional::new(geom)))
+                    }
+                    HashKind::Xor => run(self, op, Cache::with_typed(cfg, Xor::new(geom))),
+                    HashKind::PrimeModulo => {
+                        run(self, op, Cache::with_typed(cfg, PrimeModulo::new(geom)))
+                    }
+                    HashKind::PrimeDisplacement => {
+                        let index = PrimeDisplacement::paper_default(geom);
+                        run(self, op, Cache::with_typed(cfg, index))
+                    }
+                    HashKind::Expr(id) => run(self, op, Cache::with_typed(cfg, id.indexer())),
+                }
+            }
+            L2Organization::Skewed(cfg) => match cfg.hash() {
+                SkewHashKind::Xor => run(
+                    self,
+                    op,
+                    SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
+                ),
+                SkewHashKind::PrimeDisplacement => {
+                    let bank = |b, g| SkewDispBank::new(g, bank_disp_factor(b));
+                    run(self, op, SkewedCache::with_banks(cfg, bank))
+                }
+            },
+            L2Organization::FullyAssociative {
+                size_bytes,
+                line_bytes,
+            } => run(self, op, FullyAssociative::new(size_bytes, line_bytes)),
+        }
+    }
+}
+
+/// An operation on a hierarchy whose L2 type is fixed at compile time,
+/// so its per-access path is monomorphized. [`HierarchyConfig::build`]
+/// runs it.
+pub trait HierarchyOp {
+    /// What the operation returns.
+    type Out;
+
+    /// Runs the operation on a freshly built hierarchy.
+    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X>) -> Self::Out;
 }
 
 /// The L2 interface the hierarchy drives. Implemented by the three cache
-/// organizations and by [`DynL2`]; the hierarchy is generic over it so a
-/// concrete L2 type monomorphizes the whole access path.
+/// organizations; the hierarchy is generic over it so a concrete L2 type
+/// monomorphizes the whole access path.
 pub trait L2Sim {
     /// A demand access (always a read at the L2: write misses
     /// write-allocate through the L1 fill). Returns `(stats_set, hit)`.
@@ -207,125 +278,41 @@ impl L2Sim for FullyAssociative {
     }
 }
 
-/// Runtime-selected L2 — one of the three organizations, dispatched per
-/// access. The default L2 type of [`Hierarchy`]; the monomorphized
-/// drivers use concrete types instead.
-#[derive(Debug)]
-pub enum DynL2 {
-    /// A set-associative L2 (boxed index function).
-    Set(Cache),
-    /// A skewed-associative L2 (boxed per-bank index functions).
-    Skewed(SkewedCache),
-    /// The fully-associative reference.
-    Fa(FullyAssociative),
-}
-
-impl DynL2 {
-    /// Builds the L2 an organization describes.
-    #[must_use]
-    pub fn build(l2: L2Organization) -> Self {
-        match l2 {
-            L2Organization::SetAssoc(cfg) => DynL2::Set(Cache::new(cfg)),
-            L2Organization::Skewed(cfg) => DynL2::Skewed(SkewedCache::new(cfg)),
-            L2Organization::FullyAssociative {
-                size_bytes,
-                line_bytes,
-            } => DynL2::Fa(FullyAssociative::new(size_bytes, line_bytes)),
-        }
-    }
-}
-
-impl L2Sim for DynL2 {
-    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
-        match self {
-            DynL2::Set(c) => c.demand_access(addr),
-            DynL2::Skewed(c) => c.demand_access(addr),
-            DynL2::Fa(c) => c.demand_access(addr),
-        }
-    }
-
-    fn plain_access(&mut self, addr: u64, write: bool) -> bool {
-        match self {
-            DynL2::Set(c) => c.access(addr, write),
-            DynL2::Skewed(c) => c.access(addr, write),
-            DynL2::Fa(c) => c.access(addr, write),
-        }
-    }
-
-    fn stats(&self) -> &CacheStats {
-        match self {
-            DynL2::Set(c) => CacheSim::stats(c),
-            DynL2::Skewed(c) => CacheSim::stats(c),
-            DynL2::Fa(c) => CacheSim::stats(c),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            DynL2::Set(c) => CacheSim::reset_stats(c),
-            DynL2::Skewed(c) => CacheSim::reset_stats(c),
-            DynL2::Fa(c) => CacheSim::reset_stats(c),
-        }
-    }
-
-    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        match self {
-            DynL2::Set(c) => c.take_writebacks(),
-            DynL2::Skewed(c) => c.take_writebacks(),
-            DynL2::Fa(c) => c.take_writebacks(),
-        }
-    }
-
-    fn occupancy(&self) -> Vec<u64> {
-        match self {
-            DynL2::Set(c) => c.occupancy(),
-            DynL2::Skewed(c) => c.occupancy(),
-            DynL2::Fa(c) => c.occupancy(),
-        }
-    }
-
-    fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        match self {
-            DynL2::Set(c) => c.attach_obs(level, handle),
-            DynL2::Skewed(c) => c.attach_obs(level, handle),
-            DynL2::Fa(c) => c.attach_obs(level, handle),
-        }
-    }
-}
-
 /// A two-level write-back hierarchy: the paper's 16 KB L1 in front of a
 /// configurable 512 KB L2.
 ///
-/// Semantics:
-/// * demand accesses probe L1 first; L1 misses probe L2; L2 misses go to
-///   memory (the returned [`AccessOutcome`] drives the timing model);
-/// * both levels are write-allocate write-back;
-/// * dirty L1 victims are written into L2 (counted in L2's `writes`, not
-///   as demand traffic for the figures — see [`Hierarchy::l2_stats`]);
-/// * dirty L2 victims become memory write traffic
-///   ([`Hierarchy::take_memory_writes`]), queued in the L2's own
-///   writeback buffer until taken.
+/// Semantics, in the order one demand access applies them:
+/// 1. the access probes the L1 (write-allocate, write-back); a hit ends
+///    it;
+/// 2. an L1 miss is an L2 demand *read* (write misses write-allocate
+///    through the L1 fill), recorded in the demand statistics
+///    ([`Hierarchy::l2_stats`], the traffic the figures count) with the
+///    access's own write flag;
+/// 3. on an L2 demand miss with prefetching on, the following lines are
+///    then installed in the L2;
+/// 4. the L1 fill's dirty victim, if any, is then written into the L2.
+///    It counts in the L2's raw statistics
+///    ([`Hierarchy::l2_raw_stats`]), not as demand traffic;
+/// 5. the dirty L2 victims of steps 2–4 become memory write traffic, in
+///    eviction order ([`Hierarchy::take_memory_writes`]), queued in the
+///    L2's own writeback buffer until taken.
 ///
 /// # Examples
 ///
 /// ```
-/// use primecache_cache::{AccessOutcome, CacheConfig, Hierarchy, HierarchyConfig,
+/// use primecache_cache::{AccessOutcome, Cache, CacheConfig, Hierarchy, HierarchyConfig,
 ///                        L2Organization};
 ///
-/// let mut h = Hierarchy::new(HierarchyConfig::paper_default(
-///     L2Organization::SetAssoc(CacheConfig::new(512 * 1024, 4, 64)),
-/// ));
+/// let l2 = CacheConfig::new(512 * 1024, 4, 64);
+/// let cfg = HierarchyConfig::paper_default(L2Organization::SetAssoc(l2));
+/// let mut h = Hierarchy::with_l2(cfg, Cache::new(l2));
 /// assert_eq!(h.access(0x1000, false), AccessOutcome::Memory);
 /// assert_eq!(h.access(0x1000, false), AccessOutcome::L1Hit);
 /// ```
 #[derive(Debug)]
-pub struct Hierarchy<X = DynL2, J = Box<dyn SetIndexer>>
-where
-    X: L2Sim,
-    J: SetIndexer,
-{
+pub struct Hierarchy<X: L2Sim> {
     config: HierarchyConfig,
-    l1: Cache<J>,
+    l1: Cache<Traditional>,
     l2: X,
     /// Demand stats of the L2 only (excludes L1 writeback traffic), used
     /// by the figures.
@@ -337,20 +324,11 @@ where
     obs: Option<ObsHandle>,
 }
 
-impl Hierarchy {
-    /// Builds the runtime-dispatched hierarchy from its configuration.
-    #[must_use]
-    pub fn new(config: HierarchyConfig) -> Self {
-        Self::with_parts(config, Cache::new(config.l1), DynL2::build(config.l2))
-    }
-}
-
-impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
+impl<X: L2Sim> Hierarchy<X> {
     /// Assembles a hierarchy from pre-built caches. `l1` and `l2` must
-    /// match `config` (the monomorphized drivers build all three from
-    /// the same [`HierarchyConfig`]).
+    /// match `config`.
     #[must_use]
-    pub fn with_parts(config: HierarchyConfig, l1: Cache<J>, l2: X) -> Self {
+    pub fn with_parts(config: HierarchyConfig, l1: Cache<Traditional>, l2: X) -> Self {
         let n_demand_sets = l2.stats().set_accesses.len();
         Self {
             l1,
@@ -360,6 +338,28 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
             obs: None,
             config,
         }
+    }
+
+    /// Assembles a hierarchy around a pre-built L2 (which must match
+    /// `config.l2`), building the L1 `config.l1` describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.l1` asks for an index function other than
+    /// traditional indexing: the paper rehashes only the L2.
+    #[must_use]
+    pub fn with_l2(config: HierarchyConfig, l2: X) -> Self {
+        assert_eq!(
+            config.l1.hash(),
+            HashKind::Traditional,
+            "the L1 is traditionally indexed"
+        );
+        let geom = Geometry::new(config.l1.n_set_phys());
+        Self::with_parts(
+            config,
+            Cache::with_typed(config.l1, Traditional::new(geom)),
+            l2,
+        )
     }
 
     /// Attaches one observability recorder to the whole hierarchy: the
@@ -407,11 +407,7 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
         }
         if !l2_hit && self.config.prefetch_depth > 0 {
             // Idealized next-line prefetch: install the following lines.
-            let line = match self.config.l2 {
-                L2Organization::SetAssoc(c) => c.line_bytes(),
-                L2Organization::Skewed(c) => c.line_bytes(),
-                L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
-            };
+            let line = self.config.l2.line_bytes();
             for i in 1..=u64::from(self.config.prefetch_depth) {
                 self.l2.plain_access(addr + i * line, false);
                 self.prefetches += 1;
@@ -475,15 +471,15 @@ impl<X: L2Sim, J: SetIndexer> Hierarchy<X, J> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SkewHashKind;
-    use primecache_core::index::{Geometry, HashKind, PrimeModulo, Traditional};
 
-    fn paper(l2: L2Organization) -> Hierarchy {
-        Hierarchy::new(HierarchyConfig::paper_default(l2))
+    /// The paper's L1 over a set-associative L2.
+    fn paper(l2: CacheConfig) -> Hierarchy<Cache> {
+        let cfg = HierarchyConfig::paper_default(L2Organization::SetAssoc(l2));
+        Hierarchy::with_l2(cfg, Cache::new(l2))
     }
 
-    fn base_l2() -> L2Organization {
-        L2Organization::SetAssoc(CacheConfig::new(512 * 1024, 4, 64))
+    fn base_l2() -> CacheConfig {
+        CacheConfig::new(512 * 1024, 4, 64)
     }
 
     #[test]
@@ -508,22 +504,20 @@ mod tests {
 
     #[test]
     fn skewed_l2_works_in_hierarchy() {
-        let mut h = paper(L2Organization::Skewed(SkewedConfig::new(
-            512 * 1024,
-            4,
-            64,
-            SkewHashKind::PrimeDisplacement,
-        )));
+        let l2 = SkewedConfig::new(512 * 1024, 4, 64, SkewHashKind::PrimeDisplacement);
+        let cfg = HierarchyConfig::paper_default(L2Organization::Skewed(l2));
+        let mut h = Hierarchy::with_l2(cfg, SkewedCache::new(l2));
         assert_eq!(h.access(0x8000, false), AccessOutcome::Memory);
         assert_eq!(h.access(0x8000, false), AccessOutcome::L1Hit);
     }
 
     #[test]
     fn fa_l2_works_in_hierarchy() {
-        let mut h = paper(L2Organization::FullyAssociative {
+        let cfg = HierarchyConfig::paper_default(L2Organization::FullyAssociative {
             size_bytes: 512 * 1024,
             line_bytes: 64,
         });
+        let mut h = Hierarchy::with_l2(cfg, FullyAssociative::new(512 * 1024, 64));
         assert_eq!(h.access(0xC000, false), AccessOutcome::Memory);
         assert_eq!(h.access(0xC000 + 32, false), AccessOutcome::L2Hit);
     }
@@ -531,9 +525,7 @@ mod tests {
     #[test]
     fn pmod_l2_reduces_misses_on_conflicting_strides() {
         let run = |hash| {
-            let mut h = paper(L2Organization::SetAssoc(
-                CacheConfig::new(512 * 1024, 4, 64).with_hash(hash),
-            ));
+            let mut h = paper(base_l2().with_hash(hash));
             for _ in 0..20 {
                 for i in 0..16u64 {
                     h.access(i * 128 * 1024, false);
@@ -561,9 +553,9 @@ mod tests {
 
     #[test]
     fn prefetch_installs_following_lines() {
-        let mut cfg = HierarchyConfig::paper_default(base_l2());
-        cfg = cfg.with_prefetch_depth(2);
-        let mut h = Hierarchy::new(cfg);
+        let cfg = HierarchyConfig::paper_default(L2Organization::SetAssoc(base_l2()))
+            .with_prefetch_depth(2);
+        let mut h = Hierarchy::with_l2(cfg, Cache::new(base_l2()));
         assert_eq!(h.access(0x10000, false), AccessOutcome::Memory);
         assert_eq!(h.prefetches(), 2);
         // The next two lines are already in L2: L1 misses become L2 hits.
@@ -589,33 +581,5 @@ mod tests {
         assert_eq!(h.l1_stats().accesses, 0);
         assert_eq!(h.l2_stats().accesses, 0);
         assert_eq!(h.l2_raw_stats().accesses, 0);
-    }
-
-    #[test]
-    fn monomorphized_hierarchy_matches_dyn_bit_for_bit() {
-        let l2_cfg = CacheConfig::new(512 * 1024, 4, 64).with_hash(HashKind::PrimeModulo);
-        let config = HierarchyConfig::paper_default(L2Organization::SetAssoc(l2_cfg));
-        let mut dynamic = Hierarchy::new(config);
-        let mut mono = Hierarchy::with_parts(
-            config,
-            Cache::with_typed(
-                config.l1,
-                Traditional::new(Geometry::new(config.l1.n_set_phys())),
-            ),
-            Cache::with_typed(l2_cfg, PrimeModulo::new(Geometry::new(l2_cfg.n_set_phys()))),
-        );
-        for i in 0..30_000u64 {
-            let addr = (i * 7919) % (1 << 24);
-            let write = i % 3 == 0;
-            assert_eq!(dynamic.access(addr, write), mono.access(addr, write), "{i}");
-            assert_eq!(
-                dynamic.take_memory_writes().as_slice(),
-                mono.take_memory_writes().as_slice(),
-                "memory-write divergence at access {i}"
-            );
-        }
-        assert_eq!(dynamic.l1_stats(), mono.l1_stats());
-        assert_eq!(dynamic.l2_stats(), mono.l2_stats());
-        assert_eq!(dynamic.l2_raw_stats(), mono.l2_raw_stats());
     }
 }

@@ -51,7 +51,9 @@ mod victim;
 
 pub use config::{CacheConfig, ReplacementKind, SkewHashKind, SkewReplacement, SkewedConfig};
 pub use fully_assoc::FullyAssociative;
-pub use hierarchy::{AccessOutcome, DynL2, Hierarchy, HierarchyConfig, L2Organization, L2Sim};
+pub use hierarchy::{
+    AccessOutcome, Hierarchy, HierarchyConfig, HierarchyOp, L2Organization, L2Sim,
+};
 pub use infinite::InfiniteCache;
 pub use set_assoc::Cache;
 pub use skewed::{bank_disp_factor, SkewedCache};

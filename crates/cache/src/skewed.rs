@@ -287,9 +287,10 @@ impl<B: SetIndexer> SkewedCache<B> {
         for (i, &slot) in slots.iter().enumerate() {
             if self.flags[slot] & VALID != 0 && self.tags[slot] == block {
                 self.stats.record(stat_set, false, write);
-                // NB: dirty is set at fill time only — write hits mark the
-                // NRUNRW `w` usage bit but do not re-dirty the line (the
-                // behavior the check-battery oracle pins).
+                // Known defect: a write hit marks only the NRUNRW `w` bit
+                // and leaves the line clean, so the write is lost. ROADMAP.md's
+                // open item "Fix the skewed L2's lost write hits" holds the
+                // one-line fix, which changes the golden cells.
                 self.flags[slot] |= RBIT | if write { WBIT } else { 0 };
                 self.age(slots, i);
                 #[cfg(any(debug_assertions, feature = "check"))]

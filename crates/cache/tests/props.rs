@@ -5,41 +5,15 @@ use primecache_cache::{
     Cache, CacheConfig, CacheSim, FullyAssociative, ReplacementKind, SkewHashKind, SkewedCache,
     SkewedConfig,
 };
+use primecache_check::oracle::{OracleCache, OraclePolicy};
 use primecache_check::prop::{forall, Rng};
 use primecache_core::index::HashKind;
 
-/// A naive reference: set-associative LRU cache modelled with Vec scans.
-struct RefCache {
-    n_set: u64,
-    assoc: usize,
-    line: u64,
-    /// Per set: blocks in LRU order (front = most recent).
-    sets: Vec<Vec<u64>>,
-}
-
-impl RefCache {
-    fn new(n_set: u64, assoc: usize, line: u64) -> Self {
-        Self {
-            n_set,
-            assoc,
-            line,
-            sets: (0..n_set).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn access(&mut self, addr: u64) -> bool {
-        let block = addr / self.line;
-        let set = &mut self.sets[(block % self.n_set) as usize];
-        if let Some(pos) = set.iter().position(|&b| b == block) {
-            set.remove(pos);
-            set.insert(0, block);
-            true
-        } else {
-            set.insert(0, block);
-            set.truncate(self.assoc);
-            false
-        }
-    }
+/// The check crate's textbook LRU cache over `n_set` sets of `assoc`
+/// ways of 64-B lines, indexed by `block % n_set`.
+fn reference(n_set: u64, assoc: usize) -> impl FnMut(u64) -> bool {
+    let mut cache = OracleCache::new(n_set as usize, assoc, OraclePolicy::Lru, move |b| b % n_set);
+    move |addr| cache.access_block(addr / 64, false).hit
 }
 
 fn addr_stream(rng: &mut Rng) -> Vec<u64> {
@@ -55,11 +29,9 @@ fn lru_cache_matches_reference_model() {
         |addrs: &Vec<u64>| {
             // Tiny cache so evictions are frequent: 8 sets x 2 ways x 64 B.
             let mut sim = Cache::new(CacheConfig::new(1024, 2, 64));
-            let mut reference = RefCache::new(8, 2, 64);
+            let mut reference = reference(8, 2);
             for (i, &a) in addrs.iter().enumerate() {
-                let hit_sim = sim.access(a, false);
-                let hit_ref = reference.access(a);
-                assert_eq!(hit_sim, hit_ref, "access #{} to {:#x}", i, a);
+                assert_eq!(sim.access(a, false), reference(a), "access #{i} to {a:#x}");
             }
         },
     );
@@ -75,9 +47,9 @@ fn pmod_cache_matches_reference_with_prime_sets() {
             // 16 physical sets -> 13 prime sets, 2 ways.
             let mut sim =
                 Cache::new(CacheConfig::new(2048, 2, 64).with_hash(HashKind::PrimeModulo));
-            let mut reference = RefCache::new(13, 2, 64);
+            let mut reference = reference(13, 2);
             for &a in addrs {
-                assert_eq!(sim.access(a, false), reference.access(a));
+                assert_eq!(sim.access(a, false), reference(a));
             }
         },
     );
@@ -91,9 +63,9 @@ fn fully_associative_matches_reference() {
         addr_stream,
         |addrs: &Vec<u64>| {
             let mut sim = FullyAssociative::new(16 * 64, 64);
-            let mut reference = RefCache::new(1, 16, 64);
+            let mut reference = reference(1, 16);
             for &a in addrs {
-                assert_eq!(sim.access(a, false), reference.access(a));
+                assert_eq!(sim.access(a, false), reference(a));
             }
         },
     );

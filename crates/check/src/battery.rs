@@ -1,25 +1,28 @@
 //! The differential-oracle battery.
 //!
 //! Each *unit* pits one fast path — an index function, a §3.1 hardware
-//! modulo unit, a cache organization, the DRAM or the CPU timing model —
-//! against its naive [oracle](crate::oracle) over a mixed stream of
-//! randomized and adversarial inputs, asserting bit-exact agreement. A
-//! disagreement is shrunk to a minimal counterexample by the
-//! [prop](crate::prop) harness before being reported.
+//! modulo unit, a cache organization, the DRAM, the CPU timing model or
+//! the whole machine — against its naive [oracle](crate::oracle) over a
+//! mixed stream of randomized and adversarial inputs, asserting
+//! bit-exact agreement. A disagreement is shrunk to a minimal
+//! counterexample by the [prop](crate::prop) harness before being
+//! reported.
 //!
 //! Run the full battery with the `primecache-check` binary, or call
 //! [`run_battery`] directly (the crate's tests do, with a smaller budget).
 
 use crate::oracle::{
-    ref_mersenne, ref_prime_displacement, ref_prime_modulo, ref_read_text, ref_skew_xor,
-    ref_subtract_select, ref_tlb_index, ref_traditional, ref_xor, ref_xor_folded, OracleCache,
-    OracleCpu, OracleDram, OraclePolicy, OracleSkewed, OracleVictim, TextRead,
+    ref_bank_index, ref_mersenne, ref_prime_displacement, ref_prime_modulo, ref_read_text,
+    ref_set_index, ref_skew_xor, ref_subtract_select, ref_tlb_index, ref_traditional, ref_xor,
+    ref_xor_folded, OracleCache, OracleCpu, OracleDram, OracleMachine, OracleMemory, OraclePolicy,
+    OracleSkewed, OracleVictim, TextRead,
 };
 use crate::prop::{forall_result, Rng, Shrink};
 
 use primecache_cache::{
-    Cache, CacheConfig, CacheSim, FullyAssociative, Hierarchy, HierarchyConfig, L2Organization,
-    ReplacementKind, SkewHashKind, SkewReplacement, SkewedCache, SkewedConfig, VictimCache,
+    AccessOutcome, Cache, CacheConfig, CacheSim, FullyAssociative, Hierarchy, HierarchyConfig,
+    L2Organization, ReplacementKind, SkewHashKind, SkewReplacement, SkewedCache, SkewedConfig,
+    VictimCache,
 };
 use primecache_core::hw::{
     mersenne_fold, IterativeLinear, Polynomial, SubtractSelect, TlbAssist, Wired2039,
@@ -31,6 +34,7 @@ use primecache_core::index::{
 use primecache_cpu::{Cpu, CpuConfig};
 use primecache_ingest::MAX_LINE_BYTES;
 use primecache_mem::{Dram, MemConfig};
+use primecache_sim::{run_trace, MachineConfig, Scheme};
 
 /// Accesses per cache/DRAM stream case (the shrinkable unit of replay).
 const STREAM_LEN: usize = 256;
@@ -588,17 +592,6 @@ fn set_assoc_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     let cc = CacheConfig::new(8 * 1024, 4, 64);
     for kind in HashKind::ALL {
         let cc = cc.with_hash(kind);
-        let n_set = match kind {
-            HashKind::PrimeModulo => 31,
-            _ => 32,
-        };
-        let reference = move |block: u64| match kind {
-            HashKind::Traditional => ref_traditional(block, 32),
-            HashKind::Xor => ref_xor(block, 32),
-            HashKind::PrimeModulo => ref_prime_modulo(block, 31),
-            HashKind::PrimeDisplacement => ref_prime_displacement(block, 32, 9),
-            HashKind::Expr(_) => unreachable!("ALL contains no Expr kind"),
-        };
         out.push(run_unit(
             cfg,
             &format!("cache/set_assoc/{}", kind.label()),
@@ -607,7 +600,8 @@ fn set_assoc_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
             move |rng| gen_stream(rng, 1024, 32),
             move |stream: &Vec<(u64, bool)>| {
                 let mut fast = Cache::new(cc);
-                let mut oracle = OracleCache::new(n_set, 4, OraclePolicy::Lru, reference);
+                let (n_set, index) = ref_set_index(cc);
+                let mut oracle = OracleCache::new(n_set as usize, 4, OraclePolicy::Lru, index);
                 replay_set_assoc(&mut fast, &mut oracle, stream);
             },
         ));
@@ -687,20 +681,7 @@ fn skewed_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
                 move |rng| gen_stream(rng, 16 * capacity_blocks, sets),
                 move |stream: &Vec<(u64, bool)>| {
                     let mut fast = SkewedCache::new(scfg);
-                    let index_fns: Vec<Box<dyn Fn(u64) -> u64>> = (0..banks)
-                        .map(|b| match hash {
-                            SkewHashKind::Xor => {
-                                Box::new(move |blk: u64| ref_skew_xor(blk, sets, b))
-                                    as Box<dyn Fn(u64) -> u64>
-                            }
-                            SkewHashKind::PrimeDisplacement => {
-                                let factor = SKEW_DISP_FACTORS
-                                    [b as usize % SKEW_DISP_FACTORS.len()]
-                                    + 2 * (u64::from(b) / SKEW_DISP_FACTORS.len() as u64) * 41;
-                                Box::new(move |blk: u64| ref_prime_displacement(blk, sets, factor))
-                            }
-                        })
-                        .collect();
+                    let index_fns = (0..banks).map(|b| ref_bank_index(hash, sets, b)).collect();
                     let mut oracle = OracleSkewed::new(sets as usize, ways, write_aware, index_fns);
                     for (i, &(block, write)) in stream.iter().enumerate() {
                         let fast_hit = fast.access_block(block, write);
@@ -1321,10 +1302,9 @@ fn dram_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
 /// A `(kind, payload, flag)` event stream for [`tuple_event`] in one of
 /// six shapes: any event, dependent-load chains, store bursts longer
 /// than the store buffer, work longer than the ROB between loads,
-/// mispredict runs, and FP mixes. Addresses fall half in an 8 KB hot
-/// window (L2 hits) and half in 256 KB (L2 misses and dirty victims)
-/// under the units' 1 KB L1 and 4 KB L2.
-fn gen_cpu_stream(rng: &mut Rng) -> Vec<(u64, u64, bool)> {
+/// mispredict runs, and FP mixes. `addrs` draws each event's address
+/// pair: any address, and one that misses the L1 (for the store bursts).
+fn gen_cpu_stream(rng: &mut Rng, addrs: fn(&mut Rng) -> (u64, u64)) -> Vec<(u64, u64, bool)> {
     const WORK: u64 = 0;
     const FP: u64 = 1;
     const BRANCH: u64 = 2;
@@ -1333,12 +1313,7 @@ fn gen_cpu_stream(rng: &mut Rng) -> Vec<(u64, u64, bool)> {
     let shape = rng.range_u32(0, 6);
     (0..STREAM_LEN)
         .map(|_| {
-            let cold = rng.range_u64(0, 256 << 10);
-            let addr = if rng.bool() {
-                rng.range_u64(0, 8 << 10)
-            } else {
-                cold
-            };
+            let (addr, cold) = addrs(rng);
             match shape {
                 0 => {
                     let kind = rng.range_u64(0, 5);
@@ -1368,15 +1343,20 @@ fn gen_cpu_stream(rng: &mut Rng) -> Vec<(u64, u64, bool)> {
         .collect()
 }
 
-/// The CPU units' machines: a tiny hierarchy, so 256 events reach the
-/// L2, DRAM and dirty L2 victims, under the paper core and under one
-/// with every limit moved.
-fn cpu_unit_machines() -> (HierarchyConfig, [(&'static str, CpuConfig); 2]) {
-    let hcfg = HierarchyConfig {
-        l1: CacheConfig::new(1024, 2, 32),
-        l2: L2Organization::SetAssoc(CacheConfig::new(4096, 4, 64)),
-        prefetch_depth: 0,
+/// Addresses for the CPU units' 1 KB L1 and 4 KB L2: half in an 8 KB
+/// hot window (L2 hits), half in 256 KB (L2 misses and dirty victims).
+fn cpu_unit_addrs(rng: &mut Rng) -> (u64, u64) {
+    let cold = rng.range_u64(0, 256 << 10);
+    let addr = if rng.bool() {
+        rng.range_u64(0, 8 << 10)
+    } else {
+        cold
     };
+    (addr, cold)
+}
+
+/// The CPU units' cores: the paper's, and one with every limit moved.
+fn cpu_unit_cores() -> [(&'static str, CpuConfig); 2] {
     let narrow = CpuConfig {
         issue_width: 5,
         fp_width: 3,
@@ -1385,40 +1365,125 @@ fn cpu_unit_machines() -> (HierarchyConfig, [(&'static str, CpuConfig); 2]) {
         rob_size: 32,
         ..CpuConfig::paper_default()
     };
+    [
+        ("cpu/timing", CpuConfig::paper_default()),
+        ("cpu/timing-narrow", narrow),
+    ]
+}
+
+/// The CPU units' memory side: the production hierarchy and DRAM, so the
+/// units check the core model alone. The hierarchy is tiny, so 256
+/// events reach the L2, the DRAM and dirty L2 victims.
+fn cpu_unit_memory() -> (Hierarchy<Cache>, Dram) {
+    let l2 = CacheConfig::new(4096, 4, 64);
+    let hcfg = HierarchyConfig {
+        l1: CacheConfig::new(1024, 2, 32),
+        l2: L2Organization::SetAssoc(l2),
+        prefetch_depth: 0,
+    };
     (
-        hcfg,
-        [
-            ("cpu/timing", CpuConfig::paper_default()),
-            ("cpu/timing-narrow", narrow),
-        ],
+        Hierarchy::with_l2(hcfg, Cache::new(l2)),
+        Dram::new(MemConfig::paper_default()),
     )
 }
 
+impl<X: primecache_cache::L2Sim> OracleMemory for (Hierarchy<X>, Dram) {
+    fn access(&mut self, addr: u64, write: bool) -> (AccessOutcome, Vec<u64>) {
+        let outcome = self.0.access(addr, write);
+        let line = self.0.config().l2.line_bytes();
+        (
+            outcome,
+            self.0.take_memory_writes().map(|b| b * line).collect(),
+        )
+    }
+
+    fn dram(&mut self, addr: u64, now: u64, write: bool) -> u64 {
+        self.1.request(addr, now, write).complete
+    }
+}
+
 fn cpu_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
-    let (hcfg, cpus) = cpu_unit_machines();
-    cpus.into_iter()
+    cpu_unit_cores()
+        .into_iter()
         .map(|(name, cpu)| {
             run_unit(
                 cfg,
                 name,
                 stream_cases(cfg),
                 STREAM_LEN,
-                gen_cpu_stream,
+                |rng| gen_cpu_stream(rng, cpu_unit_addrs),
                 move |stream: &Vec<(u64, u64, bool)>| {
                     let events: Vec<_> = stream.iter().map(tuple_event).collect();
-                    let mem = MemConfig::paper_default();
-                    let (mut h, mut d) = (Hierarchy::new(hcfg), Dram::new(mem));
+                    let (mut h, mut d) = cpu_unit_memory();
                     let mut fast = Cpu::new(cpu);
                     let got = fast.run(events.iter().copied(), &mut h, &mut d);
-                    let (mut oh, mut od) = (Hierarchy::new(hcfg), Dram::new(mem));
-                    let (want, want_stalls) = OracleCpu::new(cpu).run(&events, &mut oh, &mut od);
+                    let mut memory = cpu_unit_memory();
+                    let (want, want_stalls) = OracleCpu::new(cpu).run(&events, &mut memory);
                     assert_eq!(got, want, "breakdown mismatch");
                     assert_eq!(
                         fast.last_stall_attribution(),
                         want_stalls,
                         "stall attribution mismatch"
                     );
-                    assert_eq!(d.stats(), od.stats(), "DRAM traffic mismatch");
+                    assert_eq!(d.stats(), memory.1.stats(), "DRAM traffic mismatch");
+                },
+            )
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Whole-machine units: every driver's engine against the oracle machine.
+// ---------------------------------------------------------------------------
+
+/// The machine units' machine: the paper's core, DRAM and 16 KB L1 over
+/// an 8 KB L2 (32 sets of 4 ways), so 256 events evict dirty lines from
+/// both cache levels.
+fn machine_unit_config() -> MachineConfig {
+    MachineConfig {
+        l2_size: 8 * 1024,
+        ..MachineConfig::paper_default()
+    }
+}
+
+/// Addresses for the machine units: a third in a 4 KB hot window, a
+/// third over 1 MB, and a third on twelve lines 8 KB apart at one of
+/// four offsets, which share one L1 set and one Base L2 set each, so
+/// dirty L1 victims land in the set the demand access reads.
+fn machine_unit_addrs(rng: &mut Rng) -> (u64, u64) {
+    let conflict = rng.range_u64(0, 4) * 64 + rng.range_u64(0, 12) * (8 << 10);
+    let cold = rng.range_u64(0, 1 << 20);
+    let addr = match rng.range_u32(0, 3) {
+        0 => rng.range_u64(0, 4 << 10),
+        1 => cold,
+        _ => conflict,
+    };
+    (addr, if rng.bool() { conflict } else { cold })
+}
+
+fn machine_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
+    use primecache_core::expr::{builtins, register_anonymous};
+    let machine = machine_unit_config();
+    let sets = Geometry::new(machine.l2_size / (4 * machine.l2_line));
+    let pmod = register_anonymous(&builtins::pmod_src(sets)).expect("pMod source compiles");
+    Scheme::ALL
+        .into_iter()
+        .chain([Scheme::Expr(pmod)])
+        .map(|scheme| {
+            run_unit(
+                cfg,
+                &format!("sim/machine/{}", scheme.label()),
+                stream_cases(cfg),
+                STREAM_LEN,
+                |rng| gen_cpu_stream(rng, machine_unit_addrs),
+                move |stream: &Vec<(u64, u64, bool)>| {
+                    let events: Vec<_> = stream.iter().map(tuple_event).collect();
+                    let got = run_trace(events.iter().copied(), scheme, &machine);
+                    let want = OracleMachine::new(&machine, scheme).run(&events);
+                    assert_eq!(got.breakdown, want.breakdown, "breakdown mismatch");
+                    assert_eq!(got.l1, want.l1, "L1 stats mismatch");
+                    assert_eq!(got.l2, want.l2, "L2 demand stats mismatch");
+                    assert_eq!(got.dram, want.dram, "DRAM stats mismatch");
                 },
             )
         })
@@ -1579,6 +1644,7 @@ pub fn run_battery(cfg: &BatteryConfig) -> Vec<UnitReport> {
     out.extend(ingest_units(cfg));
     out.extend(dram_units(cfg));
     out.extend(cpu_units(cfg));
+    out.extend(machine_units(cfg));
     out.extend(attack_units(cfg));
     out
 }
@@ -1672,6 +1738,11 @@ mod tests {
             "mem/dram-3ch-8bank-permuted",
             "cpu/timing",
             "cpu/timing-narrow",
+            "sim/machine/Base",
+            "sim/machine/pMod",
+            "sim/machine/SKW",
+            "sim/machine/FA",
+            "sim/machine/expr:a % 31",
         ] {
             assert!(
                 names.iter().any(|n| n == prefix),
@@ -1684,23 +1755,24 @@ mod tests {
     fn cpu_streams_reach_every_stall_cause() {
         // The cpu/timing units only check what their streams exercise:
         // every stall cause must occur, under both configurations.
-        let (hcfg, cpus) = cpu_unit_machines();
-        for (_, cpu) in cpus {
+        for (_, cpu) in cpu_unit_cores() {
             let mut rng = Rng::new(7);
             let mut seen = primecache_cpu::StallAttribution::default();
             let mut writes = 0;
             for _ in 0..200 {
-                let events: Vec<_> = gen_cpu_stream(&mut rng).iter().map(tuple_event).collect();
-                let mut h = Hierarchy::new(hcfg);
-                let mut d = Dram::new(MemConfig::paper_default());
-                let (_, s) = OracleCpu::new(cpu).run(&events, &mut h, &mut d);
+                let events: Vec<_> = gen_cpu_stream(&mut rng, cpu_unit_addrs)
+                    .iter()
+                    .map(tuple_event)
+                    .collect();
+                let mut memory = cpu_unit_memory();
+                let (_, s) = OracleCpu::new(cpu).run(&events, &mut memory);
                 seen.rob += s.rob;
                 seen.mlp += s.mlp;
                 seen.dep += s.dep;
                 seen.store += s.store;
                 seen.drain += s.drain;
                 seen.branch += s.branch;
-                writes += d.stats().writes;
+                writes += memory.1.stats().writes;
             }
             let causes = [seen.rob, seen.mlp, seen.dep, seen.store, seen.drain];
             assert!(causes.iter().all(|&c| c > 0), "{cpu:?}: {seen:?}");

@@ -11,7 +11,8 @@
 //! - [`oracle`]: naive reference implementations (plain `%` indexing,
 //!   textbook LRU set-associative lookup, straight-line DRAM latency,
 //!   the CPU timing rules restated with plain `/` and `Vec` scans, the
-//!   `&str` text-trace parser over a whole input split at newlines).
+//!   whole machine composed from them, the `&str` text-trace parser over
+//!   a whole input split at newlines).
 //! - [`battery`]: the differential battery run by the `primecache-check`
 //!   binary and the crate tests.
 

@@ -10,11 +10,15 @@
 
 use std::collections::HashMap;
 
-use primecache_cache::{AccessOutcome, Hierarchy, L2Organization, L2Sim};
-use primecache_core::index::SetIndexer;
+use primecache_cache::{
+    AccessOutcome, CacheConfig, CacheStats, HierarchyConfig, L2Organization, ReplacementKind,
+    SkewHashKind, SkewReplacement,
+};
+use primecache_core::index::{HashKind, SKEW_DISP_FACTORS};
 use primecache_cpu::{CpuConfig, ExecBreakdown, StallAttribution};
 use primecache_ingest::{TextError, TextErrorKind, MAX_LINE_BYTES};
-use primecache_mem::{Completion, Dram, DramMapping, MemConfig};
+use primecache_mem::{Completion, DramMapping, DramStats, MemConfig};
+use primecache_sim::{MachineConfig, RunResult, Scheme};
 use primecache_trace::Event;
 
 // ---------------------------------------------------------------------------
@@ -106,6 +110,16 @@ pub fn ref_subtract_select(x: u64, n_set: u64, inputs: u32) -> Option<u64> {
     }
 }
 
+/// The largest prime not above `n` (the pMod set count), by trial
+/// division.
+#[must_use]
+pub fn ref_prev_prime(n: u64) -> u64 {
+    (2..=n)
+        .rev()
+        .find(|&p| (2..p).take_while(|d| d * d <= p).all(|d| p % d != 0))
+        .expect("a set count of at least 2")
+}
+
 // ---------------------------------------------------------------------------
 // Set-associative cache oracle.
 // ---------------------------------------------------------------------------
@@ -122,6 +136,9 @@ pub enum OraclePolicy {
 /// What one oracle access observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleAccess {
+    /// The set the block maps to (in bank 0, for a skewed cache): where
+    /// demand statistics attribute the access.
+    pub set: usize,
     /// Whether the block was resident.
     pub hit: bool,
     /// Block address of a dirty line evicted by this access, if any.
@@ -165,7 +182,8 @@ impl OracleCache {
 
     /// Simulates one access to a block address.
     pub fn access_block(&mut self, block: u64, write: bool) -> OracleAccess {
-        let set = &mut self.sets[(self.index)(block) as usize];
+        let index = (self.index)(block) as usize;
+        let set = &mut self.sets[index];
         if let Some(pos) = set.iter().position(|l| l.block == block) {
             let mut line = set.remove(pos);
             line.dirty |= write;
@@ -176,6 +194,7 @@ impl OracleCache {
                 OraclePolicy::Fifo => set.insert(pos, line),
             }
             return OracleAccess {
+                set: index,
                 hit: true,
                 writeback: None,
             };
@@ -192,6 +211,7 @@ impl OracleCache {
             dirty: write,
         });
         OracleAccess {
+            set: index,
             hit: false,
             writeback,
         }
@@ -221,6 +241,10 @@ struct SkewLine {
 /// the inter-bank ENRU/NRUNRW policy is restated from its §5.3 description
 /// (invalid first, then the least-privileged usage class, round-robin
 /// among ties, with aging once every candidate is referenced).
+///
+/// One behaviour is not the textbook one: a write hit leaves the line
+/// clean ([`OracleSkewed::write_hit`]), mirroring a known defect of the
+/// production cache.
 pub struct OracleSkewed {
     /// `banks[b][set][way]`.
     banks: Vec<Vec<Vec<Option<SkewLine>>>>,
@@ -291,16 +315,30 @@ impl OracleSkewed {
         }
     }
 
+    /// A write hit as `SkewedCache` performs it, a known production
+    /// defect mirrored here: it sets only the NRUNRW `w` bit and leaves
+    /// the line clean, so the written data never reaches memory. A
+    /// textbook write-back cache also sets `dirty`. ROADMAP.md's open
+    /// item "Fix the skewed L2's lost write hits" records the fix, which
+    /// adds that one line here and one in the cache.
+    fn write_hit(line: &mut SkewLine) {
+        line.w = true;
+    }
+
     /// Simulates one access to a block address.
     pub fn access_block(&mut self, block: u64, write: bool) -> OracleAccess {
         let cands = self.candidates(block);
+        let set = cands[0].1;
         for (i, &(b, s, w)) in cands.iter().enumerate() {
             if let Some(l) = &mut self.banks[b][s][w] {
                 if l.block == block {
                     l.r = true;
-                    l.w |= write;
+                    if write {
+                        Self::write_hit(l);
+                    }
                     self.age(&cands, i);
                     return OracleAccess {
+                        set,
                         hit: true,
                         writeback: None,
                     };
@@ -335,6 +373,7 @@ impl OracleSkewed {
         });
         self.age(&cands, victim_i);
         OracleAccess {
+            set,
             hit: false,
             writeback,
         }
@@ -428,6 +467,7 @@ impl OracleVictim {
 /// pre-sized vectors.
 pub struct OracleDram {
     cfg: MemConfig,
+    stats: DramStats,
     /// Open row per (channel, bank-in-channel).
     open_rows: HashMap<(u64, u64), u64>,
     /// Cycle each (channel, bank-in-channel) becomes free.
@@ -442,10 +482,17 @@ impl OracleDram {
     pub fn new(cfg: MemConfig) -> Self {
         Self {
             cfg,
+            stats: DramStats::default(),
             open_rows: HashMap::new(),
             bank_free: HashMap::new(),
             bus_free: HashMap::new(),
         }
+    }
+
+    /// Request counts so far.
+    #[must_use]
+    pub fn stats(&self) -> &DramStats {
+        &self.stats
     }
 
     /// Naive address decomposition into (channel, bank-in-channel, row):
@@ -468,7 +515,7 @@ impl OracleDram {
 
     /// Simulates one request; returns what the production model's
     /// [`Completion`] must equal.
-    pub fn request(&mut self, addr: u64, now: u64, _write: bool) -> Completion {
+    pub fn request(&mut self, addr: u64, now: u64, write: bool) -> Completion {
         let (channel, bank, row) = self.map(addr);
         let key = (channel, bank);
         let row_hit = self.open_rows.get(&key) == Some(&row);
@@ -493,6 +540,18 @@ impl OracleDram {
         let complete = data_start + bus_occ;
         self.bank_free.insert(key, start + bank_busy);
         self.bus_free.insert(channel, complete);
+        // Queueing is whatever the request waited beyond its service.
+        if write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        if row_hit {
+            self.stats.row_hits += 1;
+        } else {
+            self.stats.row_misses += 1;
+        }
+        self.stats.queue_cycles += complete - now - service;
         Completion {
             complete,
             latency: complete - now,
@@ -509,8 +568,20 @@ impl OracleDram {
 // and in-flight loads and stores are plain `Vec`s scanned linearly.
 // ---------------------------------------------------------------------------
 
-/// A straight-line restatement of the trace-driven core model. It drives
-/// the real [`Hierarchy`] and [`Dram`], which have oracles of their own.
+/// The memory side [`OracleCpu`] drives: the caches, and the DRAM behind
+/// them.
+pub trait OracleMemory {
+    /// One demand access: which level served it, and the byte addresses
+    /// of the dirty L2 victims it sends to memory, in eviction order.
+    fn access(&mut self, addr: u64, write: bool) -> (AccessOutcome, Vec<u64>);
+
+    /// One DRAM request issued at cycle `now`; returns the cycle it
+    /// completes.
+    fn dram(&mut self, addr: u64, now: u64, write: bool) -> u64;
+}
+
+/// A straight-line restatement of the trace-driven core model, over any
+/// [`OracleMemory`].
 pub struct OracleCpu {
     cfg: CpuConfig,
     clock: u64,
@@ -550,17 +621,11 @@ impl OracleCpu {
 
     /// Runs `events` from a clean pipeline and returns the breakdown and
     /// its stall attribution.
-    pub fn run<X: L2Sim, J: SetIndexer>(
+    pub fn run(
         mut self,
         events: &[Event],
-        hierarchy: &mut Hierarchy<X, J>,
-        dram: &mut Dram,
+        memory: &mut impl OracleMemory,
     ) -> (ExecBreakdown, StallAttribution) {
-        let l2_line = match hierarchy.config().l2 {
-            L2Organization::SetAssoc(c) => c.line_bytes(),
-            L2Organization::Skewed(c) => c.line_bytes(),
-            L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
-        };
         for &ev in events {
             self.retire_and_bound();
             match ev {
@@ -576,7 +641,8 @@ impl OracleCpu {
                 }
                 Event::Load { addr, dep } => {
                     self.issue(1, false, true);
-                    if let Some(done) = self.access(addr, false, hierarchy, dram) {
+                    let (done, writes) = self.access(addr, false, memory);
+                    if let Some(done) = done {
                         if dep {
                             self.stalls.dep += self.stall_to(done);
                         } else {
@@ -587,12 +653,13 @@ impl OracleCpu {
                             }
                             self.loads.push((done, self.all));
                         }
-                        self.write_back(l2_line, hierarchy, dram);
                     }
+                    self.write_back(writes, memory);
                 }
                 Event::Store { addr } => {
                     self.issue(1, false, true);
-                    if let Some(done) = self.access(addr, true, hierarchy, dram) {
+                    let (done, writes) = self.access(addr, true, memory);
+                    if let Some(done) = done {
                         if self.stores.len() >= self.cfg.max_pending_stores {
                             let first = (0..self.stores.len())
                                 .min_by_key(|&i| self.stores[i])
@@ -601,8 +668,8 @@ impl OracleCpu {
                             self.stalls.store += self.stall_to(earliest);
                         }
                         self.stores.push(done);
-                        self.write_back(l2_line, hierarchy, dram);
                     }
+                    self.write_back(writes, memory);
                 }
             }
         }
@@ -678,32 +745,261 @@ impl OracleCpu {
         }
     }
 
-    /// One access: `None` on an L1 hit, else its completion time.
-    fn access<X: L2Sim, J: SetIndexer>(
+    /// One access: `None` on an L1 hit, else its completion time; and
+    /// the memory writes it caused.
+    fn access(
         &self,
         addr: u64,
         write: bool,
-        hierarchy: &mut Hierarchy<X, J>,
-        dram: &mut Dram,
-    ) -> Option<u64> {
+        memory: &mut impl OracleMemory,
+    ) -> (Option<u64>, Vec<u64>) {
         let at_l2 = self.clock + self.cfg.l2_hit_cycles;
-        match hierarchy.access(addr, write) {
+        let (outcome, writes) = memory.access(addr, write);
+        let done = match outcome {
             AccessOutcome::L1Hit => None,
             AccessOutcome::L2Hit => Some(at_l2),
-            AccessOutcome::Memory => Some(dram.request(addr, at_l2, false).complete),
+            AccessOutcome::Memory => Some(memory.dram(addr, at_l2, false)),
+        };
+        (done, writes)
+    }
+
+    /// Writes an access's dirty L2 victims to DRAM at the current clock.
+    fn write_back(&self, writes: Vec<u64>, memory: &mut impl OracleMemory) {
+        for addr in writes {
+            memory.dram(addr, self.clock, true);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-machine oracle (crates/cache/src/hierarchy.rs, crates/sim).
+//
+// Composes the cache, DRAM and CPU oracles above, restating the
+// hierarchy's composition from the `Hierarchy` docs: the L1 probe, then
+// the L2 demand read, then the L1 victim's write into the L2, with every
+// dirty L2 victim sent to memory in eviction order. Demand statistics are
+// counted here, field by field, from the `CacheStats` docs.
+// ---------------------------------------------------------------------------
+
+/// A block-level L2 oracle behind one access function.
+type OracleL2 = Box<dyn FnMut(u64, bool) -> OracleAccess>;
+
+/// Counts one demand access as the `CacheStats` fields define it.
+fn count_access(stats: &mut CacheStats, access: &OracleAccess, write: bool) {
+    let (set, hit) = (access.set, access.hit);
+    stats.accesses += 1;
+    stats.set_accesses[set] += 1;
+    if write {
+        stats.writes += 1;
+    }
+    if hit {
+        stats.hits += 1;
+    } else {
+        stats.misses += 1;
+        stats.set_misses[set] += 1;
+    }
+}
+
+/// Number of sets and the index function of a set-associative cache.
+pub(crate) fn ref_set_index(c: CacheConfig) -> (u64, Box<dyn Fn(u64) -> u64>) {
+    let phys = c.n_set_phys();
+    match c.hash() {
+        HashKind::Traditional => (phys, Box::new(move |b| ref_traditional(b, phys))),
+        HashKind::Xor => (phys, Box::new(move |b| ref_xor(b, phys))),
+        HashKind::PrimeModulo => {
+            let p = ref_prev_prime(phys);
+            (p, Box::new(move |b| ref_prime_modulo(b, p)))
+        }
+        HashKind::PrimeDisplacement => {
+            (phys, Box::new(move |b| ref_prime_displacement(b, phys, 9)))
+        }
+        // The expression's tree walk, not its compiled program.
+        HashKind::Expr(id) => (id.n_set(), Box::new(move |b| id.ast().eval(b))),
+    }
+}
+
+/// Index function of bank `bank` of a skewed cache.
+pub(crate) fn ref_bank_index(hash: SkewHashKind, sets: u64, bank: u32) -> Box<dyn Fn(u64) -> u64> {
+    match hash {
+        SkewHashKind::Xor => Box::new(move |b| ref_skew_xor(b, sets, bank)),
+        SkewHashKind::PrimeDisplacement => {
+            // The four paper factors in turn, each repeat beyond the
+            // fourth bank raised by 82 so the factors stay odd and distinct.
+            let (bank, n) = (u64::from(bank), SKEW_DISP_FACTORS.len() as u64);
+            let factor = SKEW_DISP_FACTORS[(bank % n) as usize] + 2 * (bank / n) * 41;
+            Box::new(move |b| ref_prime_displacement(b, sets, factor))
+        }
+    }
+}
+
+/// The L2 oracle an organization describes, and its number of demand
+/// statistics sets (bank 0's for a skewed cache, one pseudo-set for FA).
+fn oracle_l2(org: L2Organization) -> (OracleL2, u64) {
+    match org {
+        L2Organization::SetAssoc(c) => {
+            let policy = match c.replacement() {
+                ReplacementKind::Lru => OraclePolicy::Lru,
+                ReplacementKind::Fifo => OraclePolicy::Fifo,
+                other => panic!("no oracle for {other:?} replacement"),
+            };
+            let (sets, index) = ref_set_index(c);
+            let mut cache = OracleCache::new(sets as usize, c.assoc() as usize, policy, index);
+            (Box::new(move |b, w| cache.access_block(b, w)), sets)
+        }
+        L2Organization::Skewed(c) => {
+            let sets = c.sets_per_bank();
+            let banks = (0..c.banks())
+                .map(|bank| ref_bank_index(c.hash(), sets, bank))
+                .collect();
+            let write_aware = c.replacement() == SkewReplacement::Nrunrw;
+            let ways = c.ways_per_bank() as usize;
+            let mut cache = OracleSkewed::new(sets as usize, ways, write_aware, banks);
+            (Box::new(move |b, w| cache.access_block(b, w)), sets)
+        }
+        L2Organization::FullyAssociative {
+            size_bytes,
+            line_bytes,
+        } => {
+            let lines = (size_bytes / line_bytes) as usize;
+            let mut cache = OracleCache::new(1, lines, OraclePolicy::Lru, |_| 0);
+            (Box::new(move |b, w| cache.access_block(b, w)), 1)
+        }
+    }
+}
+
+/// The two-level hierarchy restated from the `Hierarchy` docs: an LRU
+/// [`OracleCache`] L1 under traditional indexing over the scheme's L2
+/// oracle, with no prefetching.
+pub struct OracleCaches {
+    l1: OracleCache,
+    l1_line: u64,
+    l1_stats: CacheStats,
+    l2: OracleL2,
+    l2_line: u64,
+    l2_demand: CacheStats,
+}
+
+impl OracleCaches {
+    /// The model of `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` prefetches, or if its L1 is not an LRU cache
+    /// under traditional indexing.
+    #[must_use]
+    pub fn new(config: &HierarchyConfig) -> Self {
+        let l1 = config.l1;
+        assert_eq!(config.prefetch_depth, 0, "no prefetching in the oracle");
+        assert_eq!(l1.hash(), HashKind::Traditional, "a traditional L1");
+        assert_eq!(l1.replacement(), ReplacementKind::Lru, "an LRU L1");
+        let l1_sets = l1.n_set_phys();
+        let (l2, l2_sets) = oracle_l2(config.l2);
+        Self {
+            l1: OracleCache::new(
+                l1_sets as usize,
+                l1.assoc() as usize,
+                OraclePolicy::Lru,
+                move |b| ref_traditional(b, l1_sets),
+            ),
+            l1_line: l1.line_bytes(),
+            l1_stats: CacheStats::new(l1_sets as usize),
+            l2,
+            l2_line: config.l2.line_bytes(),
+            l2_demand: CacheStats::new(l2_sets as usize),
         }
     }
 
-    /// Writes the access's dirty L2 victims to DRAM at the current clock.
-    fn write_back<X: L2Sim, J: SetIndexer>(
-        &self,
-        l2_line: u64,
-        hierarchy: &mut Hierarchy<X, J>,
-        dram: &mut Dram,
-    ) {
-        let victims: Vec<u64> = hierarchy.take_memory_writes().collect();
-        for block in victims {
-            dram.request(block * l2_line, self.clock, true);
+    /// One demand access: which level served it, and the block addresses
+    /// of the dirty L2 victims it sends to memory, in eviction order.
+    pub fn access(&mut self, addr: u64, write: bool) -> (AccessOutcome, Vec<u64>) {
+        // 1. The L1 probe; a hit ends the access.
+        let l1_block = addr / self.l1_line;
+        let l1 = self.l1.access_block(l1_block, write);
+        count_access(&mut self.l1_stats, &l1, write);
+        if l1.writeback.is_some() {
+            self.l1_stats.writebacks += 1;
+        }
+        if l1.hit {
+            return (AccessOutcome::L1Hit, Vec::new());
+        }
+        // 2. The L2 demand read, counted with the access's write flag.
+        let block = addr / self.l2_line;
+        let demand = (self.l2)(block, false);
+        count_access(&mut self.l2_demand, &demand, write);
+        let mut to_memory: Vec<u64> = demand.writeback.into_iter().collect();
+        // 3. The L1 fill's dirty victim is written into the L2.
+        if let Some(victim) = l1.writeback {
+            let victim_block = victim * self.l1_line / self.l2_line;
+            to_memory.extend((self.l2)(victim_block, true).writeback);
+        }
+        let outcome = if demand.hit {
+            AccessOutcome::L2Hit
+        } else {
+            AccessOutcome::Memory
+        };
+        (outcome, to_memory)
+    }
+
+    /// L1 statistics so far.
+    #[must_use]
+    pub fn l1_stats(&self) -> &CacheStats {
+        &self.l1_stats
+    }
+
+    /// L2 demand statistics so far: L1 misses only.
+    #[must_use]
+    pub fn l2_stats(&self) -> &CacheStats {
+        &self.l2_demand
+    }
+}
+
+impl OracleMemory for (OracleCaches, OracleDram) {
+    fn access(&mut self, addr: u64, write: bool) -> (AccessOutcome, Vec<u64>) {
+        let (outcome, blocks) = self.0.access(addr, write);
+        let line = self.0.l2_line;
+        (outcome, blocks.into_iter().map(|b| b * line).collect())
+    }
+
+    fn dram(&mut self, addr: u64, now: u64, write: bool) -> u64 {
+        self.1.request(addr, now, write).complete
+    }
+}
+
+/// The whole simulated machine restated from its docs: an
+/// [`OracleCaches`] over an [`OracleDram`], driven by an
+/// [`OracleCpu`]. It runs no production cache, DRAM or core code, so
+/// `run_trace` must match it exactly.
+pub struct OracleMachine {
+    scheme: Scheme,
+    cpu: CpuConfig,
+    memory: (OracleCaches, OracleDram),
+}
+
+impl OracleMachine {
+    /// The model of `scheme` on `machine`.
+    #[must_use]
+    pub fn new(machine: &MachineConfig, scheme: Scheme) -> Self {
+        Self {
+            scheme,
+            cpu: machine.cpu,
+            memory: (
+                OracleCaches::new(&machine.hierarchy_config(scheme)),
+                OracleDram::new(machine.mem),
+            ),
+        }
+    }
+
+    /// Runs `events` from cold caches and returns what `run_trace` must.
+    #[must_use]
+    pub fn run(mut self, events: &[Event]) -> RunResult {
+        let (breakdown, _) = OracleCpu::new(self.cpu).run(events, &mut self.memory);
+        let (hierarchy, dram) = self.memory;
+        RunResult {
+            scheme: self.scheme,
+            breakdown,
+            l1: hierarchy.l1_stats,
+            l2: hierarchy.l2_demand,
+            dram: dram.stats,
         }
     }
 }

@@ -24,56 +24,88 @@ use primecache_trace::{read_trace, write_trace, EncodedTrace, TraceStats, FRAME_
 use primecache_workloads::profile::profile_of;
 use primecache_workloads::{all, by_name, MixConfig, TenantMix};
 
-use crate::args::{flag_parsed, flag_value, positional};
+use crate::args::Args;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-pcache — prime-number cache indexing simulator (HPCA 2004 reproduction)
-
-USAGE:
-  pcache list [--verbose]                  list the 23 workload models
-  pcache run <app> [--scheme S] [--refs N] simulate one (workload, scheme)
-  pcache classify [--refs N]               uniformity classification (§4)
-  pcache sweep [--refs N]                  all apps x main schemes
-  pcache metrics --stride S                balance/concentration at a stride
-  pcache metrics --app <name> [--refs N]   same metrics over a workload trace
-  pcache taxonomy [--refs N]               three-C miss decomposition
-  pcache analyze [--json]                  static certificates + config lints
-  pcache analyze --expr 'SRC' [--name N] [--json]
-                                           certify one DSL index expression
-  pcache analyze --self-check [--refs N]   cross-validate the static analyzer
-  pcache attack [--scheme S | --expr SRC] [--json] [--seed N]
-                                           black-box index recovery +
-                                           eviction-set construction cost;
-                                           checks every recovered model
-                                           against the static one
-  pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]
-                                           self-describing run report (JSON)
-  pcache trace-events <app> [--scheme S] [--refs N] [--sample N] [--ring N]
-                      [--out FILE]         per-access event trace (JSONL)
-  pcache trace-events --sweep [--refs N] [--out FILE]
-                                           sweep-task scheduling trace (JSONL)
-  pcache trace <app> --out FILE [--refs N] [--format pct1|pcte|text]
-                                           dump a trace (flat binary, recorded
-                                           PCTE frame, or importable text)
-  pcache import FILE [--out FILE] [--run] [--scheme S]
-                                           validate + convert an external trace
-                                           (text, PCTE, or flat PCT1; grammar in
-                                           TRACE_FORMAT.md); --out writes the
-                                           PCTE conversion, --run simulates it
-  pcache sweep --tenants A,B[,...] [--refs N] [--quantum Q] [--seed S]
-                                           interleave N workloads (or trace
-                                           files) through one shared L2 and
-                                           report per-scheme, per-tenant
-                                           interference miss blowup
-  pcache inspect FILE                      summarize a binary trace (flat PCT1
-                                           or PCTE frame)
-
+/// What `pcache help` prints after the subcommands.
+const SCHEMES: &str = "\
 SCHEMES: Base, 8-way, XOR, pMod, pDisp, SKW, skw+pDisp, FA,
          or a DSL expression: expr:'a % 2039' (see DESIGN.md for the grammar;
          the scheme is statically certified before any simulation runs, and
          one with an error-level lint is refused with exit code 2)
 ";
+
+/// A subcommand: its checked arguments to an exit code.
+type Subcommand = fn(&Args) -> i32;
+
+/// Every subcommand: its usage line, which names it and declares its
+/// flags (see [`crate::args`]), what it does, and its implementation.
+#[rustfmt::skip]
+const COMMANDS: [(&str, &str, Subcommand); 13] = [
+    ("pcache list [--verbose]",
+     "list the 23 workload models", list),
+    ("pcache run <app> [--scheme S] [--refs N]",
+     "simulate one (workload, scheme)", run),
+    ("pcache classify [--refs N]",
+     "uniformity classification (§4)", classify),
+    ("pcache sweep [--refs N] | --tenants A,B[,...] [--refs N] [--quantum Q] [--seed S]",
+     "all apps x main schemes, or tenants sharing one L2 (interference blowup)", sweep),
+    ("pcache metrics --stride S [--sets N] | --app <name> [--refs N]",
+     "balance/concentration at a stride, or over a workload trace", metrics),
+    ("pcache taxonomy [--refs N]",
+     "three-C miss decomposition", taxonomy),
+    ("pcache analyze [--json] [--expr 'SRC' [--name N] | --self-check [--refs N]]",
+     "static certificates + config lints, one DSL expression, or a self-check", analyze),
+    ("pcache attack [--scheme S | --expr SRC] [--json] [--seed N]",
+     "black-box index recovery + eviction-set cost, checked against the model", attack),
+    ("pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]",
+     "self-describing run report (JSON)", report),
+    ("pcache trace-events <app> [--scheme S] [--refs N] [--sample N] [--ring N] [--out FILE] \
+      | --sweep [--refs N] [--out FILE]",
+     "per-access event trace, or sweep-task scheduling trace (JSONL)", trace_events),
+    ("pcache trace <app> --out FILE [--refs N] [--format pct1|pcte|text]",
+     "dump a trace (flat binary, recorded PCTE frame, or importable text)", trace),
+    ("pcache import FILE [--out FILE] [--run] [--scheme S]",
+     "validate a trace (TRACE_FORMAT.md); --out writes PCTE, --run simulates it", import),
+    ("pcache inspect FILE",
+     "summarize a binary trace (flat PCT1 or PCTE frame)", inspect),
+];
+
+/// What `pcache help` prints: every subcommand's usage line and what
+/// it does, then the schemes.
+#[must_use]
+pub fn help_text() -> String {
+    let mut text = String::from(
+        "pcache — prime-number cache indexing simulator (HPCA 2004 reproduction)\n\nUSAGE:\n",
+    );
+    for (line, what, _) in COMMANDS {
+        text.extend(["  ", line, "\n      ", what, "\n"]);
+    }
+    text + "\n" + SCHEMES
+}
+
+/// Runs the `pcache` command line `argv` (program name excluded) and
+/// returns its exit code: 2 for an unknown command, or for arguments
+/// the command's usage line does not declare.
+pub fn main(argv: &[String]) -> i32 {
+    let name = argv.first().map_or("help", String::as_str);
+    if matches!(name, "help" | "--help" | "-h") {
+        print!("{}", help_text());
+        return 0;
+    }
+    let named = |usage: &str| usage.split_whitespace().nth(1) == Some(name);
+    let Some(&(usage, _, command)) = COMMANDS.iter().find(|c| named(c.0)) else {
+        eprintln!("unknown command '{name}'\n");
+        eprint!("{}", help_text());
+        return 2;
+    };
+    match Args::parse(&argv[1..], usage) {
+        Ok(args) => command(&args),
+        Err(e) => {
+            eprintln!("{e}\nusage: {usage}");
+            2
+        }
+    }
+}
 
 /// Resolves a `--scheme` label, then runs the config lint pass on it:
 /// a scheme with any error-level lint is refused before any simulation
@@ -102,8 +134,8 @@ fn parse_scheme(label: &str) -> Result<Scheme, String> {
 }
 
 /// `pcache list [--verbose]`
-pub fn list(args: &[String]) -> i32 {
-    let verbose = args.iter().any(|a| a == "--verbose");
+fn list(args: &Args) -> i32 {
+    let verbose = args.has("--verbose");
     if verbose {
         let rows: Vec<Vec<String>> = all()
             .iter()
@@ -162,16 +194,16 @@ pub fn list(args: &[String]) -> i32 {
 }
 
 /// `pcache run <app> [--scheme S] [--refs N]`
-pub fn run(args: &[String]) -> i32 {
-    let Some(name) = positional(args) else {
-        eprintln!("usage: pcache run <app> [--scheme S] [--refs N]");
+fn run(args: &Args) -> i32 {
+    let Some(name) = args.positional() else {
+        eprintln!("usage: {}", args.usage());
         return 2;
     };
     let Some(workload) = by_name(name) else {
         eprintln!("unknown workload '{name}' (try `pcache list`)");
         return 2;
     };
-    let scheme_label = flag_value(args, "--scheme").unwrap_or("pMod");
+    let scheme_label = args.value("--scheme").unwrap_or("pMod");
     let scheme = match parse_scheme(scheme_label) {
         Ok(s) => s,
         Err(e) => {
@@ -179,7 +211,7 @@ pub fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let refs = match flag_parsed(args, "--refs", 200_000u64) {
+    let refs = match args.parsed("--refs", 200_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -222,8 +254,8 @@ pub fn run(args: &[String]) -> i32 {
 }
 
 /// `pcache classify [--refs N]`
-pub fn classify(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 200_000u64) {
+fn classify(args: &Args) -> i32 {
+    let refs = match args.parsed("--refs", 200_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -264,11 +296,11 @@ const SWEEP_SCHEMES: [Scheme; 5] = [
 ];
 
 /// `pcache sweep [--refs N]` / `pcache sweep --tenants A,B[,...]`
-pub fn sweep(args: &[String]) -> i32 {
-    if flag_value(args, "--tenants").is_some() {
+fn sweep(args: &Args) -> i32 {
+    if args.value("--tenants").is_some() {
         return sweep_tenants(args);
     }
-    let refs = match flag_parsed(args, "--refs", 100_000u64) {
+    let refs = match args.parsed("--refs", 100_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -313,13 +345,13 @@ pub fn sweep(args: &[String]) -> i32 {
 /// the table compares its L2 misses inside the mix against its solo
 /// baseline (same tagged address stream, no co-tenants); the blowup
 /// ratio is pure inter-tenant interference.
-fn sweep_tenants(args: &[String]) -> i32 {
-    let spec = flag_value(args, "--tenants").expect("caller checked the flag");
+fn sweep_tenants(args: &Args) -> i32 {
+    let spec = args.value("--tenants").expect("caller checked the flag");
     let defaults = MixConfig::default();
     let (refs, quantum, seed) = match (
-        flag_parsed(args, "--refs", 50_000u64),
-        flag_parsed(args, "--quantum", defaults.quantum_instructions),
-        flag_parsed(args, "--seed", defaults.seed),
+        args.parsed("--refs", 50_000u64),
+        args.parsed("--quantum", defaults.quantum_instructions),
+        args.parsed("--seed", defaults.seed),
     ) {
         (Ok(r), Ok(q), Ok(s)) => (r, q, s),
         (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
@@ -413,18 +445,18 @@ fn sweep_tenants(args: &[String]) -> i32 {
 }
 
 /// `pcache metrics --stride S [--sets N]` or `--app <name> [--refs N]`
-pub fn metrics(args: &[String]) -> i32 {
-    if let Some(app) = flag_value(args, "--app") {
+fn metrics(args: &Args) -> i32 {
+    if let Some(app) = args.value("--app") {
         return metrics_app(app, args);
     }
-    let stride = match flag_parsed(args, "--stride", 1u64) {
+    let stride = match args.parsed("--stride", 1u64) {
         Ok(v) if v > 0 => v,
         _ => {
-            eprintln!("usage: pcache metrics --stride S [--sets N]");
+            eprintln!("usage: {}", args.usage());
             return 2;
         }
     };
-    let sets = match flag_parsed(args, "--sets", 2048u64) {
+    let sets = match args.parsed("--sets", 2048u64) {
         Ok(v) if v.is_power_of_two() && v >= 4 => v,
         _ => {
             eprintln!("--sets must be a power of two >= 4");
@@ -460,8 +492,8 @@ pub fn metrics(args: &[String]) -> i32 {
 }
 
 /// `pcache taxonomy [--refs N]`
-pub fn taxonomy(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 150_000u64) {
+fn taxonomy(args: &Args) -> i32 {
+    let refs = match args.parsed("--refs", 150_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -510,11 +542,11 @@ fn analysis_geometries(machine: &MachineConfig) -> (Geometry, Geometry) {
 
 /// `pcache analyze [--json]` / `pcache analyze --expr 'SRC'` /
 /// `pcache analyze --self-check [--refs N]`
-pub fn analyze(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--self-check") {
+fn analyze(args: &Args) -> i32 {
+    if args.has("--self-check") {
         return analyze_self_check(args);
     }
-    if let Some(src) = flag_value(args, "--expr") {
+    if let Some(src) = args.value("--expr") {
         return analyze_expr(src, args);
     }
     let machine = MachineConfig::paper_default();
@@ -532,7 +564,7 @@ pub fn analyze(args: &[String]) -> i32 {
     let sweep_lints = primecache_analyze::lint_sweep_shape(n_tasks, n_workers);
     let mut bare: Vec<primecache_analyze::Lint> = lints.iter().map(|(_, l)| l.clone()).collect();
     bare.extend(sweep_lints.iter().cloned());
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", report_json(&certs, &bare));
         return i32::from(has_errors(&bare));
     }
@@ -606,8 +638,8 @@ pub fn analyze(args: &[String]) -> i32 {
 /// index expression, lower it to its abstract model, and print the
 /// certificate plus the lints the paper machine's L2 geometry raises —
 /// the same gate `--scheme expr:SRC` simulation runs behind.
-fn analyze_expr(src: &str, args: &[String]) -> i32 {
-    let registered = match flag_value(args, "--name") {
+fn analyze_expr(src: &str, args: &Args) -> i32 {
+    let registered = match args.value("--name") {
         Some(name) => primecache_core::expr::register(name, src),
         None => primecache_core::expr::register_anonymous(src),
     };
@@ -623,7 +655,7 @@ fn analyze_expr(src: &str, args: &[String]) -> i32 {
     let in_bits = (2 * geom.index_bits() + 4).min(64);
     let cert = certify_expr(id.name().to_owned(), id.folded(), in_bits);
     let lints = machine.lint_scheme(Scheme::Expr(id));
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", report_json(std::slice::from_ref(&cert), &lints));
         return i32::from(has_errors(&lints));
     }
@@ -673,8 +705,8 @@ fn analyze_expr(src: &str, args: &[String]) -> i32 {
 
 /// `pcache analyze --self-check [--refs N]`: the full static-vs-concrete
 /// cross-validation battery, then the 23-workload distribution check.
-fn analyze_self_check(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 60_000u64) {
+fn analyze_self_check(args: &Args) -> i32 {
+    let refs = match args.parsed("--refs", 60_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -777,12 +809,12 @@ fn check_workload_distributions(refs: u64) -> Result<u64, String> {
 
 /// `pcache metrics --app <name>`: the §2 metrics over a workload's block
 /// stream under each hash function.
-fn metrics_app(app: &str, args: &[String]) -> i32 {
+fn metrics_app(app: &str, args: &Args) -> i32 {
     let Some(workload) = by_name(app) else {
         eprintln!("unknown workload '{app}' (try `pcache list`)");
         return 2;
     };
-    let refs = match flag_parsed(args, "--refs", 100_000u64) {
+    let refs = match args.parsed("--refs", 100_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -829,16 +861,16 @@ fn metrics_app(app: &str, args: &[String]) -> i32 {
 /// fingerprint, git revision, wall and simulated time), the execution
 /// breakdown, per-level cache and DRAM totals, and the full named
 /// metric dump, read from the run's own statistics.
-pub fn report(args: &[String]) -> i32 {
-    let Some(name) = positional(args) else {
-        eprintln!("usage: pcache report <app> [--scheme S] [--refs N] [--out FILE] [--compact]");
+fn report(args: &Args) -> i32 {
+    let Some(name) = args.positional() else {
+        eprintln!("usage: {}", args.usage());
         return 2;
     };
     let Some(workload) = by_name(name) else {
         eprintln!("unknown workload '{name}' (try `pcache list`)");
         return 2;
     };
-    let scheme_label = flag_value(args, "--scheme").unwrap_or("pMod");
+    let scheme_label = args.value("--scheme").unwrap_or("pMod");
     let scheme = match parse_scheme(scheme_label) {
         Ok(s) => s,
         Err(e) => {
@@ -846,7 +878,7 @@ pub fn report(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let refs = match flag_parsed(args, "--refs", 200_000u64) {
+    let refs = match args.parsed("--refs", 200_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -859,14 +891,14 @@ pub fn report(args: &[String]) -> i32 {
         refs,
         primecache_obs::ObsConfig::default(),
     );
-    let text = if args.iter().any(|a| a == "--compact") {
+    let text = if args.has("--compact") {
         let mut t = report.to_json().render();
         t.push('\n');
         t
     } else {
         report.to_json().render_pretty()
     };
-    match flag_value(args, "--out") {
+    match args.value("--out") {
         Some(out) => {
             if let Err(e) = std::fs::write(out, &text) {
                 eprintln!("cannot write {out}: {e}");
@@ -887,17 +919,17 @@ pub fn report(args: &[String]) -> i32 {
 /// access/eviction/dram/task; schema in OBSERVABILITY.md). The per-run
 /// form traces one observed simulation; the `--sweep` form records the
 /// scheduling of the parallel sweep.
-pub fn trace_events(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--sweep") {
+fn trace_events(args: &Args) -> i32 {
+    if args.has("--sweep") {
         return trace_events_sweep(args);
     }
     trace_events_run(args)
 }
 
 /// Writes `lines` of JSONL to `--out` or stdout.
-fn emit_jsonl(args: &[String], events: &[primecache_obs::ObsEvent]) -> i32 {
+fn emit_jsonl(args: &Args, events: &[primecache_obs::ObsEvent]) -> i32 {
     use primecache_obs::{EventSink, JsonlSink};
-    let mut sink = match flag_value(args, "--out") {
+    let mut sink = match args.value("--out") {
         Some(out) => match std::fs::File::create(out) {
             Ok(f) => {
                 JsonlSink::new(Box::new(std::io::BufWriter::new(f)) as Box<dyn std::io::Write>)
@@ -917,25 +949,22 @@ fn emit_jsonl(args: &[String], events: &[primecache_obs::ObsEvent]) -> i32 {
         eprintln!("short write: {lines} of {} events", events.len());
         return 1;
     }
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = args.value("--out") {
         println!("wrote {lines} events to {out}");
     }
     0
 }
 
-fn trace_events_run(args: &[String]) -> i32 {
-    let Some(name) = positional(args) else {
-        eprintln!(
-            "usage: pcache trace-events <app> [--scheme S] [--refs N] \
-             [--sample N] [--ring N] [--out FILE]"
-        );
+fn trace_events_run(args: &Args) -> i32 {
+    let Some(name) = args.positional() else {
+        eprintln!("usage: {}", args.usage());
         return 2;
     };
     let Some(workload) = by_name(name) else {
         eprintln!("unknown workload '{name}' (try `pcache list`)");
         return 2;
     };
-    let scheme_label = flag_value(args, "--scheme").unwrap_or("pMod");
+    let scheme_label = args.value("--scheme").unwrap_or("pMod");
     let scheme = match parse_scheme(scheme_label) {
         Ok(s) => s,
         Err(e) => {
@@ -944,9 +973,9 @@ fn trace_events_run(args: &[String]) -> i32 {
         }
     };
     let (refs, sample, ring) = match (
-        flag_parsed(args, "--refs", 50_000u64),
-        flag_parsed(args, "--sample", 1u64),
-        flag_parsed(args, "--ring", 1usize << 20),
+        args.parsed("--refs", 50_000u64),
+        args.parsed("--sample", 1u64),
+        args.parsed("--ring", 1usize << 20),
     ) {
         (Ok(r), Ok(s), Ok(g)) => (r, s, g),
         (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
@@ -975,9 +1004,9 @@ fn trace_events_run(args: &[String]) -> i32 {
 /// `pcache trace-events --sweep [--refs N] [--out FILE]`: runs a small
 /// parallel sweep and emits one `task` event per (workload, scheme)
 /// cell, recording worker assignment and wall-clock placement.
-fn trace_events_sweep(args: &[String]) -> i32 {
+fn trace_events_sweep(args: &Args) -> i32 {
     use primecache_obs::{EventKind, ObsEvent};
-    let refs = match flag_parsed(args, "--refs", 20_000u64) {
+    let refs = match args.parsed("--refs", 20_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1010,27 +1039,27 @@ fn trace_events_sweep(args: &[String]) -> i32 {
 /// TRACE_FORMAT.md. The `pcte` and `text` exports come from the same
 /// recording, so `pcache import` of the text file reproduces the PCTE
 /// file byte-for-byte (same fingerprint) — `ci/ingest_smoke.sh` pins it.
-pub fn trace(args: &[String]) -> i32 {
-    let Some(name) = positional(args) else {
-        eprintln!("usage: pcache trace <app> --out FILE [--refs N] [--format pct1|pcte|text]");
+fn trace(args: &Args) -> i32 {
+    let Some(name) = args.positional() else {
+        eprintln!("usage: {}", args.usage());
         return 2;
     };
     let Some(workload) = by_name(name) else {
         eprintln!("unknown workload '{name}'");
         return 2;
     };
-    let Some(out) = flag_value(args, "--out") else {
+    let Some(out) = args.value("--out") else {
         eprintln!("--out FILE is required");
         return 2;
     };
-    let refs = match flag_parsed(args, "--refs", 100_000u64) {
+    let refs = match args.parsed("--refs", 100_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
-    let format = flag_value(args, "--format").unwrap_or("pct1");
+    let format = args.value("--format").unwrap_or("pct1");
     let (label, n_events, bytes) = match format {
         "pct1" => {
             let events = workload.trace(refs);
@@ -1072,9 +1101,9 @@ pub fn trace(args: &[String]) -> i32 {
 /// reference counts, address range, encoded size, and the frame
 /// fingerprint. `--out` writes the conversion; `--run` simulates the
 /// imported trace through the standard batched driver.
-pub fn import(args: &[String]) -> i32 {
-    let Some(path) = positional(args) else {
-        eprintln!("usage: pcache import FILE [--out FILE] [--run] [--scheme S]");
+fn import(args: &Args) -> i32 {
+    let Some(path) = args.positional() else {
+        eprintln!("usage: {}", args.usage());
         return 2;
     };
     let imported = match import_path(path) {
@@ -1111,7 +1140,7 @@ pub fn import(args: &[String]) -> i32 {
         imported.trace.bytes_per_event(),
         imported.trace.fingerprint()
     );
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = args.value("--out") {
         let bytes = imported.trace.to_bytes();
         if let Err(e) = std::fs::write(out, &bytes) {
             eprintln!("cannot write {out}: {e}");
@@ -1119,8 +1148,8 @@ pub fn import(args: &[String]) -> i32 {
         }
         println!("  wrote PCTE frame ({} bytes) to {out}", bytes.len());
     }
-    if args.iter().any(|a| a == "--run") {
-        let scheme_label = flag_value(args, "--scheme").unwrap_or("pMod");
+    if args.has("--run") {
+        let scheme_label = args.value("--scheme").unwrap_or("pMod");
         let scheme = match parse_scheme(scheme_label) {
             Ok(s) => s,
             Err(e) => {
@@ -1161,9 +1190,9 @@ fn print_run_summary(r: &RunResult) {
 
 /// `pcache inspect FILE` — summarizes a flat PCT1 dump or a chunked
 /// PCTE frame (recognized by magic).
-pub fn inspect(args: &[String]) -> i32 {
-    let Some(path) = positional(args) else {
-        eprintln!("usage: pcache inspect FILE");
+fn inspect(args: &Args) -> i32 {
+    let Some(path) = args.positional() else {
+        eprintln!("usage: {}", args.usage());
         return 2;
     };
     let data = match std::fs::read(path) {
@@ -1233,15 +1262,15 @@ fn print_trace_stats(stats: &TraceStats) {
 /// measurement against one scheme (or all eight built-ins), and check
 /// every recovered model against the static analyzer's — the
 /// differential oracle. Exit code 1 when any scheme disagrees.
-pub fn attack(args: &[String]) -> i32 {
-    let seed = match flag_parsed(args, "--seed", 0x5EEDu64) {
+fn attack(args: &Args) -> i32 {
+    let seed = match args.parsed("--seed", 0x5EEDu64) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
-    let schemes: Vec<Scheme> = if let Some(src) = flag_value(args, "--expr") {
+    let schemes: Vec<Scheme> = if let Some(src) = args.value("--expr") {
         match parse_scheme(&format!("expr:{src}")) {
             Ok(s) => vec![s],
             Err(e) => {
@@ -1249,7 +1278,7 @@ pub fn attack(args: &[String]) -> i32 {
                 return 2;
             }
         }
-    } else if let Some(label) = flag_value(args, "--scheme") {
+    } else if let Some(label) = args.value("--scheme") {
         match parse_scheme(label) {
             Ok(s) => vec![s],
             Err(e) => {
@@ -1266,7 +1295,7 @@ pub fn attack(args: &[String]) -> i32 {
         .map(|&s| attack_scheme(&machine, s, seed))
         .collect();
     let all_agree = entries.iter().all(|e| e.agrees_static);
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", attack_report_json(&entries));
         return i32::from(!all_agree);
     }

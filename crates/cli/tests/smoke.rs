@@ -2,41 +2,37 @@
 
 use primecache_cli::commands;
 
-fn args(items: &[&str]) -> Vec<String> {
-    items.iter().map(|s| (*s).to_owned()).collect()
+/// Runs `pcache` on `argv` and returns its exit code.
+fn pcache(argv: &[&str]) -> i32 {
+    let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+    commands::main(&argv)
 }
 
 #[test]
 fn list_succeeds() {
-    assert_eq!(commands::list(&args(&[])), 0);
-    assert_eq!(commands::list(&args(&["--verbose"])), 0);
+    assert_eq!(pcache(&["list"]), 0);
+    assert_eq!(pcache(&["list", "--verbose"]), 0);
 }
 
 #[test]
 fn run_validates_inputs() {
-    assert_eq!(commands::run(&args(&[])), 2);
-    assert_eq!(commands::run(&args(&["doom"])), 2);
-    assert_eq!(commands::run(&args(&["tree", "--scheme", "wat"])), 2);
-    assert_eq!(commands::run(&args(&["tree", "--refs", "nope"])), 2);
+    assert_eq!(pcache(&["run"]), 2);
+    assert_eq!(pcache(&["run", "doom"]), 2);
+    assert_eq!(pcache(&["run", "tree", "--scheme", "wat"]), 2);
+    assert_eq!(pcache(&["run", "tree", "--refs", "nope"]), 2);
     assert_eq!(
-        commands::run(&args(&["tree", "--scheme", "pMod", "--refs", "5000"])),
+        pcache(&["run", "tree", "--scheme", "pMod", "--refs", "5000"]),
         0
     );
 }
 
 #[test]
 fn metrics_validates_inputs() {
-    assert_eq!(commands::metrics(&args(&["--stride", "0"])), 2);
-    assert_eq!(
-        commands::metrics(&args(&["--stride", "7", "--sets", "100"])),
-        2
-    );
-    assert_eq!(commands::metrics(&args(&["--stride", "7"])), 0);
-    assert_eq!(commands::metrics(&args(&["--app", "nothere"])), 2);
-    assert_eq!(
-        commands::metrics(&args(&["--app", "tree", "--refs", "3000"])),
-        0
-    );
+    assert_eq!(pcache(&["metrics", "--stride", "0"]), 2);
+    assert_eq!(pcache(&["metrics", "--stride", "7", "--sets", "100"]), 2);
+    assert_eq!(pcache(&["metrics", "--stride", "7"]), 0);
+    assert_eq!(pcache(&["metrics", "--app", "nothere"]), 2);
+    assert_eq!(pcache(&["metrics", "--app", "tree", "--refs", "3000"]), 0);
 }
 
 #[test]
@@ -46,24 +42,24 @@ fn trace_and_inspect_roundtrip() {
     let path = dir.join("t.pct");
     let path_str = path.to_str().unwrap();
     assert_eq!(
-        commands::trace(&args(&["swim", "--out", path_str, "--refs", "2000"])),
+        pcache(&["trace", "swim", "--out", path_str, "--refs", "2000"]),
         0
     );
-    assert_eq!(commands::inspect(&args(&[path_str])), 0);
-    assert_eq!(commands::inspect(&args(&["/nonexistent/file"])), 1);
+    assert_eq!(pcache(&["inspect", path_str]), 0);
+    assert_eq!(pcache(&["inspect", "/nonexistent/file"]), 1);
     std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn trace_requires_out_flag() {
-    assert_eq!(commands::trace(&args(&["swim"])), 2);
-    assert_eq!(commands::trace(&args(&[])), 2);
+    assert_eq!(pcache(&["trace", "swim"]), 2);
+    assert_eq!(pcache(&["trace"]), 2);
 }
 
 #[test]
 fn classify_and_taxonomy_run() {
-    assert_eq!(commands::classify(&args(&["--refs", "3000"])), 0);
-    assert_eq!(commands::taxonomy(&args(&["--refs", "3000"])), 0);
+    assert_eq!(pcache(&["classify", "--refs", "3000"]), 0);
+    assert_eq!(pcache(&["taxonomy", "--refs", "3000"]), 0);
 }
 
 #[test]
@@ -71,34 +67,32 @@ fn schemes_with_error_lints_exit_2_before_simulating() {
     // A composite modulus is an error-level lint (non-prime-modulus):
     // every command that takes --scheme refuses it, in every profile.
     let composite = "expr:a % 2046";
-    let app = ["tree", "--scheme", composite, "--refs", "2000"];
-    assert_eq!(commands::run(&args(&app)), 2);
-    assert_eq!(commands::report(&args(&app)), 2);
-    assert_eq!(commands::trace_events(&args(&app)), 2);
+    for command in ["run", "report", "trace-events"] {
+        let argv = [command, "tree", "--scheme", composite, "--refs", "2000"];
+        assert_eq!(pcache(&argv), 2, "{command}");
+    }
 
     let dir = std::env::temp_dir().join("pcache_cli_lint_gate");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("swim.txt");
     let path_str = path.to_str().unwrap();
     assert_eq!(
-        commands::trace(&args(&[
-            "swim", "--out", path_str, "--refs", "2000", "--format", "text"
-        ])),
+        pcache(&["trace", "swim", "--out", path_str, "--refs", "2000", "--format", "text"]),
         0
     );
     assert_eq!(
-        commands::import(&args(&[path_str, "--run", "--scheme", composite])),
+        pcache(&["import", path_str, "--run", "--scheme", composite]),
         2
     );
     // A prime modulus and a warning-only scheme still simulate.
     for scheme in ["expr:a % 2039", "XOR"] {
         assert_eq!(
-            commands::run(&args(&["tree", "--scheme", scheme, "--refs", "2000"])),
+            pcache(&["run", "tree", "--scheme", scheme, "--refs", "2000"]),
             0,
             "{scheme}"
         );
         assert_eq!(
-            commands::import(&args(&[path_str, "--run", "--scheme", scheme])),
+            pcache(&["import", path_str, "--run", "--scheme", scheme]),
             0,
             "{scheme}"
         );
@@ -116,12 +110,68 @@ fn huge_ring_bounds_allocate_only_for_the_events_recorded() {
     let path_str = path.to_str().unwrap();
     for ring in ["18446744073709551615", "4000000000000"] {
         assert_eq!(
-            commands::trace_events(&args(&[
-                "tree", "--refs", "1000", "--ring", ring, "--out", path_str
-            ])),
+            pcache(&[
+                "trace-events",
+                "tree",
+                "--refs",
+                "1000",
+                "--ring",
+                ring,
+                "--out",
+                path_str
+            ]),
             0,
             "--ring {ring}"
         );
     }
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn flags_without_a_value_leave_the_next_argument_positional() {
+    // `--run` and `--compact` take no value: the argument after them is
+    // the command's input, not the flag's value.
+    let dir = std::env::temp_dir().join("pcache_cli_valueless");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.txt");
+    let path_str = path.to_str().unwrap();
+    let trace = [
+        "trace", "swim", "--out", path_str, "--refs", "2000", "--format", "text",
+    ];
+    assert_eq!(pcache(&trace), 0);
+    assert_eq!(pcache(&["import", "--run", path_str]), 0);
+    assert_eq!(
+        pcache(&["report", "--compact", "tree", "--refs", "2000"]),
+        0
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn unknown_repeated_and_valueless_flags_exit_2() {
+    // Misspelled flags must not fall back to the defaults and simulate.
+    assert_eq!(
+        pcache(&["run", "tree", "--refz", "1000", "--schem", "SKW"]),
+        2
+    );
+    assert_eq!(
+        pcache(&["run", "tree", "--refs", "1000", "--refs", "2000"]),
+        2
+    );
+    assert_eq!(pcache(&["list", "--verbose", "--verbose"]), 2);
+    assert_eq!(pcache(&["frobnicate"]), 2);
+    assert_eq!(pcache(&["classify", "--refs"]), 2);
+    assert_eq!(pcache(&["inspect", "--out", "x", "file"]), 2);
+}
+
+#[test]
+fn help_prints_the_declared_usage_lines() {
+    assert_eq!(pcache(&["help"]), 0);
+    let help = commands::help_text();
+    for line in [
+        "pcache metrics --stride S [--sets N] | --app <name> [--refs N]",
+        "pcache import FILE [--out FILE] [--run] [--scheme S]",
+    ] {
+        assert!(help.contains(line), "{line}");
+    }
 }

@@ -47,14 +47,16 @@
 //! # Examples
 //!
 //! ```
-//! use primecache_cache::{CacheConfig, Hierarchy, HierarchyConfig, L2Organization};
+//! use primecache_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, L2Organization};
 //! use primecache_cpu::{Cpu, CpuConfig};
 //! use primecache_mem::{Dram, MemConfig};
 //! use primecache_trace::strided;
 //!
-//! let mut hierarchy = Hierarchy::new(HierarchyConfig::paper_default(
-//!     L2Organization::SetAssoc(CacheConfig::new(512 * 1024, 4, 64)),
-//! ));
+//! let l2 = CacheConfig::new(512 * 1024, 4, 64);
+//! let mut hierarchy = Hierarchy::with_l2(
+//!     HierarchyConfig::paper_default(L2Organization::SetAssoc(l2)),
+//!     Cache::new(l2),
+//! );
 //! let mut dram = Dram::new(MemConfig::paper_default());
 //! let mut cpu = Cpu::new(CpuConfig::paper_default());
 //! let breakdown = cpu.run(strided(64, 10_000, 12), &mut hierarchy, &mut dram);

@@ -3,8 +3,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use primecache_cache::{AccessOutcome, Hierarchy, L2Organization, L2Sim};
-use primecache_core::index::{FastMod, SetIndexer};
+use primecache_cache::{AccessOutcome, Hierarchy, L2Sim};
+use primecache_core::index::FastMod;
 use primecache_mem::Dram;
 use primecache_obs::ObsHandle;
 use primecache_trace::Event;
@@ -121,6 +121,11 @@ struct InflightLoad {
 /// completion, are mirrored in plain fields (`u64::MAX` when nothing is
 /// in flight), so the per-event retire and ROB checks are one compare
 /// each and touch the queues only when something retires.
+///
+/// The per-event steps (`issue`, `retire_completed`, `enforce_rob`) are
+/// `#[inline]`: `Cpu::feed` is monomorphized in the caller's crate, so
+/// without the hint each would be a call into this crate on the
+/// per-event path.
 #[derive(Debug, Clone)]
 struct RunState {
     now: u64,
@@ -176,6 +181,7 @@ impl RunState {
     /// per-class functional-unit limits: busy time is the maximum of the
     /// class throughput requirements
     /// (`total/issue_width`, `fp/fp_width`, `mem/mem_width`).
+    #[inline]
     fn issue(&mut self, n: u64, class: IssueClass, widths: &Widths) {
         self.instr_total += n;
         match class {
@@ -216,6 +222,7 @@ impl RunState {
 
     /// Drops pending operations that completed by `now` (in program order
     /// for loads — the ROB retires in order).
+    #[inline]
     fn retire_completed(&mut self) {
         if self.oldest_load_done <= self.now {
             while matches!(self.pending_loads.front(), Some(l) if l.completion <= self.now) {
@@ -262,6 +269,7 @@ impl RunState {
 
     /// Enforces the ROB window: the core cannot run more than the ROB
     /// size in instructions past an outstanding load.
+    #[inline]
     fn enforce_rob(&mut self) {
         while self.instr_total >= self.oldest_load_rob_limit {
             self.wait_oldest_load(StallCause::Rob);
@@ -329,16 +337,15 @@ impl Cpu {
     /// Runs a trace through the hierarchy and DRAM, returning the cycle
     /// breakdown: [`Cpu::feed`] over the whole trace, then
     /// [`Cpu::finish`].
-    pub fn run<T, X, J>(
+    pub fn run<T, X>(
         &mut self,
         trace: T,
-        hierarchy: &mut Hierarchy<X, J>,
+        hierarchy: &mut Hierarchy<X>,
         dram: &mut Dram,
     ) -> ExecBreakdown
     where
         T: IntoIterator<Item = Event>,
         X: L2Sim,
-        J: SetIndexer,
     {
         self.feed(trace, hierarchy, dram);
         self.finish()
@@ -350,19 +357,14 @@ impl Cpu {
     ///
     /// Dirty L2 victims are issued to DRAM as write traffic (they occupy
     /// banks and bus but nothing waits on them).
-    pub fn feed<T, X, J>(&mut self, events: T, hierarchy: &mut Hierarchy<X, J>, dram: &mut Dram)
+    pub fn feed<T, X>(&mut self, events: T, hierarchy: &mut Hierarchy<X>, dram: &mut Dram)
     where
         T: IntoIterator<Item = Event>,
         X: L2Sim,
-        J: SetIndexer,
     {
         let cfg = self.config;
         let widths = self.widths;
-        let line = match hierarchy.config().l2 {
-            L2Organization::SetAssoc(c) => c.line_bytes(),
-            L2Organization::Skewed(c) => c.line_bytes(),
-            L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
-        };
+        let line = hierarchy.config().l2.line_bytes();
         // The loop works on a local copy of the pipeline state; it goes
         // back into `self` when this piece of the trace is done.
         let mut st = std::mem::replace(&mut self.st, RunState::new());
@@ -472,12 +474,12 @@ impl Cpu {
 
     /// Services one memory reference; returns its completion time, or
     /// `None` for a (pipelined) L1 hit.
-    fn service<X: L2Sim, J: SetIndexer>(
+    fn service<X: L2Sim>(
         &self,
         addr: u64,
         write: bool,
         st: &RunState,
-        hierarchy: &mut Hierarchy<X, J>,
+        hierarchy: &mut Hierarchy<X>,
         dram: &mut Dram,
     ) -> Option<u64> {
         if let Some(h) = &self.obs {
@@ -497,15 +499,17 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use primecache_cache::{CacheConfig, HierarchyConfig, L2Organization};
+    use primecache_cache::{Cache, CacheConfig, HierarchyConfig, L2Organization};
     use primecache_mem::MemConfig;
     use primecache_trace::strided;
 
-    fn setup() -> (Hierarchy, Dram, Cpu) {
+    fn setup() -> (Hierarchy<Cache>, Dram, Cpu) {
+        let l2 = CacheConfig::new(512 * 1024, 4, 64);
         (
-            Hierarchy::new(HierarchyConfig::paper_default(L2Organization::SetAssoc(
-                CacheConfig::new(512 * 1024, 4, 64),
-            ))),
+            Hierarchy::with_l2(
+                HierarchyConfig::paper_default(L2Organization::SetAssoc(l2)),
+                Cache::new(l2),
+            ),
             Dram::new(MemConfig::paper_default()),
             Cpu::new(CpuConfig::paper_default()),
         )

@@ -1,6 +1,6 @@
 //! Property-based tests of the timing model.
 
-use primecache_cache::{CacheConfig, Hierarchy, HierarchyConfig, L2Organization};
+use primecache_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, L2Organization};
 use primecache_check::prop::{forall, Rng, Shrink};
 use primecache_cpu::{Cpu, CpuConfig};
 use primecache_mem::{Dram, MemConfig};
@@ -37,9 +37,11 @@ fn events_of(evs: &[Ev]) -> Vec<Event> {
 }
 
 fn run(events: &[Event]) -> primecache_cpu::ExecBreakdown {
-    let mut h = Hierarchy::new(HierarchyConfig::paper_default(L2Organization::SetAssoc(
-        CacheConfig::new(512 * 1024, 4, 64),
-    )));
+    let l2 = CacheConfig::new(512 * 1024, 4, 64);
+    let mut h = Hierarchy::with_l2(
+        HierarchyConfig::paper_default(L2Organization::SetAssoc(l2)),
+        Cache::new(l2),
+    );
     let mut d = Dram::new(MemConfig::paper_default());
     Cpu::new(CpuConfig::paper_default()).run(events.to_vec(), &mut h, &mut d)
 }

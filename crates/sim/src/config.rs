@@ -248,11 +248,19 @@ mod tests {
 
     #[test]
     fn every_scheme_builds_a_hierarchy() {
-        let m = MachineConfig::paper_default();
-        for s in Scheme::ALL {
-            let cfg = m.hierarchy_config(s);
-            let _ = primecache_cache::Hierarchy::new(cfg);
+        use primecache_cache::{Hierarchy, HierarchyOp, L2Sim};
+        /// The built L2's demand-set count.
+        struct DemandSets;
+        impl HierarchyOp for DemandSets {
+            type Out = usize;
+            fn run<X: L2Sim>(self, h: Hierarchy<X>) -> usize {
+                h.l2_stats().set_accesses.len()
+            }
         }
+        let m = MachineConfig::paper_default();
+        let sets = Scheme::ALL.map(|s| m.hierarchy_config(s).build(DemandSets));
+        // Base, 8-way, XOR, pMod, pDisp, SKW and skw+pDisp by bank, FA.
+        assert_eq!(sets, [2048, 1024, 2048, 2039, 2048, 2048, 2048, 1]);
     }
 
     #[test]

@@ -40,8 +40,5 @@ pub mod tenants;
 
 pub use config::{MachineConfig, Scheme};
 pub use oracle::{static_model, SimOracle, PROBE_BITS};
-pub use run::{
-    run_chunks, run_recorded, run_trace, run_trace_reference, run_workload, run_workload_warm,
-    RunResult,
-};
+pub use run::{run_chunks, run_recorded, run_trace, run_workload, run_workload_warm, RunResult};
 pub use tenants::{run_tenant_mix, tenant_solo_baseline, TenantLane, TenantRun};

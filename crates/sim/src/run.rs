@@ -4,29 +4,22 @@
 //! Every entry point ([`run_trace`], [`run_chunks`], [`run_recorded`],
 //! [`run_workload`], [`run_workload_warm`], and the observed and tenant
 //! drivers) builds its run's [`Engine`] with [`dispatch`] — **once** per
-//! run, on the scheme's L2 organization and hash kind — and then pushes
-//! the trace into it as `&[Event]` chunks: a replay, mix or import
-//! cursor pushes the chunks it decodes, a live generator each full
-//! `STREAM_CHUNK` buffer. The engine's caches are monomorphized over
-//! their concrete cache and index-function types, so the per-event
-//! loop ([`Cpu::feed`]) has no `dyn` dispatch; only the call into the
-//! engine, once per chunk, is virtual. Before building the engine, every
-//! driver runs [`MachineConfig::check_scheme`], in every build profile,
-//! and so panics on a scheme the config linter rejects.
+//! run, through [`HierarchyConfig::build`](primecache_cache::HierarchyConfig::build),
+//! which picks the L2's concrete cache and index-function types — and
+//! then pushes the trace into it as `&[Event]` chunks: a replay, mix or
+//! import cursor pushes the chunks it decodes, a live generator each
+//! full `STREAM_CHUNK` buffer. The per-event loop ([`Cpu::feed`]) has no
+//! `dyn` dispatch; only the call into the engine, once per chunk, is
+//! virtual. Before building the engine, every driver runs
+//! [`MachineConfig::check_scheme`], in every build profile, and so
+//! panics on a scheme the config linter rejects.
 //!
-//! All drivers are bit-identical to the dynamically-dispatched
-//! reference path, kept as [`run_trace_reference`]; the
-//! `batched_equivalence` integration test proves it per workload and
-//! scheme (stats, writeback order, fingerprints).
+//! The `batched_equivalence` integration test and the `sim/machine`
+//! units of the `check` battery compare these drivers with
+//! `OracleMachine`, a naive machine restated from the hierarchy, DRAM
+//! and core docs (stats, memory-write order, breakdowns).
 
-use primecache_cache::{
-    bank_disp_factor, Cache, CacheStats, FullyAssociative, Hierarchy, L2Organization, L2Sim,
-    SkewHashKind, SkewedCache,
-};
-use primecache_core::index::{
-    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
-    Traditional, Xor,
-};
+use primecache_cache::{CacheStats, Hierarchy, HierarchyOp, L2Sim};
 use primecache_cpu::{Cpu, ExecBreakdown, StallAttribution};
 use primecache_mem::{Dram, DramStats};
 use primecache_obs::ObsHandle;
@@ -88,27 +81,15 @@ pub(crate) trait Engine {
     fn l2_occupancy(&self) -> Vec<u64>;
 }
 
-/// The machine of one run, monomorphized over its L2 (`X`) and its L1
-/// index function (`J`).
-struct Machine<X: L2Sim, J: SetIndexer> {
+/// The machine of one run, monomorphized over its L2 (`X`).
+struct Machine<X: L2Sim> {
     scheme: Scheme,
-    hierarchy: Hierarchy<X, J>,
+    hierarchy: Hierarchy<X>,
     dram: Dram,
     cpu: Cpu,
 }
 
-impl<X: L2Sim, J: SetIndexer> Machine<X, J> {
-    fn new(machine: &MachineConfig, scheme: Scheme, hierarchy: Hierarchy<X, J>) -> Self {
-        Self {
-            scheme,
-            hierarchy,
-            dram: Dram::new(machine.mem),
-            cpu: Cpu::new(machine.cpu),
-        }
-    }
-}
-
-impl<X: L2Sim, J: SetIndexer> Engine for Machine<X, J> {
+impl<X: L2Sim> Engine for Machine<X> {
     fn push(&mut self, chunk: &[Event]) {
         self.cpu
             .feed(chunk.iter().copied(), &mut self.hierarchy, &mut self.dram);
@@ -153,81 +134,32 @@ impl<X: L2Sim, J: SetIndexer> Engine for Machine<X, J> {
     }
 }
 
-/// Builds `scheme`'s engine on `machine`, resolving the L2 organization
-/// and hash kind to concrete cache and index-function types. This is
-/// the once-per-run dispatch that replaces per-reference `Box<dyn
-/// SetIndexer>` calls.
+/// Builds `scheme`'s engine on `machine`, its L2 a concrete cache and
+/// index-function type: the once-per-run dispatch that keeps virtual
+/// calls off the per-reference path.
 pub(crate) fn dispatch(machine: &MachineConfig, scheme: Scheme) -> Box<dyn Engine> {
     machine.check_scheme(scheme);
-    match machine.hierarchy_config(scheme).l2 {
-        L2Organization::SetAssoc(cfg) => {
-            let geom = Geometry::new(cfg.n_set_phys());
-            match cfg.hash() {
-                HashKind::Traditional => assemble(
-                    machine,
-                    scheme,
-                    Cache::with_typed(cfg, Traditional::new(geom)),
-                ),
-                HashKind::Xor => assemble(machine, scheme, Cache::with_typed(cfg, Xor::new(geom))),
-                HashKind::PrimeModulo => assemble(
-                    machine,
-                    scheme,
-                    Cache::with_typed(cfg, PrimeModulo::new(geom)),
-                ),
-                HashKind::PrimeDisplacement => assemble(
-                    machine,
-                    scheme,
-                    Cache::with_typed(cfg, PrimeDisplacement::paper_default(geom)),
-                ),
-                HashKind::Expr(id) => {
-                    assemble(machine, scheme, Cache::with_typed(cfg, id.indexer()))
-                }
-            }
-        }
-        L2Organization::Skewed(cfg) => match cfg.hash() {
-            SkewHashKind::Xor => assemble(
-                machine,
-                scheme,
-                SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
-            ),
-            SkewHashKind::PrimeDisplacement => assemble(
-                machine,
-                scheme,
-                SkewedCache::with_banks(cfg, |b, g| SkewDispBank::new(g, bank_disp_factor(b))),
-            ),
-        },
-        L2Organization::FullyAssociative {
-            size_bytes,
-            line_bytes,
-        } => assemble(
-            machine,
-            scheme,
-            FullyAssociative::new(size_bytes, line_bytes),
-        ),
-    }
+    machine
+        .hierarchy_config(scheme)
+        .build(Assemble { machine, scheme })
 }
 
-/// Builds the engine around a concrete L2: the paper's L1 (always
-/// traditional indexing) monomorphized too, any other L1 boxed.
-fn assemble<X: L2Sim + 'static>(machine: &MachineConfig, scheme: Scheme, l2: X) -> Box<dyn Engine> {
-    let hcfg = machine.hierarchy_config(scheme);
-    if hcfg.l1.hash() == HashKind::Traditional {
-        let l1 = Cache::with_typed(
-            hcfg.l1,
-            Traditional::new(Geometry::new(hcfg.l1.n_set_phys())),
-        );
-        Box::new(Machine::new(
-            machine,
-            scheme,
-            Hierarchy::with_parts(hcfg, l1, l2),
-        ))
-    } else {
-        let l1 = Cache::new(hcfg.l1);
-        Box::new(Machine::new(
-            machine,
-            scheme,
-            Hierarchy::with_parts(hcfg, l1, l2),
-        ))
+/// Wraps the built hierarchy into the run's engine.
+struct Assemble<'m> {
+    machine: &'m MachineConfig,
+    scheme: Scheme,
+}
+
+impl HierarchyOp for Assemble<'_> {
+    type Out = Box<dyn Engine>;
+
+    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X>) -> Box<dyn Engine> {
+        Box::new(Machine {
+            scheme: self.scheme,
+            hierarchy,
+            dram: Dram::new(self.machine.mem),
+            cpu: Cpu::new(self.machine.cpu),
+        })
     }
 }
 
@@ -265,32 +197,6 @@ where
             push(&chunk);
         }
     })
-}
-
-/// The dynamically-dispatched reference driver: `Box<dyn SetIndexer>`
-/// caches behind [`Hierarchy::new`], driven event-at-a-time.
-///
-/// Kept as the differential baseline for the engine — the
-/// `batched_equivalence` integration test asserts bit-identical stats,
-/// writeback order, and breakdowns against it. Not intended for
-/// performance work.
-#[must_use]
-pub fn run_trace_reference<T>(trace: T, scheme: Scheme, machine: &MachineConfig) -> RunResult
-where
-    T: IntoIterator<Item = Event>,
-{
-    machine.check_scheme(scheme);
-    let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
-    let mut dram = Dram::new(machine.mem);
-    let mut cpu = Cpu::new(machine.cpu);
-    let breakdown = cpu.run(trace, &mut hierarchy, &mut dram);
-    RunResult {
-        scheme,
-        breakdown,
-        l1: hierarchy.l1_stats().clone(),
-        l2: hierarchy.l2_stats().clone(),
-        dram: *dram.stats(),
-    }
 }
 
 /// Runs a workload under a scheme on the paper's default machine.
@@ -401,6 +307,7 @@ pub fn run_workload_warm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use primecache_cache::{Cache, L2Organization};
     use primecache_workloads::by_name;
 
     #[test]
@@ -451,8 +358,8 @@ mod tests {
 
     /// The pre-streaming `run_workload_warm` materialized the combined
     /// trace and split it at the warm boundary. Reproduce that path here
-    /// (on the reference dyn driver) and assert the mid-run reset of the
-    /// engine is bit-identical. A warm count of 0 means no warm phase.
+    /// and assert the streamed mid-run reset is bit-identical. A warm
+    /// count of 0 means no warm phase.
     fn warm_via_materialized_split(
         workload: &primecache_workloads::Workload,
         scheme: Scheme,
@@ -477,7 +384,12 @@ mod tests {
         };
         let (warm, measure) = trace.split_at(split);
 
-        let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
+        // The warm reset is restated here, not taken from the engine.
+        let hcfg = machine.hierarchy_config(scheme);
+        let L2Organization::SetAssoc(l2) = hcfg.l2 else {
+            panic!("{scheme:?}: the warm cases use set-associative L2s");
+        };
+        let mut hierarchy = Hierarchy::with_l2(hcfg, Cache::new(l2));
         let mut dram = Dram::new(machine.mem);
         let mut cpu = Cpu::new(machine.cpu);
         let _ = cpu.run(warm.to_vec(), &mut hierarchy, &mut dram);
@@ -566,26 +478,5 @@ mod tests {
         let id = primecache_core::expr::register_anonymous("a % 2046").expect("valid expression");
         let machine = MachineConfig::paper_default();
         let _ = run_trace(Vec::new(), Scheme::Expr(id), &machine);
-    }
-
-    #[test]
-    fn batched_drivers_match_reference_quick() {
-        // A quick per-scheme smoke of what the root `batched_equivalence`
-        // battery proves exhaustively: the monomorphized engine is
-        // bit-identical to the dyn reference path.
-        let machine = MachineConfig::paper_default();
-        let w = by_name("mcf").unwrap();
-        for scheme in [
-            Scheme::PrimeModulo,
-            Scheme::Skewed,
-            Scheme::FullyAssociative,
-        ] {
-            let batched = run_workload(w, scheme, 8_000);
-            let reference = run_trace_reference(w.trace(8_000), scheme, &machine);
-            assert_eq!(batched.breakdown, reference.breakdown, "{scheme:?}");
-            assert_eq!(batched.l1, reference.l1, "{scheme:?}");
-            assert_eq!(batched.l2, reference.l2, "{scheme:?}");
-            assert_eq!(batched.dram, reference.dram, "{scheme:?}");
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! paper's seven applications (bt, cg, ft, irr, mcf, sp, tree) as
 //! non-uniform by the stdev/mean > 0.5 criterion.
 
-use primecache_cache::{CacheConfig, Hierarchy, HierarchyConfig, L2Organization};
+use primecache_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, L2Organization};
 use primecache_core::metrics::uniformity_ratio;
 use primecache_workloads::all;
 
@@ -12,9 +12,11 @@ use primecache_workloads::all;
 const REFS: u64 = 200_000;
 
 fn l2_histogram(workload: &primecache_workloads::Workload) -> Vec<u64> {
-    let mut h = Hierarchy::new(HierarchyConfig::paper_default(L2Organization::SetAssoc(
-        CacheConfig::new(512 * 1024, 4, 64),
-    )));
+    let l2 = CacheConfig::new(512 * 1024, 4, 64);
+    let mut h = Hierarchy::with_l2(
+        HierarchyConfig::paper_default(L2Organization::SetAssoc(l2)),
+        Cache::new(l2),
+    );
     for ev in workload.trace(REFS) {
         if let Some(addr) = ev.addr() {
             let write = matches!(ev, primecache_trace::Event::Store { .. });

@@ -1,35 +1,45 @@
-//! Scalar-vs-batched differential battery.
+//! The simulator against an independent oracle.
 //!
 //! The monomorphized engine behind [`primecache::sim::run_workload`]
-//! and every other driver must be *bit-identical* to the
-//! dynamically-dispatched reference path
-//! ([`primecache::sim::run_trace_reference`]) — same stats, same
-//! eviction/writeback order, same observability counters, same config
-//! fingerprints. This battery pins that equivalence over the whole
-//! workload suite and every shipped scheme, so a future hot-path
-//! "optimization" that reorders a writeback or drops a counter fails
-//! loudly here instead of silently skewing the paper's figures.
+//! and every other driver must match `OracleMachine`
+//! (`primecache-check`), a naive machine restated from the hierarchy,
+//! DRAM and core docs that runs none of their code: same stats, same
+//! memory-write order, same breakdowns. This battery pins that over the
+//! whole workload suite and every shipped scheme, and also holds the
+//! observability counters and config fingerprints to the plain runs, so
+//! a hot-path "optimization" that reorders a writeback or drops a
+//! counter fails loudly here instead of silently skewing the paper's
+//! figures.
 
-use primecache::cache::{
-    bank_disp_factor, Cache, FullyAssociative, Hierarchy, HierarchyConfig, L2Organization, L2Sim,
-    SkewHashKind, SkewedCache,
-};
+use primecache::cache::{Hierarchy, HierarchyConfig, HierarchyOp, L2Sim};
 use primecache::core::expr::register_anonymous;
-use primecache::core::index::{
-    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SkewDispBank, SkewXorBank, Traditional, Xor,
-};
 use primecache::obs::ObsConfig;
 use primecache::sim::observe::run_workload_observed;
-use primecache::sim::{run_trace_reference, run_workload, MachineConfig, Scheme};
+use primecache::sim::{run_trace, run_workload, MachineConfig, Scheme};
 use primecache::workloads::all;
+use primecache_check::oracle::{OracleCaches, OracleMachine};
 
 /// References per workload for the full-suite sweep. Small enough that
-/// 23 workloads x 8 schemes x 2 drivers stays a fast debug-profile run,
-/// large enough to fill both cache levels and force evictions.
+/// 23 workloads x 8 schemes x 2 machines x 2 runs stays a fast
+/// debug-profile run, large enough to fill the L1 and force evictions.
 const SUITE_REFS: u64 = 2_500;
 
+/// The paper's machine, and the same machine with an 8 KB L2 (32 sets
+/// of 4 ways), where the same short streams evict dirty L2 lines and a
+/// single access can send two of them to memory.
+fn machines() -> [MachineConfig; 2] {
+    let paper = MachineConfig::paper_default();
+    [
+        paper,
+        MachineConfig {
+            l2_size: 8 * 1024,
+            ..paper
+        },
+    ]
+}
+
 /// The paper's miss metric plus every other aggregate a run produces
-/// must agree between the two drivers.
+/// must agree between the two runs.
 fn assert_results_equal(
     batched: &primecache::sim::RunResult,
     reference: &primecache::sim::RunResult,
@@ -43,14 +53,16 @@ fn assert_results_equal(
 
 #[test]
 fn batched_matches_reference_on_all_workloads_and_schemes() {
-    let machine = MachineConfig::paper_default();
-    for w in all() {
-        for &scheme in &Scheme::ALL {
-            let batched = run_workload(w, scheme, SUITE_REFS);
-            let reference = run_trace_reference(w.trace(SUITE_REFS), scheme, &machine);
-            let ctx = format!("{}/{}", w.name, scheme.label());
-            assert_results_equal(&batched, &reference, &ctx);
-            assert!(batched.l1.accesses >= SUITE_REFS, "{ctx}: short trace");
+    for machine in machines() {
+        for w in all() {
+            let trace = w.trace(SUITE_REFS);
+            for &scheme in &Scheme::ALL {
+                let batched = run_trace(trace.iter().copied(), scheme, &machine);
+                let reference = OracleMachine::new(&machine, scheme).run(&trace);
+                let ctx = format!("{}/{}/{} KB", w.name, scheme.label(), machine.l2_size >> 10);
+                assert_results_equal(&batched, &reference, &ctx);
+                assert!(batched.l1.accesses >= SUITE_REFS, "{ctx}: short trace");
+            }
         }
     }
 }
@@ -79,99 +91,54 @@ fn write_heavy_refs(n: usize) -> Vec<(u64, bool)> {
     out
 }
 
-/// Feeds the same reference stream to a monomorphized (typed-L2)
-/// hierarchy and the boxed `dyn` reference hierarchy, draining and
-/// diffing the *complete* memory-write sequence after every access.
-fn diff_writeback_sequences<X: L2Sim>(hcfg: HierarchyConfig, l2: X, label: &str) {
-    let l1 = Cache::with_typed(
-        hcfg.l1,
-        Traditional::new(Geometry::new(hcfg.l1.n_set_phys())),
-    );
-    let mut mono = Hierarchy::with_parts(hcfg, l1, l2);
-    let mut reference = Hierarchy::new(hcfg);
-    for (i, &(addr, write)) in write_heavy_refs(20_000).iter().enumerate() {
-        let m = mono.access(addr, write);
-        let r = reference.access(addr, write);
-        assert_eq!(m, r, "{label}: outcome diverged at access {i} ({addr:#x})");
-        assert_eq!(
-            mono.take_memory_writes().as_slice(),
-            reference.take_memory_writes().as_slice(),
-            "{label}: writeback sequence diverged at access {i} ({addr:#x})"
-        );
+/// Feeds the write-heavy stream to the engine's hierarchy and to the
+/// oracle's, diffing each access's outcome and its complete memory-write
+/// sequence.
+struct DiffWritebacks {
+    config: HierarchyConfig,
+    label: String,
+}
+
+impl HierarchyOp for DiffWritebacks {
+    type Out = ();
+
+    fn run<X: L2Sim>(self, mut engine: Hierarchy<X>) {
+        let label = &self.label;
+        let mut oracle = OracleCaches::new(&self.config);
+        for (i, &(addr, write)) in write_heavy_refs(20_000).iter().enumerate() {
+            let outcome = engine.access(addr, write);
+            let writes: Vec<u64> = engine.take_memory_writes().collect();
+            assert_eq!(
+                (outcome, writes),
+                oracle.access(addr, write),
+                "{label}: access {i} ({addr:#x}) diverged"
+            );
+        }
+        assert_eq!(engine.l1_stats(), oracle.l1_stats(), "{label}: L1 stats");
+        assert_eq!(engine.l2_stats(), oracle.l2_stats(), "{label}: L2 stats");
     }
-    assert_eq!(mono.l1_stats(), reference.l1_stats(), "{label}: L1 stats");
-    assert_eq!(mono.l2_stats(), reference.l2_stats(), "{label}: L2 stats");
 }
 
 #[test]
 fn writeback_sequences_identical_scalar_vs_batched() {
-    let machine = MachineConfig::paper_default();
     // The built-in schemes plus a DSL-compiled one, so the expression
     // closure's typed fast path is held to the same writeback-order
-    // contract as the hand-written indexers.
+    // contract as the hand-written indexers; on the paper's L2 and on
+    // an 8 KB one, where the stream evicts dirty lines from every set.
     let expr_pmod = register_anonymous("a % 2039").expect("pMod source compiles");
-    let mut schemes = Scheme::ALL.to_vec();
-    schemes.push(Scheme::Expr(expr_pmod));
-    for &scheme in &schemes {
-        let hcfg = machine.hierarchy_config(scheme);
-        let label = scheme.label();
-        // Mirror the once-per-run dispatch in the sim crate: same typed
-        // L2.
-        match hcfg.l2 {
-            L2Organization::SetAssoc(cfg) => {
-                let geom = Geometry::new(cfg.n_set_phys());
-                match cfg.hash() {
-                    HashKind::Traditional => {
-                        diff_writeback_sequences(
-                            hcfg,
-                            Cache::with_typed(cfg, Traditional::new(geom)),
-                            label,
-                        );
-                    }
-                    HashKind::Xor => {
-                        diff_writeback_sequences(
-                            hcfg,
-                            Cache::with_typed(cfg, Xor::new(geom)),
-                            label,
-                        );
-                    }
-                    HashKind::PrimeModulo => {
-                        diff_writeback_sequences(
-                            hcfg,
-                            Cache::with_typed(cfg, PrimeModulo::new(geom)),
-                            label,
-                        );
-                    }
-                    HashKind::PrimeDisplacement => {
-                        diff_writeback_sequences(
-                            hcfg,
-                            Cache::with_typed(cfg, PrimeDisplacement::paper_default(geom)),
-                            label,
-                        );
-                    }
-                    HashKind::Expr(id) => {
-                        diff_writeback_sequences(hcfg, Cache::with_typed(cfg, id.indexer()), label);
-                    }
-                }
-            }
-            L2Organization::Skewed(cfg) => match cfg.hash() {
-                SkewHashKind::Xor => diff_writeback_sequences(
-                    hcfg,
-                    SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
-                    label,
-                ),
-                SkewHashKind::PrimeDisplacement => diff_writeback_sequences(
-                    hcfg,
-                    SkewedCache::with_banks(cfg, |b, g| SkewDispBank::new(g, bank_disp_factor(b))),
-                    label,
-                ),
-            },
-            L2Organization::FullyAssociative {
-                size_bytes,
-                line_bytes,
-            } => {
-                diff_writeback_sequences(hcfg, FullyAssociative::new(size_bytes, line_bytes), label)
-            }
+    let expr_small = register_anonymous("a % 31").expect("pMod source compiles");
+    let small = MachineConfig {
+        l2_size: 8 * 1024,
+        ..MachineConfig::paper_default()
+    };
+    for (machine, expr) in [
+        (MachineConfig::paper_default(), expr_pmod),
+        (small, expr_small),
+    ] {
+        for scheme in Scheme::ALL.into_iter().chain([Scheme::Expr(expr)]) {
+            let config = machine.hierarchy_config(scheme);
+            let label = format!("{}/{} KB", scheme.label(), machine.l2_size / 1024);
+            config.build(DiffWritebacks { config, label });
         }
     }
 }

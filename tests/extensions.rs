@@ -34,12 +34,11 @@ fn taxonomy_sums_are_coherent_across_schemes() {
 #[test]
 fn prefetching_reduces_streaming_memory_time() {
     let swim = by_name("swim").unwrap();
-    let machine = primecache::sim::MachineConfig::paper_default();
+    let l2 = CacheConfig::new(512 * 1024, 4, 64);
     let run = |depth: u32| {
-        let cfg = machine
-            .hierarchy_config(Scheme::Base)
-            .with_prefetch_depth(depth);
-        let mut h = Hierarchy::new(cfg);
+        let cfg =
+            HierarchyConfig::paper_default(L2Organization::SetAssoc(l2)).with_prefetch_depth(depth);
+        let mut h = Hierarchy::with_l2(cfg, Cache::new(l2));
         let mut d = primecache::mem::Dram::new(MemConfig::paper_default());
         let mut cpu = primecache::cpu::Cpu::new(primecache::cpu::CpuConfig::paper_default());
         cpu.run(swim.trace(REFS), &mut h, &mut d)
@@ -153,9 +152,11 @@ fn interleaved_traces_run_end_to_end() {
 fn page_mapper_composes_with_the_hierarchy() {
     // Translating then simulating equals simulating the translated trace.
     let mut mapper = PageMapper::new(PagePolicy::Random, 4096);
-    let mut h = Hierarchy::new(HierarchyConfig::paper_default(L2Organization::SetAssoc(
-        CacheConfig::new(512 * 1024, 4, 64),
-    )));
+    let l2 = CacheConfig::new(512 * 1024, 4, 64);
+    let mut h = Hierarchy::with_l2(
+        HierarchyConfig::paper_default(L2Organization::SetAssoc(l2)),
+        Cache::new(l2),
+    );
     let mut misses = 0u64;
     for i in 0..5_000u64 {
         let vaddr = i * 4096 + (i % 64) * 64;
