@@ -995,8 +995,8 @@ fn ingest_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
         },
         |(input, capacity): &(TextInput, usize)| {
             let want = ref_read_text(&input.0);
-            // A `PCTE` or `PCT1` magic would make `import_bytes` read binary.
-            if !input.0.starts_with(b"PCT") {
+            // A `PCTE` magic would make `import_bytes` read binary.
+            if !input.0.starts_with(b"PCTE") {
                 match import_bytes(&input.0) {
                     Ok(imported) => {
                         assert_eq!(want.error, None, "import_bytes accepted");

@@ -243,7 +243,7 @@ struct SkewLine {
 /// among ties, with aging once every candidate is referenced).
 ///
 /// One behaviour is not the textbook one: a write hit leaves the line
-/// clean ([`OracleSkewed::write_hit`]), mirroring a known defect of the
+/// clean (see its private `write_hit`), mirroring a known defect of the
 /// production cache.
 pub struct OracleSkewed {
     /// `banks[b][set][way]`.

@@ -76,6 +76,12 @@ impl<'a> Args<'a> {
         self.positional.first().copied()
     }
 
+    /// Every positional (non-flag) argument, in order.
+    #[must_use]
+    pub fn positionals(&self) -> &[&'a str] {
+        &self.positional
+    }
+
     /// Whether `flag` was given.
     #[must_use]
     pub fn has(&self, flag: &str) -> bool {

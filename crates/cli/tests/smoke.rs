@@ -58,8 +58,39 @@ fn trace_requires_out_flag() {
 
 #[test]
 fn classify_and_taxonomy_run() {
-    assert_eq!(pcache(&["classify", "--refs", "3000"]), 0);
-    assert_eq!(pcache(&["taxonomy", "--refs", "3000"]), 0);
+    // The §4 classification and the three-C taxonomy are registry
+    // entries; their claims need more than 3000 refs, so none is
+    // evaluated and none can fail.
+    assert_eq!(
+        pcache(&["reproduce", "classify", "misstax", "--refs", "3000"]),
+        0
+    );
+}
+
+#[test]
+fn reproduce_checks_its_input() {
+    // An unknown entry, an unknown flag and a bad --refs exit 2 before
+    // anything runs.
+    assert_eq!(pcache(&["reproduce", "fig14"]), 2);
+    assert_eq!(pcache(&["reproduce", "fig13", "--refz", "5000"]), 2);
+    assert_eq!(pcache(&["reproduce", "fig13", "--refs", "abc"]), 2);
+    assert_eq!(pcache(&["reproduce", "fig13", "--refs", "-5"]), 2);
+    assert_eq!(pcache(&["reproduce", "fig7", "--refs", "0"]), 2);
+}
+
+#[test]
+fn import_of_a_retired_flat_dump_is_a_text_error() {
+    // `PCT1` is no longer a trace format: such a file is read as text
+    // and rejected at its first line, with exit 1 rather than a panic.
+    let dir = std::env::temp_dir().join("pcache_cli_pct1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.pct");
+    let mut bytes = b"PCT1".to_vec();
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&[2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0]);
+    std::fs::write(&path, bytes).unwrap();
+    assert_eq!(pcache(&["import", path.to_str().unwrap()]), 1);
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -160,7 +191,7 @@ fn unknown_repeated_and_valueless_flags_exit_2() {
     );
     assert_eq!(pcache(&["list", "--verbose", "--verbose"]), 2);
     assert_eq!(pcache(&["frobnicate"]), 2);
-    assert_eq!(pcache(&["classify", "--refs"]), 2);
+    assert_eq!(pcache(&["reproduce", "--refs"]), 2);
     assert_eq!(pcache(&["inspect", "--out", "x", "file"]), 2);
 }
 

@@ -4,17 +4,10 @@
 use std::io::{BufRead, Read};
 use std::path::Path;
 
-use primecache_trace::{
-    read_trace, EncodedTrace, Event, FrameError, ReplayCursor, TraceCodecError, TraceEncoder,
-    FRAME_MAGIC,
-};
+use primecache_trace::{EncodedTrace, Event, FrameError, ReplayCursor, TraceEncoder, FRAME_MAGIC};
 use primecache_workloads::STREAM_CHUNK;
 
 use crate::text::{TextError, TextEvents};
-
-/// Magic prefix of the legacy flat dump format (`pcache trace`'s
-/// original output).
-const FLAT_MAGIC: &[u8; 4] = b"PCT1";
 
 /// Which on-disk shape an import consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +16,6 @@ pub enum SourceFormat {
     Text,
     /// A `PCTE` v1 frame (TRACE_FORMAT.md §wire format).
     Pcte,
-    /// The legacy flat `PCT1` dump, re-encoded on import.
-    Pct1,
 }
 
 impl std::fmt::Display for SourceFormat {
@@ -32,7 +23,6 @@ impl std::fmt::Display for SourceFormat {
         f.write_str(match self {
             SourceFormat::Text => "text",
             SourceFormat::Pcte => "pcte",
-            SourceFormat::Pct1 => "pct1",
         })
     }
 }
@@ -46,8 +36,6 @@ pub enum ImportError {
     Text(TextError),
     /// A `PCTE` frame failed validation.
     Frame(FrameError),
-    /// A legacy `PCT1` dump failed to decode.
-    Flat(TraceCodecError),
     /// The source could not be read at all.
     Io(std::io::Error),
 }
@@ -57,7 +45,6 @@ impl std::fmt::Display for ImportError {
         match self {
             ImportError::Text(e) => write!(f, "text trace: {e}"),
             ImportError::Frame(e) => write!(f, "PCTE frame: {e}"),
-            ImportError::Flat(e) => write!(f, "PCT1 trace: {e}"),
             ImportError::Io(e) => write!(f, "read failed: {e}"),
         }
     }
@@ -68,7 +55,6 @@ impl std::error::Error for ImportError {
         match self {
             ImportError::Text(e) => Some(e),
             ImportError::Frame(e) => Some(e),
-            ImportError::Flat(e) => Some(e),
             ImportError::Io(e) => Some(e),
         }
     }
@@ -196,8 +182,7 @@ fn binary_stats(trace: &EncodedTrace, format: SourceFormat) -> ImportStats {
 }
 
 /// Imports a trace from bytes, sniffing the format by magic: `PCTE`
-/// frames and legacy `PCT1` dumps by their 4-byte prefix, anything else
-/// parsed as text.
+/// frames by their 4-byte prefix, anything else parsed as text.
 ///
 /// # Errors
 ///
@@ -208,18 +193,13 @@ pub fn import_bytes(data: &[u8]) -> Result<Imported, ImportError> {
         let trace = EncodedTrace::from_bytes_diagnose(data).map_err(ImportError::Frame)?;
         let stats = binary_stats(&trace, SourceFormat::Pcte);
         Ok(Imported { trace, stats })
-    } else if data.starts_with(FLAT_MAGIC) {
-        let events = read_trace(data).map_err(ImportError::Flat)?;
-        let trace = EncodedTrace::encode(&events, STREAM_CHUNK);
-        let stats = binary_stats(&trace, SourceFormat::Pct1);
-        Ok(Imported { trace, stats })
     } else {
         import_text(data)
     }
 }
 
-/// Imports a trace file ([`import_bytes`] semantics). Binary formats
-/// are read whole (they are decoded in place); text streams through a
+/// Imports a trace file ([`import_bytes`] semantics). A `PCTE` frame
+/// is read whole (it is decoded in place); text streams through a
 /// buffered reader without ever materializing the decoded events.
 ///
 /// # Errors
@@ -230,7 +210,7 @@ pub fn import_path<P: AsRef<Path>>(path: P) -> Result<Imported, ImportError> {
     let file = std::fs::File::open(path).map_err(ImportError::Io)?;
     let mut reader = std::io::BufReader::new(file);
     let head = reader.fill_buf().map_err(ImportError::Io)?;
-    if head.starts_with(FRAME_MAGIC) || head.starts_with(FLAT_MAGIC) {
+    if head.starts_with(FRAME_MAGIC) {
         let mut data = Vec::new();
         reader.read_to_end(&mut data).map_err(ImportError::Io)?;
         import_bytes(&data)
@@ -242,7 +222,6 @@ pub fn import_path<P: AsRef<Path>>(path: P) -> Result<Imported, ImportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use primecache_trace::write_trace;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -298,11 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_dump_accepted() {
-        let bytes = write_trace(&sample_events());
-        let imported = import_bytes(&bytes).unwrap();
-        assert_eq!(imported.stats.format, SourceFormat::Pct1);
-        assert_eq!(imported.trace.decode_all().unwrap(), sample_events());
+    fn a_retired_flat_dump_is_a_located_text_error() {
+        // The flat `PCT1` dump is no longer a format: its bytes are read
+        // as text and rejected at the line that breaks the grammar.
+        let mut bytes = b"PCT1".to_vec();
+        bytes.extend_from_slice(&6u64.to_le_bytes());
+        bytes.extend_from_slice(&[2, 0x40, 0x1a, 0, 0, 0, 0, 0, 0, 0]);
+        let err = import_bytes(&bytes).unwrap_err();
+        let ImportError::Text(text) = err else {
+            panic!("expected a text error, got {err}");
+        };
+        assert_eq!(text.line, 1);
     }
 
     #[test]

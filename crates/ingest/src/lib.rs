@@ -11,8 +11,7 @@
 //! * **`PCTE` binary frames** — the recorded-trace wire format of
 //!   [`primecache_trace::EncodedTrace::to_bytes`], loaded with
 //!   byte-offset-precise errors
-//!   ([`primecache_trace::EncodedTrace::from_bytes_diagnose`]). The
-//!   legacy flat `PCT1` dump format is accepted too and re-encoded.
+//!   ([`primecache_trace::EncodedTrace::from_bytes_diagnose`]).
 //!
 //! Ingestion follows the validate-then-replay idiom of the trace codec:
 //! an [`Imported`] trace only exists fully validated, and

@@ -1,10 +1,10 @@
 //! CSV export of experiment data (for external plotting/analysis).
 //!
 //! All builders return plain CSV strings with a header row; the
-//! `export_csv` binary in `primecache-bench` writes one file per figure.
+//! registry's figure entries (`crate::experiments`) write one file per
+//! figure under `figures/csv/`.
 
 use crate::experiments::StridePoint;
-use crate::suite::Sweep;
 use crate::Scheme;
 
 /// Escapes a CSV field (quotes when it contains a comma/quote/newline).
@@ -16,22 +16,27 @@ fn field(s: &str) -> String {
     }
 }
 
-/// CSV of normalized execution times: `app,scheme1,scheme2,...`.
+/// CSV of a per-application table: `app,scheme1,scheme2,...`, one row
+/// per application, each value `value(app, scheme)` to four decimals
+/// (`NaN` when there is none).
 ///
 /// # Examples
 ///
 /// ```
-/// use primecache_sim::export::times_csv;
-/// use primecache_sim::suite::run_sweep;
+/// use primecache_sim::export::table_csv;
 /// use primecache_sim::Scheme;
 ///
-/// let sweep = run_sweep(&[Scheme::Base], 2_000);
-/// let csv = times_csv(&sweep, &[Scheme::Base], &["tree"]);
-/// assert!(csv.starts_with("app,Base\n"));
-/// assert!(csv.contains("tree,1.0000"));
+/// let csv = table_csv(&[Scheme::Base, Scheme::Xor], &["tree"], |_, s| {
+///     (s == Scheme::Base).then_some(1.0)
+/// });
+/// assert_eq!(csv, "app,Base,XOR\ntree,1.0000,NaN\n");
 /// ```
 #[must_use]
-pub fn times_csv(sweep: &Sweep, schemes: &[Scheme], names: &[&str]) -> String {
+pub fn table_csv(
+    schemes: &[Scheme],
+    names: &[&str],
+    value: impl Fn(&str, Scheme) -> Option<f64>,
+) -> String {
     let mut out = String::from("app");
     for s in schemes {
         out.push(',');
@@ -41,7 +46,7 @@ pub fn times_csv(sweep: &Sweep, schemes: &[Scheme], names: &[&str]) -> String {
     for &name in names {
         out.push_str(&field(name));
         for &s in schemes {
-            let v = sweep.normalized_time(name, s).unwrap_or(f64::NAN);
+            let v = value(name, s).unwrap_or(f64::NAN);
             out.push_str(&format!(",{v:.4}"));
         }
         out.push('\n');
@@ -49,32 +54,12 @@ pub fn times_csv(sweep: &Sweep, schemes: &[Scheme], names: &[&str]) -> String {
     out
 }
 
-/// CSV of normalized L2 miss counts, same layout as [`times_csv`].
+/// CSV of one metric of a stride sweep (Figs. 5/6): `stride,value`.
 #[must_use]
-pub fn misses_csv(sweep: &Sweep, schemes: &[Scheme], names: &[&str]) -> String {
-    let mut out = String::from("app");
-    for s in schemes {
-        out.push(',');
-        out.push_str(&field(s.label()));
-    }
-    out.push('\n');
-    for &name in names {
-        out.push_str(&field(name));
-        for &s in schemes {
-            let v = sweep.normalized_misses(name, s).unwrap_or(f64::NAN);
-            out.push_str(&format!(",{v:.4}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// CSV of a stride sweep (Figs. 5/6): `stride,value`.
-#[must_use]
-pub fn stride_csv(points: &[StridePoint]) -> String {
+pub fn stride_csv(points: &[StridePoint], metric: fn(&StridePoint) -> f64) -> String {
     let mut out = String::from("stride,value\n");
     for p in points {
-        out.push_str(&format!("{},{:.6}\n", p.stride, p.value));
+        out.push_str(&format!("{},{:.6}\n", p.stride, metric(p)));
     }
     out
 }
@@ -92,20 +77,15 @@ pub fn distribution_csv(dist: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::StridePoint;
 
     #[test]
     fn stride_csv_layout() {
-        let csv = stride_csv(&[
-            StridePoint {
-                stride: 1,
-                value: 1.0,
-            },
-            StridePoint {
-                stride: 2,
-                value: 3.5,
-            },
-        ]);
+        let point = |stride, balance| StridePoint {
+            stride,
+            balance,
+            concentration: 0.0,
+        };
+        let csv = stride_csv(&[point(1, 1.0), point(2, 3.5)], |p| p.balance);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "stride,value");
         assert_eq!(lines[1], "1,1.000000");

@@ -7,10 +7,10 @@
 //!   XOR, pMod, pDisp, SKW, skw+pDisp, FA),
 //! * [`run_workload`] — one (workload, scheme) simulation returning the
 //!   execution breakdown and cache statistics,
-//! * [`suite`] — the full 23-application sweep with parallel fan-out and
-//!   the Table-4 summary,
-//! * [`experiments`] — data producers for every figure (5 through 13) and
-//!   table, each returning plain data structures the bench binaries print,
+//! * [`suite`] — the full 23-application sweep with parallel fan-out,
+//! * [`experiments`] — the registry of every table, figure and study of
+//!   the evaluation, each with its claims as executable checks (what
+//!   `pcache reproduce` runs),
 //! * [`report`] — text-table rendering,
 //! * [`observe`] — observed runs: a recorder attached to the engine, the
 //!   metric dump read from the run's stats, and the versioned run

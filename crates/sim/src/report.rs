@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the bench binaries.
+//! Plain-text table rendering for the experiment registry and the CLI.
 
 /// Renders a table with a header row, aligning columns by width.
 ///
@@ -47,8 +47,7 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Renders a numeric series as a one-line unicode sparkline (8 levels),
-/// used by the figure binaries to sketch the Fig. 5/6 curves in a
-/// terminal.
+/// used to sketch the Fig. 5/6 curves in a terminal.
 ///
 /// Values are scaled between `lo` and `hi` (values outside clamp).
 ///

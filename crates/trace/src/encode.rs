@@ -43,15 +43,45 @@
 //! predecessors and replay hands out one decoded chunk at a time —
 //! exactly the shape the batched simulation drivers consume.
 
-use crate::io::TraceCodecError;
 use crate::Event;
 
 /// Version byte written into [`EncodedTrace::to_bytes`] frames.
 pub const WIRE_VERSION: u8 = 1;
 
 /// Magic prefix of a serialized [`EncodedTrace`] frame ("prime cache
-/// trace, encoded"); the flat legacy format uses `PCT1`.
+/// trace, encoded").
 pub const FRAME_MAGIC: &[u8; 4] = b"PCTE";
+
+/// Errors produced when decoding an encoded trace: a chunk's payload
+/// or a serialized `PCTE` frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceCodecError {
+    /// The magic header was wrong or missing.
+    BadMagic,
+    /// The stream ended mid-record.
+    Truncated,
+    /// An unknown record tag was found.
+    BadTag(u8),
+    /// The frame declares a wire version this decoder does not speak.
+    BadVersion(u8),
+    /// The byte stream is internally inconsistent (overlong varint,
+    /// trailing garbage, a count field that contradicts the payload).
+    Corrupt(&'static str),
+}
+
+impl std::fmt::Display for TraceCodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceCodecError::BadMagic => write!(f, "bad trace magic"),
+            TraceCodecError::Truncated => write!(f, "truncated trace stream"),
+            TraceCodecError::BadTag(t) => write!(f, "unknown trace record tag {t}"),
+            TraceCodecError::BadVersion(v) => write!(f, "unsupported trace wire version {v}"),
+            TraceCodecError::Corrupt(what) => write!(f, "corrupt trace stream: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceCodecError {}
 
 const KIND_WORK: u8 = 0;
 const KIND_FP_WORK: u8 = 1;

@@ -21,15 +21,14 @@
 pub mod encode;
 mod event;
 mod gen;
-mod io;
 mod stats;
 mod transforms;
 
 pub use encode::{
-    EncodedChunk, EncodedTrace, FrameError, ReplayCursor, TraceEncoder, FRAME_MAGIC, WIRE_VERSION,
+    EncodedChunk, EncodedTrace, FrameError, ReplayCursor, TraceCodecError, TraceEncoder,
+    FRAME_MAGIC, WIRE_VERSION,
 };
 pub use event::Event;
 pub use gen::{strided, strided_bytes, Strided};
-pub use io::{read_trace, write_trace, TraceCodecError};
 pub use stats::TraceStats;
 pub use transforms::{interleave, offset_addresses};

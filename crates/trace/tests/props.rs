@@ -1,7 +1,7 @@
-//! Property-based tests of the trace codec and generators.
+//! Property-based tests of the `PCTE` trace codec and the generators.
 
 use primecache_check::prop::{forall, Rng, Shrink};
-use primecache_trace::{read_trace, strided, write_trace, Event, TraceStats};
+use primecache_trace::{strided, EncodedTrace, Event, TraceStats};
 
 /// Event wrapper so randomized traces can shrink (toward dropping events).
 #[derive(Debug, Clone)]
@@ -34,6 +34,12 @@ fn events_of(evs: &[Ev]) -> Vec<Event> {
     evs.iter().map(|e| e.0).collect()
 }
 
+/// The serialized `PCTE` frame of `evs`, cut into chunks of 7 events so
+/// a frame of a few dozen events spans several chunks.
+fn frame_of(evs: &[Ev]) -> Vec<u8> {
+    EncodedTrace::encode(&events_of(evs), 7).to_bytes()
+}
+
 #[test]
 fn codec_roundtrips() {
     forall(
@@ -41,9 +47,8 @@ fn codec_roundtrips() {
         256,
         |rng| rng.vec(0, 500, arb_event),
         |evs: &Vec<Ev>| {
-            let events = events_of(evs);
-            let bytes = write_trace(&events);
-            assert_eq!(read_trace(&bytes).unwrap(), events);
+            let frame = EncodedTrace::from_bytes(&frame_of(evs)).unwrap();
+            assert_eq!(frame.decode_all().unwrap(), events_of(evs));
         },
     );
 }
@@ -55,11 +60,12 @@ fn truncated_streams_never_panic() {
         256,
         |rng| (rng.vec(1, 50, arb_event), rng.f64()),
         |&(ref evs, cut_fraction)| {
-            let bytes = write_trace(&events_of(evs));
+            let bytes = frame_of(evs);
             let cut = (bytes.len() as f64 * cut_fraction.clamp(0.0, 1.0)) as usize;
-            // Must return an error or a (possibly shorter-declared) trace,
-            // never panic.
-            let _ = read_trace(&bytes[..cut.min(bytes.len())]);
+            // A cut frame must be an error, never a panic.
+            if cut < bytes.len() {
+                assert!(EncodedTrace::from_bytes(&bytes[..cut]).is_err());
+            }
         },
     );
 }
@@ -74,10 +80,12 @@ fn corrupted_bytes_never_panic() {
             if evs.is_empty() {
                 return;
             }
-            let mut bytes = write_trace(&events_of(evs));
+            let mut bytes = frame_of(evs);
             let pos = (pos_seed % bytes.len() as u64) as usize;
             bytes[pos] = value as u8;
-            let _ = read_trace(&bytes);
+            if let Ok(frame) = EncodedTrace::from_bytes(&bytes) {
+                let _ = frame.decode_all();
+            }
         },
     );
 }

@@ -1,101 +1,95 @@
 //! End-to-end integration tests of the headline paper claims, spanning
 //! every crate: workload generation → hierarchy → timing → metrics.
 //!
-//! Trace lengths are kept small so the suite stays fast in debug builds;
-//! the full-scale numbers come from the `reproduce` binary.
+//! Each test asserts claims of the experiment registry by id, at the
+//! claims' own trace length. The steady-state (160k-ref) claims share one
+//! context that simulates exactly the cells they read; this file asserts
+//! every claim at that scale, `tests/sim_suite.rs` every other claim.
+//! The full-scale numbers come from `pcache reproduce`.
 
-use primecache::core::metrics::uniformity_ratio;
-use primecache::sim::experiments::{fig13_miss_distribution, sets_carrying_share};
-use primecache::sim::{run_workload, Scheme};
-use primecache::workloads::by_name;
+use std::sync::OnceLock;
+
+use primecache::sim::experiments::{check_claims, claim, claims, Claim, Ctx};
+use primecache::sim::suite::Sweep;
 
 // Short traces are dominated by cold misses; the conflict phenomena the
-// paper studies need steady state, so shape-sensitive tests run longer.
+// paper studies need steady state, so shape-sensitive claims run longer.
 const REFS: u64 = 60_000;
 const REFS_STEADY: u64 = 160_000;
 
+/// The cells every steady-state claim reads, simulated once.
+fn steady() -> &'static Ctx {
+    static CTX: OnceLock<Ctx> = OnceLock::new();
+    CTX.get_or_init(|| {
+        let at_scale = claims().filter(|c| c.min_refs == REFS_STEADY);
+        Ctx::new(REFS_STEADY, Sweep::default()).with_reads(at_scale)
+    })
+}
+
+/// Asserts that the claims `ids` are evaluated in `ctx` and hold.
+fn assert_claims(ctx: &Ctx, ids: &[&str]) {
+    let asserted: Vec<Claim> = ids.iter().map(|id| *claim(id)).collect();
+    let report = check_claims(&asserted, ctx);
+    assert_eq!(
+        report.passed,
+        ids.len(),
+        "at {} refs:\n{}",
+        ctx.refs,
+        report.table
+    );
+}
+
+/// Asserts `ids`, simulating only the cells they read.
+fn assert_claims_alone(refs: u64, ids: &[&str]) {
+    let ctx = Ctx::new(refs, Sweep::default()).with_reads(ids.iter().map(|id| claim(id)));
+    assert_claims(&ctx, ids);
+}
+
 #[test]
 fn tree_conflicts_vanish_under_prime_indexing() {
-    let tree = by_name("tree").expect("registry has tree");
-    let base = run_workload(tree, Scheme::Base, REFS_STEADY);
-    let pmod = run_workload(tree, Scheme::PrimeModulo, REFS_STEADY);
-    // Fig. 11: pMod eliminates nearly all of tree's misses.
-    assert!(
-        pmod.l2_misses() * 3 < base.l2_misses(),
-        "pMod {} vs Base {}",
-        pmod.l2_misses(),
-        base.l2_misses()
+    // Fig. 11: pMod eliminates nearly all of tree's misses; Fig. 7: and
+    // that translates into a large speedup.
+    assert_claims(
+        steady(),
+        &["fig11.tree-misses-eliminated", "fig7.tree-speedup"],
     );
-    // Fig. 7: and that translates into a large speedup.
-    let speedup = base.breakdown.total() as f64 / pmod.breakdown.total() as f64;
-    assert!(speedup > 1.5, "speedup {speedup}");
 }
 
 #[test]
 fn fig13_shape_base_concentrates_pmod_spreads() {
-    let base = fig13_miss_distribution(Scheme::Base, REFS_STEADY);
-    let pmod = fig13_miss_distribution(Scheme::PrimeModulo, REFS_STEADY);
-    let base_frac = sets_carrying_share(&base, 0.90);
-    let pmod_frac = sets_carrying_share(&pmod, 0.90);
     // Paper: "vast majority of cache misses ... concentrated in about 10%
-    // of the sets" under Base; pMod spreads them.
-    assert!(
-        base_frac < 0.2,
-        "Base: 90% of misses in {base_frac:.2} of sets"
+    // of the sets" under Base; pMod spreads them and eliminates most.
+    assert_claims(
+        steady(),
+        &[
+            "fig13.base-concentrates",
+            "fig13.pmod-spreads",
+            "fig13.pmod-eliminates-most",
+        ],
     );
-    assert!(
-        pmod_frac > 2.0 * base_frac,
-        "pMod must spread misses: {pmod_frac:.2} vs {base_frac:.2}"
-    );
-    // And eliminate most of them outright.
-    let base_total: u64 = base.iter().sum();
-    let pmod_total: u64 = pmod.iter().sum();
-    assert!(pmod_total * 2 < base_total);
 }
 
 #[test]
 fn prime_hashing_is_safe_on_uniform_applications() {
     // Fig. 8 / Table 4: pMod and pDisp never slow a uniform app by more
     // than ~2-3%.
-    for name in ["swim", "lu", "is", "parser", "gap"] {
-        let w = by_name(name).unwrap();
-        let base = run_workload(w, Scheme::Base, REFS);
-        for scheme in [Scheme::PrimeModulo, Scheme::PrimeDisplacement] {
-            let r = run_workload(w, scheme, REFS);
-            let norm = r.breakdown.total() as f64 / base.breakdown.total() as f64;
-            assert!(norm < 1.05, "{name}/{scheme}: normalized time {norm}");
-        }
-    }
+    assert_claims_alone(REFS, &["fig8.prime-safe-on-sampled-apps"]);
 }
 
 #[test]
 fn uniformity_classification_survives_the_full_pipeline() {
-    // §4 through the *timing* pipeline rather than cache-only.
-    for (name, expect_non_uniform) in [("tree", true), ("bt", true), ("swim", false), ("lu", false)]
-    {
-        let w = by_name(name).unwrap();
-        // Full-coverage traces: short ones see only part of a workload's
-        // footprint (e.g. lu's early panels) and skew the histogram.
-        let r = run_workload(w, Scheme::Base, REFS_STEADY);
-        let cv = uniformity_ratio(&r.l2.set_accesses);
-        assert_eq!(cv > 0.5, expect_non_uniform, "{name}: cv = {cv:.3}");
-    }
+    // §4 through the *timing* pipeline rather than cache-only: every app
+    // lands in the group the paper puts it in.
+    assert_claims(steady(), &["classify.matches-paper"]);
 }
 
 #[test]
 fn eight_way_is_not_an_effective_substitute() {
     // §5.2: "increasing cache associativity without increasing the cache
     // size is not an effective method to eliminate conflict misses."
-    let bt = by_name("bt").unwrap();
-    let base = run_workload(bt, Scheme::Base, REFS_STEADY);
-    let eight = run_workload(bt, Scheme::EightWay, REFS_STEADY);
-    let pmod = run_workload(bt, Scheme::PrimeModulo, REFS_STEADY);
-    let eight_gain = base.breakdown.total() as f64 / eight.breakdown.total() as f64;
-    let pmod_gain = base.breakdown.total() as f64 / pmod.breakdown.total() as f64;
-    assert!(eight_gain < 1.1, "8-way gain {eight_gain}");
-    assert!(
-        pmod_gain > eight_gain + 0.2,
-        "pMod {pmod_gain} vs 8-way {eight_gain}"
+    assert_claims(
+        steady(),
+        &["fig7.bt-eight-way-gain", "fig7.bt-pmod-over-eight-way"],
     );
 }
 
@@ -103,45 +97,38 @@ fn eight_way_is_not_an_effective_substitute() {
 fn skewed_cache_pays_with_pathological_cases() {
     // Fig. 10: the skewed caches slow some uniform apps (bzip2 is the
     // canonical victim); pMod does not.
-    let bzip2 = by_name("bzip2").unwrap();
-    let base = run_workload(bzip2, Scheme::Base, REFS_STEADY);
-    let skw = run_workload(bzip2, Scheme::SkewedPrimeDisplacement, REFS_STEADY);
-    let pmod = run_workload(bzip2, Scheme::PrimeModulo, REFS_STEADY);
-    let skw_norm = skw.breakdown.total() as f64 / base.breakdown.total() as f64;
-    let pmod_norm = pmod.breakdown.total() as f64 / base.breakdown.total() as f64;
-    assert!(
-        skw_norm > 1.005,
-        "skewed should leak misses on bzip2: {skw_norm}"
+    assert_claims(
+        steady(),
+        &["fig10.bzip2-skewed-slowdown", "fig10.bzip2-pmod-safe"],
     );
-    assert!(pmod_norm < 1.01, "pMod must stay safe: {pmod_norm}");
 }
 
 #[test]
 fn only_skewing_helps_the_scattered_block_workloads() {
     // §5.3: "With cg and mst, only the skewed associative schemes are able
     // to obtain speedups."
-    let mst = by_name("mst").unwrap();
-    let base = run_workload(mst, Scheme::Base, REFS);
-    let pmod = run_workload(mst, Scheme::PrimeModulo, REFS);
-    let skw = run_workload(mst, Scheme::Skewed, REFS);
-    let pmod_norm = pmod.breakdown.total() as f64 / base.breakdown.total() as f64;
-    let skw_norm = skw.breakdown.total() as f64 / base.breakdown.total() as f64;
-    assert!(
-        pmod_norm > 0.95,
-        "single hashes cannot fix mst: {pmod_norm}"
+    assert_claims_alone(
+        REFS,
+        &["fig9.mst-single-hash-flat", "fig9.mst-skewing-helps"],
     );
-    assert!(skw_norm < 0.9, "skewing must help mst: {skw_norm}");
 }
 
 #[test]
 fn fully_associative_lower_bounds_conflict_misses() {
-    // Figs. 11/12: FA removes all conflict misses; hashed caches approach
-    // it on the conflict-dominated apps.
-    let bt = by_name("bt").unwrap();
-    let base = run_workload(bt, Scheme::Base, REFS_STEADY);
-    let fa = run_workload(bt, Scheme::FullyAssociative, REFS_STEADY);
-    let pmod = run_workload(bt, Scheme::PrimeModulo, REFS_STEADY);
-    assert!(fa.l2_misses() < base.l2_misses());
-    // pMod gets within 2x of the FA floor on bt.
-    assert!(pmod.l2_misses() <= fa.l2_misses() * 2);
+    // Figs. 11/12: FA removes all conflict misses; pMod gets within 2x of
+    // the FA floor on the conflict-dominated bt.
+    assert_claims(
+        steady(),
+        &["fig11.bt-fa-below-base", "fig11.bt-pmod-near-fa"],
+    );
+}
+
+#[test]
+fn every_steady_state_claim_holds() {
+    let ids: Vec<&str> = claims()
+        .filter(|c| c.min_refs == REFS_STEADY)
+        .map(|c| c.id)
+        .collect();
+    assert!(!ids.is_empty());
+    assert_claims(steady(), &ids);
 }
