@@ -1,9 +1,9 @@
 //! Dependency-free SVG rendering for the reproduction's figures.
 //!
-//! The bench harness prints every figure as text; this crate additionally
-//! renders them as standalone SVG files (`figures_svg` binary in
-//! `primecache-bench`) so the reproduction's Figs. 5–13 can be compared
-//! with the paper's visually:
+//! The `primecache-sim::experiments` registry prints every figure as
+//! text and, through this crate, renders Figs. 5–13 as standalone SVG
+//! files under `figures/` (`pcache reproduce`), so the reproduction can
+//! be compared with the paper's figures visually:
 //!
 //! * [`Svg`] — a minimal SVG document builder (rects, lines, polylines,
 //!   text, with XML escaping),
