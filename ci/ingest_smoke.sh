@@ -5,8 +5,8 @@
 # native frame (`cmp`); then simulate both imports and require
 # identical results, run a 2-tenant interference sweep end-to-end, and
 # check that every malformed-input class fails with a clean error (exit
-# code 1, no panic). Run locally with `sh ci/ingest_smoke.sh`;
-# INGEST_REFS overrides the trace length.
+# code exactly 1, no panic, no control byte on stderr). Run locally with
+# `sh ci/ingest_smoke.sh`; INGEST_REFS overrides the trace length.
 set -eu
 
 REFS="${INGEST_REFS:-2000}"
@@ -44,15 +44,27 @@ grep -q "PCTE frame" "$TMP/inspect.txt" \
 echo "==> 2-tenant interference sweep (workload + imported file as tenants)"
 $PCACHE sweep --tenants tree,"$TMP/native.pcte" --refs "$REFS" --quantum 2000
 
-echo "==> malformed inputs must fail cleanly (exit 1, no panic)"
+echo "==> malformed inputs must fail cleanly (exit 1, no panic, no control byte)"
 head -c 20 "$TMP/native.pcte" > "$TMP/truncated.pcte"
 printf 'L 0x40\nQ 9\n' > "$TMP/badtag.txt"
 printf 'L zzz\n' > "$TMP/badaddr.txt"
-for bad in truncated.pcte badtag.txt badaddr.txt; do
-  if $PCACHE import "$TMP/$bad" 2> "$TMP/err.txt"; then
-    echo "malformed input $bad was accepted" >&2; exit 1
-  fi
+printf 'PCT1\000\001\002\033[31m\n' > "$TMP/control.txt"
+# The native frame with byte 48, its first payload tag, set to kind 7.
+{ head -c 48 "$TMP/native.pcte"; printf '\007'; tail -c +50 "$TMP/native.pcte"; } \
+  > "$TMP/badkind.pcte"
+for bad in truncated.pcte badtag.txt badaddr.txt control.txt badkind.pcte; do
+  status=0
+  $PCACHE import "$TMP/$bad" 2> "$TMP/err.txt" || status=$?
+  [ "$status" -eq 1 ] || { echo "malformed input $bad exited $status, not 1" >&2; exit 1; }
   [ -s "$TMP/err.txt" ] || { echo "$bad failed without a message" >&2; exit 1; }
+  if grep -q "panicked" "$TMP/err.txt"; then
+    echo "$bad panicked" >&2; exit 1
+  fi
+  if LC_ALL=C grep -q '[[:cntrl:]]' "$TMP/err.txt"; then
+    echo "$bad printed a control byte" >&2; exit 1
+  fi
 done
+grep -q "byte offset 48" "$TMP/err.txt" \
+  || { echo "badkind.pcte: the error does not name byte offset 48" >&2; exit 1; }
 
 echo "ingest smoke passed ($REFS refs)"

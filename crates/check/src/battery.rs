@@ -12,10 +12,10 @@
 //! [`run_battery`] directly (the crate's tests do, with a smaller budget).
 
 use crate::oracle::{
-    ref_bank_index, ref_mersenne, ref_prime_displacement, ref_prime_modulo, ref_read_text,
-    ref_set_index, ref_skew_xor, ref_subtract_select, ref_tlb_index, ref_traditional, ref_xor,
-    ref_xor_folded, OracleCache, OracleCpu, OracleDram, OracleMachine, OracleMemory, OraclePolicy,
-    OracleSkewed, OracleVictim, TextRead,
+    ref_bank_index, ref_decode_frame, ref_mersenne, ref_prime_displacement, ref_prime_modulo,
+    ref_read_text, ref_set_index, ref_skew_xor, ref_subtract_select, ref_tlb_index,
+    ref_traditional, ref_xor, ref_xor_folded, OracleCache, OracleCpu, OracleDram, OracleMachine,
+    OracleMemory, OraclePolicy, OracleSkewed, OracleVictim, RefFrame, TextRead,
 };
 use crate::prop::{forall_result, Rng, Shrink};
 
@@ -908,7 +908,169 @@ fn codec_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
             }
         },
     ));
+
+    // Mutated frames: the decoder's verdict on each must be the
+    // oracle's — the same events, or the same error at the same byte
+    // offset — and an accepted frame must replay to the oracle's events
+    // through every consumer path.
+    out.push(run_unit(
+        cfg,
+        "codec/frame-fuzz",
+        cfg.addrs_per_unit.div_ceil(FRAME_FUZZ_WEIGHT),
+        FRAME_FUZZ_WEIGHT,
+        |rng| {
+            let events = rng.vec(0, FRAME_FUZZ_EVENTS + 1, |r| {
+                (r.range_u64(0, 5), gen_codec_payload(r), r.bool())
+            });
+            let mutations = rng.vec(1, 4, |r| (r.range_u64(0, 9), r.next_u64(), r.next_u64()));
+            (events, rng.range_u64(0, 3), mutations)
+        },
+        |(tuples, chunk, mutations): &FrameCase| {
+            let events: Vec<primecache_trace::Event> = tuples.iter().map(tuple_event).collect();
+            let chunk_events = [1, 7, 64][(*chunk % 3) as usize];
+            let mut frame = EncodedTrace::encode(&events, chunk_events).to_bytes();
+            let layout = ref_decode_frame(&frame).expect("the oracle reads a fresh frame");
+            assert_eq!(
+                layout.events, events,
+                "the oracle reads the encoder's events"
+            );
+            for &m in mutations {
+                mutate_frame(&mut frame, &layout, m);
+            }
+            match (
+                EncodedTrace::from_bytes_diagnose(&frame),
+                ref_decode_frame(&frame),
+            ) {
+                (Ok(trace), Ok(want)) => check_replays(&trace, &want, &frame),
+                (Err(got), Err(want)) => assert_eq!(got, want, "frame error"),
+                (got, want) => panic!(
+                    "verdicts differ: decoder {:?}, oracle {:?}",
+                    got.map(|t| t.events()),
+                    want.map(|f| f.events.len())
+                ),
+            }
+        },
+    ));
     out
+}
+
+/// Events per `codec/frame-fuzz` frame, at most.
+const FRAME_FUZZ_EVENTS: usize = 48;
+
+/// Cases one `codec/frame-fuzz` frame counts for: the unit mutates one
+/// frame per four cases of the budget.
+const FRAME_FUZZ_WEIGHT: usize = 4;
+
+/// A `codec/frame-fuzz` case: `tuple_event` tuples, a chunk-size
+/// selector, and `(operation, where, what)` mutations.
+type FrameCase = (Vec<(u64, u64, bool)>, u64, Vec<(u64, u64, u64)>);
+
+/// Applies one mutation to `frame`: a bit flip in the frame header, a
+/// chunk header, a tag or the byte after it; truncation; an inserted or
+/// deleted payload byte; a reserved tag pattern (kinds 5–7, a flag on
+/// Work, FpWork or Store, a Branch nibble); or 9–12 continuation bytes
+/// that push a varint past 10 bytes. The layout the oracle read from the
+/// unmutated frame aims it; an offset past the end of a shortened frame
+/// falls back to one anywhere in it, and an emptied frame stays empty.
+fn mutate_frame(frame: &mut Vec<u8>, layout: &RefFrame, (op, at, what): (u64, u64, u64)) {
+    use primecache_trace::Event;
+    let pick = |offsets: &[usize]| -> Option<usize> {
+        (!offsets.is_empty()).then(|| offsets[(at % offsets.len() as u64) as usize])
+    };
+    if frame.is_empty() {
+        return;
+    }
+    let (len, last) = (frame.len() as u64, frame.len() - 1);
+    let anywhere = (at % len) as usize;
+    let tag = pick(&layout.tag_offsets)
+        .filter(|&t| t < frame.len())
+        .unwrap_or(anywhere);
+    let bit = 1u8 << (what % 8);
+    match op {
+        0 => frame[(at % 32.min(len)) as usize] ^= bit,
+        1 => {
+            let header =
+                pick(&layout.chunk_offsets).map_or(anywhere, |c| c + (what / 8 % 16) as usize);
+            frame[header.min(last)] ^= bit;
+        }
+        2 => frame[tag] ^= bit,
+        3 => frame[(tag + 1).min(last)] ^= bit,
+        4 => frame.truncate(anywhere),
+        5 => frame.insert(tag, what as u8),
+        6 => {
+            frame.remove(tag);
+        }
+        7 => {
+            let high = frame[tag] & 0xF0;
+            frame[tag] = match what % 4 {
+                0 => (frame[tag] & 0xF8) | (5 + (what / 4 % 3) as u8),
+                1 => high | 0x08 | (what / 4 % 2) as u8,
+                2 => high | 0x08 | 0x04,
+                _ => 0x02 | ((what / 4 % 2) as u8) << 3 | (1 + (what / 8 % 15) as u8) << 4,
+            };
+        }
+        _ => {
+            // Continuation bytes right after the tag of an event that
+            // carries a varint: a memory event or an escaped count.
+            let varint_tags: Vec<usize> = layout
+                .events
+                .iter()
+                .zip(&layout.tag_offsets)
+                .filter(|(ev, _)| match ev {
+                    Event::Work(n) | Event::FpWork(n) => *n >= 15,
+                    Event::Branch { .. } => false,
+                    Event::Load { .. } | Event::Store { .. } => true,
+                })
+                .map(|(_, &t)| t)
+                .collect();
+            let t = pick(&varint_tags)
+                .filter(|&t| t < frame.len())
+                .unwrap_or(tag);
+            let run = 9 + (what % 4) as usize;
+            let byte = 0x80 | (what >> 8) as u8;
+            frame.splice(t + 1..t + 1, std::iter::repeat_n(byte, run));
+        }
+    }
+}
+
+/// Checks that an accepted frame matches the oracle's reading and
+/// replays to its events through `next`, `fold`, the chunk push (one
+/// slice per non-empty chunk, the remainder of a partial `next` pull
+/// first) and `decode_all`, and that it re-serializes to `frame`.
+fn check_replays(trace: &primecache_trace::EncodedTrace, want: &RefFrame, frame: &[u8]) {
+    use primecache_trace::Event;
+    use primecache_workloads::EventChunks;
+    let events = &want.events;
+    let refs = events.iter().filter(|e| e.is_memory()).count() as u64;
+    assert_eq!((trace.events(), trace.refs()), (events.len() as u64, refs));
+    assert_eq!(trace.chunk_events(), want.chunk_events, "chunk_events");
+    let chunks: Vec<usize> = trace.chunks().iter().map(|c| c.events()).collect();
+    assert_eq!(chunks, want.chunks, "chunk event counts");
+    assert_eq!(
+        trace.to_bytes(),
+        frame,
+        "an accepted frame re-serializes to itself"
+    );
+    assert_eq!(&trace.decode_all().expect("accepted"), events, "decode_all");
+    let mut cursor = trace.replay();
+    let via_next: Vec<Event> = std::iter::from_fn(|| cursor.next()).collect();
+    assert_eq!(&via_next, events, "next");
+    let folded = trace.replay().fold(Vec::new(), |mut v, ev| {
+        v.push(ev);
+        v
+    });
+    assert_eq!(&folded, events, "fold");
+    let mut slices: Vec<Vec<Event>> = Vec::new();
+    trace.replay().push_chunks(&mut |c| slices.push(c.to_vec()));
+    let lens: Vec<usize> = slices.iter().map(Vec::len).collect();
+    let want_lens: Vec<usize> = want.chunks.iter().copied().filter(|&n| n > 0).collect();
+    assert_eq!(lens, want_lens, "one pushed slice per non-empty chunk");
+    assert_eq!(&slices.concat(), events, "chunk push");
+    let half = events.len() / 2;
+    let mut cursor = trace.replay();
+    let mut got: Vec<Event> = cursor.by_ref().take(half).collect();
+    cursor.push_chunks(&mut |c| got.extend_from_slice(c));
+    assert_eq!(&got, events, "partial next, then the chunk push");
 }
 
 // ---------------------------------------------------------------------------
@@ -1732,6 +1894,7 @@ mod tests {
             "codec/varint",
             "codec/zigzag",
             "codec/event-roundtrip",
+            "codec/frame-fuzz",
             "ingest/text-parse",
             "mem/dram",
             "mem/dram-3ch-5bank",

@@ -19,7 +19,7 @@ use primecache_cpu::{CpuConfig, ExecBreakdown, StallAttribution};
 use primecache_ingest::{TextError, TextErrorKind, MAX_LINE_BYTES};
 use primecache_mem::{Completion, DramMapping, DramStats, MemConfig};
 use primecache_sim::{MachineConfig, RunResult, Scheme};
-use primecache_trace::Event;
+use primecache_trace::{Event, FrameError, TraceCodecError};
 
 // ---------------------------------------------------------------------------
 // Index-function oracles (crates/core/src/index).
@@ -1157,6 +1157,217 @@ pub fn ref_read_text(data: &[u8]) -> TextRead {
     }
     out.silent_lines = out.lines - out.events.len() as u64;
     out
+}
+
+// ---------------------------------------------------------------------------
+// PCTE frame oracle (crates/trace/src/encode.rs).
+//
+// Restated from TRACE_FORMAT.md: header fields are little-endian byte
+// folds, an event is one `match` on its (kind, flag) pair, varints
+// accumulate in a `u128` group by group, and a zigzag delta is undone in
+// `i128`. Nothing but the `Event` and error types is shared with
+// `primecache-trace`. A failure is the first one met in byte order, at
+// the offset of the field or event that holds it.
+// ---------------------------------------------------------------------------
+
+/// A frame as [`ref_decode_frame`] reads it, with the layout a fuzzer
+/// aims its mutations by.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RefFrame {
+    /// Every event, in order.
+    pub events: Vec<Event>,
+    /// The header's encoder chunk size.
+    pub chunk_events: usize,
+    /// Each chunk's event count, in order.
+    pub chunks: Vec<usize>,
+    /// Byte offset of each chunk header.
+    pub chunk_offsets: Vec<usize>,
+    /// Byte offset of each event's tag byte.
+    pub tag_offsets: Vec<usize>,
+}
+
+/// A LEB128 varint read group by group: a missing byte is truncation;
+/// an 11th group, or a 10th past the top bit of a `u64`, overflows.
+fn ref_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceCodecError> {
+    let mut value = 0u128;
+    for group in 0u32.. {
+        let byte = *bytes.get(*pos).ok_or(TraceCodecError::Truncated)?;
+        *pos += 1;
+        value += u128::from(byte & 0x7F) << (7 * group);
+        if group >= 10 || value > u128::from(u64::MAX) {
+            return Err(TraceCodecError::Corrupt("varint overflows 64 bits"));
+        }
+        if byte < 0x80 {
+            return Ok(u64::try_from(value).expect("checked against u64::MAX"));
+        }
+    }
+    unreachable!("the group counter is unbounded")
+}
+
+/// Decodes one chunk payload, appending its events and their tag
+/// offsets (relative to the payload); a failure carries its payload
+/// offset.
+fn ref_decode_chunk(
+    payload: &[u8],
+    count: u32,
+    base_addr: u64,
+    events: &mut Vec<Event>,
+    tags: &mut Vec<usize>,
+) -> Result<(), (usize, TraceCodecError)> {
+    let mut prev = base_addr;
+    let mut pos = 0;
+    for _ in 0..count {
+        let start = pos;
+        let at = |e| (start, e);
+        let tag = *payload.get(pos).ok_or(at(TraceCodecError::Truncated))?;
+        pos += 1;
+        let (kind, flag, nibble) = (tag % 8, (tag / 8) % 2 == 1, tag / 16);
+        let event = match (kind, flag) {
+            (0 | 1, false) => {
+                let n = if nibble < 15 {
+                    u64::from(nibble)
+                } else {
+                    ref_varint(payload, &mut pos).map_err(at)?
+                };
+                let n = u32::try_from(n)
+                    .map_err(|_| at(TraceCodecError::Corrupt("work count exceeds u32")))?;
+                if kind == 0 {
+                    Event::Work(n)
+                } else {
+                    Event::FpWork(n)
+                }
+            }
+            (2, mispredict) if nibble == 0 => Event::Branch { mispredict },
+            (3, _) | (4, false) => {
+                let high = ref_varint(payload, &mut pos).map_err(at)?;
+                let z = u128::from(high) * 16 + u128::from(nibble);
+                if z > u128::from(u64::MAX) {
+                    return Err(at(TraceCodecError::Corrupt(
+                        "address delta overflows 64 bits",
+                    )));
+                }
+                let z = i128::try_from(z).expect("below 2^64");
+                let delta = if z % 2 == 0 { z / 2 } else { -(z + 1) / 2 };
+                let addr = (i128::from(prev) + delta).rem_euclid(1 << 64);
+                prev = u64::try_from(addr).expect("reduced mod 2^64");
+                if kind == 3 {
+                    Event::Load {
+                        addr: prev,
+                        dep: flag,
+                    }
+                } else {
+                    Event::Store { addr: prev }
+                }
+            }
+            _ => return Err(at(TraceCodecError::BadTag(tag))),
+        };
+        events.push(event);
+        tags.push(start);
+    }
+    if pos != payload.len() {
+        return Err((
+            pos,
+            TraceCodecError::Corrupt("trailing bytes after last event"),
+        ));
+    }
+    Ok(())
+}
+
+/// A read position in a frame.
+struct FrameBytes<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> FrameBytes<'a> {
+    /// The next `len` bytes, or truncation at their start.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], FrameError> {
+        let bytes = self.data.get(self.pos..self.pos + len).ok_or(FrameError {
+            offset: self.pos,
+            error: TraceCodecError::Truncated,
+        })?;
+        self.pos += len;
+        Ok(bytes)
+    }
+
+    /// The next `len`-byte little-endian field.
+    fn field(&mut self, len: usize) -> Result<u64, FrameError> {
+        let bytes = self.take(len)?;
+        Ok(bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)))
+    }
+}
+
+/// Reads and fully validates a `PCTE` frame the way TRACE_FORMAT.md
+/// specifies it: magic, version, reserved bytes, the four totals, each
+/// chunk header and payload, no trailing bytes, then the totals against
+/// the chunks.
+///
+/// # Errors
+///
+/// The first failure, at the byte offset of its field or event.
+pub fn ref_decode_frame(data: &[u8]) -> Result<RefFrame, FrameError> {
+    let fail = |offset: usize, error: TraceCodecError| FrameError { offset, error };
+    if data.get(..4) != Some(&b"PCTE"[..]) {
+        return Err(fail(0, TraceCodecError::BadMagic));
+    }
+    let mut bytes = FrameBytes { data, pos: 4 };
+    let version = bytes.field(1)?;
+    if version != 1 {
+        let v = u8::try_from(version).expect("one byte");
+        return Err(fail(4, TraceCodecError::BadVersion(v)));
+    }
+    if bytes.field(3)? != 0 {
+        return Err(fail(
+            5,
+            TraceCodecError::Corrupt("nonzero reserved header bytes"),
+        ));
+    }
+    let total_events = bytes.field(8)?;
+    let total_refs = bytes.field(8)?;
+    let chunk_events = bytes.field(4)?;
+    let n_chunks = bytes.field(4)?;
+    if chunk_events == 0 {
+        return Err(fail(24, TraceCodecError::Corrupt("zero chunk_events")));
+    }
+    let mut frame = RefFrame {
+        chunk_events: usize::try_from(chunk_events).expect("a u32 fits usize"),
+        ..RefFrame::default()
+    };
+    for _ in 0..n_chunks {
+        frame.chunk_offsets.push(bytes.pos);
+        let count = u32::try_from(bytes.field(4)?).expect("a 4-byte field");
+        let base_addr = bytes.field(8)?;
+        let len = usize::try_from(bytes.field(4)?).expect("a u32 fits usize");
+        let payload_at = bytes.pos;
+        let payload = bytes.take(len)?;
+        let mut tags = Vec::new();
+        ref_decode_chunk(payload, count, base_addr, &mut frame.events, &mut tags)
+            .map_err(|(off, e)| fail(payload_at + off, e))?;
+        frame
+            .tag_offsets
+            .extend(tags.iter().map(|t| payload_at + t));
+        frame.chunks.push(tags.len());
+    }
+    if bytes.pos != data.len() {
+        return Err(fail(
+            bytes.pos,
+            TraceCodecError::Corrupt("trailing bytes after last chunk"),
+        ));
+    }
+    if frame.events.len() as u64 != total_events {
+        return Err(fail(
+            8,
+            TraceCodecError::Corrupt("event count contradicts chunks"),
+        ));
+    }
+    let refs = frame.events.iter().filter(|e| e.addr().is_some()).count();
+    if refs as u64 != total_refs {
+        return Err(fail(
+            16,
+            TraceCodecError::Corrupt("ref count contradicts chunks"),
+        ));
+    }
+    Ok(frame)
 }
 
 #[cfg(test)]

@@ -263,11 +263,7 @@ const REPRODUCE_REFS: u64 = 500_000;
 /// and its claims table to stdout, writes its files under `figures/`,
 /// and exits 1 when a claim fails. Progress goes to stderr.
 fn reproduce(args: &Args) -> i32 {
-    let refs = match args.parsed("--refs", REPRODUCE_REFS) {
-        Ok(0) => Err("--refs must be positive".to_owned()),
-        parsed => parsed,
-    };
-    let refs = match refs {
+    let refs = match positive_refs(args, REPRODUCE_REFS) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}\nusage: {}", args.usage());
@@ -353,12 +349,21 @@ const SWEEP_SCHEMES: [Scheme; 5] = [
     Scheme::SkewedPrimeDisplacement,
 ];
 
+/// `--refs` as a positive count: zero references leave no Base time to
+/// normalize a sweep or an experiment by.
+fn positive_refs(args: &Args, default: u64) -> Result<u64, String> {
+    match args.parsed("--refs", default) {
+        Ok(0) => Err("--refs must be positive".to_owned()),
+        parsed => parsed,
+    }
+}
+
 /// `pcache sweep [--refs N]` / `pcache sweep --tenants A,B[,...]`
 fn sweep(args: &Args) -> i32 {
     if args.value("--tenants").is_some() {
         return sweep_tenants(args);
     }
-    let refs = match args.parsed("--refs", 100_000u64) {
+    let refs = match positive_refs(args, 100_000) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -404,7 +409,7 @@ fn sweep_tenants(args: &Args) -> i32 {
     let spec = args.value("--tenants").expect("caller checked the flag");
     let defaults = MixConfig::default();
     let (refs, quantum, seed) = match (
-        args.parsed("--refs", 50_000u64),
+        positive_refs(args, 50_000),
         args.parsed("--quantum", defaults.quantum_instructions),
         args.parsed("--seed", defaults.seed),
     ) {

@@ -79,6 +79,28 @@ fn reproduce_checks_its_input() {
 }
 
 #[test]
+fn sweep_rejects_zero_refs_without_panicking() {
+    // Zero references leave no Base time to normalize by: both sweep
+    // paths exit 2 with reproduce's message instead of panicking.
+    for argv in [
+        &["sweep", "--refs", "0"][..],
+        &["sweep", "--tenants", "tree,swim", "--refs", "0"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pcache"))
+            .args(argv)
+            .output()
+            .expect("pcache runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains("--refs must be positive"),
+            "{argv:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}
+
+#[test]
 fn import_of_a_retired_flat_dump_is_a_text_error() {
     // `PCT1` is no longer a trace format: such a file is read as text
     // and rejected at its first line, with exit 1 rather than a panic.

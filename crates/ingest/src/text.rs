@@ -63,18 +63,47 @@ impl std::fmt::Display for TextErrorKind {
                 write!(f, "line exceeds {MAX_LINE_BYTES} bytes ({n}+ read)")
             }
             TextErrorKind::NotUtf8 => write!(f, "line is not valid UTF-8"),
-            TextErrorKind::UnknownTag(t) => {
-                write!(f, "unknown record tag `{t}` (expected I, L, S, W, F, or B)")
-            }
+            TextErrorKind::UnknownTag(t) => write!(
+                f,
+                "unknown record tag `{}` (expected I, L, S, W, F, or B)",
+                Payload(t)
+            ),
             TextErrorKind::MissingField(what) => write!(f, "missing {what} field"),
-            TextErrorKind::BadAddress(t) => write!(f, "bad hexadecimal address `{t}`"),
-            TextErrorKind::BadCount(t) => write!(f, "bad decimal count `{t}`"),
-            TextErrorKind::BadMarker(t) => {
-                write!(f, "bad marker `{t}` (expected `d` on L or `m` on B)")
+            TextErrorKind::BadAddress(t) => {
+                write!(f, "bad hexadecimal address `{}`", Payload(t))
             }
-            TextErrorKind::TrailingField(t) => write!(f, "trailing field `{t}`"),
-            TextErrorKind::Io(e) => write!(f, "read failed: {e}"),
+            TextErrorKind::BadCount(t) => write!(f, "bad decimal count `{}`", Payload(t)),
+            TextErrorKind::BadMarker(t) => write!(
+                f,
+                "bad marker `{}` (expected `d` on L or `m` on B)",
+                Payload(t)
+            ),
+            TextErrorKind::TrailingField(t) => write!(f, "trailing field `{}`", Payload(t)),
+            TextErrorKind::Io(e) => write!(f, "read failed: {}", Payload(e)),
         }
+    }
+}
+
+/// Longest payload, in characters, an error message shows.
+const PAYLOAD_CHARS: usize = 64;
+
+/// An error payload as a message shows it: escaped, so the control
+/// bytes of a binary input never reach a terminal, and cut to
+/// [`PAYLOAD_CHARS`] characters plus `…`.
+struct Payload<'a>(&'a str);
+
+impl std::fmt::Display for Payload<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cut = self
+            .0
+            .char_indices()
+            .nth(PAYLOAD_CHARS)
+            .map_or(self.0.len(), |(i, _)| i);
+        write!(f, "{}", self.0[..cut].escape_debug())?;
+        if cut < self.0.len() {
+            write!(f, "…")?;
+        }
+        Ok(())
     }
 }
 
@@ -516,6 +545,26 @@ mod tests {
         ] {
             assert_eq!(parse_line(line.as_bytes()), Err(want), "{line:?}");
         }
+    }
+
+    #[test]
+    fn error_messages_escape_and_cap_their_payloads() {
+        // A binary file read as text: the error keeps the raw bytes, its
+        // message shows them escaped.
+        let raw = "PCT1\0\x01\x02\x1b[31m";
+        let kind = parse_line(raw.as_bytes()).unwrap_err();
+        assert_eq!(kind, TextErrorKind::UnknownTag(raw.into()));
+        let del = parse_line(b"L 4\x7f").unwrap_err();
+        let long = TextErrorKind::TrailingField("z".repeat(100));
+        for kind in [kind, del, long] {
+            let shown = TextError { line: 1, kind }.to_string();
+            assert!(shown.bytes().all(|b| b >= 0x20 && b != 0x7F), "{shown:?}");
+        }
+        let shown = TextErrorKind::BadCount("z".repeat(100)).to_string();
+        assert!(shown.contains(&format!("`{}…`", "z".repeat(64))), "{shown}");
+        assert!(TextErrorKind::UnknownTag(raw.into())
+            .to_string()
+            .contains(r"`PCT1\0\u{1}\u{2}\u{1b}[31m`"));
     }
 
     #[test]

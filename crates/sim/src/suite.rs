@@ -123,12 +123,15 @@ fn task_cost(workload: &Workload, scheme: Scheme) -> u64 {
     scheme_weight * 64 + u64::from(footprint.ilog2())
 }
 
-/// Reference-target ceiling for generate-once sweeps. At the committed
-/// compactness (≈2 B/event, ≈2 events/ref) a 23-workload store at this
-/// target holds roughly `23 × 2M × 4 B ≈ 180 MB` — comfortably
-/// in-memory. Above the ceiling [`run_sweep`] falls back to live
-/// per-cell generation, which keeps peak memory O(1) in `target_refs`
-/// at the cost of regenerating each trace once per scheme.
+/// Reference-target ceiling for generate-once sweeps. At the measured
+/// compactness (pcbench's traced `trace.bytes_per_ref`: 4.8 encoded
+/// bytes per memory reference over all 23 workloads, events between
+/// references included; 4.3–5.7 for single workloads) a 23-workload
+/// store at this target holds roughly `23 × 2M × 4.8 B ≈ 220 MB` —
+/// still in memory on a laptop, but no longer small. Above the ceiling
+/// [`run_sweep`] falls back to live per-cell generation, which keeps
+/// peak memory O(1) in `target_refs` at the cost of regenerating each
+/// trace once per scheme.
 pub const STORE_MAX_REFS: u64 = 2_000_000;
 
 /// Worker threads a fan-out may use: the machine's available

@@ -76,7 +76,7 @@ pub fn run_tenant_mix(mix: &TenantMix, scheme: Scheme, machine: &MachineConfig) 
 
     let mut cursor = mix.cursor();
     while let Some((tenant, events)) = cursor.pull_quantum() {
-        engine.push(&events);
+        engine.push(events);
         let lane = &mut lanes[tenant];
         lane.quanta += 1;
         add_delta(&mut lane.l1, engine.l1_stats(), &mut prev_l1);
@@ -111,28 +111,31 @@ pub fn tenant_solo_baseline(
     (solo.l1, solo.l2)
 }
 
-/// Adds `now - prev` into `into`, then advances `prev` to `now`.
+/// Adds `now - prev` into `into`, then advances `prev` to `now` in
+/// place: after every quantum, so nothing here allocates.
 fn add_delta(into: &mut CacheStats, now: &CacheStats, prev: &mut CacheStats) {
-    into.accesses += now.accesses - prev.accesses;
-    into.hits += now.hits - prev.hits;
-    into.misses += now.misses - prev.misses;
-    into.writes += now.writes - prev.writes;
-    into.writebacks += now.writebacks - prev.writebacks;
-    for (acc, (n, p)) in into
-        .set_accesses
-        .iter_mut()
-        .zip(now.set_accesses.iter().zip(&prev.set_accesses))
-    {
-        *acc += n - p;
+    fn step(into: &mut u64, now: u64, prev: &mut u64) {
+        *into += now - *prev;
+        *prev = now;
     }
-    for (acc, (n, p)) in into
-        .set_misses
-        .iter_mut()
-        .zip(now.set_misses.iter().zip(&prev.set_misses))
-    {
-        *acc += n - p;
+    step(&mut into.accesses, now.accesses, &mut prev.accesses);
+    step(&mut into.hits, now.hits, &mut prev.hits);
+    step(&mut into.misses, now.misses, &mut prev.misses);
+    step(&mut into.writes, now.writes, &mut prev.writes);
+    step(&mut into.writebacks, now.writebacks, &mut prev.writebacks);
+    let sets = [
+        (
+            &mut into.set_accesses,
+            &now.set_accesses,
+            &mut prev.set_accesses,
+        ),
+        (&mut into.set_misses, &now.set_misses, &mut prev.set_misses),
+    ];
+    for (into, now, prev) in sets {
+        for ((into, &now), prev) in into.iter_mut().zip(now).zip(prev.iter_mut()) {
+            step(into, now, prev);
+        }
     }
-    *prev = now.clone();
 }
 
 #[cfg(test)]

@@ -90,6 +90,10 @@ const KIND_LOAD: u8 = 3;
 const KIND_STORE: u8 = 4;
 const KIND_MASK: u8 = 0x07;
 const FLAG_BIT: u8 = 0x08;
+/// Tag low nibble (kind and flag) of a mispredicted branch.
+const BRANCH_MISPREDICT: u8 = KIND_BRANCH | FLAG_BIT;
+/// Tag low nibble (kind and flag) of a dependent load.
+const LOAD_DEP: u8 = KIND_LOAD | FLAG_BIT;
 /// Work/FpWork nibble value that escapes to a full varint count.
 const INLINE_ESCAPE: u8 = 15;
 
@@ -185,53 +189,6 @@ fn encode_event(buf: &mut Vec<u8>, prev_addr: &mut u64, ev: Event) {
     }
 }
 
-/// Decodes one event starting at `*pos`, updating the delta context.
-#[allow(clippy::cast_possible_truncation)]
-fn decode_event(
-    bytes: &[u8],
-    pos: &mut usize,
-    prev_addr: &mut u64,
-) -> Result<Event, TraceCodecError> {
-    let &tag = bytes.get(*pos).ok_or(TraceCodecError::Truncated)?;
-    *pos += 1;
-    let kind = tag & KIND_MASK;
-    let flag = tag & FLAG_BIT != 0;
-    let nibble = tag >> 4;
-    let read_count = |pos: &mut usize| -> Result<u32, TraceCodecError> {
-        if nibble < INLINE_ESCAPE {
-            return Ok(u32::from(nibble));
-        }
-        let n = read_varint(bytes, pos)?;
-        u32::try_from(n).map_err(|_| TraceCodecError::Corrupt("work count exceeds u32"))
-    };
-    let read_addr = |pos: &mut usize, prev: &mut u64| -> Result<u64, TraceCodecError> {
-        let hi = read_varint(bytes, pos)?;
-        if hi >> 60 != 0 {
-            return Err(TraceCodecError::Corrupt("address delta overflows 64 bits"));
-        }
-        let z = (hi << 4) | u64::from(nibble);
-        let addr = prev.wrapping_add(unzigzag(z) as u64);
-        *prev = addr;
-        Ok(addr)
-    };
-    match kind {
-        KIND_WORK | KIND_FP_WORK if flag => Err(TraceCodecError::BadTag(tag)),
-        KIND_WORK => Ok(Event::Work(read_count(pos)?)),
-        KIND_FP_WORK => Ok(Event::FpWork(read_count(pos)?)),
-        KIND_BRANCH if nibble != 0 => Err(TraceCodecError::BadTag(tag)),
-        KIND_BRANCH => Ok(Event::Branch { mispredict: flag }),
-        KIND_LOAD => {
-            let addr = read_addr(pos, prev_addr)?;
-            Ok(Event::Load { addr, dep: flag })
-        }
-        KIND_STORE if flag => Err(TraceCodecError::BadTag(tag)),
-        KIND_STORE => Ok(Event::Store {
-            addr: read_addr(pos, prev_addr)?,
-        }),
-        _ => Err(TraceCodecError::BadTag(tag)),
-    }
-}
-
 /// One independently decodable span of encoded events.
 ///
 /// `base_addr` is the delta context (the previous memory event's
@@ -263,38 +220,115 @@ impl EncodedChunk {
         self.base_addr
     }
 
-    /// Decodes the chunk back into events.
+    /// Decodes the chunk back into a new `Vec` of events; a thin wrapper
+    /// of [`EncodedChunk::decode_into`].
     ///
     /// # Errors
     ///
-    /// Returns [`TraceCodecError`] when the payload is truncated, carries
-    /// an invalid tag or varint, or does not end exactly at the declared
-    /// event count.
+    /// The rejections of [`EncodedChunk::decode_into`], without the
+    /// offset.
     pub fn decode(&self) -> Result<Vec<Event>, TraceCodecError> {
-        self.decode_at().map_err(|(_, e)| e)
+        let mut out = Vec::new();
+        self.decode_into(&mut out).map_err(|(_, e)| e)?;
+        Ok(out)
     }
 
-    /// [`EncodedChunk::decode`] with the payload offset at which decoding
-    /// failed (the start of the offending event, or the end of the last
-    /// event on trailing garbage).
-    fn decode_at(&self) -> Result<Vec<Event>, (usize, TraceCodecError)> {
+    /// Decodes the chunk into `out`, replacing its contents and keeping
+    /// its capacity: the one decoder behind replay, import validation
+    /// and [`EncodedTrace::decode_all`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the payload offset and [`TraceCodecError`] of the first
+    /// failure: the start of the offending event when the payload is
+    /// truncated, carries an invalid tag or varint, or overflows a field;
+    /// the end of the last event when bytes trail the declared event
+    /// count. `out` then holds the events before the failure.
+    pub fn decode_into(&self, out: &mut Vec<Event>) -> Result<(), (usize, TraceCodecError)> {
+        out.clear();
         // Every event encodes to at least one byte, so the payload bounds
-        // the allocation whatever event count a frame declares.
-        let mut out = Vec::with_capacity((self.events as usize).min(self.bytes.len()));
+        // the reservation whatever event count a frame declares.
+        out.reserve((self.events as usize).min(self.bytes.len()));
+        let bytes = &self.bytes[..];
         let mut prev = self.base_addr;
         let mut pos = 0usize;
         for _ in 0..self.events {
             let at = pos;
-            out.push(decode_event(&self.bytes, &mut pos, &mut prev).map_err(|e| (at, e))?);
+            let fail = |e| (at, e);
+            let &tag = bytes.get(pos).ok_or(fail(TraceCodecError::Truncated))?;
+            pos += 1;
+            let nibble = tag >> 4;
+            // The low nibble is the kind and the flag: one arm per valid
+            // pattern, every other pattern is reserved.
+            let ev = match tag & (KIND_MASK | FLAG_BIT) {
+                KIND_WORK => Event::Work(read_count(bytes, &mut pos, nibble).map_err(fail)?),
+                KIND_FP_WORK => Event::FpWork(read_count(bytes, &mut pos, nibble).map_err(fail)?),
+                KIND_BRANCH if nibble == 0 => Event::Branch { mispredict: false },
+                BRANCH_MISPREDICT if nibble == 0 => Event::Branch { mispredict: true },
+                KIND_LOAD => Event::Load {
+                    addr: read_addr(bytes, &mut pos, nibble, &mut prev).map_err(fail)?,
+                    dep: false,
+                },
+                LOAD_DEP => Event::Load {
+                    addr: read_addr(bytes, &mut pos, nibble, &mut prev).map_err(fail)?,
+                    dep: true,
+                },
+                KIND_STORE => Event::Store {
+                    addr: read_addr(bytes, &mut pos, nibble, &mut prev).map_err(fail)?,
+                },
+                _ => return Err(fail(TraceCodecError::BadTag(tag))),
+            };
+            out.push(ev);
         }
-        if pos != self.bytes.len() {
+        if pos != bytes.len() {
             return Err((
                 pos,
                 TraceCodecError::Corrupt("trailing bytes after last event"),
             ));
         }
-        Ok(out)
+        Ok(())
     }
+}
+
+/// [`read_varint`] with the one-byte case, which most varints of real
+/// traces are, ahead of the general loop.
+#[inline(always)]
+fn read_short_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceCodecError> {
+    match bytes.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        _ => read_varint(bytes, pos),
+    }
+}
+
+/// A Work/FpWork count: the tag nibble, or the varint it escapes to.
+#[inline(always)]
+fn read_count(bytes: &[u8], pos: &mut usize, nibble: u8) -> Result<u32, TraceCodecError> {
+    if nibble < INLINE_ESCAPE {
+        return Ok(u32::from(nibble));
+    }
+    let n = read_short_varint(bytes, pos)?;
+    u32::try_from(n).map_err(|_| TraceCodecError::Corrupt("work count exceeds u32"))
+}
+
+/// A Load/Store address: the zigzag delta's high bits from the varint,
+/// its low 4 bits from the tag nibble, applied to the delta context.
+#[inline(always)]
+fn read_addr(
+    bytes: &[u8],
+    pos: &mut usize,
+    nibble: u8,
+    prev: &mut u64,
+) -> Result<u64, TraceCodecError> {
+    let hi = read_short_varint(bytes, pos)?;
+    if hi >> 60 != 0 {
+        return Err(TraceCodecError::Corrupt("address delta overflows 64 bits"));
+    }
+    let z = (hi << 4) | u64::from(nibble);
+    *prev = prev.wrapping_add(unzigzag(z) as u64);
+    Ok(*prev)
 }
 
 /// A frame-decoding failure located at a byte offset.
@@ -477,19 +511,23 @@ impl EncodedTrace {
     pub fn replay(&self) -> ReplayCursor<'_> {
         ReplayCursor {
             chunks: self.chunks.iter(),
-            current: Vec::new().into_iter(),
+            buf: Vec::new(),
+            pos: 0,
         }
     }
 
-    /// Decodes the whole trace into one `Vec` (tests, importers).
+    /// Decodes the whole trace into one `Vec` (tests, importers); a thin
+    /// wrapper of [`EncodedChunk::decode_into`].
     ///
     /// # Errors
     ///
     /// Returns the first chunk's [`TraceCodecError`], if any.
     pub fn decode_all(&self) -> Result<Vec<Event>, TraceCodecError> {
         let mut out = Vec::with_capacity(self.events as usize);
+        let mut chunk = Vec::new();
         for c in &self.chunks {
-            out.extend(c.decode()?);
+            c.decode_into(&mut chunk).map_err(|(_, e)| e)?;
+            out.extend_from_slice(&chunk);
         }
         Ok(out)
     }
@@ -584,8 +622,11 @@ impl EncodedTrace {
                 TraceCodecError::Corrupt("zero chunk_events"),
             ));
         }
-        let mut chunks = Vec::with_capacity(n_chunks.min(1 << 20));
+        // Each chunk takes a 16-byte header, so the input bounds the
+        // reservation whatever chunk count the frame declares.
+        let mut chunks = Vec::with_capacity(n_chunks.min((data.len() - pos) / 16));
         let (mut seen_events, mut seen_refs) = (0u64, 0u64);
+        let mut decoded = Vec::new();
         for _ in 0..n_chunks {
             let c_events = le32(take(&mut pos, 4)?);
             let base_addr = le64(take(&mut pos, 8)?);
@@ -598,8 +639,8 @@ impl EncodedTrace {
                 bytes,
             };
             // Validate up front: decode once, count the memory refs.
-            let decoded = chunk
-                .decode_at()
+            chunk
+                .decode_into(&mut decoded)
                 .map_err(|(off, e)| at(payload_at + off, e))?;
             seen_refs += decoded.iter().filter(|e| e.is_memory()).count() as u64;
             seen_events += u64::from(c_events);
@@ -667,34 +708,55 @@ impl EncodedTrace {
 /// Iterator/chunk cursor over a borrowed [`EncodedTrace`].
 ///
 /// Replay is read-only: any number of cursors can replay the same
-/// recording concurrently, each decoding one chunk at a time (peak
-/// decoded memory is one chunk, as in the live generator path).
+/// recording concurrently. Each decodes one chunk at a time into one
+/// buffer it owns and reuses, so peak decoded memory is one chunk, as in
+/// the live generator path, and no chunk allocates.
 ///
-/// `next_chunk` is remainder-first: interleaving item and chunk pulls
-/// still yields the recorded sequence exactly once.
+/// [`ReplayCursor::fill_buf`] and [`ReplayCursor::consume`] read the
+/// buffer a slice at a time, the remainder of a partially iterated chunk
+/// first: interleaving item and slice reads still yields the recorded
+/// sequence exactly once.
 #[derive(Debug)]
 pub struct ReplayCursor<'a> {
     chunks: std::slice::Iter<'a, EncodedChunk>,
-    current: std::vec::IntoIter<Event>,
+    /// The current chunk, decoded.
+    buf: Vec<Event>,
+    /// Events of `buf` already delivered.
+    pos: usize,
 }
 
 impl ReplayCursor<'_> {
-    /// Decodes and returns the next whole chunk of events (the remainder
-    /// of a partially iterated chunk first), or `None` at end of trace.
-    pub fn next_chunk(&mut self) -> Option<Vec<Event>> {
-        if self.current.len() > 0 {
-            let rest: Vec<Event> =
-                std::mem::replace(&mut self.current, Vec::new().into_iter()).collect();
-            return Some(rest);
+    /// The undelivered rest of the current chunk, after decoding the next
+    /// non-empty chunk if it is used up; empty at the end of the trace.
+    /// Mark what was taken with [`ReplayCursor::consume`].
+    pub fn fill_buf(&mut self) -> &[Event] {
+        if self.pos == self.buf.len() {
+            self.refill();
         }
-        self.decode_next()
+        &self.buf[self.pos..]
     }
 
-    fn decode_next(&mut self) -> Option<Vec<Event>> {
-        let chunk = self.chunks.next()?;
-        // Traces only exist validated: the encoder produced these bytes,
-        // or `from_bytes` already decoded them once.
-        Some(chunk.decode().expect("validated chunk decodes"))
+    /// Marks the first `n` events of [`ReplayCursor::fill_buf`] as
+    /// delivered (at most all of them).
+    pub fn consume(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.buf.len());
+    }
+
+    /// Decodes chunks into the buffer until it holds an undelivered
+    /// event or the trace ends.
+    #[inline(never)]
+    fn refill(&mut self) {
+        while self.pos == self.buf.len() {
+            let Some(chunk) = self.chunks.next() else {
+                return;
+            };
+            // Traces only exist validated: the encoder produced these
+            // bytes, or `from_bytes` already decoded them once.
+            chunk
+                .decode_into(&mut self.buf)
+                .expect("validated chunk decodes");
+            self.pos = 0;
+        }
     }
 }
 
@@ -703,11 +765,28 @@ impl Iterator for ReplayCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Event> {
+        if self.pos == self.buf.len() {
+            self.refill();
+        }
+        let ev = *self.buf.get(self.pos)?;
+        self.pos += 1;
+        Some(ev)
+    }
+
+    /// Runs `f` over each decoded chunk as a slice loop, which the
+    /// default `fold` (a `next` call per event) does not compile to.
+    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, Event) -> B,
+    {
+        let mut acc = init;
         loop {
-            if let Some(ev) = self.current.next() {
-                return Some(ev);
+            let events = self.fill_buf();
+            if events.is_empty() {
+                return acc;
             }
-            self.current = self.decode_next()?.into_iter();
+            acc = events.iter().copied().fold(acc, &mut f);
+            self.pos = self.buf.len();
         }
     }
 }
@@ -791,16 +870,29 @@ mod tests {
         }
     }
 
+    /// The cursor's next slice, marked delivered: what the chunk push
+    /// hands its consumer.
+    fn next_slice(cur: &mut ReplayCursor<'_>) -> Option<Vec<Event>> {
+        let events = cur.fill_buf().to_vec();
+        cur.consume(events.len());
+        (!events.is_empty()).then_some(events)
+    }
+
     #[test]
     fn replay_cursor_matches_decode_all() {
         let events = mixed_events();
         let trace = EncodedTrace::encode(&events, 4);
         let replayed: Vec<Event> = trace.replay().collect();
         assert_eq!(replayed, events);
+        let folded = trace.replay().fold(Vec::new(), |mut v, ev| {
+            v.push(ev);
+            v
+        });
+        assert_eq!(folded, events);
         let mut chunked = Vec::new();
         let mut cur = trace.replay();
-        while let Some(c) = cur.next_chunk() {
-            assert!(c.len() <= 4);
+        while let Some(c) = next_slice(&mut cur) {
+            assert_eq!(c.len(), 4.min(events.len() - chunked.len()));
             chunked.extend(c);
         }
         assert_eq!(chunked, events);
@@ -815,12 +907,98 @@ mod tests {
         for _ in 0..7 {
             got.push(cur.next().unwrap());
         }
-        got.extend(cur.next_chunk().unwrap()); // remainder of chunk 1
+        let rest = next_slice(&mut cur).unwrap();
+        assert_eq!(rest.len(), 9, "the remainder of chunk 1");
+        got.extend(rest);
         got.push(cur.next().unwrap());
-        while let Some(c) = cur.next_chunk() {
-            got.extend(c);
-        }
+        // A fold after partial iteration starts at the remainder.
+        got.extend(cur.fold(Vec::new(), |mut v, ev| {
+            v.push(ev);
+            v
+        }));
         assert_eq!(got, events);
+    }
+
+    #[test]
+    fn decode_into_reuses_its_buffer() {
+        let events: Vec<Event> = (0..64u64).map(|i| Event::load(i * 8)).collect();
+        let trace = EncodedTrace::encode(&events, 32);
+        let mut buf = Vec::new();
+        trace.chunks()[0].decode_into(&mut buf).unwrap();
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        trace.chunks()[1].decode_into(&mut buf).unwrap();
+        assert_eq!(buf, events[32..]);
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+    }
+
+    #[test]
+    fn empty_chunks_push_no_slice() {
+        // A frame may declare a chunk of zero events; replay skips it.
+        let trace = EncodedTrace::encode(&[Event::Work(1)], 4);
+        let mut bytes = trace.to_bytes();
+        bytes[28] = 2; // two chunks, the second one empty
+        bytes.extend_from_slice(&[0u8; 16]);
+        let back = EncodedTrace::from_bytes(&bytes).unwrap();
+        let mut cur = back.replay();
+        assert_eq!(next_slice(&mut cur), Some(vec![Event::Work(1)]));
+        assert_eq!(next_slice(&mut cur), None);
+        assert_eq!(back.replay().count(), 1);
+    }
+
+    #[test]
+    fn decode_into_locates_every_rejection() {
+        let chunk = |events: u32, bytes: Vec<u8>| EncodedChunk {
+            events,
+            base_addr: 0,
+            bytes,
+        };
+        // Every reserved pattern is an error, so a set flag on a
+        // flagless kind never aliases another event.
+        let cases: [(EncodedChunk, (usize, TraceCodecError)); 10] = [
+            (chunk(2, vec![0x10]), (1, TraceCodecError::Truncated)),
+            (
+                chunk(2, vec![0x10, 0x05]),
+                (1, TraceCodecError::BadTag(0x05)),
+            ),
+            (chunk(1, vec![0x18]), (0, TraceCodecError::BadTag(0x18))),
+            (chunk(1, vec![0x09]), (0, TraceCodecError::BadTag(0x09))),
+            (
+                chunk(1, vec![0x0C, 0x00]),
+                (0, TraceCodecError::BadTag(0x0C)),
+            ),
+            (chunk(1, vec![0x22]), (0, TraceCodecError::BadTag(0x22))),
+            (
+                chunk(2, vec![0x00, 0xF0, 0x80, 0x80, 0x80, 0x80, 0x10]),
+                (1, TraceCodecError::Corrupt("work count exceeds u32")),
+            ),
+            (
+                chunk(1, {
+                    let mut b = vec![KIND_LOAD];
+                    write_varint(&mut b, 1 << 60);
+                    b
+                }),
+                (
+                    0,
+                    TraceCodecError::Corrupt("address delta overflows 64 bits"),
+                ),
+            ),
+            (
+                chunk(1, [&[KIND_STORE][..], &[0x80; 10], &[0x00]].concat()),
+                (0, TraceCodecError::Corrupt("varint overflows 64 bits")),
+            ),
+            (
+                chunk(1, vec![0x10, 0x00]),
+                (
+                    1,
+                    TraceCodecError::Corrupt("trailing bytes after last event"),
+                ),
+            ),
+        ];
+        let mut buf = Vec::new();
+        for (c, want) in cases {
+            assert_eq!(c.decode_into(&mut buf), Err(want.clone()), "{c:?}");
+            assert_eq!(c.decode(), Err(want.1));
+        }
     }
 
     #[test]
@@ -948,21 +1126,6 @@ mod tests {
             EncodedTrace::from_bytes(&bytes),
             Err(TraceCodecError::BadTag(_) | TraceCodecError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn decode_rejects_flag_on_flagless_kinds() {
-        // Store with the flag bit set is non-canonical and must not
-        // silently alias another event.
-        let chunk = EncodedChunk {
-            events: 1,
-            base_addr: 0,
-            bytes: vec![KIND_STORE | FLAG_BIT, 0x00],
-        };
-        assert_eq!(
-            chunk.decode(),
-            Err(TraceCodecError::BadTag(KIND_STORE | FLAG_BIT))
-        );
     }
 
     #[test]

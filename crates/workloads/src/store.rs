@@ -4,11 +4,11 @@
 //! thread.
 //!
 //! A design-space sweep runs every scheme over the *identical* 23
-//! traces; generating them once per scheme makes the sweep
-//! generator-bound. A [`TraceStore`] records each workload exactly once
+//! traces. A [`TraceStore`] records each workload exactly once
 //! (same-thread, straight into the compact delta/varint encoding) and
-//! then hands out any number of read-only [`ReplayCursor`]s, so the 8×
-//! redundant generation cost collapses to 1× + cheap decodes.
+//! then hands out any number of read-only [`ReplayCursor`]s, one per
+//! scheme. A replay's chunk push decodes at about the cost of generating
+//! the trace live (measured in DESIGN.md §7).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,9 +30,16 @@ pub trait EventChunks {
 }
 
 impl EventChunks for ReplayCursor<'_> {
+    /// One slice per encoded chunk, straight from the cursor's buffer.
     fn push_chunks(&mut self, consume: &mut dyn FnMut(&[Event])) {
-        while let Some(chunk) = self.next_chunk() {
-            consume(&chunk);
+        loop {
+            let events = self.fill_buf();
+            if events.is_empty() {
+                return;
+            }
+            let n = events.len();
+            consume(events);
+            self.consume(n);
         }
     }
 }

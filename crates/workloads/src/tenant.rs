@@ -178,6 +178,10 @@ struct Lane<'a> {
 /// [`EventChunks`] source (one chunk = one scheduling quantum) that the
 /// simulation drivers consume, plus [`MixCursor::pull_quantum`] for
 /// consumers that need to know which tenant each slice belongs to.
+///
+/// Each quantum is copied from the tenant's decoded chunks into one
+/// buffer the cursor owns and reuses, counted and tagged on the way; the
+/// iterator reads that buffer by position.
 #[derive(Debug)]
 pub struct MixCursor<'a> {
     lanes: Vec<Lane<'a>>,
@@ -186,8 +190,10 @@ pub struct MixCursor<'a> {
     rng: Lcg,
     quantum: u64,
     shift: u32,
-    /// Remainder of a quantum partially consumed through `next`.
-    buf: std::collections::VecDeque<Event>,
+    /// The current quantum, tagged.
+    buf: Vec<Event>,
+    /// Events of `buf` already delivered.
+    pos: usize,
     last: Option<usize>,
     stats: MixStats,
 }
@@ -201,7 +207,8 @@ impl<'a> MixCursor<'a> {
             rng: Lcg::new(cfg.seed),
             quantum: cfg.quantum_instructions,
             shift: cfg.ns_shift,
-            buf: std::collections::VecDeque::new(),
+            buf: Vec::new(),
+            pos: 0,
             last: None,
             stats: MixStats {
                 events: vec![0; n],
@@ -216,30 +223,64 @@ impl<'a> MixCursor<'a> {
     /// or `None` once every tenant is exhausted.
     ///
     /// This is the tenant-aware twin of [`EventChunks::push_chunks`];
-    /// it skips any remainder a partial `next` iteration left behind.
-    pub fn pull_quantum(&mut self) -> Option<(usize, Vec<Event>)> {
+    /// it discards any remainder a partial `next` iteration left behind.
+    pub fn pull_quantum(&mut self) -> Option<(usize, &[Event])> {
+        let tenant = self.next_quantum()?;
+        self.pos = self.buf.len();
+        Some((tenant, &self.buf))
+    }
+
+    /// Schedules the next quantum into `buf` (undelivered) and returns
+    /// its tenant, or `None` once every tenant is exhausted.
+    fn next_quantum(&mut self) -> Option<usize> {
         while !self.live.is_empty() {
             let slot = self.rng.below(self.live.len() as u64) as usize;
             let pick = self.live[slot];
-            let ns = self.lanes[pick].ns;
-            let mut out = Vec::new();
-            let mut issued = 0u64;
+            let lane = &mut self.lanes[pick];
+            let (ns, shift, quantum) = (lane.ns, self.shift, self.quantum);
+            let buf = &mut self.buf;
+            buf.clear();
+            self.pos = 0;
+            let (mut issued, mut refs, mut overflows) = (0u64, 0u64, 0u64);
             let mut exhausted = false;
-            while issued < self.quantum {
-                let Some(ev) = self.lanes[pick].cursor.next() else {
+            // Per decoded chunk slice of the tenant: count instructions
+            // up to the quantum, refs and namespace overflows, copy what
+            // the quantum takes, then tag its addresses (a zero tag, tenant
+            // 0's, is the identity).
+            while issued < quantum {
+                let events = lane.cursor.fill_buf();
+                if events.is_empty() {
                     exhausted = true;
                     break;
-                };
-                issued += ev.instructions();
-                if ev.addr().is_some_and(|a| a >> self.shift != 0) {
-                    self.stats.ns_overflows += 1;
                 }
-                out.push(retag(ev, ns));
+                let mut taken = 0;
+                for ev in events {
+                    taken += 1;
+                    issued += ev.instructions();
+                    if let Some(addr) = ev.addr() {
+                        refs += 1;
+                        overflows += u64::from(addr >> shift != 0);
+                    }
+                    if issued >= quantum {
+                        break;
+                    }
+                }
+                let start = buf.len();
+                buf.extend_from_slice(&events[..taken]);
+                if ns != 0 {
+                    for ev in &mut buf[start..] {
+                        if let Event::Load { addr, .. } | Event::Store { addr } = ev {
+                            *addr ^= ns;
+                        }
+                    }
+                }
+                lane.cursor.consume(taken);
             }
+            self.stats.ns_overflows += overflows;
             if exhausted {
                 self.live.remove(slot);
             }
-            if out.is_empty() {
+            if self.buf.is_empty() {
                 // Picked a lane that had nothing left (empty trace):
                 // it is retired now, try the remaining ones.
                 continue;
@@ -249,10 +290,10 @@ impl<'a> MixCursor<'a> {
                 self.stats.switches += 1;
             }
             self.last = Some(pick);
-            self.stats.events[pick] += out.len() as u64;
-            self.stats.refs[pick] += out.iter().filter(|e| e.is_memory()).count() as u64;
+            self.stats.events[pick] += self.buf.len() as u64;
+            self.stats.refs[pick] += refs;
             self.stats.instructions[pick] += issued;
-            return Some((pick, out));
+            return Some(pick);
         }
         None
     }
@@ -264,41 +305,41 @@ impl<'a> MixCursor<'a> {
     }
 }
 
-/// Applies a tenant's XOR namespace tag to a memory event's address.
-fn retag(ev: Event, ns: u64) -> Event {
-    match ev {
-        Event::Load { addr, dep } => Event::Load {
-            addr: addr ^ ns,
-            dep,
-        },
-        Event::Store { addr } => Event::Store { addr: addr ^ ns },
-        other => other,
-    }
-}
-
 impl Iterator for MixCursor<'_> {
     type Item = Event;
 
     fn next(&mut self) -> Option<Event> {
-        loop {
-            if let Some(ev) = self.buf.pop_front() {
-                return Some(ev);
-            }
-            let (_, quantum) = self.pull_quantum()?;
-            self.buf.extend(quantum);
+        if self.pos == self.buf.len() {
+            self.next_quantum()?;
         }
+        let ev = self.buf[self.pos];
+        self.pos += 1;
+        Some(ev)
+    }
+
+    /// Runs `f` over each quantum as a slice loop, the remainder of a
+    /// partially iterated quantum first.
+    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, Event) -> B,
+    {
+        let mut acc = self.buf[self.pos..].iter().copied().fold(init, &mut f);
+        while self.next_quantum().is_some() {
+            acc = self.buf.iter().copied().fold(acc, &mut f);
+        }
+        acc
     }
 }
 
 impl EventChunks for MixCursor<'_> {
     fn push_chunks(&mut self, consume: &mut dyn FnMut(&[Event])) {
-        if !self.buf.is_empty() {
-            consume(self.buf.make_contiguous());
-            self.buf.clear();
+        if self.pos < self.buf.len() {
+            consume(&self.buf[self.pos..]);
         }
-        while let Some((_, quantum)) = self.pull_quantum() {
-            consume(&quantum);
+        while self.next_quantum().is_some() {
+            consume(&self.buf);
         }
+        self.pos = self.buf.len();
     }
 }
 
@@ -311,8 +352,105 @@ mod tests {
         (name.to_string(), by_name(name).unwrap().record(refs))
     }
 
-    fn strip(ev: Event, ns: u64) -> Event {
-        retag(ev, ns)
+    /// Applies (and, applied again, strips) a tenant's XOR namespace
+    /// tag on a memory event's address.
+    fn retag(ev: Event, ns: u64) -> Event {
+        match ev {
+            Event::Load { addr, dep } => Event::Load {
+                addr: addr ^ ns,
+                dep,
+            },
+            Event::Store { addr } => Event::Store { addr: addr ^ ns },
+            other => other,
+        }
+    }
+
+    /// Every quantum a cursor delivers, copied out.
+    fn quanta(cur: &mut MixCursor<'_>) -> Vec<(usize, Vec<Event>)> {
+        std::iter::from_fn(|| cur.pull_quantum().map(|(t, q)| (t, q.to_vec()))).collect()
+    }
+
+    /// The schedule restated one event at a time through each tenant's
+    /// `ReplayCursor::next`, with the stats counted after the quantum.
+    fn event_at_a_time(mix: &TenantMix) -> (Vec<(usize, Vec<Event>)>, MixStats) {
+        let cfg = *mix.config();
+        let n = mix.n_tenants();
+        let mut lanes: Vec<_> = (0..n).map(|i| mix.trace(i).replay()).collect();
+        let mut live: Vec<usize> = (0..n).collect();
+        let mut rng = Lcg::new(cfg.seed);
+        let mut stats = MixStats {
+            events: vec![0; n],
+            refs: vec![0; n],
+            instructions: vec![0; n],
+            ..MixStats::default()
+        };
+        let mut out: Vec<(usize, Vec<Event>)> = Vec::new();
+        while !live.is_empty() {
+            let slot = rng.below(live.len() as u64) as usize;
+            let pick = live[slot];
+            let ns = (pick as u64) << cfg.ns_shift;
+            let (mut q, mut issued) = (Vec::new(), 0u64);
+            while issued < cfg.quantum_instructions {
+                let Some(ev) = lanes[pick].next() else {
+                    live.remove(slot);
+                    break;
+                };
+                issued += ev.instructions();
+                if ev.addr().is_some_and(|a| a >> cfg.ns_shift != 0) {
+                    stats.ns_overflows += 1;
+                }
+                q.push(retag(ev, ns));
+            }
+            if q.is_empty() {
+                continue;
+            }
+            stats.quanta += 1;
+            if out.last().is_some_and(|&(t, _)| t != pick) {
+                stats.switches += 1;
+            }
+            stats.events[pick] += q.len() as u64;
+            stats.refs[pick] += q.iter().filter(|e| e.is_memory()).count() as u64;
+            stats.instructions[pick] += issued;
+            out.push((pick, q));
+        }
+        (out, stats)
+    }
+
+    #[test]
+    fn quanta_match_the_event_at_a_time_schedule() {
+        // Small quanta end inside chunks, at chunk ends and exactly at a
+        // trace's end; an empty tenant is retired when first picked.
+        let chunked = |name: &str, refs: u64, chunk: usize| {
+            let events = by_name(name).unwrap().trace(refs);
+            (name.to_string(), EncodedTrace::encode(&events, chunk))
+        };
+        let overflow = vec![Event::load(1 << 60), Event::Work(3), Event::load(64)];
+        let tenants = vec![
+            chunked("tree", 1_500, 97),
+            chunked("mcf", 1_500, 16_384),
+            ("empty".to_string(), EncodedTrace::encode(&[], 16)),
+            ("ext".to_string(), EncodedTrace::encode(&overflow, 1)),
+        ];
+        for quantum in [1, 3, 64, 700, 20_000] {
+            let mix = TenantMix::new(
+                tenants.clone(),
+                MixConfig {
+                    quantum_instructions: quantum,
+                    ..MixConfig::default()
+                },
+            );
+            let (want, want_stats) = event_at_a_time(&mix);
+            let mut cur = mix.cursor();
+            assert_eq!(quanta(&mut cur), want, "quantum {quantum}");
+            assert_eq!(cur.mix_stats(), &want_stats, "quantum {quantum}");
+            let flat: Vec<Event> = want.into_iter().flat_map(|(_, q)| q).collect();
+            assert_eq!(mix.cursor().collect::<Vec<_>>(), flat);
+            let folded = mix.cursor().fold(Vec::new(), |mut v, ev| {
+                v.push(ev);
+                v
+            });
+            assert_eq!(folded, flat);
+        }
     }
 
     #[test]
@@ -335,16 +473,8 @@ mod tests {
             recorded("mcf", 3_000),
             recorded("swim", 3_000),
         ]);
-        let a: Vec<(usize, Vec<Event>)> = std::iter::from_fn({
-            let mut c = mix.cursor();
-            move || c.pull_quantum()
-        })
-        .collect();
-        let b: Vec<(usize, Vec<Event>)> = std::iter::from_fn({
-            let mut c = mix.cursor();
-            move || c.pull_quantum()
-        })
-        .collect();
+        let a = quanta(&mut mix.cursor());
+        let b = quanta(&mut mix.cursor());
         assert_eq!(a, b);
         assert!(a.len() > 3, "expected several quanta, got {}", a.len());
         assert!(a.iter().any(|(t, _)| *t != a[0].0), "never switched tenant");
@@ -368,13 +498,13 @@ mod tests {
         let mut per_lane: Vec<Vec<Event>> = vec![Vec::new(); 2];
         let mut cur = mix.cursor();
         while let Some((t, events)) = cur.pull_quantum() {
-            for ev in &events {
+            for ev in events {
                 if let Some(addr) = ev.addr() {
                     assert_eq!(addr >> shift, t as u64, "address outside namespace {t}");
                 }
             }
             let ns = (t as u64) << shift;
-            per_lane[t].extend(events.into_iter().map(|e| strip(e, ns)));
+            per_lane[t].extend(events.iter().map(|&e| retag(e, ns)));
         }
         // Untagged, each lane is exactly its tenant's recorded sequence.
         assert_eq!(per_lane, originals);
