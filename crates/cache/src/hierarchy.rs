@@ -1,12 +1,14 @@
 //! Two-level cache hierarchy (L1 + L2).
 //!
-//! The hierarchy is generic over its L2 simulator ([`L2Sim`]), so every
-//! caller runs it with a concrete cache and index-function type and the
-//! access path has no per-reference virtual dispatch. The L1 is always
-//! the paper's traditionally indexed cache. [`HierarchyConfig::build`]
-//! is the one place that picks the concrete L2 type for an
-//! [`L2Organization`]; the `check` crate's oracle machine restates the
-//! whole composition from the [`Hierarchy`] docs.
+//! The hierarchy is generic over its L2 simulator ([`L2Sim`]) and its L1
+//! ([`L1Sim`]), so every caller runs it with concrete cache and
+//! index-function types and the access path has no per-reference
+//! virtual dispatch. The L1 is always the paper's traditionally indexed
+//! cache: live, or a replay of its recorded outcomes, which are the same
+//! under every L2. [`HierarchyConfig::build_around`] is the one place
+//! that picks the concrete L2 type for an [`L2Organization`]; the
+//! `check` crate's oracle machine restates the whole composition from
+//! the [`Hierarchy`] docs.
 
 use primecache_core::index::{
     Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
@@ -105,59 +107,144 @@ impl HierarchyConfig {
         self
     }
 
-    /// Builds the hierarchy this configuration describes, its L2 as the
-    /// concrete cache and index-function type the organization and hash
-    /// kind name, and runs `op` on it.
+    /// The live L1 `self.l1` describes: the one every hierarchy built
+    /// from this configuration runs, or whose outcomes it replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.l1` asks for an index function other than
+    /// traditional indexing: the paper rehashes only the L2.
+    #[must_use]
+    pub fn live_l1(&self) -> Cache<Traditional> {
+        assert_eq!(
+            self.l1.hash(),
+            HashKind::Traditional,
+            "the L1 is traditionally indexed"
+        );
+        Cache::with_typed(
+            self.l1,
+            Traditional::new(Geometry::new(self.l1.n_set_phys())),
+        )
+    }
+
+    /// Builds the hierarchy this configuration describes around a live
+    /// L1 and runs `op` on it: [`HierarchyConfig::build_around`] with
+    /// [`HierarchyConfig::live_l1`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.l1` asks for an index function other than
+    /// traditional indexing: the paper rehashes only the L2.
     pub fn build<O: HierarchyOp>(self, op: O) -> O::Out {
-        fn run<O: HierarchyOp, X: L2Sim + 'static>(cfg: HierarchyConfig, op: O, l2: X) -> O::Out {
-            op.run(Hierarchy::with_l2(cfg, l2))
+        self.build_around(self.live_l1(), op)
+    }
+
+    /// Builds the hierarchy this configuration describes around `l1`,
+    /// its L2 as the concrete cache and index-function type the
+    /// organization and hash kind name, and runs `op` on it. `l1` must
+    /// simulate `self.l1`.
+    pub fn build_around<L: L1Sim, O: HierarchyOp<L>>(self, l1: L, op: O) -> O::Out {
+        fn run<L: L1Sim, O: HierarchyOp<L>, X: L2Sim + 'static>(
+            cfg: HierarchyConfig,
+            l1: L,
+            op: O,
+            l2: X,
+        ) -> O::Out {
+            op.run(Hierarchy::with_parts(cfg, l1, l2))
         }
         match self.l2 {
             L2Organization::SetAssoc(cfg) => {
                 let geom = Geometry::new(cfg.n_set_phys());
                 match cfg.hash() {
                     HashKind::Traditional => {
-                        run(self, op, Cache::with_typed(cfg, Traditional::new(geom)))
+                        run(self, l1, op, Cache::with_typed(cfg, Traditional::new(geom)))
                     }
-                    HashKind::Xor => run(self, op, Cache::with_typed(cfg, Xor::new(geom))),
+                    HashKind::Xor => run(self, l1, op, Cache::with_typed(cfg, Xor::new(geom))),
                     HashKind::PrimeModulo => {
-                        run(self, op, Cache::with_typed(cfg, PrimeModulo::new(geom)))
+                        run(self, l1, op, Cache::with_typed(cfg, PrimeModulo::new(geom)))
                     }
                     HashKind::PrimeDisplacement => {
                         let index = PrimeDisplacement::paper_default(geom);
-                        run(self, op, Cache::with_typed(cfg, index))
+                        run(self, l1, op, Cache::with_typed(cfg, index))
                     }
-                    HashKind::Expr(id) => run(self, op, Cache::with_typed(cfg, id.indexer())),
+                    HashKind::Expr(id) => run(self, l1, op, Cache::with_typed(cfg, id.indexer())),
                 }
             }
             L2Organization::Skewed(cfg) => match cfg.hash() {
                 SkewHashKind::Xor => run(
                     self,
+                    l1,
                     op,
                     SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
                 ),
                 SkewHashKind::PrimeDisplacement => {
                     let bank = |b, g| SkewDispBank::new(g, bank_disp_factor(b));
-                    run(self, op, SkewedCache::with_banks(cfg, bank))
+                    run(self, l1, op, SkewedCache::with_banks(cfg, bank))
                 }
             },
             L2Organization::FullyAssociative {
                 size_bytes,
                 line_bytes,
-            } => run(self, op, FullyAssociative::new(size_bytes, line_bytes)),
+            } => run(self, l1, op, FullyAssociative::new(size_bytes, line_bytes)),
         }
     }
 }
 
-/// An operation on a hierarchy whose L2 type is fixed at compile time,
-/// so its per-access path is monomorphized. [`HierarchyConfig::build`]
-/// runs it.
-pub trait HierarchyOp {
+/// An operation on a hierarchy whose L1 (`L`) and L2 types are fixed at
+/// compile time, so its per-access path is monomorphized.
+/// [`HierarchyConfig::build`] and [`HierarchyConfig::build_around`] run
+/// it.
+pub trait HierarchyOp<L: L1Sim = Cache<Traditional>> {
     /// What the operation returns.
     type Out;
 
     /// Runs the operation on a freshly built hierarchy.
-    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X>) -> Self::Out;
+    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X, L>) -> Self::Out;
+}
+
+/// What one demand access did at the L1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L1Outcome {
+    /// The L1 set the access indexed.
+    pub set: usize,
+    /// Whether the access hit.
+    pub hit: bool,
+    /// The block address (in L1 lines) of the dirty line a miss's fill
+    /// evicted, if it evicted one: the write the hierarchy forwards into
+    /// the L2. A fill evicts at most one line.
+    pub victim: Option<u64>,
+}
+
+/// The L1 interface the hierarchy drives: the live paper L1
+/// (`Cache<Traditional>`), or a replay of the outcomes such an L1
+/// produced over the same references. Nothing below the L1 feeds back
+/// into it (no back-invalidation; the prefetcher fills only the L2), so
+/// the two are interchangeable under every L2.
+pub trait L1Sim {
+    /// One demand access (write-allocate, write-back).
+    fn access(&mut self, addr: u64, write: bool) -> L1Outcome;
+
+    /// Demand statistics. A replay has only its recording's, which
+    /// describe the whole recorded run.
+    fn stats(&self) -> &CacheStats;
+}
+
+impl L1Sim for Cache<Traditional> {
+    #[inline]
+    fn access(&mut self, addr: u64, write: bool) -> L1Outcome {
+        let (set, hit) = self.access_indexed(addr, write);
+        // A hit evicts nothing, and a miss's fill at most one line.
+        let victim = if hit {
+            None
+        } else {
+            self.take_writebacks().next()
+        };
+        L1Outcome { set, hit, victim }
+    }
+
+    fn stats(&self) -> &CacheStats {
+        CacheSim::stats(self)
+    }
 }
 
 /// The L2 interface the hierarchy drives. Implemented by the three cache
@@ -297,6 +384,12 @@ impl L2Sim for FullyAssociative {
 ///    eviction order ([`Hierarchy::take_memory_writes`]), queued in the
 ///    L2's own writeback buffer until taken.
 ///
+/// The L1 (`L`) is live by default. A hierarchy around a replayed L1
+/// ([`HierarchyConfig::build_around`]) applies the same steps to the
+/// recorded outcomes; it has no L1 to warm up or observe, so
+/// [`Hierarchy::reset_stats`] and [`Hierarchy::attach_obs`] exist only
+/// for the live one.
+///
 /// # Examples
 ///
 /// ```
@@ -310,9 +403,9 @@ impl L2Sim for FullyAssociative {
 /// assert_eq!(h.access(0x1000, false), AccessOutcome::L1Hit);
 /// ```
 #[derive(Debug)]
-pub struct Hierarchy<X: L2Sim> {
+pub struct Hierarchy<X: L2Sim, L: L1Sim = Cache<Traditional>> {
     config: HierarchyConfig,
-    l1: Cache<Traditional>,
+    l1: L,
     l2: X,
     /// Demand stats of the L2 only (excludes L1 writeback traffic), used
     /// by the figures.
@@ -324,11 +417,11 @@ pub struct Hierarchy<X: L2Sim> {
     obs: Option<ObsHandle>,
 }
 
-impl<X: L2Sim> Hierarchy<X> {
+impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
     /// Assembles a hierarchy from pre-built caches. `l1` and `l2` must
     /// match `config`.
     #[must_use]
-    pub fn with_parts(config: HierarchyConfig, l1: Cache<Traditional>, l2: X) -> Self {
+    pub fn with_parts(config: HierarchyConfig, l1: L, l2: X) -> Self {
         let n_demand_sets = l2.stats().set_accesses.len();
         Self {
             l1,
@@ -338,38 +431,6 @@ impl<X: L2Sim> Hierarchy<X> {
             obs: None,
             config,
         }
-    }
-
-    /// Assembles a hierarchy around a pre-built L2 (which must match
-    /// `config.l2`), building the L1 `config.l1` describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.l1` asks for an index function other than
-    /// traditional indexing: the paper rehashes only the L2.
-    #[must_use]
-    pub fn with_l2(config: HierarchyConfig, l2: X) -> Self {
-        assert_eq!(
-            config.l1.hash(),
-            HashKind::Traditional,
-            "the L1 is traditionally indexed"
-        );
-        let geom = Geometry::new(config.l1.n_set_phys());
-        Self::with_parts(
-            config,
-            Cache::with_typed(config.l1, Traditional::new(geom)),
-            l2,
-        )
-    }
-
-    /// Attaches one observability recorder to the whole hierarchy: the
-    /// hierarchy reports demand accesses (L1, and L2 demand traffic —
-    /// the counts the paper's figures use), and each level reports its
-    /// own evictions.
-    pub fn attach_obs(&mut self, handle: ObsHandle) {
-        self.l1.attach_obs(Level::L1, handle.clone());
-        self.l2.attach_obs(Level::L2, handle.clone());
-        self.obs = Some(handle);
     }
 
     /// Point-in-time L2 occupancy snapshot: valid lines per set
@@ -388,17 +449,16 @@ impl<X: L2Sim> Hierarchy<X> {
 
     /// Simulates one demand access.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        let (l1_set, l1_hit) = self.l1.access_indexed(addr, write);
+        let l1 = self.l1.access(addr, write);
         if let Some(h) = &self.obs {
             h.borrow_mut()
-                .cache_access(Level::L1, l1_set as u32, l1_hit, write);
+                .cache_access(Level::L1, l1.set as u32, l1.hit, write);
         }
-        if l1_hit {
-            // A hit evicts nothing, so there is nothing to forward.
+        if l1.hit {
             return AccessOutcome::L1Hit;
         }
-        // L1 miss: demand access to L2. The fill into L1 happened inside
-        // `Cache::access`; forward its dirty victims below.
+        // L1 miss: demand access to L2. The fill into L1 has happened;
+        // its dirty victim is forwarded below.
         let (l2_set, l2_hit) = self.l2.demand_access(addr);
         self.l2_demand.record(l2_set, !l2_hit, write);
         if let Some(h) = &self.obs {
@@ -415,9 +475,9 @@ impl<X: L2Sim> Hierarchy<X> {
         }
         // Forward the L1 fill's dirty victim into the L2 (write-allocate
         // on miss); the L2's own victims wait for `take_memory_writes`.
-        let line = self.config.l1.line_bytes();
-        for block in self.l1.take_writebacks() {
-            self.l2.plain_access(block * line, true);
+        if let Some(block) = l1.victim {
+            self.l2
+                .plain_access(block * self.config.l1.line_bytes(), true);
         }
         if l2_hit {
             AccessOutcome::L2Hit
@@ -435,7 +495,7 @@ impl<X: L2Sim> Hierarchy<X> {
     /// L1 statistics.
     #[must_use]
     pub fn l1_stats(&self) -> &CacheStats {
-        CacheSim::stats(&self.l1)
+        self.l1.stats()
     }
 
     /// L2 statistics including L1 writeback traffic (the raw cache view).
@@ -456,6 +516,30 @@ impl<X: L2Sim> Hierarchy<X> {
     /// buffer drains in place and keeps its capacity.
     pub fn take_memory_writes(&mut self) -> std::vec::Drain<'_, u64> {
         self.l2.take_writebacks()
+    }
+}
+
+impl<X: L2Sim> Hierarchy<X> {
+    /// Assembles a hierarchy around a pre-built L2 (which must match
+    /// `config.l2`), building the live L1 `config.l1` describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.l1` asks for an index function other than
+    /// traditional indexing: the paper rehashes only the L2.
+    #[must_use]
+    pub fn with_l2(config: HierarchyConfig, l2: X) -> Self {
+        Self::with_parts(config, config.live_l1(), l2)
+    }
+
+    /// Attaches one observability recorder to the whole hierarchy: the
+    /// hierarchy reports demand accesses (L1, and L2 demand traffic —
+    /// the counts the paper's figures use), and each level reports its
+    /// own evictions.
+    pub fn attach_obs(&mut self, handle: ObsHandle) {
+        self.l1.attach_obs(Level::L1, handle.clone());
+        self.l2.attach_obs(Level::L2, handle.clone());
+        self.obs = Some(handle);
     }
 
     /// Resets all statistics (contents survive — use after warmup).

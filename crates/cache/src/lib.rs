@@ -52,7 +52,7 @@ mod victim;
 pub use config::{CacheConfig, ReplacementKind, SkewHashKind, SkewReplacement, SkewedConfig};
 pub use fully_assoc::FullyAssociative;
 pub use hierarchy::{
-    AccessOutcome, Hierarchy, HierarchyConfig, HierarchyOp, L2Organization, L2Sim,
+    AccessOutcome, Hierarchy, HierarchyConfig, HierarchyOp, L1Outcome, L1Sim, L2Organization, L2Sim,
 };
 pub use infinite::InfiniteCache;
 pub use set_assoc::Cache;

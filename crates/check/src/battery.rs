@@ -34,7 +34,7 @@ use primecache_core::index::{
 use primecache_cpu::{Cpu, CpuConfig};
 use primecache_ingest::MAX_LINE_BYTES;
 use primecache_mem::{Dram, MemConfig};
-use primecache_sim::{run_trace, MachineConfig, Scheme};
+use primecache_sim::{run_trace, MachineConfig, Recording, Scheme};
 
 /// Accesses per cache/DRAM stream case (the shrinkable unit of replay).
 const STREAM_LEN: usize = 256;
@@ -1623,33 +1623,46 @@ fn machine_unit_addrs(rng: &mut Rng) -> (u64, u64) {
     (addr, if rng.bool() { conflict } else { cold })
 }
 
+/// The `sim/machine` units run each stream through `run_trace`, a live
+/// L1 per scheme. The `sim/l1-replay` units record the stream's L1 once
+/// ([`Recording`]) and replay its outcomes into the scheme's L2, the way
+/// every sweep cell runs: the oracle machine, which simulates its own
+/// L1, must agree with both.
 fn machine_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     use primecache_core::expr::{builtins, register_anonymous};
     let machine = machine_unit_config();
     let sets = Geometry::new(machine.l2_size / (4 * machine.l2_line));
     let pmod = register_anonymous(&builtins::pmod_src(sets)).expect("pMod source compiles");
-    Scheme::ALL
+    let schemes: Vec<Scheme> = Scheme::ALL
         .into_iter()
         .chain([Scheme::Expr(pmod)])
-        .map(|scheme| {
-            run_unit(
+        .collect();
+    let mut out = Vec::new();
+    for (family, replay_l1) in [("sim/machine", false), ("sim/l1-replay", true)] {
+        for &scheme in &schemes {
+            out.push(run_unit(
                 cfg,
-                &format!("sim/machine/{}", scheme.label()),
+                &format!("{family}/{}", scheme.label()),
                 stream_cases(cfg),
                 STREAM_LEN,
                 |rng| gen_cpu_stream(rng, machine_unit_addrs),
                 move |stream: &Vec<(u64, u64, bool)>| {
                     let events: Vec<_> = stream.iter().map(tuple_event).collect();
-                    let got = run_trace(events.iter().copied(), scheme, &machine);
+                    let got = if replay_l1 {
+                        Recording::of_events(&events).run(scheme, &machine)
+                    } else {
+                        run_trace(events.iter().copied(), scheme, &machine)
+                    };
                     let want = OracleMachine::new(&machine, scheme).run(&events);
                     assert_eq!(got.breakdown, want.breakdown, "breakdown mismatch");
                     assert_eq!(got.l1, want.l1, "L1 stats mismatch");
                     assert_eq!(got.l2, want.l2, "L2 demand stats mismatch");
                     assert_eq!(got.dram, want.dram, "DRAM stats mismatch");
                 },
-            )
-        })
-        .collect()
+            ));
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1906,6 +1919,11 @@ mod tests {
             "sim/machine/SKW",
             "sim/machine/FA",
             "sim/machine/expr:a % 31",
+            "sim/l1-replay/Base",
+            "sim/l1-replay/pMod",
+            "sim/l1-replay/SKW",
+            "sim/l1-replay/FA",
+            "sim/l1-replay/expr:a % 31",
         ] {
             assert!(
                 names.iter().any(|n| n == prefix),

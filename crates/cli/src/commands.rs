@@ -260,8 +260,9 @@ const REPRODUCE_REFS: u64 = 500_000;
 ///
 /// Runs the named registry entries (every one when none is named) from
 /// one sweep over the union of their schemes: prints each entry's text
-/// and its claims table to stdout, writes its files under `figures/`,
-/// and exits 1 when a claim fails. Progress goes to stderr.
+/// and its claims table to stdout, writes its files under `figures/` —
+/// only at [`REPRODUCE_REFS`], the scale of the committed figures — and
+/// exits 1 when a claim fails. Progress goes to stderr.
 fn reproduce(args: &Args) -> i32 {
     let refs = match positive_refs(args, REPRODUCE_REFS) {
         Ok(v) => v,
@@ -299,6 +300,13 @@ fn reproduce(args: &Args) -> i32 {
         run_sweep(&schemes, refs)
     };
     let ctx = Ctx::new(refs, sweep);
+    let write_figures = refs == REPRODUCE_REFS;
+    if !write_figures && selected.iter().any(|e| !e.files.is_empty()) {
+        eprintln!(
+            "writing no figures/ files: they are kept at the committed {REPRODUCE_REFS} refs, \
+             not {refs}"
+        );
+    }
     let n = selected.len();
     println!("primecache reproduction: {n} experiment(s), {refs} refs per (workload, scheme)\n");
     let (mut passed, mut failed, mut skipped) = (0, Vec::new(), 0);
@@ -306,7 +314,8 @@ fn reproduce(args: &Args) -> i32 {
         eprintln!("{} ...", e.name);
         println!("--- {} [{}] ---\n", e.title, e.name);
         println!("{}", (e.text)(&ctx).trim_end());
-        for (path, render) in e.files {
+        let files = if write_figures { e.files } else { &[] };
+        for (path, render) in files {
             let path = std::path::Path::new("figures").join(path);
             let written = path
                 .parent()
@@ -386,12 +395,13 @@ fn sweep(args: &Args) -> i32 {
     print!("{}", render_table(&header, &rows));
     if let Some(st) = ctx.sweep.store {
         println!(
-            "\ntrace store: {} workloads recorded once ({} events, {} KB encoded), \
-             {} replays served",
+            "\nrecord phase: {} workloads recorded once in {:.2} s ({} events; \
+             {} KB trace + {} KB L1 record), replayed into every scheme",
             st.records,
+            st.record_us as f64 / 1e6,
             st.events,
-            st.encoded_bytes / 1024,
-            st.replays
+            st.trace_bytes / 1024,
+            st.l1_bytes / 1024
         );
     }
     0
@@ -1196,8 +1206,8 @@ fn print_run_summary(r: &RunResult) {
         r.breakdown.mem_stall
     );
     println!(
-        "  L1: {} accesses, {} misses; L2: {} accesses, {} misses, {} writebacks",
-        r.l1.accesses, r.l1.misses, r.l2.accesses, r.l2.misses, r.l2.writebacks
+        "  L1: {} accesses, {} misses; L2: {} accesses, {} misses",
+        r.l1.accesses, r.l1.misses, r.l2.accesses, r.l2.misses
     );
     println!(
         "  DRAM: {} reads, {} writes, {:.1}% row hits",

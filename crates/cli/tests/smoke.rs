@@ -79,6 +79,28 @@ fn reproduce_checks_its_input() {
 }
 
 #[test]
+fn reproduce_off_the_committed_scale_writes_no_figures() {
+    // The committed figures are kept at the default --refs; a quick look
+    // at another scale must not overwrite them, so it writes no files.
+    let dir = std::env::temp_dir().join("pcache_cli_reproduce_scale");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pcache"))
+        .args(["reproduce", "fig13", "--refs", "3000"])
+        .current_dir(&dir)
+        .output()
+        .expect("pcache runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("writing no figures/ files"), "{stderr}");
+    assert!(
+        !dir.join("figures").exists(),
+        "figures/ written at 3000 refs"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sweep_rejects_zero_refs_without_panicking() {
     // Zero references leave no Base time to normalize by: both sweep
     // paths exit 2 with reproduce's message instead of panicking.

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use primecache_cache::{AccessOutcome, Hierarchy, L2Sim};
+use primecache_cache::{AccessOutcome, Hierarchy, L1Sim, L2Sim};
 use primecache_core::index::FastMod;
 use primecache_mem::Dram;
 use primecache_obs::ObsHandle;
@@ -337,15 +337,16 @@ impl Cpu {
     /// Runs a trace through the hierarchy and DRAM, returning the cycle
     /// breakdown: [`Cpu::feed`] over the whole trace, then
     /// [`Cpu::finish`].
-    pub fn run<T, X>(
+    pub fn run<T, X, L>(
         &mut self,
         trace: T,
-        hierarchy: &mut Hierarchy<X>,
+        hierarchy: &mut Hierarchy<X, L>,
         dram: &mut Dram,
     ) -> ExecBreakdown
     where
         T: IntoIterator<Item = Event>,
         X: L2Sim,
+        L: L1Sim,
     {
         self.feed(trace, hierarchy, dram);
         self.finish()
@@ -357,10 +358,11 @@ impl Cpu {
     ///
     /// Dirty L2 victims are issued to DRAM as write traffic (they occupy
     /// banks and bus but nothing waits on them).
-    pub fn feed<T, X>(&mut self, events: T, hierarchy: &mut Hierarchy<X>, dram: &mut Dram)
+    pub fn feed<T, X, L>(&mut self, events: T, hierarchy: &mut Hierarchy<X, L>, dram: &mut Dram)
     where
         T: IntoIterator<Item = Event>,
         X: L2Sim,
+        L: L1Sim,
     {
         let cfg = self.config;
         let widths = self.widths;
@@ -474,12 +476,12 @@ impl Cpu {
 
     /// Services one memory reference; returns its completion time, or
     /// `None` for a (pipelined) L1 hit.
-    fn service<X: L2Sim>(
+    fn service<X: L2Sim, L: L1Sim>(
         &self,
         addr: u64,
         write: bool,
         st: &RunState,
-        hierarchy: &mut Hierarchy<X>,
+        hierarchy: &mut Hierarchy<X, L>,
         dram: &mut Dram,
     ) -> Option<u64> {
         if let Some(h) = &self.obs {

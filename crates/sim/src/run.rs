@@ -2,9 +2,11 @@
 //! thread.
 //!
 //! Every entry point ([`run_trace`], [`run_chunks`], [`run_recorded`],
-//! [`run_workload`], [`run_workload_warm`], and the observed and tenant
-//! drivers) builds its run's [`Engine`] with [`dispatch`] — **once** per
-//! run, through [`HierarchyConfig::build`](primecache_cache::HierarchyConfig::build),
+//! [`run_workload`], [`run_workload_warm`], the observed and tenant
+//! drivers, and [`Recording::run`](crate::Recording::run)) builds its
+//! run's engine with [`dispatch`] or, around a replayed L1,
+//! [`dispatch_replayed`] — **once** per run, through
+//! [`HierarchyConfig::build_around`](primecache_cache::HierarchyConfig::build_around),
 //! which picks the L2's concrete cache and index-function types — and
 //! then pushes the trace into it as `&[Event]` chunks: a replay, mix or
 //! import cursor pushes the chunks it decodes, a live generator each
@@ -14,18 +16,20 @@
 //! [`MachineConfig::check_scheme`], in every build profile, and so
 //! panics on a scheme the config linter rejects.
 //!
-//! The `batched_equivalence` integration test and the `sim/machine`
-//! units of the `check` battery compare these drivers with
-//! `OracleMachine`, a naive machine restated from the hierarchy, DRAM
-//! and core docs (stats, memory-write order, breakdowns).
+//! The `batched_equivalence` integration test and the `sim/machine` and
+//! `sim/l1-replay` units of the `check` battery compare these drivers
+//! with `OracleMachine`, a naive machine restated from the hierarchy,
+//! DRAM and core docs (stats, memory-write order, breakdowns).
 
-use primecache_cache::{CacheStats, Hierarchy, HierarchyOp, L2Sim};
+use primecache_cache::{Cache, CacheStats, Hierarchy, HierarchyOp, L1Sim, L2Sim};
+use primecache_core::index::Traditional;
 use primecache_cpu::{Cpu, ExecBreakdown, StallAttribution};
 use primecache_mem::{Dram, DramStats};
 use primecache_obs::ObsHandle;
 use primecache_trace::{EncodedTrace, Event};
 use primecache_workloads::{EventChunks, Workload, STREAM_CHUNK};
 
+use crate::recording::L1Replay;
 use crate::{MachineConfig, Scheme};
 
 /// Everything one simulation produces.
@@ -37,7 +41,11 @@ pub struct RunResult {
     pub breakdown: ExecBreakdown,
     /// L1 statistics.
     pub l1: CacheStats,
-    /// L2 demand statistics (Figs. 11–13 count these misses).
+    /// L2 demand statistics (Figs. 11–13 count these misses). They
+    /// count no evictions, so `writebacks` is always 0 here: the dirty
+    /// L2 victims count in the L2's raw statistics
+    /// ([`Hierarchy::l2_raw_stats`]), and each one is a DRAM write
+    /// (`dram.writes`).
     pub l2: CacheStats,
     /// DRAM statistics.
     pub dram: DramStats,
@@ -52,11 +60,20 @@ impl RunResult {
 }
 
 /// One run in progress: the scheme's machine — L1, L2, DRAM and core —
-/// built once by [`dispatch`] and pushed the trace chunk by chunk.
+/// built once by [`dispatch`] or [`dispatch_replayed`] and pushed the
+/// trace chunk by chunk.
 pub(crate) trait Engine {
     /// Simulates `chunk`, continuing where the previous chunk stopped.
     fn push(&mut self, chunk: &[Event]);
 
+    /// Ends the run and packages its results.
+    fn finish(&mut self) -> RunResult;
+}
+
+/// A run whose L1 is live: it can also warm up, report its statistics
+/// mid-run and be observed. A replayed L1 can do none of these, so an
+/// engine around one is only an [`Engine`].
+pub(crate) trait LiveEngine: Engine {
     /// Starts the measured phase: ends the core's run so far and zeroes
     /// every statistic and clock. Cache contents and open DRAM rows
     /// survive.
@@ -68,9 +85,6 @@ pub(crate) trait Engine {
     /// L2 demand statistics so far.
     fn l2_stats(&self) -> &CacheStats;
 
-    /// Ends the run and packages its results.
-    fn finish(&mut self) -> RunResult;
-
     /// Attaches one recorder to the hierarchy, the DRAM and the core.
     fn attach_obs(&mut self, handle: ObsHandle);
 
@@ -81,20 +95,43 @@ pub(crate) trait Engine {
     fn l2_occupancy(&self) -> Vec<u64>;
 }
 
-/// The machine of one run, monomorphized over its L2 (`X`).
-struct Machine<X: L2Sim> {
+/// The machine of one run, monomorphized over its L2 (`X`) and L1 (`L`).
+struct Machine<X: L2Sim, L: L1Sim = Cache<Traditional>> {
     scheme: Scheme,
-    hierarchy: Hierarchy<X>,
+    hierarchy: Hierarchy<X, L>,
     dram: Dram,
     cpu: Cpu,
 }
 
-impl<X: L2Sim> Engine for Machine<X> {
+impl<X: L2Sim, L: L1Sim> Machine<X, L> {
+    fn new(machine: &MachineConfig, scheme: Scheme, hierarchy: Hierarchy<X, L>) -> Self {
+        Self {
+            scheme,
+            hierarchy,
+            dram: Dram::new(machine.mem),
+            cpu: Cpu::new(machine.cpu),
+        }
+    }
+}
+
+impl<X: L2Sim, L: L1Sim> Engine for Machine<X, L> {
     fn push(&mut self, chunk: &[Event]) {
         self.cpu
             .feed(chunk.iter().copied(), &mut self.hierarchy, &mut self.dram);
     }
 
+    fn finish(&mut self) -> RunResult {
+        RunResult {
+            scheme: self.scheme,
+            breakdown: self.cpu.finish(),
+            l1: self.hierarchy.l1_stats().clone(),
+            l2: self.hierarchy.l2_stats().clone(),
+            dram: *self.dram.stats(),
+        }
+    }
+}
+
+impl<X: L2Sim> LiveEngine for Machine<X> {
     fn reset_stats(&mut self) {
         let _ = self.cpu.finish();
         self.hierarchy.reset_stats();
@@ -107,16 +144,6 @@ impl<X: L2Sim> Engine for Machine<X> {
 
     fn l2_stats(&self) -> &CacheStats {
         self.hierarchy.l2_stats()
-    }
-
-    fn finish(&mut self) -> RunResult {
-        RunResult {
-            scheme: self.scheme,
-            breakdown: self.cpu.finish(),
-            l1: self.hierarchy.l1_stats().clone(),
-            l2: self.hierarchy.l2_stats().clone(),
-            dram: *self.dram.stats(),
-        }
     }
 
     fn attach_obs(&mut self, handle: ObsHandle) {
@@ -134,14 +161,36 @@ impl<X: L2Sim> Engine for Machine<X> {
     }
 }
 
-/// Builds `scheme`'s engine on `machine`, its L2 a concrete cache and
-/// index-function type: the once-per-run dispatch that keeps virtual
-/// calls off the per-reference path.
-pub(crate) fn dispatch(machine: &MachineConfig, scheme: Scheme) -> Box<dyn Engine> {
+/// Builds `scheme`'s engine on `machine` around a live L1, its L2 a
+/// concrete cache and index-function type: the once-per-run dispatch
+/// that keeps virtual calls off the per-reference path.
+pub(crate) fn dispatch(machine: &MachineConfig, scheme: Scheme) -> Box<dyn LiveEngine> {
     machine.check_scheme(scheme);
     machine
         .hierarchy_config(scheme)
         .build(Assemble { machine, scheme })
+}
+
+/// Builds `scheme`'s engine on `machine` around a replayed L1, through
+/// the same dispatch as [`dispatch`].
+///
+/// # Panics
+///
+/// Panics when the config linter rejects `scheme`, or when `l1` was not
+/// recorded on `machine`'s L1.
+pub(crate) fn dispatch_replayed<'r>(
+    machine: &MachineConfig,
+    scheme: Scheme,
+    l1: L1Replay<'r>,
+) -> Box<dyn Engine + 'r> {
+    machine.check_scheme(scheme);
+    let config = machine.hierarchy_config(scheme);
+    assert_eq!(
+        l1.config(),
+        &config.l1,
+        "the L1 was recorded on another configuration"
+    );
+    config.build_around(l1, Assemble { machine, scheme })
 }
 
 /// Wraps the built hierarchy into the run's engine.
@@ -151,15 +200,21 @@ struct Assemble<'m> {
 }
 
 impl HierarchyOp for Assemble<'_> {
-    type Out = Box<dyn Engine>;
+    type Out = Box<dyn LiveEngine>;
 
-    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X>) -> Box<dyn Engine> {
-        Box::new(Machine {
-            scheme: self.scheme,
-            hierarchy,
-            dram: Dram::new(self.machine.mem),
-            cpu: Cpu::new(self.machine.cpu),
-        })
+    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X>) -> Box<dyn LiveEngine> {
+        Box::new(Machine::new(self.machine, self.scheme, hierarchy))
+    }
+}
+
+impl<'r> HierarchyOp<L1Replay<'r>> for Assemble<'_> {
+    type Out = Box<dyn Engine + 'r>;
+
+    fn run<X: L2Sim + 'static>(
+        self,
+        hierarchy: Hierarchy<X, L1Replay<'r>>,
+    ) -> Box<dyn Engine + 'r> {
+        Box::new(Machine::new(self.machine, self.scheme, hierarchy))
     }
 }
 
@@ -244,8 +299,8 @@ pub fn run_chunks<S: EventChunks>(
 /// and the recording sink sees the same push sequence), so results
 /// match [`run_workload`] exactly — stats, writeback order, breakdowns —
 /// which the `replay_equivalence` integration test pins for all 23
-/// workloads × every scheme. This is the per-cell hot path of
-/// [`crate::suite::run_sweep`]: one generation, one replay per scheme.
+/// workloads × every scheme. The cell simulates its own live L1; a
+/// sweep cell replays its L1 too ([`crate::Recording::run`]).
 #[must_use]
 pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfig) -> RunResult {
     run_chunks(trace.replay(), scheme, machine)

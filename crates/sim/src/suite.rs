@@ -7,10 +7,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
-use primecache_workloads::{all, TraceStore, TraceStoreStats, Workload};
+use primecache_workloads::{all, Workload};
 
-use crate::{run_chunks, run_workload, RunResult, Scheme};
+use crate::{run_workload, Recording, RunResult, Scheme};
 
 /// Results of one (workload, scheme) cell of a sweep.
 #[derive(Debug, Clone)]
@@ -43,6 +44,22 @@ pub struct TaskRecord {
     pub end_us: u64,
 }
 
+/// Counters of a sweep's record phase: what it recorded and how long
+/// that took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Workloads recorded (one generation and one L1 run each).
+    pub records: u64,
+    /// Events across the recorded traces.
+    pub events: u64,
+    /// Encoded bytes of the recorded traces.
+    pub trace_bytes: u64,
+    /// Bytes of the L1 records: outcome codes plus dirty victims.
+    pub l1_bytes: u64,
+    /// Wall-clock microseconds of the record phase.
+    pub record_us: u64,
+}
+
 /// A complete sweep: `results[workload][scheme]`.
 #[derive(Debug, Default)]
 pub struct Sweep {
@@ -50,10 +67,10 @@ pub struct Sweep {
     pub cells: BTreeMap<&'static str, BTreeMap<&'static str, Cell>>,
     /// Per-task scheduling records, in dispatch (LPT) order.
     pub tasks: Vec<TaskRecord>,
-    /// Recorded-trace store counters when the sweep ran generate-once /
-    /// replay-per-scheme, `None` when every cell generated live (target
-    /// above [`STORE_MAX_REFS`]).
-    pub store: Option<TraceStoreStats>,
+    /// Record-phase counters when the cells replayed per-workload
+    /// recordings, `None` when every cell generated live (target above
+    /// [`STORE_MAX_REFS`], or fewer than [`RECORD_MIN_SCHEMES`] schemes).
+    pub store: Option<StoreStats>,
 }
 
 impl Sweep {
@@ -123,16 +140,27 @@ fn task_cost(workload: &Workload, scheme: Scheme) -> u64 {
     scheme_weight * 64 + u64::from(footprint.ilog2())
 }
 
-/// Reference-target ceiling for generate-once sweeps. At the measured
+/// Reference-target ceiling for record-once sweeps. At the measured
 /// compactness (pcbench's traced `trace.bytes_per_ref`: 4.8 encoded
 /// bytes per memory reference over all 23 workloads, events between
-/// references included; 4.3–5.7 for single workloads) a 23-workload
-/// store at this target holds roughly `23 × 2M × 4.8 B ≈ 220 MB` —
-/// still in memory on a laptop, but no longer small. Above the ceiling
-/// [`run_sweep`] falls back to live per-cell generation, which keeps
-/// peak memory O(1) in `target_refs` at the cost of regenerating each
-/// trace once per scheme.
+/// references included; 4.3–5.7 for single workloads) and about 0.45
+/// bytes of L1 record per reference, the 23 recordings at this target
+/// hold roughly `23 × 2M × 5.2 B ≈ 240 MB` — still in memory on a
+/// laptop, but no longer small. Above the ceiling [`run_sweep`] falls
+/// back to live per-cell generation, which keeps peak memory O(1) in
+/// `target_refs` at the cost of regenerating each trace, and rerunning
+/// its L1, once per scheme.
 pub const STORE_MAX_REFS: u64 = 2_000_000;
+
+/// Fewest schemes for which a sweep records its workloads. The record
+/// pass (generate, encode, run the L1) costs about 64 ns per reference
+/// against about 17 to generate live, and each cell that replays the L1
+/// instead of simulating it saves 12–17 ns; so a sweep over few schemes
+/// generates every cell live. Measured on a 2-vCPU Xeon virtual machine,
+/// two workers, all 23 workloads at 50 k and 500 k references: live
+/// generation was 2–33% faster at 1–4 schemes, the two were within 2% at
+/// 5, and recording was 7% faster at 8.
+pub const RECORD_MIN_SCHEMES: usize = 5;
 
 /// Worker threads a fan-out may use: the machine's available
 /// parallelism (4 when it cannot be queried).
@@ -197,30 +225,40 @@ pub(crate) fn fan_out<T: Send>(
         .collect()
 }
 
-/// Records all 23 workloads in parallel (one generation each, on the
-/// same fan-out the sweep itself uses) into a [`TraceStore`].
-fn record_suite(workloads: &[Workload], target_refs: u64) -> TraceStore {
-    let traces = fan_out(workloads.len(), available_workers(), |_, i| {
-        workloads[i].record(target_refs)
+/// Records every workload in `workloads` in parallel, on the same
+/// fan-out the sweep itself uses: each worker generates a trace once,
+/// encoding it and running the paper's L1 over it in the same pass
+/// ([`Recording::of_workload`]).
+/// Returns the recordings, in `workloads` order, and their counters.
+fn record_suite(workloads: &[Workload], target_refs: u64) -> (Vec<Recording>, StoreStats) {
+    let started = Instant::now();
+    let recordings = fan_out(workloads.len(), available_workers(), |_, i| {
+        Recording::of_workload(&workloads[i], target_refs)
     });
-    let mut store = TraceStore::new(target_refs);
-    for (w, trace) in workloads.iter().zip(traces) {
-        store.insert(w.name, trace);
-    }
-    store
+    let stats = StoreStats {
+        records: recordings.len() as u64,
+        events: recordings.iter().map(|r| r.trace().events()).sum(),
+        trace_bytes: recordings.iter().map(|r| r.trace().encoded_bytes()).sum(),
+        l1_bytes: recordings.iter().map(Recording::l1_bytes).sum(),
+        record_us: started.elapsed().as_micros() as u64,
+    };
+    (recordings, stats)
 }
 
 /// Runs `schemes` × all 23 workloads with `target_refs`-long traces,
 /// fanning out across CPU cores.
 ///
-/// Dataflow: up to [`STORE_MAX_REFS`] refs/workload the sweep first
-/// *records* each workload exactly once (parallel, same-thread compact
-/// encoding) into a [`TraceStore`], then every `(workload, scheme)`
-/// cell replays the recording — generation cost is paid once instead of
-/// once per scheme, which makes the sweep sim-bound rather than
-/// generator-bound. Replay is bit-identical to live generation, so
-/// results are unchanged. Beyond the ceiling, cells generate live as
-/// before (O(1) memory).
+/// Dataflow: up to [`STORE_MAX_REFS`] refs/workload, and with at least
+/// [`RECORD_MIN_SCHEMES`] schemes, the sweep first *records* each
+/// workload exactly once (parallel, same-thread): one
+/// pass generates the trace, encodes it compactly and runs the paper's
+/// L1 over it, which every scheme shares. Then every `(workload,
+/// scheme)` cell replays the recording ([`Recording::run`]): it decodes
+/// the trace and replays the L1's outcomes into the scheme's own L2,
+/// DRAM and core. Generation and the L1 are paid once per workload
+/// instead of once per scheme; replay is bit-identical to live
+/// generation, so results are unchanged. Otherwise cells generate live,
+/// L1 included (O(1) memory).
 ///
 /// Scheduling: cells are dispatched longest-cost-first (`task_cost`),
 /// so a slow cell (e.g. fully-associative `charmm`) starts early instead
@@ -234,13 +272,14 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
     for &s in schemes {
         machine.check_scheme(s);
     }
-    // Generate-once phase: record the suite before any cell runs.
-    let store = (target_refs <= STORE_MAX_REFS).then(|| record_suite(all(), target_refs));
-    let mut tasks: Vec<(&'static Workload, Scheme)> = all()
-        .iter()
+    let workloads = all();
+    // Record-once phase: record the suite before any cell runs.
+    let record = target_refs <= STORE_MAX_REFS && schemes.len() >= RECORD_MIN_SCHEMES;
+    let recorded = record.then(|| record_suite(workloads, target_refs));
+    let mut tasks: Vec<(usize, Scheme)> = (0..workloads.len())
         .flat_map(|w| schemes.iter().map(move |&s| (w, s)))
         .collect();
-    tasks.sort_by_key(|&(w, s)| std::cmp::Reverse(task_cost(w, s)));
+    tasks.sort_by_key(|&(w, s)| std::cmp::Reverse(task_cost(&workloads[w], s)));
     let avail = available_workers();
     // The fan-out never spawns surplus workers, but a grid smaller than
     // the machine is still worth flagging: the run's wall-clock won't
@@ -248,17 +287,13 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
     for lint in primecache_analyze::lint_sweep_shape(tasks.len(), avail) {
         eprintln!("{lint}");
     }
-    let epoch = std::time::Instant::now();
+    let epoch = Instant::now();
     let done = fan_out(tasks.len(), avail, |worker, i| {
-        let (w, s) = tasks[i];
+        let (wi, s) = tasks[i];
+        let w = &workloads[wi];
         let start_us = epoch.elapsed().as_micros() as u64;
-        let result = match &store {
-            Some(store) => {
-                let cursor = store
-                    .replay(w.name)
-                    .expect("record phase stored every suite workload");
-                run_chunks(cursor, s, &machine)
-            }
+        let result = match &recorded {
+            Some((recordings, _)) => recordings[wi].run(s, &machine),
             None => run_workload(w, s, target_refs),
         };
         let record = TaskRecord {
@@ -277,7 +312,7 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
         (cell, record)
     });
     let mut sweep = Sweep {
-        store: store.as_ref().map(TraceStore::stats),
+        store: recorded.map(|(_, stats)| stats),
         ..Sweep::default()
     };
     for (cell, record) in done {
@@ -289,7 +324,7 @@ pub fn run_sweep(schemes: &[Scheme], target_refs: u64) -> Sweep {
             .insert(cell.result.scheme.label(), cell);
     }
     #[cfg(any(debug_assertions, feature = "check"))]
-    if let Err(e) = sweep.validate(all(), schemes) {
+    if let Err(e) = sweep.validate(workloads, schemes) {
         panic!("sweep completeness violated: {e}");
     }
     sweep
@@ -348,13 +383,14 @@ mod tests {
 
     #[test]
     fn small_sweep_covers_everything() {
-        let sweep = run_sweep(&[Scheme::Base, Scheme::PrimeModulo], 5_000);
+        let schemes = &Scheme::ALL[..RECORD_MIN_SCHEMES];
+        let sweep = run_sweep(schemes, 5_000);
         assert_eq!(sweep.cells.len(), 23);
         for (name, per_scheme) in &sweep.cells {
-            assert_eq!(per_scheme.len(), 2, "{name}");
+            assert_eq!(per_scheme.len(), schemes.len(), "{name}");
         }
         // One scheduling record per cell, each internally consistent.
-        assert_eq!(sweep.tasks.len(), 23 * 2);
+        assert_eq!(sweep.tasks.len(), 23 * schemes.len());
         for t in &sweep.tasks {
             assert!(t.start_us <= t.end_us, "{t:?}");
             assert!(t.cost > 0);
@@ -363,36 +399,24 @@ mod tests {
         for pair in sweep.tasks.windows(2) {
             assert!(pair[0].cost >= pair[1].cost);
         }
-        // Generate-once accounting: 23 records, one replay per cell.
+        // Record-once accounting: 23 recordings, trace and L1 record.
         let st = sweep.store.expect("small sweep serves from the store");
         assert_eq!(st.records, 23);
-        assert_eq!(st.replays, 23 * 2);
-        assert_eq!(st.target_refs, 5_000);
-        assert!(st.encoded_bytes > 0);
         assert!(st.events > 0);
+        assert!(st.trace_bytes > st.l1_bytes && st.l1_bytes > 0);
     }
 
     #[test]
-    fn store_served_cells_match_live_generation() {
-        // The replayed sweep must be bit-identical to per-cell live
-        // generation — the sweep-level face of the replay_equivalence
-        // battery.
-        let sweep = run_sweep(&[Scheme::Base, Scheme::Xor], 4_000);
-        for name in ["tree", "mcf", "swim"] {
-            for s in [Scheme::Base, Scheme::Xor] {
-                let live = run_workload(primecache_workloads::by_name(name).unwrap(), s, 4_000);
-                let cell = sweep.get(name, s).expect("cell present");
-                assert_eq!(
-                    cell.result.breakdown,
-                    live.breakdown,
-                    "{name}/{}",
-                    s.label()
-                );
-                assert_eq!(cell.result.l1, live.l1, "{name}/{}", s.label());
-                assert_eq!(cell.result.l2, live.l2, "{name}/{}", s.label());
-                assert_eq!(cell.result.dram, live.dram, "{name}/{}", s.label());
-            }
-        }
+    fn sweeps_over_few_schemes_generate_live() {
+        let schemes = &Scheme::ALL[..RECORD_MIN_SCHEMES - 1];
+        let sweep = run_sweep(schemes, 4_000);
+        assert_eq!(sweep.store, None);
+        let w = primecache_workloads::by_name("mcf").expect("mcf");
+        let cell = sweep.get(w.name, schemes[0]).expect("cell present");
+        assert_eq!(
+            cell.result.breakdown,
+            run_workload(w, schemes[0], 4_000).breakdown
+        );
     }
 
     #[test]

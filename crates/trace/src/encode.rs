@@ -1,7 +1,7 @@
 //! Compact delta/varint event encoding: the recorded-trace wire format.
 //!
 //! An in-memory [`Event`] is 16 bytes; a suite-size trace at hundreds of
-//! millions of references would not fit a trace store. This module packs
+//! millions of references would not fit in memory. This module packs
 //! an event stream into independently decodable [`EncodedChunk`]s at a
 //! few bytes per event, so a sweep can generate each workload **once**
 //! and replay the recording for every scheme ([`ReplayCursor`]), and so

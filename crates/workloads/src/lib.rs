@@ -27,6 +27,7 @@
 //! assert!(trace.iter().filter(|e| e.is_memory()).count() >= 10_000);
 //! ```
 
+mod chunks;
 mod grid;
 mod md;
 mod nas;
@@ -36,11 +37,10 @@ pub mod profile;
 mod registry;
 mod sparse;
 mod spec_int;
-mod store;
 pub mod tenant;
 mod util;
 
+pub use chunks::EventChunks;
 pub use registry::{all, by_name, non_uniform_names, uniform_names, Workload};
-pub use store::{EventChunks, TraceStore, TraceStoreStats};
 pub use tenant::{MixConfig, MixCursor, MixStats, TenantMix};
 pub use util::{materialize, record, Lcg, TraceSink, STREAM_CHUNK};

@@ -40,8 +40,8 @@ impl Workload {
     /// Generates the same event sequence as [`Workload::trace`] **once**,
     /// on the calling thread, into a compact delta/varint
     /// [`EncodedTrace`] that can be replayed any number of times
-    /// ([`EncodedTrace::replay`]) — the generate-once path behind
-    /// [`crate::TraceStore`] and sweep replay.
+    /// ([`EncodedTrace::replay`]) — the generate-once path behind trace
+    /// files and recorded runs.
     #[must_use]
     pub fn record(&self, target_refs: u64) -> EncodedTrace {
         record(self.generator, target_refs)

@@ -26,7 +26,7 @@
 
 use primecache_trace::{EncodedTrace, Event, ReplayCursor};
 
-use crate::store::EventChunks;
+use crate::chunks::EventChunks;
 use crate::util::Lcg;
 
 /// Scheduling and namespace parameters of a [`TenantMix`].

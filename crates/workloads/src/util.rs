@@ -110,8 +110,8 @@ enum Output<'a> {
         consume: &'a mut dyn FnMut(&[Event]),
     },
     /// Same-thread recording: events go straight into a delta/varint
-    /// [`TraceEncoder`], producing the compact [`EncodedTrace`] a
-    /// [`crate::TraceStore`] replays to every scheme of a sweep.
+    /// [`TraceEncoder`], producing the compact [`EncodedTrace`] that
+    /// trace files and recorded runs replay.
     Record(TraceEncoder),
 }
 

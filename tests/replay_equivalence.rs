@@ -1,13 +1,14 @@
 //! Recorded-replay-vs-live differential battery.
 //!
-//! The generate-once/replay-everywhere sweep path (record each workload
-//! into the compact encoded trace store, feed every scheme from replay
-//! cursors) must be *bit-identical* to live generation: the same event
-//! sequence, the same chunk cadence, the same simulation results for
-//! every workload and every scheme, the same observability counters.
-//! This battery pins that equivalence so a future codec or store change
-//! that drops, reorders, or corrupts a single event fails loudly here
-//! instead of silently skewing the paper's figures.
+//! The record-once/replay-everywhere sweep path (record each workload's
+//! trace and its L1's outcomes in one pass, replay both into every
+//! scheme's cell) must be *bit-identical* to live generation: the same
+//! event sequence, the same chunk cadence, the same simulation results
+//! for every workload and every scheme, the same observability
+//! counters. This battery pins that equivalence so a future codec or
+//! recording change that drops, reorders, or corrupts a single event or
+//! L1 outcome fails loudly here instead of silently skewing the paper's
+//! figures.
 //!
 //! The `REPLAY_REFS` environment variable scales the per-workload
 //! reference count (default 2 500) so CI can run a fast smoke pass
@@ -15,9 +16,10 @@
 
 use primecache::obs::ObsConfig;
 use primecache::sim::observe::{observe_chunks, run_workload_observed};
+use primecache::sim::suite::run_sweep;
 use primecache::sim::{run_recorded, run_trace, run_workload, MachineConfig, Scheme};
 use primecache::trace::{EncodedTrace, Event};
-use primecache::workloads::{all, TraceStore, STREAM_CHUNK};
+use primecache::workloads::{all, STREAM_CHUNK};
 
 /// References per workload; override with `REPLAY_REFS=N`.
 fn replay_refs() -> u64 {
@@ -131,18 +133,25 @@ fn replay_preserves_observability_counters_and_stream_parity() {
 }
 
 #[test]
-fn store_replays_are_independent_and_counted() {
+fn sweep_cells_match_live_on_all_workloads_and_schemes() {
+    // Every sweep cell replays its workload's recorded L1 outcomes into
+    // the scheme's L2; each must equal the live run, L1 included.
     let refs = replay_refs();
-    let store = TraceStore::record_all(all(), refs);
-    assert_eq!(store.records(), all().len() as u64);
-    // Two replays of the same record are identical (cursors don't share
-    // mutable state) and both are counted.
-    let a: Vec<Event> = store.replay("mcf").unwrap().collect();
-    let b: Vec<Event> = store.replay("mcf").unwrap().collect();
-    assert_eq!(a, b);
-    assert_eq!(store.replays(), 2);
-    assert!(store.encoded_bytes() > 0);
-    assert_eq!(store.stats().target_refs, refs);
+    let pmod = primecache::core::expr::register_anonymous("a % 2039").expect("valid expression");
+    let schemes: Vec<Scheme> = Scheme::ALL
+        .into_iter()
+        .chain([Scheme::Expr(pmod)])
+        .collect();
+    let sweep = run_sweep(&schemes, refs);
+    let store = sweep.store.expect("the sweep replays its recordings");
+    assert_eq!(store.records, all().len() as u64);
+    for w in all() {
+        for &scheme in &schemes {
+            let ctx = format!("{}/{} (sweep)", w.name, scheme.label());
+            let cell = sweep.get(w.name, scheme).expect("cell present");
+            assert_results_equal(&cell.result, &run_workload(w, scheme, refs), &ctx);
+        }
+    }
 }
 
 #[test]
