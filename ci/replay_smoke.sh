@@ -3,11 +3,17 @@
 # differential battery (`tests/replay_equivalence.rs` — every workload's
 # encoded replay must be bit-identical to its live stream, replayed
 # simulations must match live runs across all schemes, and every
-# `run_sweep` cell, its L1 replayed from the workload's recording, must
-# match the live run under every scheme plus an `expr:` one) at a
-# reduced per-workload reference count. The battery records and decodes
-# all 23 workloads, so it also shows that both pipeline stages complete
-# over the whole suite. Run locally with `sh ci/replay_smoke.sh`;
+# `run_sweep` cell, replaying its workload's shared events and L1
+# outcomes, must match the live run under every scheme plus an `expr:`
+# one) at a reduced per-workload reference count. The battery records
+# and decodes all 23 workloads, so it also shows that both pipeline
+# stages complete over the whole suite.
+#
+# It runs twice in release: once as users build it, and once with
+# `--features primecache-sim/check`, which compiles the sweep's
+# completeness check (`Sweep::validate`) and the caches' per-access
+# invariants into the release build, so they check the sweep scheduler
+# at release speed. Run locally with `sh ci/replay_smoke.sh`;
 # REPLAY_REFS overrides the trace length.
 set -eu
 
@@ -17,5 +23,9 @@ REFS="${REPLAY_REFS:-1000}"
 
 echo "==> replay-equivalence battery (REPLAY_REFS=$REFS)"
 REPLAY_REFS="$REFS" cargo test --release -q --test replay_equivalence
+
+echo "==> the same battery with runtime checks (--features primecache-sim/check)"
+REPLAY_REFS="$REFS" cargo test --release -q --test replay_equivalence \
+    --features primecache-sim/check
 
 echo "replay smoke passed ($REFS refs/workload)"

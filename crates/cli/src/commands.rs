@@ -393,15 +393,14 @@ fn sweep(args: &Args) -> i32 {
     }
     println!("execution time normalized to Base ({refs} refs):\n");
     print!("{}", render_table(&header, &rows));
-    if let Some(st) = ctx.sweep.store {
+    if let Some(st) = ctx.sweep.shared {
         println!(
-            "\nrecord phase: {} workloads recorded once in {:.2} s ({} events; \
-             {} KB trace + {} KB L1 record), replayed into every scheme",
-            st.records,
-            st.record_us as f64 / 1e6,
+            "\nshared inputs: {} workloads prepared once in {:.2} s of worker time \
+             ({} events; peak {} KB in flight), replayed into every scheme",
+            st.prepared,
+            st.prepare_us as f64 / 1e6,
             st.events,
-            st.trace_bytes / 1024,
-            st.l1_bytes / 1024
+            st.peak_bytes / 1024
         );
     }
     0
@@ -1060,6 +1059,7 @@ fn trace_events_sweep(args: &Args) -> i32 {
                 worker: t.worker,
                 start_us: t.start_us,
                 end_us: t.end_us,
+                wait_us: t.wait_us,
             },
         })
         .collect();

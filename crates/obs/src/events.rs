@@ -88,7 +88,7 @@ pub enum EventKind {
         workload: String,
         /// Scheme label.
         scheme: String,
-        /// LPT cost estimate the scheduler sorted by.
+        /// Cost estimate that ordered the workload's cells.
         cost: u64,
         /// Worker thread index that executed the task.
         worker: u32,
@@ -96,6 +96,9 @@ pub enum EventKind {
         start_us: u64,
         /// Wall-clock microseconds from sweep start when it finished.
         end_us: u64,
+        /// Microseconds of the task spent waiting for its workload's
+        /// shared input (0 when it was ready).
+        wait_us: u64,
     },
 }
 
@@ -145,6 +148,7 @@ impl ObsEvent {
                 worker,
                 start_us,
                 end_us,
+                wait_us,
             } => {
                 members.push(("ev", Json::Str("task".to_owned())));
                 members.push(("workload", Json::Str(workload.clone())));
@@ -153,6 +157,7 @@ impl ObsEvent {
                 members.push(("worker", Json::U64(u64::from(*worker))));
                 members.push(("start_us", Json::U64(*start_us)));
                 members.push(("end_us", Json::U64(*end_us)));
+                members.push(("wait_us", Json::U64(*wait_us)));
             }
         }
         Json::obj(members)
@@ -366,6 +371,7 @@ mod tests {
                 worker: 1,
                 start_us: 5,
                 end_us: 25,
+                wait_us: 3,
             },
         });
         assert_eq!(sink.lines(), 2);

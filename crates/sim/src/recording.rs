@@ -1,16 +1,20 @@
-//! Record once, replay into every scheme: a trace recorded together with
-//! the outcomes of the paper's L1 over it.
+//! Build once, replay into every scheme: a workload's events together
+//! with the outcomes of the paper's L1 over them.
 //!
 //! The paper rehashes only the L2. Every scheme runs the same
 //! traditionally indexed L1, and nothing below the L1 feeds back into
 //! it: no level back-invalidates it, and the prefetcher fills only the
 //! L2. So each reference's L1 outcome, and the dirty L1 victim the
 //! hierarchy forwards into the L2, are the same under every scheme. A
-//! [`Recording`] runs that L1 once, in the generator pass that encodes
-//! the trace, and each [`Recording::run`] replays its outcomes into one
-//! scheme's L2, DRAM and core instead of simulating the L1 again.
+//! [`Recording`] runs that L1 once, in the generator pass that collects
+//! the events, and each [`Recording::run`] pushes the same event slices
+//! into one scheme's engine and replays the L1's outcomes into its L2,
+//! DRAM and core instead of generating, decoding or simulating the L1
+//! again.
 //!
-//! The L1 record is compact:
+//! The events are kept decoded, in the chunks the generator pushed
+//! them, each an exact-size slice (16 B per event, about 25 B per
+//! reference). The L1 record is compact:
 //! - 2 bits per reference: hit, miss, or miss with a dirty victim;
 //! - each dirty victim as a zigzag varint of its tag minus the missing
 //!   block's tag. The victim sits in the missing block's L1 set, so its
@@ -21,8 +25,8 @@
 use primecache_cache::{Cache, CacheConfig, CacheStats, L1Outcome, L1Sim};
 use primecache_core::index::Traditional;
 use primecache_trace::encode::{read_varint, unzigzag, write_varint, zigzag};
-use primecache_trace::{EncodedTrace, Event, TraceEncoder};
-use primecache_workloads::{EventChunks, Workload, STREAM_CHUNK};
+use primecache_trace::Event;
+use primecache_workloads::{Workload, STREAM_CHUNK};
 
 use crate::run::dispatch_replayed;
 use crate::{MachineConfig, RunResult, Scheme};
@@ -34,9 +38,9 @@ const MISS: u8 = 1;
 /// Outcome code of an L1 miss whose fill evicted a dirty line.
 const DIRTY_MISS: u8 = 2;
 
-/// A trace and the outcomes of the paper's L1 over it, recorded in one
-/// pass: the unit a sweep records once per workload and replays into
-/// every scheme's cell.
+/// A workload's events and the outcomes of the paper's L1 over them,
+/// built in one pass: the input a sweep builds once per workload and
+/// replays into every scheme's cell.
 ///
 /// # Examples
 ///
@@ -53,32 +57,30 @@ const DIRTY_MISS: u8 = 2;
 /// ```
 #[derive(Debug)]
 pub struct Recording {
-    trace: EncodedTrace,
+    /// The events, in the chunks they were pushed in.
+    chunks: Vec<Box<[Event]>>,
     l1: L1Record,
 }
 
 impl Recording {
     /// Records `workload`'s first `target_refs` references in one
-    /// generator pass: its chunks go into a [`TraceEncoder`] at
-    /// [`STREAM_CHUNK`] (so the trace is exactly [`Workload::record`]'s)
-    /// and through the paper's L1, together.
+    /// generator pass: each chunk [`Workload::push_chunks`] pushes is
+    /// kept as an exact-size copy and run through the paper's L1.
     #[must_use]
     pub fn of_workload(workload: &Workload, target_refs: u64) -> Self {
-        let mut trace = TraceEncoder::new(STREAM_CHUNK);
+        let mut chunks = Vec::new();
         let mut l1 = L1Writer::paper();
         workload.push_chunks(target_refs, &mut |chunk| {
-            for &ev in chunk {
-                trace.push(ev);
-            }
+            chunks.push(Box::from(chunk));
             l1.push(chunk);
         });
         Self {
-            trace: trace.finish(),
+            chunks,
             l1: l1.finish(),
         }
     }
 
-    /// Records an explicit event sequence: encodes it in
+    /// Records an explicit event sequence: keeps it in
     /// [`STREAM_CHUNK`]-event chunks and runs the paper's L1 over its
     /// references.
     #[must_use]
@@ -86,12 +88,12 @@ impl Recording {
         let mut l1 = L1Writer::paper();
         l1.push(events);
         Self {
-            trace: EncodedTrace::encode(events, STREAM_CHUNK),
+            chunks: events.chunks(STREAM_CHUNK).map(Box::from).collect(),
             l1: l1.finish(),
         }
     }
 
-    /// Runs the recorded trace under `scheme` on `machine`, its L1
+    /// Runs the recorded events under `scheme` on `machine`, its L1
     /// replayed from the record. The result equals a live run of the
     /// same events: breakdown, L1, L2 and DRAM statistics.
     ///
@@ -102,20 +104,22 @@ impl Recording {
     #[must_use]
     pub fn run(&self, scheme: Scheme, machine: &MachineConfig) -> RunResult {
         let mut engine = dispatch_replayed(machine, scheme, self.l1.replay());
-        self.trace
-            .replay()
-            .push_chunks(&mut |chunk| engine.push(chunk));
+        for chunk in &self.chunks {
+            engine.push(chunk);
+        }
         engine.finish()
     }
 
-    /// The recorded trace.
-    pub(crate) fn trace(&self) -> &EncodedTrace {
-        &self.trace
+    /// Events recorded.
+    pub(crate) fn events(&self) -> u64 {
+        self.chunks.iter().map(|c| c.len() as u64).sum()
     }
 
-    /// Bytes the L1 record holds: outcome codes plus dirty victims.
-    pub(crate) fn l1_bytes(&self) -> u64 {
-        (self.l1.codes.len() + self.l1.victims.len()) as u64
+    /// Bytes the recording holds: its events plus the L1 record's
+    /// outcome codes and dirty victims.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.events() * std::mem::size_of::<Event>() as u64
+            + (self.l1.codes.len() + self.l1.victims.len()) as u64
     }
 }
 
@@ -313,14 +317,18 @@ mod tests {
     use primecache_workloads::by_name;
 
     #[test]
-    fn recorded_trace_is_the_workloads_record() {
+    fn recorded_chunks_are_the_workloads_pushes() {
         for name in ["tree", "mcf", "swim"] {
             let w = by_name(name).unwrap();
-            let rec = Recording::of_workload(w, 20_000);
+            let mut live: Vec<Vec<Event>> = Vec::new();
+            w.push_chunks(40_000, &mut |c| live.push(c.to_vec()));
+            let rec = Recording::of_workload(w, 40_000);
+            assert!(rec.chunks.len() > 1, "{name} spans several chunks");
+            let recorded: Vec<Vec<Event>> = rec.chunks.iter().map(|c| c.to_vec()).collect();
+            assert_eq!(recorded, live, "{name}");
             assert_eq!(
-                rec.trace().fingerprint(),
-                w.record(20_000).fingerprint(),
-                "{name}"
+                rec.events(),
+                live.iter().map(|c| c.len() as u64).sum::<u64>()
             );
         }
     }

@@ -299,8 +299,9 @@ pub fn run_chunks<S: EventChunks>(
 /// and the recording sink sees the same push sequence), so results
 /// match [`run_workload`] exactly — stats, writeback order, breakdowns —
 /// which the `replay_equivalence` integration test pins for all 23
-/// workloads × every scheme. The cell simulates its own live L1; a
-/// sweep cell replays its L1 too ([`crate::Recording::run`]).
+/// workloads × every scheme. The run simulates its own live L1; a
+/// sweep cell instead replays its workload's shared events and L1
+/// outcomes ([`crate::Recording::run`]).
 #[must_use]
 pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfig) -> RunResult {
     run_chunks(trace.replay(), scheme, machine)

@@ -3,9 +3,9 @@
 //! An in-memory [`Event`] is 16 bytes; a suite-size trace at hundreds of
 //! millions of references would not fit in memory. This module packs
 //! an event stream into independently decodable [`EncodedChunk`]s at a
-//! few bytes per event, so a sweep can generate each workload **once**
-//! and replay the recording for every scheme ([`ReplayCursor`]), and so
-//! external traces can eventually be imported through the same framing
+//! few bytes per event, so a trace can be generated **once** and
+//! replayed for any number of runs ([`ReplayCursor`]), and so external
+//! traces can be imported through the same framing
 //! ([`EncodedTrace::to_bytes`] / [`EncodedTrace::from_bytes`]).
 //!
 //! # Wire layout (version 1)

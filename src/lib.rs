@@ -18,8 +18,6 @@
 //! * [`cpu`] — the trace-driven superscalar timing model,
 //! * [`trace`] — trace event types and the synthetic strided generator of
 //!   Figures 5/6,
-//! * [`heap`] — allocator models (bump / buddy / size-class) reproducing
-//!   the address layouts behind the paper's padded-struct pathologies,
 //! * [`workloads`] — synthetic models of the paper's 23 applications,
 //!   plus the multi-tenant trace interleaver ([`workloads::TenantMix`]),
 //! * [`ingest`] — external trace ingestion: the line-oriented text
@@ -64,7 +62,6 @@ pub use primecache_attack as attack;
 pub use primecache_cache as cache;
 pub use primecache_core as core;
 pub use primecache_cpu as cpu;
-pub use primecache_heap as heap;
 pub use primecache_ingest as ingest;
 pub use primecache_mem as mem;
 pub use primecache_obs as obs;

@@ -1,7 +1,7 @@
 //! Recorded-replay-vs-live differential battery.
 //!
-//! The record-once/replay-everywhere sweep path (record each workload's
-//! trace and its L1's outcomes in one pass, replay both into every
+//! Recorded traces and the sweep's shared inputs (each workload's events
+//! and its L1's outcomes, built in one pass and replayed into every
 //! scheme's cell) must be *bit-identical* to live generation: the same
 //! event sequence, the same chunk cadence, the same simulation results
 //! for every workload and every scheme, the same observability
@@ -134,8 +134,9 @@ fn replay_preserves_observability_counters_and_stream_parity() {
 
 #[test]
 fn sweep_cells_match_live_on_all_workloads_and_schemes() {
-    // Every sweep cell replays its workload's recorded L1 outcomes into
-    // the scheme's L2; each must equal the live run, L1 included.
+    // Every sweep cell replays its workload's shared events and L1
+    // outcomes into the scheme's L2; each must equal the live run, L1
+    // included.
     let refs = replay_refs();
     let pmod = primecache::core::expr::register_anonymous("a % 2039").expect("valid expression");
     let schemes: Vec<Scheme> = Scheme::ALL
@@ -143,8 +144,10 @@ fn sweep_cells_match_live_on_all_workloads_and_schemes() {
         .chain([Scheme::Expr(pmod)])
         .collect();
     let sweep = run_sweep(&schemes, refs);
-    let store = sweep.store.expect("the sweep replays its recordings");
-    assert_eq!(store.records, all().len() as u64);
+    let shared = sweep
+        .shared
+        .expect("the sweep shares its workloads' inputs");
+    assert_eq!(shared.prepared, all().len() as u64);
     for w in all() {
         for &scheme in &schemes {
             let ctx = format!("{}/{} (sweep)", w.name, scheme.label());
