@@ -3,9 +3,11 @@
 # the self-check battery (kernel brute-force, Theorem 1, sampled
 # histograms, expression differential), the built-in report, one scheme
 # per exact model family, one deliberately opaque scheme (warns but
-# certifies sampled), and one composite modulus that the certificate
-# gate must reject. Runs in the debug-test job, so debug build on
-# purpose — the gate assertions only fire there.
+# certifies sampled), sources the parser must reject at its depth bound
+# or for a non-ASCII character, and one composite modulus that the
+# certificate gate must reject. Runs in the debug-test job, so debug
+# build on purpose — the gate assertions only fire there, and debug
+# frames are the largest.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +24,33 @@ done
 
 # Opaque fallback: sampled certificate, warning-level lint, exit 0.
 $PCACHE analyze --expr '((a % 2039) ^ (a >> 13)) & 2047' >/dev/null
+
+# Sources past the parser's depth bound (10,000 parentheses; a 5,001-term
+# chain) and a stray non-ASCII character must each be a located parse
+# error with exit 2, from `analyze` and from a `run` scheme alike, not a
+# stack overflow.
+deep_parens=$(awk 'BEGIN { for (i = 0; i < 10000; i++) printf "("; printf "a";
+    for (i = 0; i < 10000; i++) printf ")" }')
+long_chain=$(awk 'BEGIN { printf "a"; for (i = 0; i < 5000; i++) printf "+a";
+    printf " & 2047" }')
+for src in "$deep_parens" "$long_chain" 'é'; do
+    for cmd in "analyze --expr" "run tree --refs 1000 --scheme expr:"; do
+        code=0
+        if [ "$cmd" = "analyze --expr" ]; then
+            out=$($PCACHE analyze --expr "$src" 2>&1) || code=$?
+        else
+            out=$($PCACHE run tree --refs 1000 --scheme "expr:$src" 2>&1) || code=$?
+        fi
+        case "$out" in
+        *"parse error at byte"*) ;;
+        *) code="$code, no parse error" ;;
+        esac
+        if [ "$code" != 2 ]; then
+            echo "ERROR: pcache $cmd on a ${#src}-character source: exit $code" >&2
+            exit 1
+        fi
+    done
+done
 
 # Composite modulus must be rejected with a nonzero exit.
 if $PCACHE analyze --expr 'a % 2046' >/dev/null 2>&1; then

@@ -110,10 +110,12 @@ fn match_affine(e: &Expr, in_bits: u32) -> Option<IndexModel> {
 }
 
 /// Per-bit GF(2)-affine summary of a node: output bit `i` is
-/// `parity(a & rows[i]) ⊕ ((consts >> i) & 1)`.
+/// `parity(a & rows[i]) ⊕ ((consts >> i) & 1)`. The rows live on the
+/// heap, so each level of `lin`'s recursion keeps only pointers on the
+/// stack.
 #[derive(Clone)]
 struct BitLin {
-    rows: [u64; 64],
+    rows: Box<[u64; 64]>,
     consts: u64,
 }
 
@@ -132,7 +134,7 @@ fn possibly_one(s: &BitLin) -> u64 {
 /// bit-affine form.
 fn lin(e: &Expr, in_bits: u32) -> Option<BitLin> {
     let zero = || BitLin {
-        rows: [0u64; 64],
+        rows: Box::new([0u64; 64]),
         consts: 0,
     };
     match e {

@@ -118,7 +118,7 @@ fn eviction_json(e: &EvictionCost) -> String {
 
 /// Renders one entry as a JSON object.
 #[must_use]
-pub fn entry_json(e: &AttackEntry) -> String {
+fn entry_json(e: &AttackEntry) -> String {
     let statik = e
         .static_canonical
         .as_ref()

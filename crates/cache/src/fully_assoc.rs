@@ -164,12 +164,6 @@ impl FullyAssociative {
         self.pending_writebacks.drain(..)
     }
 
-    /// Number of lines the cache can hold.
-    #[must_use]
-    pub fn capacity_lines(&self) -> usize {
-        self.capacity_lines
-    }
-
     /// Links `slot`, which is on no list, in at the head.
     #[inline]
     fn push_head(&mut self, slot: u32) {
@@ -254,10 +248,6 @@ impl CacheSim for FullyAssociative {
 
     fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 }
 

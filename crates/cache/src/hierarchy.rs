@@ -261,9 +261,6 @@ pub trait L2Sim {
     /// Raw statistics (demand + writeback traffic).
     fn stats(&self) -> &CacheStats;
 
-    /// Resets statistics (contents survive).
-    fn reset_stats(&mut self);
-
     /// Drains, in place, the dirty-victim block addresses accumulated
     /// since the last call.
     fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64>;
@@ -286,10 +283,6 @@ impl<I: SetIndexer> L2Sim for Cache<I> {
 
     fn stats(&self) -> &CacheStats {
         CacheSim::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        CacheSim::reset_stats(self);
     }
 
     fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
@@ -318,10 +311,6 @@ impl<B: SetIndexer> L2Sim for SkewedCache<B> {
         CacheSim::stats(self)
     }
 
-    fn reset_stats(&mut self) {
-        CacheSim::reset_stats(self);
-    }
-
     fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
         SkewedCache::take_writebacks(self)
     }
@@ -346,10 +335,6 @@ impl L2Sim for FullyAssociative {
 
     fn stats(&self) -> &CacheStats {
         CacheSim::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        CacheSim::reset_stats(self);
     }
 
     fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
@@ -378,17 +363,16 @@ impl L2Sim for FullyAssociative {
 /// 3. on an L2 demand miss with prefetching on, the following lines are
 ///    then installed in the L2;
 /// 4. the L1 fill's dirty victim, if any, is then written into the L2.
-///    It counts in the L2's raw statistics
-///    ([`Hierarchy::l2_raw_stats`]), not as demand traffic;
+///    It counts in the L2 cache's own statistics ([`L2Sim::stats`]), not
+///    as demand traffic;
 /// 5. the dirty L2 victims of steps 2–4 become memory write traffic, in
 ///    eviction order ([`Hierarchy::take_memory_writes`]), queued in the
 ///    L2's own writeback buffer until taken.
 ///
 /// The L1 (`L`) is live by default. A hierarchy around a replayed L1
 /// ([`HierarchyConfig::build_around`]) applies the same steps to the
-/// recorded outcomes; it has no L1 to warm up or observe, so
-/// [`Hierarchy::reset_stats`] and [`Hierarchy::attach_obs`] exist only
-/// for the live one.
+/// recorded outcomes; it has no L1 to observe, so
+/// [`Hierarchy::attach_obs`] exists only for the live one.
 ///
 /// # Examples
 ///
@@ -410,8 +394,6 @@ pub struct Hierarchy<X: L2Sim, L: L1Sim = Cache<Traditional>> {
     /// Demand stats of the L2 only (excludes L1 writeback traffic), used
     /// by the figures.
     l2_demand: CacheStats,
-    /// Lines prefetched into the L2 so far.
-    prefetches: u64,
     /// Demand-access recorder (evictions are reported by the caches
     /// themselves through their own attached handles).
     obs: Option<ObsHandle>,
@@ -427,7 +409,6 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
             l1,
             l2,
             l2_demand: CacheStats::new(n_demand_sets),
-            prefetches: 0,
             obs: None,
             config,
         }
@@ -470,7 +451,6 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
             let line = self.config.l2.line_bytes();
             for i in 1..=u64::from(self.config.prefetch_depth) {
                 self.l2.plain_access(addr + i * line, false);
-                self.prefetches += 1;
             }
         }
         // Forward the L1 fill's dirty victim into the L2 (write-allocate
@@ -486,22 +466,10 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
         }
     }
 
-    /// Lines prefetched into the L2 so far.
-    #[must_use]
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches
-    }
-
     /// L1 statistics.
     #[must_use]
     pub fn l1_stats(&self) -> &CacheStats {
         self.l1.stats()
-    }
-
-    /// L2 statistics including L1 writeback traffic (the raw cache view).
-    #[must_use]
-    pub fn l2_raw_stats(&self) -> &CacheStats {
-        self.l2.stats()
     }
 
     /// L2 *demand* statistics: only L1 misses, the traffic the paper's
@@ -540,15 +508,6 @@ impl<X: L2Sim> Hierarchy<X> {
         self.l1.attach_obs(Level::L1, handle.clone());
         self.l2.attach_obs(Level::L2, handle.clone());
         self.obs = Some(handle);
-    }
-
-    /// Resets all statistics (contents survive — use after warmup).
-    pub fn reset_stats(&mut self) {
-        CacheSim::reset_stats(&mut self.l1);
-        self.l2.reset_stats();
-        self.l2_demand.reset();
-        self.l2.take_writebacks();
-        self.prefetches = 0;
     }
 }
 
@@ -632,7 +591,10 @@ mod tests {
         for i in 0..1000u64 {
             h.access(i * 16 * 1024, true); // L1 is 16 KB: same L1 set region
         }
-        assert!(h.l2_raw_stats().writes > 0, "L1 writebacks must reach L2");
+        assert!(
+            CacheSim::stats(&h.l2).writes > 0,
+            "L1 writebacks must reach L2"
+        );
     }
 
     #[test]
@@ -641,7 +603,6 @@ mod tests {
             .with_prefetch_depth(2);
         let mut h = Hierarchy::with_l2(cfg, Cache::new(base_l2()));
         assert_eq!(h.access(0x10000, false), AccessOutcome::Memory);
-        assert_eq!(h.prefetches(), 2);
         // The next two lines are already in L2: L1 misses become L2 hits.
         assert_eq!(h.access(0x10000 + 64, false), AccessOutcome::L2Hit);
         assert_eq!(h.access(0x10000 + 128, false), AccessOutcome::L2Hit);
@@ -653,17 +614,6 @@ mod tests {
     fn prefetch_depth_zero_is_inert() {
         let mut h = paper(base_l2());
         h.access(0x20000, false);
-        assert_eq!(h.prefetches(), 0);
         assert_eq!(h.access(0x20000 + 64, false), AccessOutcome::Memory);
-    }
-
-    #[test]
-    fn reset_stats_clears_all_levels() {
-        let mut h = paper(base_l2());
-        h.access(0, true);
-        h.reset_stats();
-        assert_eq!(h.l1_stats().accesses, 0);
-        assert_eq!(h.l2_stats().accesses, 0);
-        assert_eq!(h.l2_raw_stats().accesses, 0);
     }
 }

@@ -50,12 +50,6 @@ impl InfiniteCache {
             stats: CacheStats::new(1),
         }
     }
-
-    /// Number of distinct blocks touched so far.
-    #[must_use]
-    pub fn footprint_blocks(&self) -> usize {
-        self.resident.len()
-    }
 }
 
 impl CacheSim for InfiniteCache {
@@ -68,10 +62,6 @@ impl CacheSim for InfiniteCache {
 
     fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 }
 
@@ -90,7 +80,6 @@ mod tests {
         }
         assert_eq!(c.stats().misses, 100);
         assert_eq!(c.stats().accesses, 300);
-        assert_eq!(c.footprint_blocks(), 100);
     }
 
     #[test]

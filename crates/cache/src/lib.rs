@@ -71,7 +71,4 @@ pub trait CacheSim {
 
     /// Statistics accumulated so far.
     fn stats(&self) -> &CacheStats;
-
-    /// Resets all statistics (contents are kept — useful for warmup).
-    fn reset_stats(&mut self);
 }

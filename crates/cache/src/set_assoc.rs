@@ -157,12 +157,6 @@ impl<I: SetIndexer> Cache<I> {
         self.indexer.n_set()
     }
 
-    /// The index function's display name.
-    #[must_use]
-    pub fn hash_name(&self) -> &'static str {
-        self.indexer.name()
-    }
-
     /// Drains the block addresses of lines written back since the last
     /// call (the traffic an L2 below would observe). The buffer drains in
     /// place and keeps its capacity, so steady state allocates nothing.
@@ -368,10 +362,6 @@ impl<I: SetIndexer> CacheSim for Cache<I> {
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +427,6 @@ mod tests {
     fn prime_modulo_cache_uses_2039_like_sets() {
         let c = Cache::new(CacheConfig::new(512 * 1024, 4, 64).with_hash(HashKind::PrimeModulo));
         assert_eq!(c.n_set(), 2039);
-        assert_eq!(c.hash_name(), "pMod");
     }
 
     #[test]
@@ -467,15 +456,6 @@ mod tests {
         }
         assert_eq!(c.stats().accesses, 100);
         assert_eq!(c.stats().writes, 50);
-    }
-
-    #[test]
-    fn reset_stats_preserves_contents() {
-        let mut c = tiny(HashKind::Traditional);
-        c.access(0, false);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses, 0);
-        assert!(c.access(0, false), "contents must survive a stats reset");
     }
 
     #[test]

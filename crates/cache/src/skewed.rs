@@ -261,7 +261,7 @@ impl<B: SetIndexer> SkewedCache<B> {
 
     /// Simulates an access to a block address, also returning the bank-0
     /// set for stats attribution (computed once, alongside the probe).
-    pub fn access_block_indexed(&mut self, block: u64, write: bool) -> (usize, bool) {
+    fn access_block_indexed(&mut self, block: u64, write: bool) -> (usize, bool) {
         // The scratch buffer is detached while borrowed so the probe can
         // take `&mut self`; every return path restores it.
         let mut slots = std::mem::take(&mut self.scratch);
@@ -386,12 +386,6 @@ impl<B: SetIndexer> SkewedCache<B> {
         );
     }
 
-    /// The bank-0 set index `addr` maps to (the stats-attribution axis).
-    #[must_use]
-    pub fn stat_set_of(&self, addr: u64) -> usize {
-        self.narrow_set(self.indexers[0].index(addr >> self.line_shift))
-    }
-
     /// Returns `true` if `addr`'s block is resident in any bank.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
@@ -411,10 +405,6 @@ impl<B: SetIndexer> CacheSim for SkewedCache<B> {
 
     fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 }
 

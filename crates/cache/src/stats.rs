@@ -124,12 +124,6 @@ impl CacheStats {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Zeroes every counter and histogram, keeping the set count.
-    pub fn reset(&mut self) {
-        let n = self.set_accesses.len();
-        *self = CacheStats::new(n);
-    }
 }
 
 #[cfg(test)]
@@ -194,16 +188,5 @@ mod tests {
     #[test]
     fn miss_rate_handles_empty() {
         assert_eq!(CacheStats::new(4).miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn reset_keeps_shape() {
-        let mut s = CacheStats::new(16);
-        s.record(3, true, true);
-        s.record_writeback();
-        s.reset();
-        assert_eq!(s.accesses, 0);
-        assert_eq!(s.writebacks, 0);
-        assert_eq!(s.set_accesses.len(), 16);
     }
 }

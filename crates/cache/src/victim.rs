@@ -63,12 +63,6 @@ impl VictimCache {
         self.victim_hits
     }
 
-    /// Buffer capacity in entries.
-    #[must_use]
-    pub fn victim_entries(&self) -> usize {
-        self.capacity
-    }
-
     /// Checks every runtime invariant of the victim hierarchy: stat
     /// integrity of both levels, buffer occupancy within capacity, no
     /// duplicate buffer entries, exclusion between buffer and main
@@ -165,11 +159,6 @@ impl CacheSim for VictimCache {
 
     fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.victim_hits = 0;
     }
 }
 

@@ -374,7 +374,7 @@ fn scalar_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
 ///    fallback.
 fn expr_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     use primecache_analyze::lower_expr;
-    use primecache_core::expr::{builtins, register_anonymous};
+    use primecache_core::expr::{builtins, compile, fold, parse, register_anonymous, set_bound};
 
     let mut out = Vec::new();
     let n = cfg.addrs_per_unit;
@@ -476,7 +476,161 @@ fn expr_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
         ));
     }
 
+    // Sources drawn from the grammar, then mutated, through every stage
+    // `register` runs and the abstract lowering (not `register` itself,
+    // which interns each definition for the process's lifetime). Each
+    // must come back as a value or a typed error whose span lies inside
+    // the source, on character boundaries; an accepted tree must print
+    // to a source that parses back to it. Any panic fails the unit.
+    out.push(run_unit(
+        cfg,
+        "expr/parse-fuzz",
+        n.div_ceil(DSL_FUZZ_WEIGHT),
+        DSL_FUZZ_WEIGHT,
+        gen_dsl_source,
+        |input: &DslSource| {
+            let src = &input.0;
+            match parse(src) {
+                Ok(ast) => {
+                    let folded = fold(&ast);
+                    let _ = compile(&folded);
+                    let _ = set_bound(&folded, u64::MAX);
+                    let _ = lower_expr(&folded, 26);
+                    let printed = ast.to_string();
+                    assert_eq!(parse(&printed).as_ref(), Ok(&ast), "reparse of `{printed}`");
+                }
+                Err(e) => {
+                    let (start, end) = (e.span.start, e.span.end);
+                    assert!(start <= end && end <= src.len(), "{e} escapes the source");
+                    assert!(
+                        src.is_char_boundary(start) && src.is_char_boundary(end),
+                        "{e} splits a character"
+                    );
+                }
+            }
+        },
+    ));
+
     out
+}
+
+/// Cases one `expr/parse-fuzz` source counts for.
+const DSL_FUZZ_WEIGHT: usize = 8;
+
+/// A DSL source, shown escaped. It shrinks by halves (split at a
+/// character boundary, none of them the whole source), then by its last
+/// character.
+#[derive(Clone)]
+struct DslSource(String);
+
+impl std::fmt::Debug for DslSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", self.0)
+    }
+}
+
+impl Shrink for DslSource {
+    fn shrink(&self) -> Vec<Self> {
+        let s = &self.0;
+        let Some((last, _)) = s.char_indices().next_back() else {
+            return Vec::new();
+        };
+        let mid = (0..=s.len() / 2)
+            .rev()
+            .find(|&i| s.is_char_boundary(i))
+            .unwrap_or(0);
+        let mut out = Vec::new();
+        if mid > 0 {
+            out.extend([&s[..mid], &s[mid..]]);
+        }
+        out.push(&s[..last]);
+        out.into_iter()
+            .map(|part| DslSource(part.to_owned()))
+            .collect()
+    }
+}
+
+/// Appends the tokens of a random expression at most `depth` levels
+/// deep: `a`, `addr`, decimal and hex literals (some past `u64`), the
+/// binary operators, slices (some out of range) and parentheses.
+fn gen_dsl_tokens(rng: &mut Rng, depth: u32, out: &mut Vec<String>) {
+    if depth == 0 || rng.range_u32(0, 3) == 0 {
+        out.push(match rng.range_u32(0, 6) {
+            0 => "a".to_owned(),
+            1 => "addr".to_owned(),
+            2 => rng.range_u64(0, 4096).to_string(),
+            3 => format!("0x{:X}", rng.next_u64() >> rng.range_u32(0, 64)),
+            4 => rng.next_u64().to_string(),
+            _ => "99999999999999999999".to_owned(),
+        });
+        return;
+    }
+    match rng.range_u32(0, 4) {
+        0 => {
+            out.push("(".to_owned());
+            gen_dsl_tokens(rng, depth - 1, out);
+            out.push(")".to_owned());
+        }
+        1 => {
+            gen_dsl_tokens(rng, depth - 1, out);
+            let (hi, lo) = (rng.range_u64(0, 70), rng.range_u64(0, 70));
+            out.extend(["[", &hi.to_string(), ":", &lo.to_string(), "]"].map(str::to_owned));
+        }
+        _ => {
+            gen_dsl_tokens(rng, depth - 1, out);
+            let op = ["|", "^", "&", "<<", ">>", "+", "*", "%"][rng.range_usize(0, 8)];
+            out.push(op.to_owned());
+            gen_dsl_tokens(rng, depth - 1, out);
+        }
+    }
+}
+
+/// A grammar-drawn source with some of: a dropped or repeated token;
+/// nesting or an operator chain near, just past or far past
+/// `MAX_PARSE_DEPTH`; a truncation at any byte; and inserted bytes,
+/// multi-byte characters among them (invalid UTF-8 reads as U+FFFD).
+fn gen_dsl_source(rng: &mut Rng) -> DslSource {
+    use primecache_core::expr::MAX_PARSE_DEPTH;
+    let mut toks = Vec::new();
+    let depth = rng.range_u32(0, 6);
+    gen_dsl_tokens(rng, depth, &mut toks);
+    for _ in 0..rng.range_u32(0, 3) {
+        let i = rng.range_usize(0, toks.len());
+        if rng.bool() {
+            toks.remove(i);
+        } else {
+            toks.insert(i, toks[i].clone());
+        }
+        if toks.is_empty() {
+            break;
+        }
+    }
+    let mut src = toks.join(["", " "][rng.range_usize(0, 2)]);
+    if rng.range_u32(0, 4) == 0 {
+        let levels = match rng.range_u32(0, 8) {
+            0 => rng.range_usize(MAX_PARSE_DEPTH, 80 * MAX_PARSE_DEPTH),
+            _ => rng.range_usize(MAX_PARSE_DEPTH - 2, MAX_PARSE_DEPTH + 3),
+        };
+        src = match rng.range_u32(0, 4) {
+            0 => format!("{}{src}{}", "(".repeat(levels), ")".repeat(levels)),
+            1 => format!("{}{src}{}", "a ^ (".repeat(levels), ")".repeat(levels)),
+            2 => format!("({src}){}", " + a".repeat(levels)),
+            _ => format!("({src}){}", "[1:1]".repeat(levels / 2)),
+        };
+    }
+    let mut bytes = src.into_bytes();
+    for _ in 0..rng.range_u32(0, 3) {
+        let at = rng.range_usize(0, bytes.len() + 1);
+        match rng.range_u32(0, 4) {
+            0 => bytes.truncate(at),
+            1 => bytes.insert(at, rng.range_u64(0, 256) as u8),
+            _ => {
+                let c = ["é", "日", "🦀", "\u{FFFD}", "\0"][rng.range_usize(0, 5)];
+                bytes.splice(at..at, c.bytes());
+            }
+        }
+    }
+    DslSource(String::from_utf8_lossy(&bytes).into_owned())
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,7 +1349,8 @@ fn ingest_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
 const TEXT_LINES: usize = 16;
 
 /// A text trace input, shown as an escaped byte string. It shrinks by
-/// halves, then by whole lines, then by its last byte.
+/// halves (of two bytes or more: half of one byte is itself), then by
+/// whole lines, then by its last byte.
 #[derive(Clone)]
 struct TextInput(Vec<u8>);
 
@@ -1211,7 +1366,10 @@ impl Shrink for TextInput {
         if b.is_empty() {
             return Vec::new();
         }
-        let mut out = vec![b[..b.len() / 2].to_vec(), b[b.len() / 2..].to_vec()];
+        let mut out = Vec::new();
+        if b.len() > 1 {
+            out.extend([b[..b.len() / 2].to_vec(), b[b.len() / 2..].to_vec()]);
+        }
         let mut start = 0;
         for (i, _) in b.iter().enumerate().filter(|&(_, &c)| c == b'\n') {
             out.push([&b[..start], &b[i + 1..]].concat());
@@ -1887,6 +2045,7 @@ mod tests {
             "expr/model-residue",
             "expr/model-affine",
             "expr/model-opaque",
+            "expr/parse-fuzz",
             "index/pMod-fastmod-251",
             "index/pMod-fastmod-2039",
             "index/pMod-fastmod-16381",

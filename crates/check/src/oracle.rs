@@ -113,7 +113,7 @@ pub fn ref_subtract_select(x: u64, n_set: u64, inputs: u32) -> Option<u64> {
 /// The largest prime not above `n` (the pMod set count), by trial
 /// division.
 #[must_use]
-pub fn ref_prev_prime(n: u64) -> u64 {
+fn ref_prev_prime(n: u64) -> u64 {
     (2..=n)
         .rev()
         .find(|&p| (2..p).take_while(|d| d * d <= p).all(|d| p % d != 0))
@@ -1065,7 +1065,7 @@ fn ref_parse_count(token: &str) -> Result<u32, TextErrorKind> {
 /// # Errors
 ///
 /// The grammar's error class for the first field that fails.
-pub fn ref_parse_line(line: &str) -> Result<Option<Event>, TextErrorKind> {
+fn ref_parse_line(line: &str) -> Result<Option<Event>, TextErrorKind> {
     let line = line.split_once('#').map_or(line, |(pre, _)| pre);
     let mut fields = line.split_ascii_whitespace();
     let Some(tag) = fields.next() else {
@@ -1120,7 +1120,7 @@ pub fn ref_parse_line(line: &str) -> Result<Option<Event>, TextErrorKind> {
 /// Reads a whole text trace: split at `\n`, look at no more than
 /// `MAX_LINE_BYTES + 2` bytes of each line (newline included), strip
 /// the newline and then one `\r`, reject a longer remainder, check
-/// UTF-8, then [`ref_parse_line`].
+/// UTF-8, then `ref_parse_line`.
 #[must_use]
 pub fn ref_read_text(data: &[u8]) -> TextRead {
     let mut out = TextRead::default();

@@ -513,6 +513,10 @@ fn sweep_tenants(args: &Args) -> i32 {
     0
 }
 
+/// The most sets `pcache metrics --sets` takes: the stride pattern holds
+/// four addresses per set, about 80 MB at this cap.
+const METRICS_MAX_SETS: u64 = 1 << 20;
+
 /// `pcache metrics --stride S [--sets N]` or `--app <name> [--refs N]`
 fn metrics(args: &Args) -> i32 {
     if let Some(app) = args.value("--app") {
@@ -526,14 +530,24 @@ fn metrics(args: &Args) -> i32 {
         }
     };
     let sets = match args.parsed("--sets", 2048u64) {
-        Ok(v) if v.is_power_of_two() && v >= 4 => v,
+        Ok(v) if v.is_power_of_two() && (4..=METRICS_MAX_SETS).contains(&v) => v,
         _ => {
-            eprintln!("--sets must be a power of two >= 4");
+            eprintln!("--sets must be a power of two from 4 to {METRICS_MAX_SETS}");
             return 2;
         }
     };
+    // The pattern is the 4·sets addresses 0, s, 2s, …; the last must fit.
+    let n_addrs = sets * 4;
+    if (n_addrs - 1).checked_mul(stride).is_none() {
+        eprintln!(
+            "--stride {stride} overflows u64 over the {n_addrs}-address pattern; \
+             the largest stride over {sets} sets is {}",
+            u64::MAX / (n_addrs - 1)
+        );
+        return 2;
+    }
     let geom = Geometry::new(sets);
-    let addrs = strided_addresses(stride, (sets * 4) as usize);
+    let addrs = strided_addresses(stride, n_addrs as usize);
     let mut rows = Vec::new();
     for kind in HashKind::ALL {
         let idx = kind.build(geom);

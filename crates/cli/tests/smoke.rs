@@ -31,6 +31,20 @@ fn metrics_validates_inputs() {
     assert_eq!(pcache(&["metrics", "--stride", "0"]), 2);
     assert_eq!(pcache(&["metrics", "--stride", "7", "--sets", "100"]), 2);
     assert_eq!(pcache(&["metrics", "--stride", "7"]), 0);
+    // `--sets` stops at 2^20; 2^62 sets would overflow the 4·sets
+    // pattern length.
+    assert_eq!(
+        pcache(&["metrics", "--stride", "7", "--sets", "2097152"]),
+        2
+    );
+    let huge = ["metrics", "--stride", "7", "--sets", "4611686018427387904"];
+    assert_eq!(pcache(&huge), 2);
+    // Over 4 sets the 16th address is 15·stride: 2^64 / 15 is the largest
+    // stride that stays inside u64.
+    let stride = |s: &str| pcache(&["metrics", "--stride", s, "--sets", "4"]);
+    assert_eq!(stride("1229782938247303441"), 0);
+    assert_eq!(stride("1229782938247303442"), 2);
+    assert_eq!(stride("9223372036854775808"), 2);
     assert_eq!(pcache(&["metrics", "--app", "nothere"]), 2);
     assert_eq!(pcache(&["metrics", "--app", "tree", "--refs", "3000"]), 0);
 }

@@ -32,7 +32,7 @@ pub enum BinOp {
 impl BinOp {
     /// The operator's surface syntax.
     #[must_use]
-    pub fn symbol(self) -> &'static str {
+    fn symbol(self) -> &'static str {
         match self {
             BinOp::Or => "|",
             BinOp::Xor => "^",

@@ -38,6 +38,11 @@
 //! primary := "a" | "addr" | num | "0x" hex | "(" expr ")"
 //! ```
 //!
+//! Nesting is bounded: at most [`MAX_PARSE_DEPTH`] parentheses open at
+//! once, and at most that many operators on any path through the tree;
+//! a deeper source is a [`ParseError`] at the token that crosses the
+//! bound.
+//!
 //! Multipliers, moduli, and shift amounts must fold to constants — that
 //! restriction is what keeps the abstract lowering decidable — and the
 //! value range must be finite (mask or reduce the result) so the scheme
@@ -65,5 +70,5 @@ mod registry;
 pub use ast::{BinOp, Expr};
 pub use compile::{compile, set_bound, value_bound, ExprError, Op, Program, MAX_DEPTH};
 pub use fold::fold;
-pub use parse::{parse, ParseError, Span};
+pub use parse::{parse, ParseError, Span, MAX_PARSE_DEPTH};
 pub use registry::{register, register_anonymous, ExprId, ExprIndexer};

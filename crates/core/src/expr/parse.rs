@@ -17,7 +17,9 @@
 //! ```
 //!
 //! The slice `e[hi:lo]` (bit `hi` down to bit `lo`, inclusive) desugars to
-//! `(e >> lo) & mask(hi - lo + 1)` at parse time.
+//! `(e >> lo) & mask(hi - lo + 1)` at parse time. The parser climbs
+//! precedence (one loop over binding powers, not one function per
+//! level), and a tree may nest at most [`MAX_PARSE_DEPTH`] levels.
 
 use std::fmt;
 
@@ -167,12 +169,14 @@ fn lex(src: &str) -> Result<Vec<(Tok, Span)>, ParseError> {
                 out.push((Tok::Addr, Span { start, end: j }));
                 continue;
             }
-            c => {
+            _ => {
+                // Every token is ASCII, so `start` is a char boundary.
+                let c = src[start..].chars().next().unwrap_or_default();
                 return err(
-                    format!("unexpected character `{}`", char::from(c)),
+                    format!("unexpected character `{c}`"),
                     start,
-                    start + 1,
-                )
+                    start + c.len_utf8(),
+                );
             }
         };
         i += 1;
@@ -181,10 +185,57 @@ fn lex(src: &str) -> Result<Vec<(Tok, Span)>, ParseError> {
     Ok(out)
 }
 
+/// How deep one expression may nest: at most this many parentheses open
+/// at once, and at most this many binary operators (a slice counts as the
+/// one or two it desugars to) on any path from the root of its tree to a
+/// leaf. The first token past either bound is a [`ParseError`].
+///
+/// The bound keeps `parse` and the recursive passes over its tree
+/// (folding, compiling, lowering, printing, dropping) within a 2 MB
+/// thread stack in a debug build, and the printed form of any tree
+/// `parse` accepts parses back. The deepest source the repo builds,
+/// [`xor_folded_src`](super::builtins::xor_folded_src) at two sets (a
+/// 64-term XOR chain), is 65 operators deep.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
+/// A parsed subtree and its depth in binary operators.
+type Parsed = Result<(Expr, usize), ParseError>;
+
+/// Passes `count` levels of nesting through, or fails at the token `at`
+/// that took it past [`MAX_PARSE_DEPTH`].
+fn within_bound(count: usize, at: Span) -> Result<usize, ParseError> {
+    if count > MAX_PARSE_DEPTH {
+        return err(
+            format!("the expression nests deeper than {MAX_PARSE_DEPTH} levels"),
+            at.start,
+            at.end,
+        );
+    }
+    Ok(count)
+}
+
+/// The binary operator `t` spells and its binding power (higher binds
+/// tighter), or `None` when `t` is not a binary operator.
+fn binary_op(t: Tok) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::Or => (BinOp::Or, 0),
+        Tok::Xor => (BinOp::Xor, 1),
+        Tok::And => (BinOp::And, 2),
+        Tok::Shl => (BinOp::Shl, 3),
+        Tok::Shr => (BinOp::Shr, 3),
+        Tok::Add => (BinOp::Add, 4),
+        Tok::Mul => (BinOp::Mul, 5),
+        Tok::Mod => (BinOp::Mod, 5),
+        _ => return None,
+    })
+}
+
 struct Parser<'a> {
     toks: &'a [(Tok, Span)],
     pos: usize,
     src_len: usize,
+    /// Parentheses open around the current token.
+    nesting: usize,
 }
 
 impl Parser<'_> {
@@ -220,56 +271,28 @@ impl Parser<'_> {
         }
     }
 
-    /// One left-associative binary level: `next (ops next)*`.
-    fn level(
-        &mut self,
-        ops: &[(Tok, BinOp)],
-        next: &dyn Fn(&mut Self) -> Result<Expr, ParseError>,
-    ) -> Result<Expr, ParseError> {
-        let mut e = next(self)?;
-        while let Some(t) = self.peek() {
-            let Some(&(_, op)) = ops.iter().find(|&&(tok, _)| tok == t) else {
+    /// Operators binding at least as tightly as `min_power`, by
+    /// precedence climbing: each loop turn folds one operator into a
+    /// left-deep tree, so a chain of one binding power nests no calls.
+    fn binary(&mut self, min_power: u8) -> Parsed {
+        let (mut e, mut depth) = self.postfix_expr()?;
+        while let Some((op, power)) = self.peek().and_then(binary_op) {
+            if power < min_power {
                 break;
-            };
+            }
+            let at = self.here();
             self.bump();
-            e = Expr::bin(op, e, next(self)?);
+            let (r, r_depth) = self.binary(power + 1)?;
+            depth = within_bound(depth.max(r_depth) + 1, at)?;
+            e = Expr::bin(op, e, r);
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        self.level(&[(Tok::Or, BinOp::Or)], &Self::xor_expr)
-    }
-
-    fn xor_expr(&mut self) -> Result<Expr, ParseError> {
-        self.level(&[(Tok::Xor, BinOp::Xor)], &Self::and_expr)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        self.level(&[(Tok::And, BinOp::And)], &Self::shift_expr)
-    }
-
-    fn shift_expr(&mut self) -> Result<Expr, ParseError> {
-        self.level(
-            &[(Tok::Shl, BinOp::Shl), (Tok::Shr, BinOp::Shr)],
-            &Self::add_expr,
-        )
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        self.level(&[(Tok::Add, BinOp::Add)], &Self::mul_expr)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        self.level(
-            &[(Tok::Mul, BinOp::Mul), (Tok::Mod, BinOp::Mod)],
-            &Self::postfix_expr,
-        )
-    }
-
-    fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.primary()?;
+    fn postfix_expr(&mut self) -> Parsed {
+        let (mut e, mut depth) = self.primary()?;
         while self.peek() == Some(Tok::LBracket) {
+            let open = self.here();
             self.bump();
             let (hi, hi_span) = self.number("a bit position (the slice's high bit)")?;
             self.expect(Tok::Colon, "`:` between the slice bounds")?;
@@ -299,11 +322,13 @@ impl Parser<'_> {
             let shifted = if lo == 0 {
                 e
             } else {
+                depth += 1;
                 Expr::bin(BinOp::Shr, e, Expr::Const(lo))
             };
+            depth = within_bound(depth + 1, open)?;
             e = Expr::bin(BinOp::And, shifted, Expr::Const(mask));
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
     fn number(&mut self, what: &str) -> Result<(u64, Span), ParseError> {
@@ -314,15 +339,17 @@ impl Parser<'_> {
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Parsed {
         let span = self.here();
         match self.bump() {
-            Some((Tok::Addr, _)) => Ok(Expr::Addr),
-            Some((Tok::Num(n), _)) => Ok(Expr::Const(n)),
+            Some((Tok::Addr, _)) => Ok((Expr::Addr, 0)),
+            Some((Tok::Num(n), _)) => Ok((Expr::Const(n), 0)),
             Some((Tok::LParen, open)) => {
-                let e = self.or_expr()?;
+                self.nesting = within_bound(self.nesting + 1, open)?;
+                let parsed = self.binary(0)?;
+                self.nesting -= 1;
                 match self.bump() {
-                    Some((Tok::RParen, _)) => Ok(e),
+                    Some((Tok::RParen, _)) => Ok(parsed),
                     _ => err("unclosed `(`", open.start, open.end),
                 }
             }
@@ -341,18 +368,20 @@ impl Parser<'_> {
 ///
 /// Returns a [`ParseError`] with the offending span for any malformed
 /// input: unknown identifiers, stray characters, unbalanced parentheses,
-/// overflowing literals, bad slices, or trailing tokens.
+/// overflowing literals, bad slices, trailing tokens, or nesting deeper
+/// than [`MAX_PARSE_DEPTH`].
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser {
         toks: &toks,
         pos: 0,
         src_len: src.len(),
+        nesting: 0,
     };
     if p.peek().is_none() {
         return err("empty expression", 0, 0);
     }
-    let e = p.or_expr()?;
+    let (e, _) = p.binary(0)?;
     if let Some(&(_, s)) = toks.get(p.pos) {
         return err("unexpected trailing input", s.start, src.len());
     }
@@ -431,5 +460,46 @@ mod tests {
 
         let e = parse("a a").unwrap_err();
         assert!(e.message.contains("trailing"), "{e}");
+    }
+
+    #[test]
+    fn nesting_past_the_bound_errors_at_the_crossing_token() {
+        let max = MAX_PARSE_DEPTH;
+        let span = |src: &str| {
+            let e = parse(src).unwrap_err();
+            assert!(e.message.contains(&format!("{max} levels")), "{e}");
+            (e.span.start, e.span.end)
+        };
+        // The parenthesis that opens level max + 1.
+        let parens = format!("{}a{}", "(".repeat(10_000), ")".repeat(10_000));
+        assert_eq!(span(&parens), (max, max + 1));
+        let right_nested = format!("{}a{}", "a + (".repeat(max + 1), ")".repeat(max + 1));
+        assert_eq!(span(&right_nested), (5 * max + 4, 5 * max + 5));
+        // A 5,001-term chain: the `+` that makes the tree max + 1 deep.
+        let chain = format!("a{} & 2047", " + a".repeat(5_000));
+        assert_eq!(span(&chain), (2 + 4 * max, 3 + 4 * max));
+        // A slice `[1:1]` desugars to two operators, `[0:0]` to one.
+        let slices = format!("a{}", "[1:1]".repeat(max / 2 + 1));
+        assert_eq!(span(&slices), (1 + 5 * (max / 2), 2 + 5 * (max / 2)));
+        let slices = format!("a{}", "[0:0]".repeat(max + 1));
+        assert_eq!(span(&slices), (1 + 5 * max, 2 + 5 * max));
+        // Parentheses do not add operator depth, nor operators nesting.
+        let inner = format!("({})", "a ^ ".repeat(max) + "a");
+        assert!(parse(&format!(
+            "{}{inner}{}",
+            "(".repeat(max - 1),
+            ")".repeat(max - 1)
+        ))
+        .is_ok());
+    }
+
+    #[test]
+    fn a_stray_non_ascii_character_is_reported_whole() {
+        let e = parse("é").unwrap_err();
+        assert_eq!((e.span.start, e.span.end), (0, 2));
+        assert!(e.message.contains("`é`"), "{e}");
+        let e = parse("a ^ 日").unwrap_err();
+        assert_eq!((e.span.start, e.span.end), (4, 7));
+        assert!(e.message.contains("`日`"), "{e}");
     }
 }

@@ -55,18 +55,6 @@ impl PrimeDisplacement {
     pub fn paper_default(geom: Geometry) -> Self {
         Self::new(geom, 9)
     }
-
-    /// The displacement factor `p`.
-    #[must_use]
-    pub fn factor(&self) -> u64 {
-        self.factor
-    }
-
-    /// The geometry this indexer was built from.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geom
-    }
 }
 
 impl SetIndexer for PrimeDisplacement {
@@ -140,9 +128,10 @@ mod tests {
 
     #[test]
     fn paper_default_is_nine() {
+        let g = Geometry::new(64);
         assert_eq!(
-            PrimeDisplacement::paper_default(Geometry::new(64)).factor(),
-            9
+            PrimeDisplacement::paper_default(g),
+            PrimeDisplacement::new(g, 9)
         );
     }
 

@@ -75,12 +75,6 @@ impl PrimeModulo {
         }
     }
 
-    /// The geometry this indexer was built from.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geom
-    }
-
     /// Wasted sets `Δ = n_set_phys - n_set` (Table 1).
     #[must_use]
     pub fn delta(&self) -> u64 {

@@ -50,12 +50,6 @@ impl SkewXorBank {
         Self { geom, bank }
     }
 
-    /// The bank number this function serves.
-    #[must_use]
-    pub fn bank(&self) -> u32 {
-        self.bank
-    }
-
     /// Circularly rotates the low `index_bits` of `v` left by the bank's
     /// shift amount.
     fn rotate(&self, v: u64) -> u64 {
@@ -117,12 +111,6 @@ impl SkewDispBank {
         Self {
             inner: PrimeDisplacement::new(geom, factor),
         }
-    }
-
-    /// The displacement factor used by this bank.
-    #[must_use]
-    pub fn factor(&self) -> u64 {
-        self.inner.factor()
     }
 }
 

@@ -30,12 +30,6 @@ impl Traditional {
     pub fn new(geom: Geometry) -> Self {
         Self { geom }
     }
-
-    /// The geometry this indexer was built from.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geom
-    }
 }
 
 impl SetIndexer for Traditional {

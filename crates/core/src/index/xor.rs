@@ -33,12 +33,6 @@ impl Xor {
     pub fn new(geom: Geometry) -> Self {
         Self { geom }
     }
-
-    /// The geometry this indexer was built from.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geom
-    }
 }
 
 impl SetIndexer for Xor {

@@ -46,7 +46,6 @@
 // just looking sloppy.
 #![warn(clippy::cast_possible_truncation)]
 
-pub mod analysis;
 pub mod expr;
 pub mod hw;
 pub mod index;

@@ -55,7 +55,8 @@ where
 }
 
 /// Generates the strided block-address sequence `0, s, 2s, …` of length `m`
-/// used throughout §5.1 (each address distinct for `s >= 1`).
+/// used throughout §5.1 (each address distinct for `s >= 1` while
+/// `(m - 1)·s` fits in a `u64`).
 #[must_use]
 pub fn strided_addresses(stride: u64, m: usize) -> Vec<u64> {
     (0..m as u64).map(|i| i * stride).collect()

@@ -41,17 +41,6 @@ impl ExecBreakdown {
         }
     }
 
-    /// Speedup of `self` relative to `baseline` (baseline_time / my_time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.total() == 0`.
-    #[must_use]
-    pub fn speedup_vs(&self, baseline: &ExecBreakdown) -> f64 {
-        assert!(self.total() > 0, "cannot compute speedup of an empty run");
-        baseline.total() as f64 / self.total() as f64
-    }
-
     /// Execution time normalized to a baseline (my_time / baseline_time),
     /// the y-axis of Figs. 7–10.
     ///
@@ -81,7 +70,7 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_normalization_are_inverse() {
+    fn normalization_divides_by_the_baseline() {
         let fast = ExecBreakdown {
             busy: 100,
             other_stall: 0,
@@ -92,7 +81,6 @@ mod tests {
             other_stall: 0,
             mem_stall: 300,
         };
-        assert!((fast.speedup_vs(&slow) - 2.0).abs() < 1e-12);
         assert!((fast.normalized_to(&slow) - 0.5).abs() < 1e-12);
     }
 

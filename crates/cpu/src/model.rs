@@ -55,15 +55,6 @@ pub struct StallAttribution {
     pub branch: u64,
 }
 
-impl StallAttribution {
-    /// Total memory-side stall cycles; equals `ExecBreakdown::mem_stall`
-    /// for the run that produced this attribution.
-    #[must_use]
-    pub fn mem_total(&self) -> u64 {
-        self.rob + self.mlp + self.dep + self.store + self.drain
-    }
-}
-
 /// Why the core is waiting on the oldest in-flight load.
 #[derive(Debug, Clone, Copy)]
 enum StallCause {
@@ -326,7 +317,7 @@ impl Cpu {
     /// Per-cause stall attribution of the most recently finished run
     /// (all zeros before the first one).
     ///
-    /// Invariants: `mem_total()` equals the run's
+    /// Invariants: the memory-side causes sum to the run's
     /// `ExecBreakdown::mem_stall` and `branch` equals its
     /// `other_stall`.
     #[must_use]
@@ -690,7 +681,8 @@ mod tests {
             let (mut h, mut d, mut cpu) = setup();
             let b = cpu.run(trace, &mut h, &mut d);
             let s = cpu.last_stall_attribution();
-            assert_eq!(s.mem_total(), b.mem_stall, "{s:?} vs {b:?}");
+            let mem = s.rob + s.mlp + s.dep + s.store + s.drain;
+            assert_eq!(mem, b.mem_stall, "{s:?} vs {b:?}");
             assert_eq!(s.branch, b.other_stall, "{s:?} vs {b:?}");
         }
     }

@@ -233,25 +233,6 @@ impl Dram {
     pub fn stats(&self) -> &DramStats {
         &self.stats
     }
-
-    /// Starts a new measurement epoch: clears statistics and the timing
-    /// clocks but *keeps* the open rows — used when a warmup phase ends
-    /// and the cycle counter restarts at zero.
-    pub fn new_epoch(&mut self) {
-        let banks = self.config.total_banks() as usize;
-        self.bank_free = vec![0; banks];
-        self.bus_free = vec![0; self.config.channels as usize];
-        self.stats = DramStats::default();
-    }
-
-    /// Resets statistics and timing state (open rows are closed).
-    pub fn reset(&mut self) {
-        let banks = self.config.total_banks() as usize;
-        self.open_rows = vec![u64::MAX; banks];
-        self.bank_free = vec![0; banks];
-        self.bus_free = vec![0; self.config.channels as usize];
-        self.stats = DramStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -322,16 +303,6 @@ mod tests {
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().row_hits + d.stats().row_misses, 3);
         assert!(d.stats().row_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn reset_clears_rows() {
-        let mut d = dram();
-        d.request(0, 0, false);
-        d.reset();
-        let c = d.request(128, 0, false);
-        assert!(!c.row_hit, "reset must close open rows");
-        assert_eq!(d.stats().reads, 1);
     }
 
     #[test]
@@ -418,16 +389,6 @@ mod tests {
             row_bytes: 32,
             ..MemConfig::paper_default()
         });
-    }
-
-    #[test]
-    fn new_epoch_keeps_open_rows() {
-        let mut d = dram();
-        d.request(0, 0, false);
-        d.new_epoch();
-        assert_eq!(d.stats().reads, 0);
-        let c = d.request(128, 0, false);
-        assert!(c.row_hit, "open row must survive the epoch boundary");
     }
 
     #[test]

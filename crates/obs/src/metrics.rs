@@ -211,15 +211,6 @@ impl Metrics {
         }
     }
 
-    /// Gauge value by name, if present and a gauge.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.entries.get(name)?.value {
-            MetricValue::Gauge(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Histogram by name, if present and a histogram.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
@@ -354,7 +345,6 @@ mod tests {
         let mut m = Metrics::new();
         m.set_counter("a", "x", "", 1);
         assert_eq!(m.counter("a"), Some(1));
-        assert_eq!(m.gauge("a"), None);
         assert!(m.histogram("a").is_none());
     }
 

@@ -42,17 +42,11 @@ impl Sieve {
         Self { limit, composite }
     }
 
-    /// Upper bound (exclusive) of the sieved range.
-    #[must_use]
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
     /// Returns `true` when `n` is prime.
     ///
     /// # Panics
     ///
-    /// Panics if `n >= self.limit()`.
+    /// Panics if `n` is not below the sieve's limit.
     #[must_use]
     pub fn is_prime(&self, n: usize) -> bool {
         assert!(n < self.limit, "{n} outside sieve range {}", self.limit);

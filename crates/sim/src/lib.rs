@@ -42,5 +42,5 @@ pub mod tenants;
 pub use config::{MachineConfig, Scheme};
 pub use oracle::{static_model, SimOracle, PROBE_BITS};
 pub use recording::Recording;
-pub use run::{run_chunks, run_recorded, run_trace, run_workload, run_workload_warm, RunResult};
+pub use run::{run_chunks, run_recorded, run_trace, run_workload, RunResult};
 pub use tenants::{run_tenant_mix, tenant_solo_baseline, TenantLane, TenantRun};

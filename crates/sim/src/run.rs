@@ -2,8 +2,8 @@
 //! thread.
 //!
 //! Every entry point ([`run_trace`], [`run_chunks`], [`run_recorded`],
-//! [`run_workload`], [`run_workload_warm`], the observed and tenant
-//! drivers, and [`Recording::run`](crate::Recording::run)) builds its
+//! [`run_workload`], the observed and tenant drivers, and
+//! [`Recording::run`](crate::Recording::run)) builds its
 //! run's engine with [`dispatch`] or, around a replayed L1,
 //! [`dispatch_replayed`] — **once** per run, through
 //! [`HierarchyConfig::build_around`](primecache_cache::HierarchyConfig::build_around),
@@ -43,9 +43,8 @@ pub struct RunResult {
     pub l1: CacheStats,
     /// L2 demand statistics (Figs. 11–13 count these misses). They
     /// count no evictions, so `writebacks` is always 0 here: the dirty
-    /// L2 victims count in the L2's raw statistics
-    /// ([`Hierarchy::l2_raw_stats`]), and each one is a DRAM write
-    /// (`dram.writes`).
+    /// L2 victims count in the L2 cache's own statistics
+    /// ([`L2Sim::stats`]), and each one is a DRAM write (`dram.writes`).
     pub l2: CacheStats,
     /// DRAM statistics.
     pub dram: DramStats,
@@ -70,15 +69,10 @@ pub(crate) trait Engine {
     fn finish(&mut self) -> RunResult;
 }
 
-/// A run whose L1 is live: it can also warm up, report its statistics
-/// mid-run and be observed. A replayed L1 can do none of these, so an
-/// engine around one is only an [`Engine`].
+/// A run whose L1 is live: it can also report its statistics mid-run
+/// and be observed. A replayed L1 can do neither, so an engine around
+/// one is only an [`Engine`].
 pub(crate) trait LiveEngine: Engine {
-    /// Starts the measured phase: ends the core's run so far and zeroes
-    /// every statistic and clock. Cache contents and open DRAM rows
-    /// survive.
-    fn reset_stats(&mut self);
-
     /// L1 statistics so far.
     fn l1_stats(&self) -> &CacheStats;
 
@@ -132,12 +126,6 @@ impl<X: L2Sim, L: L1Sim> Engine for Machine<X, L> {
 }
 
 impl<X: L2Sim> LiveEngine for Machine<X> {
-    fn reset_stats(&mut self) {
-        let _ = self.cpu.finish();
-        self.hierarchy.reset_stats();
-        self.dram.new_epoch();
-    }
-
     fn l1_stats(&self) -> &CacheStats {
         self.hierarchy.l1_stats()
     }
@@ -307,63 +295,9 @@ pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfi
     run_chunks(trace.replay(), scheme, machine)
 }
 
-/// Runs a workload with a warmup phase: the first `warm_refs` memory
-/// references fill the caches and open the DRAM rows, then every
-/// statistic (and the cycle clock) resets and only the next
-/// `measure_refs` references are measured — excluding compulsory misses
-/// from the figures, as steady-state methodology prescribes. A
-/// `warm_refs` of 0 means no warmup: the run equals [`run_workload`].
-///
-/// The warm/measure boundary is a stat reset in the middle of one
-/// continuous generator run, right after the event that completes the
-/// `warm_refs`-th reference: no combined `warm + measure` trace is ever
-/// built in memory.
-///
-/// # Examples
-///
-/// ```
-/// use primecache_sim::{run_workload_warm, Scheme};
-/// use primecache_workloads::by_name;
-///
-/// let r = run_workload_warm(by_name("tree").unwrap(), Scheme::PrimeModulo, 20_000, 20_000);
-/// assert!(r.l1.accesses >= 20_000);
-/// ```
-#[must_use]
-pub fn run_workload_warm(
-    workload: &Workload,
-    scheme: Scheme,
-    warm_refs: u64,
-    measure_refs: u64,
-) -> RunResult {
-    let machine = MachineConfig::paper_default();
-    let mut engine = dispatch(&machine, scheme);
-    let mut warm_left = warm_refs;
-    workload.push_chunks(warm_refs + measure_refs, &mut |chunk| {
-        let mut rest = chunk;
-        if warm_left > 0 {
-            let split = chunk
-                .iter()
-                .position(|ev| {
-                    warm_left -= u64::from(ev.is_memory());
-                    warm_left == 0
-                })
-                .map_or(chunk.len(), |i| i + 1);
-            engine.push(&chunk[..split]);
-            if warm_left > 0 {
-                return;
-            }
-            engine.reset_stats();
-            rest = &chunk[split..];
-        }
-        engine.push(rest);
-    });
-    engine.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use primecache_cache::{Cache, L2Organization};
     use primecache_workloads::by_name;
 
     #[test]
@@ -389,116 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn warm_runs_exclude_cold_misses() {
-        let tree = by_name("tree").unwrap();
-        let cold = run_workload(tree, Scheme::PrimeModulo, 60_000);
-        let warm = run_workload_warm(tree, Scheme::PrimeModulo, 60_000, 60_000);
-        // Warmed pMod tree is nearly all hits: its measured miss rate must
-        // be far below the cold-start run's.
-        assert!(
-            warm.l2.miss_rate() < cold.l2.miss_rate() / 2.0,
-            "warm {} vs cold {}",
-            warm.l2.miss_rate(),
-            cold.l2.miss_rate()
-        );
-    }
-
-    #[test]
     fn runs_are_deterministic() {
         let w = by_name("mcf").unwrap();
         let a = run_workload(w, Scheme::Xor, 10_000);
         let b = run_workload(w, Scheme::Xor, 10_000);
         assert_eq!(a.breakdown, b.breakdown);
         assert_eq!(a.l2.misses, b.l2.misses);
-    }
-
-    /// The pre-streaming `run_workload_warm` materialized the combined
-    /// trace and split it at the warm boundary. Reproduce that path here
-    /// and assert the streamed mid-run reset is bit-identical. A warm
-    /// count of 0 means no warm phase.
-    fn warm_via_materialized_split(
-        workload: &primecache_workloads::Workload,
-        scheme: Scheme,
-        warm_refs: u64,
-        measure_refs: u64,
-    ) -> RunResult {
-        let machine = MachineConfig::paper_default();
-        let trace = workload.trace(warm_refs + measure_refs);
-        let mut seen = 0u64;
-        let split = if warm_refs == 0 {
-            0
-        } else {
-            trace
-                .iter()
-                .position(|e| {
-                    if e.is_memory() {
-                        seen += 1;
-                    }
-                    seen >= warm_refs
-                })
-                .map_or(trace.len(), |i| i + 1)
-        };
-        let (warm, measure) = trace.split_at(split);
-
-        // The warm reset is restated here, not taken from the engine.
-        let hcfg = machine.hierarchy_config(scheme);
-        let L2Organization::SetAssoc(l2) = hcfg.l2 else {
-            panic!("{scheme:?}: the warm cases use set-associative L2s");
-        };
-        let mut hierarchy = Hierarchy::with_l2(hcfg, Cache::new(l2));
-        let mut dram = Dram::new(machine.mem);
-        let mut cpu = Cpu::new(machine.cpu);
-        let _ = cpu.run(warm.to_vec(), &mut hierarchy, &mut dram);
-        hierarchy.reset_stats();
-        dram.new_epoch();
-        let breakdown = cpu.run(measure.to_vec(), &mut hierarchy, &mut dram);
-        RunResult {
-            scheme,
-            breakdown,
-            l1: hierarchy.l1_stats().clone(),
-            l2: hierarchy.l2_stats().clone(),
-            dram: *dram.stats(),
-        }
-    }
-
-    #[test]
-    fn warm_stream_reset_matches_legacy_split_path() {
-        let (tree, mcf, swim) = (
-            by_name("tree").unwrap(),
-            by_name("mcf").unwrap(),
-            by_name("swim").unwrap(),
-        );
-        let pmod = Scheme::PrimeModulo;
-        for (ctx, streamed, expected) in [
-            (
-                "tree/pMod 20k+20k",
-                run_workload_warm(tree, pmod, 20_000, 20_000),
-                warm_via_materialized_split(tree, pmod, 20_000, 20_000),
-            ),
-            (
-                "mcf/Base 5k+15k",
-                run_workload_warm(mcf, Scheme::Base, 5_000, 15_000),
-                warm_via_materialized_split(mcf, Scheme::Base, 5_000, 15_000),
-            ),
-            (
-                "swim/XOR 0+10k", // zero-warm edge case
-                run_workload_warm(swim, Scheme::Xor, 0, 10_000),
-                warm_via_materialized_split(swim, Scheme::Xor, 0, 10_000),
-            ),
-            (
-                "swim/XOR 0+10k vs run_workload",
-                run_workload_warm(swim, Scheme::Xor, 0, 10_000),
-                run_workload(swim, Scheme::Xor, 10_000),
-            ),
-        ] {
-            assert_eq!(
-                streamed.breakdown, expected.breakdown,
-                "{ctx}: breakdown diverges"
-            );
-            assert_eq!(streamed.l1, expected.l1, "{ctx}: L1 diverges");
-            assert_eq!(streamed.l2, expected.l2, "{ctx}: L2 diverges");
-            assert_eq!(streamed.dram, expected.dram, "{ctx}: DRAM diverges");
-        }
     }
 
     #[test]

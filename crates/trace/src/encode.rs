@@ -208,25 +208,14 @@ impl EncodedChunk {
         self.events as usize
     }
 
-    /// Encoded payload size in bytes.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// The address-delta context at the start of the chunk.
-    #[must_use]
-    pub fn base_addr(&self) -> u64 {
-        self.base_addr
-    }
-
     /// Decodes the chunk back into a new `Vec` of events; a thin wrapper
-    /// of [`EncodedChunk::decode_into`].
+    /// of the one chunk decoder (`decode_into`).
     ///
     /// # Errors
     ///
-    /// The rejections of [`EncodedChunk::decode_into`], without the
-    /// offset.
+    /// Returns the [`TraceCodecError`] of the first failure: the payload
+    /// is truncated, carries an invalid tag or varint, overflows a field,
+    /// or has bytes after the declared event count.
     pub fn decode(&self) -> Result<Vec<Event>, TraceCodecError> {
         let mut out = Vec::new();
         self.decode_into(&mut out).map_err(|(_, e)| e)?;
@@ -244,7 +233,7 @@ impl EncodedChunk {
     /// truncated, carries an invalid tag or varint, or overflows a field;
     /// the end of the last event when bytes trail the declared event
     /// count. `out` then holds the events before the failure.
-    pub fn decode_into(&self, out: &mut Vec<Event>) -> Result<(), (usize, TraceCodecError)> {
+    fn decode_into(&self, out: &mut Vec<Event>) -> Result<(), (usize, TraceCodecError)> {
         out.clear();
         // Every event encodes to at least one byte, so the payload bounds
         // the reservation whatever event count a frame declares.
@@ -517,7 +506,7 @@ impl EncodedTrace {
     }
 
     /// Decodes the whole trace into one `Vec` (tests, importers); a thin
-    /// wrapper of [`EncodedChunk::decode_into`].
+    /// wrapper of the chunk decoder.
     ///
     /// # Errors
     ///

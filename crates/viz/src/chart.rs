@@ -140,32 +140,22 @@ impl LineChart {
 #[derive(Debug, Clone)]
 pub struct BarGroup {
     label: String,
-    /// One value per scheme; for stacked charts each value is the segment
-    /// list.
-    bars: Vec<Vec<f64>>,
+    /// One value per scheme.
+    bars: Vec<f64>,
 }
 
 impl BarGroup {
-    /// A group of simple bars.
+    /// A group of bars, one value per scheme.
     #[must_use]
     pub fn new(label: impl Into<String>, values: Vec<f64>) -> Self {
         Self {
             label: label.into(),
-            bars: values.into_iter().map(|v| vec![v]).collect(),
-        }
-    }
-
-    /// A group of stacked bars (each bar is a list of segments).
-    #[must_use]
-    pub fn stacked(label: impl Into<String>, bars: Vec<Vec<f64>>) -> Self {
-        Self {
-            label: label.into(),
-            bars,
+            bars: values,
         }
     }
 }
 
-/// A grouped (optionally stacked) bar chart — Figs. 7–12.
+/// A grouped bar chart — Figs. 7–12.
 ///
 /// # Examples
 ///
@@ -227,8 +217,7 @@ impl BarChart {
             .unwrap_or_else(|| {
                 self.groups
                     .iter()
-                    .flat_map(|g| g.bars.iter())
-                    .map(|segs| segs.iter().sum::<f64>())
+                    .flat_map(|g| g.bars.iter().copied())
                     .fold(0.0f64, f64::max)
             })
             .max(1e-9);
@@ -258,21 +247,11 @@ impl BarChart {
         let bar_w = (group_w * 0.8) / bars_per;
         for (gi, g) in self.groups.iter().enumerate() {
             let gx = MARGIN_L + gi as f64 * group_w + group_w * 0.1;
-            for (bi, segs) in g.bars.iter().enumerate() {
+            for (bi, &v) in g.bars.iter().enumerate() {
                 let x = gx + bi as f64 * bar_w;
-                let mut acc = 0.0;
-                for (si, &v) in segs.iter().enumerate() {
-                    let y0 = MARGIN_T + plot_h - (acc / y_max) * plot_h;
-                    let bh = (v / y_max) * plot_h;
-                    // Stacked charts colour by segment; simple charts by bar.
-                    let color = if segs.len() > 1 {
-                        PALETTE[si % PALETTE.len()]
-                    } else {
-                        PALETTE[bi % PALETTE.len()]
-                    };
-                    doc.rect(x, y0 - bh, bar_w.max(1.0) - 1.0, bh, color);
-                    acc += v;
-                }
+                let bh = (v / y_max) * plot_h;
+                let color = PALETTE[bi % PALETTE.len()];
+                doc.rect(x, MARGIN_T + plot_h - bh, bar_w.max(1.0) - 1.0, bh, color);
             }
             doc.text(
                 gx + group_w * 0.4,
@@ -359,14 +338,6 @@ mod tests {
         // 6 bars + legend swatches (3) + background rect.
         assert_eq!(svg.matches("<rect").count(), 6 + 3 + 1);
         assert!(svg.contains("g1") && svg.contains("g2"));
-    }
-
-    #[test]
-    fn stacked_bars_accumulate() {
-        let svg = BarChart::new("t", "y", &["busy", "other", "mem"])
-            .with_group(BarGroup::stacked("app", vec![vec![0.3, 0.1, 0.6]]))
-            .render(300, 200);
-        assert_eq!(svg.matches("<rect").count(), 3 + 3 + 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Svg`] — a minimal SVG document builder (rects, lines, polylines,
 //!   text, with XML escaping),
 //! * [`LineChart`] — multi-series line plots (Figs. 5/6),
-//! * [`BarChart`] — grouped, optionally stacked, bar plots
+//! * [`BarChart`] — grouped bar plots
 //!   (Figs. 7–12 and the Fig. 13 histograms).
 //!
 //! # Examples

@@ -105,12 +105,6 @@ impl Svg {
         self.width
     }
 
-    /// Document height in pixels.
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Finishes the document and returns the SVG text.
     #[must_use]
     pub fn finish(self) -> String {

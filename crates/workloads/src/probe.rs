@@ -1,37 +1,12 @@
-//! Attacker probe-trace generators.
+//! Attacker candidate generators.
 //!
 //! The attack engine (`crates/attack`) crafts tiny, fully deterministic
-//! block-address traces and observes only miss counts. The builders here
-//! are the *trace side* of that campaign — re-access probes, eviction
-//! probes, stride candidate ladders, seeded random pools — shared by the
-//! simulator-backed oracle, the check battery, and the root differential
-//! test so every consumer probes with byte-identical traces.
-//!
-//! Block traces convert to ordinary [`Event`] traces with
-//! [`probe_events`], so a probe can also be replayed through the full
-//! trace-driven drivers (every access is a serializing load: a probe
-//! measures occupancy, and overlapping its misses would let the timing
-//! model reorder the eviction the probe exists to observe).
-
-use primecache_trace::Event;
+//! block-address probes and observes only miss counts. The builders here
+//! pick the blocks its eviction-set tiers try — stride candidate
+//! ladders and seeded random pools — so every run of a campaign probes
+//! the same blocks.
 
 use crate::util::Lcg;
-
-/// The `[a, b, a]` same-set re-access probe (direct-mapped probing).
-#[must_use]
-pub fn pairwise_probe(a: u64, b: u64) -> [u64; 3] {
-    [a, b, a]
-}
-
-/// The `[victim, candidates.., victim]` eviction probe.
-#[must_use]
-pub fn eviction_probe(victim: u64, candidates: &[u64]) -> Vec<u64> {
-    let mut trace = Vec::with_capacity(candidates.len() + 2);
-    trace.push(victim);
-    trace.extend_from_slice(candidates);
-    trace.push(victim);
-    trace
-}
 
 /// `count` stride candidates `victim + i·stride` (i = 1..=count), keeping
 /// only distinct blocks inside the `in_bits` probing window.
@@ -92,25 +67,9 @@ pub fn random_pool(seed: u64, count: usize, in_bits: u32, victim: u64) -> Vec<u6
     pool
 }
 
-/// Converts a block-address probe into a replayable event trace over
-/// `line_bytes` lines: serializing loads, one per block.
-#[must_use]
-pub fn probe_events(blocks: &[u64], line_bytes: u64) -> Vec<Event> {
-    blocks
-        .iter()
-        .map(|&b| Event::chase(b * line_bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn probes_are_shaped_right() {
-        assert_eq!(pairwise_probe(1, 2), [1, 2, 1]);
-        assert_eq!(eviction_probe(7, &[1, 2]), vec![7, 1, 2, 7]);
-    }
 
     #[test]
     fn stride_candidates_stay_in_window_and_distinct() {
@@ -140,11 +99,5 @@ mod tests {
         );
         assert!(!a.contains(&42));
         assert!(a.iter().all(|&x| x < (1 << 20)));
-    }
-
-    #[test]
-    fn probe_events_are_serializing_loads() {
-        let ev = probe_events(&[3, 5], 64);
-        assert_eq!(ev, vec![Event::chase(192), Event::chase(320)]);
     }
 }

@@ -122,12 +122,6 @@ impl TenantMix {
         &self.cfg
     }
 
-    /// Number of tenants.
-    #[must_use]
-    pub fn n_tenants(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Tenant names, in index order.
     #[must_use]
     pub fn names(&self) -> Vec<&str> {
@@ -374,7 +368,7 @@ mod tests {
     /// `ReplayCursor::next`, with the stats counted after the quantum.
     fn event_at_a_time(mix: &TenantMix) -> (Vec<(usize, Vec<Event>)>, MixStats) {
         let cfg = *mix.config();
-        let n = mix.n_tenants();
+        let n = mix.names().len();
         let mut lanes: Vec<_> = (0..n).map(|i| mix.trace(i).replay()).collect();
         let mut live: Vec<usize> = (0..n).collect();
         let mut rng = Lcg::new(cfg.seed);

@@ -143,7 +143,7 @@ impl<'a> TraceSink<'a> {
     /// Creates a buffering sink, pre-allocating for `target_refs`
     /// references.
     #[must_use]
-    pub fn with_target(target_refs: u64) -> Self {
+    pub(crate) fn with_target(target_refs: u64) -> Self {
         Self {
             out: Output::Buffer(Vec::with_capacity(
                 (target_refs as usize).saturating_mul(2).min(1 << 26),
@@ -270,7 +270,7 @@ impl<'a> TraceSink<'a> {
     /// events have already been handed to the consumer, recorded ones to
     /// the encoder.
     #[must_use]
-    pub fn into_events(self) -> Vec<Event> {
+    pub(crate) fn into_events(self) -> Vec<Event> {
         match self.out {
             Output::Buffer(events) => events,
             Output::Chunks { .. } | Output::Record(_) => {
@@ -285,7 +285,7 @@ impl<'a> TraceSink<'a> {
     ///
     /// Panics when called on a sink that is not in recording mode.
     #[must_use]
-    pub fn into_recorded(self) -> EncodedTrace {
+    pub(crate) fn into_recorded(self) -> EncodedTrace {
         match self.out {
             Output::Record(enc) => enc.finish(),
             Output::Buffer(_) | Output::Chunks { .. } => {

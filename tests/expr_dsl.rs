@@ -3,7 +3,9 @@
 //! of malformed sources, and compile-time rejection of expressions the
 //! closure compiler cannot bound.
 
-use primecache::core::expr::{fold, parse, register_anonymous, BinOp, Expr};
+use primecache::core::expr::{
+    compile, fold, parse, register_anonymous, set_bound, BinOp, Expr, MAX_PARSE_DEPTH,
+};
 use primecache_check::prop::{forall, Rng};
 
 /// A random expression tree, depth-bounded, drawn from a seed so the
@@ -155,6 +157,46 @@ fn parse_never_panics_on_arbitrary_ascii() {
             }
         },
     );
+}
+
+#[test]
+fn the_deepest_accepted_sources_pass_every_stage_on_a_2_mb_stack() {
+    // Each source is at `MAX_PARSE_DEPTH` in parentheses, in operators, or
+    // both, and one level more is a parse error. Every stage `pcache
+    // analyze --expr` runs must get through them in a debug build, whose
+    // frames are the largest, on the stack of a spawned test thread.
+    let max = MAX_PARSE_DEPTH;
+    let sources = [
+        format!("{}a{}", "(".repeat(max), ")".repeat(max)),
+        format!("{}a{}", "a ^ (".repeat(max), ")".repeat(max)),
+        format!("(a{}) & 2047", " + a".repeat(max - 1)),
+        format!("a{}", "[1:1]".repeat(max / 2)),
+    ];
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for src in &sources {
+                let ast = parse(src).expect("a source at the bound parses");
+                let folded = fold(&ast);
+                let _ = compile(&folded);
+                let _ = set_bound(&folded, u64::MAX);
+                let cert = primecache::analyze::certify_expr(src.clone(), &folded, 26);
+                let _ = format!("{cert:?}");
+                assert_eq!(parse(&ast.to_string()).as_ref(), Ok(&ast));
+            }
+            let deeper = [
+                format!("({})", sources[0]),
+                format!("({})", sources[1]),
+                format!("a ^ ({})", sources[2]),
+                format!("a ^ ({})", sources[3]),
+            ];
+            for src in &deeper {
+                assert!(parse(src).is_err(), "one level past the bound: {src}");
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("no stage overflows the stack");
 }
 
 #[test]
