@@ -1,5 +1,7 @@
 //! CLI subcommand implementations.
 
+use std::borrow::Cow;
+
 use primecache_analyze::{
     certify_all, certify_expr, has_errors, model_of, report_json, self_check, xor_folded_model,
     Theorem1,
@@ -7,6 +9,7 @@ use primecache_analyze::{
 use primecache_attack::{
     attack_report_json, eviction_cost, AttackEntry, EvictConfig, RecoveryConfig,
 };
+use primecache_core::expr::ExprError;
 use primecache_core::index::{Geometry, HashKind, SetIndexer, XorFolded};
 use primecache_core::metrics::{
     balance, concentration, strided_addresses, violation_fraction, OnlineMetrics,
@@ -113,7 +116,7 @@ fn parse_scheme(label: &str) -> Result<Scheme, String> {
     let scheme = if let Some(src) = label.strip_prefix("expr:") {
         primecache_core::expr::register_anonymous(src)
             .map(Scheme::Expr)
-            .map_err(|e| format!("invalid expression scheme '{src}': {e}"))?
+            .map_err(|e| format!("invalid expression scheme '{}': {e}", excerpt(src, &e)))?
     } else {
         Scheme::ALL
             .into_iter()
@@ -125,11 +128,48 @@ fn parse_scheme(label: &str) -> Result<Scheme, String> {
         let listed: Vec<String> = lints.iter().map(|l| format!("  {l}")).collect();
         return Err(format!(
             "refusing degenerate {} configuration:\n{}",
-            scheme.label(),
+            window(scheme.label(), 0),
             listed.join("\n")
         ));
     }
     Ok(scheme)
+}
+
+/// A rejected DSL source for an error message: whole when it is short,
+/// otherwise the window around the error's span (the head of the source
+/// when the error has no span), so a long source does not flood the
+/// terminal.
+fn excerpt<'a>(src: &'a str, err: &ExprError) -> Cow<'a, str> {
+    let at = match err {
+        ExprError::Parse(e) => e.span.start,
+        _ => 0,
+    };
+    window(src, at)
+}
+
+/// `text` whole when it is at most 64 bytes long, otherwise a 64-byte
+/// window around byte `at`, cut at char boundaries, with `…` where it
+/// cuts.
+fn window(text: &str, at: usize) -> Cow<'_, str> {
+    let width = 64;
+    if text.len() <= width {
+        return Cow::Borrowed(text);
+    }
+    let mut start = at.saturating_sub(width / 2).min(text.len() - width);
+    while !text.is_char_boundary(start) {
+        start -= 1;
+    }
+    let mut end = start + width;
+    while !text.is_char_boundary(end) {
+        end += 1;
+    }
+    let cut = |cut: bool| if cut { "…" } else { "" };
+    Cow::Owned(format!(
+        "{}{}{}",
+        cut(start > 0),
+        &text[start..end],
+        cut(end < text.len())
+    ))
 }
 
 /// `pcache list [--verbose]`
@@ -210,7 +250,7 @@ fn run(args: &Args) -> i32 {
             return 2;
         }
     };
-    let refs = match args.parsed("--refs", 200_000u64) {
+    let refs = match positive_refs(args, 200_000) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -359,7 +399,8 @@ const SWEEP_SCHEMES: [Scheme; 5] = [
 ];
 
 /// `--refs` as a positive count: zero references leave no Base time to
-/// normalize a sweep or an experiment by.
+/// normalize a run, a sweep or an experiment by, and no blocks to
+/// measure a hash's balance over.
 fn positive_refs(args: &Args, default: u64) -> Result<u64, String> {
     match args.parsed("--refs", default) {
         Ok(0) => Err("--refs must be positive".to_owned()),
@@ -693,7 +734,7 @@ fn analyze_expr(src: &str, args: &Args) -> i32 {
     let id = match registered {
         Ok(id) => id,
         Err(e) => {
-            eprintln!("invalid expression '{src}': {e}");
+            eprintln!("invalid expression '{}': {e}", excerpt(src, &e));
             return 2;
         }
     };
@@ -861,7 +902,7 @@ fn metrics_app(app: &str, args: &Args) -> i32 {
         eprintln!("unknown workload '{app}' (try `pcache list`)");
         return 2;
     };
-    let refs = match args.parsed("--refs", 100_000u64) {
+    let refs = match positive_refs(args, 100_000) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1446,5 +1487,26 @@ mod tests {
             .is_empty());
         assert_eq!(parse_scheme("XOR"), Ok(Scheme::Xor));
         assert!(parse_scheme("expr:a % 2039").is_ok());
+    }
+
+    #[test]
+    fn rejected_sources_are_echoed_in_a_bounded_window() {
+        // Short sources are shown whole.
+        assert_eq!(window("a + a", 0), "a + a");
+        // A long one shows the 64 bytes around the error, marked where
+        // they are cut.
+        let deep = format!("{}a{}", "(".repeat(10_000), ")".repeat(10_000));
+        let err = parse_scheme(&format!("expr:{deep}")).unwrap_err();
+        assert!(err.len() < 200, "{} bytes", err.len());
+        assert!(err.contains("parse error at byte 128..129"), "{err}");
+        assert_eq!(window(&deep, 128), format!("…{}…", "(".repeat(64)));
+        assert_eq!(window(&deep, 20_000), format!("…{}", ")".repeat(64)));
+        // Cuts never split a multi-byte character.
+        let wide = "é".repeat(100);
+        for at in 0..wide.len() {
+            let shown = window(&wide, at);
+            let body = shown.trim_matches('…');
+            assert!(body.chars().all(|c| c == 'é') && body.len() >= 64, "{at}");
+        }
     }
 }

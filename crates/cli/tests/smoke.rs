@@ -115,12 +115,16 @@ fn reproduce_off_the_committed_scale_writes_no_figures() {
 }
 
 #[test]
-fn sweep_rejects_zero_refs_without_panicking() {
-    // Zero references leave no Base time to normalize by: both sweep
-    // paths exit 2 with reproduce's message instead of panicking.
+fn zero_refs_exit_2_without_panicking() {
+    // Zero references leave no Base time to normalize by, and no blocks
+    // to measure a hash's balance over: both sweep paths, a run and the
+    // workload metrics exit 2 with reproduce's message instead of
+    // panicking or printing NaN.
     for argv in [
         &["sweep", "--refs", "0"][..],
         &["sweep", "--tenants", "tree,swim", "--refs", "0"],
+        &["run", "tree", "--refs", "0"],
+        &["metrics", "--app", "tree", "--refs", "0"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pcache"))
             .args(argv)

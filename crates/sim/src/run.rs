@@ -284,7 +284,7 @@ pub fn run_chunks<S: EventChunks>(
 /// replay cursor.
 ///
 /// Decode is bit-identical to live generation (the codec is lossless
-/// and the recording sink sees the same push sequence), so results
+/// and a recording encodes the chunks the live generator pushes), so results
 /// match [`run_workload`] exactly — stats, writeback order, breakdowns —
 /// which the `replay_equivalence` integration test pins for all 23
 /// workloads × every scheme. The run simulates its own live L1; a

@@ -151,6 +151,12 @@ pub fn unzigzag(z: u64) -> i64 {
 }
 
 /// Encodes one event, updating the address-delta context.
+///
+/// Always inlined, so that [`TraceEncoder::push_slice`]'s loop keeps the
+/// output buffer in registers: called out of line, recording a workload
+/// through its pushed chunks measured 15–30% slower than encoding inside
+/// the generator, as recording did before it consumed the chunk push.
+#[inline(always)]
 #[allow(clippy::cast_possible_truncation)]
 fn encode_event(buf: &mut Vec<u8>, prev_addr: &mut u64, ev: Event) {
     let addr_event = |buf: &mut Vec<u8>, prev: &mut u64, kind: u8, flag: u8, addr: u64| {
@@ -349,9 +355,10 @@ impl std::error::Error for FrameError {
 /// Streaming encoder: push events, get an [`EncodedTrace`] of
 /// `chunk_events`-sized [`EncodedChunk`]s back.
 ///
-/// This is the same-thread pull-mode recording path: no generator
-/// thread, no channel — a `TraceSink` in recording mode feeds events
-/// straight into this encoder.
+/// A workload's recording (`Workload::record`) hands it each chunk the
+/// generator pushes, on the generator's thread, through
+/// [`TraceEncoder::push_slice`]; the text importer pushes its events one
+/// at a time.
 #[derive(Debug)]
 pub struct TraceEncoder {
     chunk_events: usize,
@@ -403,6 +410,34 @@ impl TraceEncoder {
         }
     }
 
+    /// Appends every event of `events`, in order: the same bytes as
+    /// [`TraceEncoder::push`] on each, with the encoder's state held in
+    /// locals across each run of events that fits the current chunk.
+    #[allow(clippy::cast_possible_truncation)]
+    pub fn push_slice(&mut self, mut events: &[Event]) {
+        while !events.is_empty() {
+            let room = self.chunk_events - self.in_chunk as usize;
+            let (now, rest) = events.split_at(room.min(events.len()));
+            let mut buf = std::mem::take(&mut self.buf);
+            let mut prev_addr = self.prev_addr;
+            let mut refs = 0;
+            for &ev in now {
+                encode_event(&mut buf, &mut prev_addr, ev);
+                refs += u64::from(ev.is_memory());
+            }
+            self.buf = buf;
+            self.prev_addr = prev_addr;
+            self.refs += refs;
+            self.events += now.len() as u64;
+            // `now` fits the chunk's room, which fits `u32`.
+            self.in_chunk += now.len() as u32;
+            if self.in_chunk as usize == self.chunk_events {
+                self.flush_chunk();
+            }
+            events = rest;
+        }
+    }
+
     fn flush_chunk(&mut self) {
         if self.in_chunk == 0 {
             return;
@@ -449,9 +484,7 @@ impl EncodedTrace {
     #[must_use]
     pub fn encode(events: &[Event], chunk_events: usize) -> Self {
         let mut enc = TraceEncoder::new(chunk_events);
-        for &ev in events {
-            enc.push(ev);
-        }
+        enc.push_slice(events);
         enc.finish()
     }
 

@@ -1,7 +1,7 @@
 //! The [`EventChunks`] abstraction through which recorded sources push
 //! their events into a simulation, chunk by chunk, on the caller's
-//! thread. A replay's chunk push decodes at about the cost of generating
-//! the trace live (measured in DESIGN.md §7).
+//! thread. A replay's chunk push costs more per reference than
+//! generating the trace live (DESIGN.md §7 has both costs).
 
 use primecache_trace::{Event, ReplayCursor};
 

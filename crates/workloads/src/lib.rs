@@ -43,4 +43,4 @@ mod util;
 pub use chunks::EventChunks;
 pub use registry::{all, by_name, non_uniform_names, uniform_names, Workload};
 pub use tenant::{MixConfig, MixCursor, MixStats, TenantMix};
-pub use util::{materialize, record, Lcg, TraceSink, STREAM_CHUNK};
+pub use util::{Lcg, TraceSink, STREAM_CHUNK};

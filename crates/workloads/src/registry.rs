@@ -1,8 +1,8 @@
 //! The registry of all 23 application models.
 
-use primecache_trace::{EncodedTrace, Event};
+use primecache_trace::{EncodedTrace, Event, TraceEncoder};
 
-use crate::util::{materialize, push_chunks, record, TraceSink};
+use crate::util::{push_chunks, TraceSink, STREAM_CHUNK};
 use crate::{grid, md, nas, pointer, sparse, spec_int};
 
 /// One application model: a named deterministic trace generator plus the
@@ -19,32 +19,38 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Materializes a trace with at least `target_refs` memory references.
+    /// Collects the chunks [`Workload::push_chunks`] pushes into one
+    /// trace with at least `target_refs` memory references.
     ///
     /// Peak memory is linear in trace length; prefer
     /// [`Workload::push_chunks`] for large reference counts.
     #[must_use]
     pub fn trace(&self, target_refs: u64) -> Vec<Event> {
-        materialize(self.generator, target_refs)
+        let mut events = Vec::new();
+        self.push_chunks(target_refs, &mut |chunk| events.extend_from_slice(chunk));
+        events
     }
 
-    /// Generates the same event sequence as [`Workload::trace`] on the
-    /// calling thread and hands it to `consume` one chunk at a time, as
-    /// each [`crate::STREAM_CHUNK`]-event buffer fills (the last chunk
-    /// may be shorter; none is empty). Peak memory is that one buffer,
-    /// whatever `target_refs` is.
+    /// Runs the generator on the calling thread and hands `consume` its
+    /// events one chunk at a time, as each [`STREAM_CHUNK`]-event buffer
+    /// fills (the last chunk may be shorter; none is empty). Peak memory
+    /// is that one buffer, whatever `target_refs` is. Every other way of
+    /// producing a workload's events consumes this push.
     pub fn push_chunks(&self, target_refs: u64, consume: &mut dyn FnMut(&[Event])) {
         push_chunks(self.generator, target_refs, consume);
     }
 
-    /// Generates the same event sequence as [`Workload::trace`] **once**,
-    /// on the calling thread, into a compact delta/varint
-    /// [`EncodedTrace`] that can be replayed any number of times
-    /// ([`EncodedTrace::replay`]) — the generate-once path behind trace
-    /// files and recorded runs.
+    /// Encodes the chunks [`Workload::push_chunks`] pushes, on the
+    /// calling thread, into a compact delta/varint [`EncodedTrace`] that
+    /// can be replayed any number of times ([`EncodedTrace::replay`]) —
+    /// the generate-once path behind trace files and recorded runs. The
+    /// encoder cuts a chunk every [`STREAM_CHUNK`] events, so each encoded
+    /// chunk holds one pushed chunk and a replay pushes the live chunks.
     #[must_use]
     pub fn record(&self, target_refs: u64) -> EncodedTrace {
-        record(self.generator, target_refs)
+        let mut encoder = TraceEncoder::new(STREAM_CHUNK);
+        self.push_chunks(target_refs, &mut |chunk| encoder.push_slice(chunk));
+        encoder.finish()
     }
 }
 
@@ -265,6 +271,37 @@ mod tests {
             let refs = trace.iter().filter(|e| e.is_memory()).count();
             assert!(refs >= 1_000, "{}: {refs}", w.name);
         }
+    }
+
+    #[test]
+    fn recorded_trace_matches_the_pushed_events() {
+        fn tiny(t: &mut TraceSink) {
+            let mut g = crate::Lcg::new(99);
+            while !t.done() {
+                t.load(g.below(1 << 20) * 64);
+                t.work(3);
+                t.branch(g.chance(1, 10));
+            }
+        }
+        let w = Workload {
+            name: "tiny",
+            suite: "test",
+            expected_non_uniform: false,
+            generator: tiny,
+        };
+        let recorded = w.record(40_000);
+        let buffered = w.trace(40_000);
+        assert_eq!(recorded.decode_all().unwrap(), buffered);
+        assert_eq!(recorded.events(), buffered.len() as u64);
+        assert_eq!(recorded.refs(), 40_000);
+        // Chunk boundaries mirror the live push path's STREAM_CHUNK.
+        assert_eq!(recorded.chunk_events(), STREAM_CHUNK);
+        // The compactness target the format exists for.
+        assert!(
+            recorded.bytes_per_event() < 5.0,
+            "{} B/event",
+            recorded.bytes_per_event()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Generator utilities: deterministic PRNG and trace-emission helpers.
 
-use primecache_trace::{EncodedTrace, Event, TraceEncoder};
+use primecache_trace::Event;
 
 /// A 64-bit linear congruential generator (Knuth's MMIX multiplier).
 ///
@@ -84,13 +84,13 @@ impl Lcg {
     }
 }
 
-/// Events per chunk a live generator hands its consumer
-/// ([`crate::Workload::push_chunks`]), and the chunk cadence of every
-/// recorded trace ([`record`]).
+/// Events per chunk a generator pushes ([`crate::Workload::push_chunks`]),
+/// and so the chunk cadence of every recorded trace
+/// ([`crate::Workload::record`] encodes one chunk per pushed chunk).
 ///
 /// Large enough that a consumer's per-chunk work (one call, one stats
 /// check) vanishes against the events inside, small enough that the one
-/// chunk buffer a live run holds stays well under a megabyte.
+/// chunk buffer a generator holds stays well under a megabyte.
 ///
 /// Public because bit-exact trace round trips depend on it: an importer
 /// that re-encodes an exported trace must cut chunks at the same cadence
@@ -98,34 +98,22 @@ impl Lcg {
 /// does, and `ci/ingest_smoke.sh` `cmp`s the files).
 pub const STREAM_CHUNK: usize = 16384;
 
-/// Where a [`TraceSink`] delivers its events.
-enum Output<'a> {
-    /// Materialize the whole trace (`Workload::trace`, tests).
-    Buffer(Vec<Event>),
-    /// Same-thread push: events fill one `STREAM_CHUNK` buffer, which is
-    /// handed to `consume` each time it fills and once more, partial, at
-    /// the end. Memory stays O(1) in trace length.
-    Chunks {
-        chunk: Vec<Event>,
-        consume: &'a mut dyn FnMut(&[Event]),
-    },
-    /// Same-thread recording: events go straight into a delta/varint
-    /// [`TraceEncoder`], producing the compact [`EncodedTrace`] that
-    /// trace files and recorded runs replay.
-    Record(TraceEncoder),
-}
-
-/// Builder that appends events while tracking how many memory references
-/// have been emitted — generators loop until [`TraceSink::done`].
+/// What a generator emits its events through: one [`STREAM_CHUNK`]-event
+/// buffer, handed to the sink's consumer each time it fills, and a count
+/// of the memory references emitted — generators loop until
+/// [`TraceSink::done`].
 ///
 /// The generator contract: a generator is a `fn(&mut TraceSink)` that
-/// emits a deterministic event sequence (independent of the output
-/// mode) and polls `done()` at least once per bounded number of events.
-/// The same generator therefore serves the materialized
-/// `Workload::trace` path, the chunk-pushing `Workload::push_chunks`
-/// path and `Workload::record`, all on the calling thread.
+/// emits a deterministic event sequence and polls `done()` at least once
+/// per bounded number of events. Pushing chunks is all a sink does, so
+/// every way of running a workload — the live chunk push
+/// ([`crate::Workload::push_chunks`]), the materialized trace
+/// ([`crate::Workload::trace`]) and the recording
+/// ([`crate::Workload::record`]) — consumes the same pushed chunks, on
+/// the calling thread.
 pub struct TraceSink<'a> {
-    out: Output<'a>,
+    chunk: Vec<Event>,
+    consume: &'a mut dyn FnMut(&[Event]),
     refs: u64,
     target: u64,
 }
@@ -140,40 +128,13 @@ impl std::fmt::Debug for TraceSink<'_> {
 }
 
 impl<'a> TraceSink<'a> {
-    /// Creates a buffering sink, pre-allocating for `target_refs`
-    /// references.
-    #[must_use]
-    pub(crate) fn with_target(target_refs: u64) -> Self {
+    /// Creates a sink that hands `consume` every full [`STREAM_CHUNK`]-event
+    /// chunk as it fills; [`TraceSink::finish`] hands over the last,
+    /// partial one.
+    pub(crate) fn new(target_refs: u64, consume: &'a mut dyn FnMut(&[Event])) -> Self {
         Self {
-            out: Output::Buffer(Vec::with_capacity(
-                (target_refs as usize).saturating_mul(2).min(1 << 26),
-            )),
-            refs: 0,
-            target: target_refs,
-        }
-    }
-
-    /// Creates a sink that hands `consume` every full
-    /// [`STREAM_CHUNK`]-event chunk as it fills (used by
-    /// [`crate::Workload::push_chunks`]); [`TraceSink::finish`] hands
-    /// over the last, partial one.
-    pub(crate) fn for_chunks(target_refs: u64, consume: &'a mut dyn FnMut(&[Event])) -> Self {
-        Self {
-            out: Output::Chunks {
-                chunk: Vec::with_capacity(STREAM_CHUNK),
-                consume,
-            },
-            refs: 0,
-            target: target_refs,
-        }
-    }
-
-    /// Creates a recording sink that encodes events on the calling
-    /// thread in `chunk_events`-sized encoded chunks (used by
-    /// [`record`] / [`crate::Workload::record`]).
-    pub(crate) fn for_recording(target_refs: u64, chunk_events: usize) -> Self {
-        Self {
-            out: Output::Record(TraceEncoder::new(chunk_events)),
+            chunk: Vec::with_capacity(STREAM_CHUNK),
+            consume,
             refs: 0,
             target: target_refs,
         }
@@ -197,13 +158,23 @@ impl<'a> TraceSink<'a> {
         self.refs >= self.target
     }
 
+    /// Appends `ev`, flushing the chunk once it holds [`STREAM_CHUNK`]
+    /// events. Small enough to inline into every generator loop; the
+    /// flush is the one out-of-line call.
     #[inline]
     fn push(&mut self, ev: Event) {
-        match &mut self.out {
-            Output::Buffer(events) => events.push(ev),
-            Output::Chunks { chunk, consume } => push_chunked(chunk, *consume, ev),
-            Output::Record(enc) => enc.push(ev),
+        self.chunk.push(ev);
+        if self.chunk.len() == STREAM_CHUNK {
+            self.flush();
         }
+    }
+
+    /// Hands the chunk to the consumer and empties it.
+    #[cold]
+    #[inline(never)]
+    fn flush(&mut self) {
+        (self.consume)(&self.chunk);
+        self.chunk.clear();
     }
 
     /// Emits an independent load.
@@ -250,88 +221,13 @@ impl<'a> TraceSink<'a> {
         self.push(Event::Branch { mispredict });
     }
 
-    /// Hands the last, partial chunk of a chunk-pushing sink to its
-    /// consumer (no-op when it is empty, and when buffering or recording
-    /// — the encoder flushes in `into_recorded`).
-    pub(crate) fn finish(&mut self) {
-        if let Output::Chunks { chunk, consume } = &mut self.out {
-            if !chunk.is_empty() {
-                consume(chunk);
-                chunk.clear();
-            }
+    /// Hands the last, partial chunk to the consumer (nothing when it is
+    /// empty, so no pushed chunk is).
+    pub(crate) fn finish(mut self) {
+        if !self.chunk.is_empty() {
+            self.flush();
         }
     }
-
-    /// Finishes a buffered trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a chunk-pushing or recording sink; pushed
-    /// events have already been handed to the consumer, recorded ones to
-    /// the encoder.
-    #[must_use]
-    pub(crate) fn into_events(self) -> Vec<Event> {
-        match self.out {
-            Output::Buffer(events) => events,
-            Output::Chunks { .. } | Output::Record(_) => {
-                panic!("into_events on a non-buffering TraceSink")
-            }
-        }
-    }
-
-    /// Finishes a recorded trace, sealing the final encoded chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a sink that is not in recording mode.
-    #[must_use]
-    pub(crate) fn into_recorded(self) -> EncodedTrace {
-        match self.out {
-            Output::Record(enc) => enc.finish(),
-            Output::Buffer(_) | Output::Chunks { .. } => {
-                panic!("into_recorded on a non-recording TraceSink")
-            }
-        }
-    }
-}
-
-/// Appends `ev` to `chunk`, handing the chunk to `consume` (and
-/// emptying it) once it holds `STREAM_CHUNK` events. Kept out of line
-/// so the push inlined into every generator stays small enough to
-/// inline.
-#[inline(never)]
-fn push_chunked(chunk: &mut Vec<Event>, consume: &mut dyn FnMut(&[Event]), ev: Event) {
-    chunk.push(ev);
-    if chunk.len() == STREAM_CHUNK {
-        consume(chunk);
-        chunk.clear();
-    }
-}
-
-/// Runs a generator to completion into a materialized `Vec`.
-///
-/// This is the legacy-compatible path: `materialize(f, n)` produces
-/// exactly the event sequence the pre-streaming `fn(u64) -> Vec<Event>`
-/// generators returned.
-#[must_use]
-pub fn materialize(generator: fn(&mut TraceSink), target_refs: u64) -> Vec<Event> {
-    let mut sink = TraceSink::with_target(target_refs);
-    generator(&mut sink);
-    sink.into_events()
-}
-
-/// Runs a generator to completion on the calling thread,
-/// encoding its events into a compact [`EncodedTrace`].
-///
-/// It produces exactly the event sequence [`materialize`] and
-/// [`crate::Workload::push_chunks`] deliver (generators are
-/// deterministic and output-mode-blind), stored at a few bytes per event
-/// instead of 16.
-#[must_use]
-pub fn record(generator: fn(&mut TraceSink), target_refs: u64) -> EncodedTrace {
-    let mut sink = TraceSink::for_recording(target_refs, STREAM_CHUNK);
-    generator(&mut sink);
-    sink.into_recorded()
 }
 
 /// Runs a generator to completion on the calling thread, handing
@@ -343,9 +239,18 @@ pub(crate) fn push_chunks(
     target_refs: u64,
     consume: &mut dyn FnMut(&[Event]),
 ) {
-    let mut sink = TraceSink::for_chunks(target_refs, consume);
+    let mut sink = TraceSink::new(target_refs, consume);
     generator(&mut sink);
     sink.finish();
+}
+
+/// Collects a generator's pushed chunks into one `Vec`: the generator
+/// unit tests' view of a trace.
+#[cfg(test)]
+pub(crate) fn materialize(generator: fn(&mut TraceSink), target_refs: u64) -> Vec<Event> {
+    let mut events = Vec::new();
+    push_chunks(generator, target_refs, &mut |c| events.extend_from_slice(c));
+    events
 }
 
 #[cfg(test)]
@@ -381,33 +286,44 @@ mod tests {
         assert!(small > n * 4 / 10, "{small} of {n} draws below 25%");
     }
 
+    /// Runs `emit` on a sink with a `target` of references, then
+    /// finishes it, and returns the events the sink pushed.
+    fn pushed(target: u64, emit: impl FnOnce(&mut TraceSink)) -> Vec<Event> {
+        let mut events = Vec::new();
+        let mut consume = |c: &[Event]| events.extend_from_slice(c);
+        let mut sink = TraceSink::new(target, &mut consume);
+        emit(&mut sink);
+        sink.finish();
+        events
+    }
+
     #[test]
     fn sink_counts_only_memory_refs() {
-        let mut sink = TraceSink::with_target(10);
-        sink.load(0);
-        sink.work(5);
-        sink.store(64);
-        sink.branch(false);
-        sink.chase(128);
-        assert_eq!(sink.refs(), 3);
-        assert_eq!(sink.into_events().len(), 5);
+        let events = pushed(10, |sink| {
+            sink.load(0);
+            sink.work(5);
+            sink.store(64);
+            sink.branch(false);
+            sink.chase(128);
+            assert_eq!(sink.refs(), 3);
+        });
+        assert_eq!(events.len(), 5);
     }
 
     #[test]
     fn work_zero_is_elided() {
-        let mut sink = TraceSink::with_target(1);
-        sink.work(0);
-        assert!(sink.into_events().is_empty());
+        assert!(pushed(1, |sink| sink.work(0)).is_empty());
     }
 
     #[test]
     fn done_tracks_target() {
-        let mut sink = TraceSink::with_target(2);
-        assert!(!sink.done());
-        sink.load(0);
-        assert!(!sink.done());
-        sink.load(64);
-        assert!(sink.done());
+        pushed(2, |sink| {
+            assert!(!sink.done());
+            sink.load(0);
+            assert!(!sink.done());
+            sink.load(64);
+            assert!(sink.done());
+        });
     }
 
     fn counting(t: &mut TraceSink) {
@@ -422,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn pushed_chunks_concatenate_to_the_materialized_trace() {
+    fn pushed_chunks_concatenate_to_the_emitted_sequence() {
         for target in [0, 1, 10_000, 3 * STREAM_CHUNK as u64] {
             let mut chunks: Vec<Vec<Event>> = Vec::new();
             push_chunks(counting, target, &mut |c| chunks.push(c.to_vec()));
@@ -431,33 +347,14 @@ mod tests {
                 assert!(!c.is_empty() && c.len() <= STREAM_CHUNK, "{target}");
                 assert!(i + 1 == chunks.len() || c.len() == STREAM_CHUNK, "{target}");
             }
-            assert_eq!(chunks.concat(), materialize(counting, target), "{target}");
+            let emitted: Vec<Event> = (0..target)
+                .flat_map(|i| {
+                    let work = i.is_multiple_of(7).then_some(Event::Work(3));
+                    std::iter::once(Event::load(i * 64)).chain(work)
+                })
+                .collect();
+            assert_eq!(chunks.concat(), emitted, "{target}");
         }
-    }
-
-    #[test]
-    fn recorded_trace_matches_materialized() {
-        fn tiny(t: &mut TraceSink) {
-            let mut g = Lcg::new(99);
-            while !t.done() {
-                t.load(g.below(1 << 20) * 64);
-                t.work(3);
-                t.branch(g.chance(1, 10));
-            }
-        }
-        let recorded = record(tiny, 40_000);
-        let buffered = materialize(tiny, 40_000);
-        assert_eq!(recorded.decode_all().unwrap(), buffered);
-        assert_eq!(recorded.events(), buffered.len() as u64);
-        assert_eq!(recorded.refs(), 40_000);
-        // Chunk boundaries mirror the live push path's STREAM_CHUNK.
-        assert_eq!(recorded.chunk_events(), STREAM_CHUNK);
-        // The compactness target the format exists for.
-        assert!(
-            recorded.bytes_per_event() < 5.0,
-            "{} B/event",
-            recorded.bytes_per_event()
-        );
     }
 
     #[test]
