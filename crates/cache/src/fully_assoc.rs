@@ -3,9 +3,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use primecache_obs::{Level, ObsHandle};
-
-use crate::{CacheSim, CacheStats};
+use crate::{CacheOutcome, CacheSim, CacheStats, Evicted};
 
 /// Deterministic multiplicative hasher for block addresses.
 ///
@@ -92,9 +90,6 @@ pub struct FullyAssociative {
     /// Occupied slots (slots fill in order until capacity).
     live: usize,
     stats: CacheStats,
-    pending_writebacks: Vec<u64>,
-    /// Eviction recorder, tagged with the level this cache plays.
-    obs: Option<(Level, ObsHandle)>,
 }
 
 impl FullyAssociative {
@@ -140,15 +135,7 @@ impl FullyAssociative {
             live: 0,
             // All stats land in a single pseudo-set.
             stats: CacheStats::new(1),
-            pending_writebacks: Vec::new(),
-            obs: None,
         }
-    }
-
-    /// Attaches an observability recorder; evictions are reported to it
-    /// tagged with `level` (set 0 — the single pseudo-set).
-    pub fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        self.obs = Some((level, handle));
     }
 
     /// Point-in-time occupancy snapshot: resident lines, as a single
@@ -156,12 +143,6 @@ impl FullyAssociative {
     #[must_use]
     pub fn occupancy(&self) -> Vec<u64> {
         vec![self.live as u64]
-    }
-
-    /// Drains the block addresses written back since the last call, in
-    /// place (the buffer keeps its capacity).
-    pub fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        self.pending_writebacks.drain(..)
     }
 
     /// Links `slot`, which is on no list, in at the head.
@@ -196,42 +177,47 @@ impl FullyAssociative {
         self.push_head(slot);
     }
 
-    /// Simulates an access to a block address directly.
-    pub fn access_block(&mut self, block: u64, write: bool) -> bool {
+    /// Simulates an access to a block address: the cache's one access
+    /// path. Every access counts in the single pseudo-set 0.
+    pub fn access_block(&mut self, block: u64, write: bool) -> CacheOutcome {
         if let Some(&slot) = self.slot_of.get(&block) {
             self.move_to_head(slot);
             self.dirty[slot as usize] |= write;
             self.stats.record(0, false, write);
-            return true;
+            return CacheOutcome {
+                set: 0,
+                hit: true,
+                evicted: None,
+            };
         }
         self.stats.record(0, true, write);
-        let slot = if self.live == self.capacity_lines {
+        let (slot, evicted) = if self.live == self.capacity_lines {
             // Evict the least recently used block: the tail.
             let slot = self.tail;
-            let victim_block = self.blocks[slot as usize];
-            self.slot_of.remove(&victim_block).expect("victim resident");
-            let dirty = self.dirty[slot as usize];
-            if dirty {
-                self.stats.record_writeback();
-                self.pending_writebacks.push(victim_block);
-            }
-            if let Some((level, h)) = &self.obs {
-                h.borrow_mut().eviction(*level, 0, dirty);
-            }
+            let victim = Evicted {
+                block: self.blocks[slot as usize],
+                dirty: self.dirty[slot as usize],
+            };
+            self.slot_of.remove(&victim.block).expect("victim resident");
+            self.stats.record_eviction(0, victim.dirty);
             self.move_to_head(slot);
-            slot
+            (slot, Some(victim))
         } else {
             // `new` caps the capacity below `u32::MAX`, so every slot
             // fits the u32 links and map values.
             let slot = u32::try_from(self.live).expect("slot fits u32");
             self.live += 1;
             self.push_head(slot);
-            slot
+            (slot, None)
         };
         self.blocks[slot as usize] = block;
         self.dirty[slot as usize] = write;
         self.slot_of.insert(block, slot);
-        false
+        CacheOutcome {
+            set: 0,
+            hit: false,
+            evicted,
+        }
     }
 
     /// Returns `true` if `addr`'s block is resident.
@@ -243,7 +229,7 @@ impl FullyAssociative {
 
 impl CacheSim for FullyAssociative {
     fn access(&mut self, addr: u64, write: bool) -> bool {
-        self.access_block(addr >> self.line_shift, write)
+        self.access_block(addr >> self.line_shift, write).hit
     }
 
     fn stats(&self) -> &CacheStats {
@@ -287,8 +273,16 @@ mod tests {
         let mut fa = FullyAssociative::new(2 * 64, 64);
         fa.access_block(0, true);
         fa.access_block(1, false);
-        fa.access_block(2, false); // evicts dirty block 0
+        let out = fa.access_block(2, false); // evicts dirty block 0
+        let victim = Evicted {
+            block: 0,
+            dirty: true,
+        };
+        assert_eq!(out.evicted, Some(victim));
         assert_eq!(fa.stats().writebacks, 1);
+        let out = fa.access_block(3, false); // evicts clean block 1
+        assert_eq!(out.evicted.map(|v| (v.block, v.dirty)), Some((1, false)));
+        assert_eq!((fa.stats().writebacks, fa.stats().evictions), (1, 2));
     }
 
     #[test]
@@ -313,10 +307,11 @@ mod tests {
     #[test]
     fn single_line_cache_works() {
         let mut fa = FullyAssociative::new(64, 64);
-        assert!(!fa.access_block(1, true));
-        assert!(fa.access_block(1, false));
-        assert!(!fa.access_block(2, false)); // evicts dirty block 1
-        assert_eq!(fa.take_writebacks().as_slice(), [1]);
+        assert!(!fa.access_block(1, true).hit);
+        assert!(fa.access_block(1, false).hit);
+        let out = fa.access_block(2, false); // evicts dirty block 1
+        assert!(!out.hit);
+        assert_eq!(out.evicted.map(|v| (v.block, v.dirty)), Some((1, true)));
     }
 
     #[test]
@@ -333,13 +328,11 @@ mod tests {
         assert!(fa.contains(3 * 64));
     }
 
-    /// The recency list must replay exact LRU: same hits, same
-    /// writeback sequence, against the check crate's single-set LRU
-    /// oracle.
+    /// The recency list must replay exact LRU: same hits, same victims,
+    /// against the check crate's single-set LRU oracle.
     #[test]
     fn matches_naive_lru_model() {
         let mut naive = OracleCache::new(1, 16, OraclePolicy::Lru, |_| 0);
-        let mut writebacks = Vec::new();
         let mut fa = FullyAssociative::new(16 * 64, 64);
         let mut x = 0x1234_5678_9ABC_DEF0u64;
         for i in 0..50_000u64 {
@@ -349,9 +342,12 @@ mod tests {
             let block = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % 48;
             let write = i % 3 == 0;
             let want = naive.access_block(block, write);
-            assert_eq!(fa.access_block(block, write), want.hit);
-            writebacks.extend(want.writeback);
+            let got = fa.access_block(block, write);
+            // The oracle's `Evicted` is the check crate's build of this
+            // crate's type, so compare the fields.
+            let want_victim = want.evicted.map(|v| (v.block, v.dirty));
+            let got_victim = got.evicted.map(|v| (v.block, v.dirty));
+            assert_eq!((got.hit, got_victim), (want.hit, want_victim), "{i}");
         }
-        assert_eq!(fa.take_writebacks().as_slice(), writebacks);
     }
 }

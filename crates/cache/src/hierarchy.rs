@@ -17,8 +17,8 @@ use primecache_core::index::{
 use primecache_obs::{Level, ObsHandle};
 
 use crate::{
-    bank_disp_factor, Cache, CacheConfig, CacheSim, CacheStats, FullyAssociative, SkewHashKind,
-    SkewedCache, SkewedConfig,
+    bank_disp_factor, Cache, CacheConfig, CacheOutcome, CacheSim, CacheStats, FullyAssociative,
+    SkewHashKind, SkewedCache, SkewedConfig,
 };
 
 /// Which component serviced a memory access.
@@ -202,27 +202,18 @@ pub trait HierarchyOp<L: L1Sim = Cache<Traditional>> {
     fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X, L>) -> Self::Out;
 }
 
-/// What one demand access did at the L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct L1Outcome {
-    /// The L1 set the access indexed.
-    pub set: usize,
-    /// Whether the access hit.
-    pub hit: bool,
-    /// The block address (in L1 lines) of the dirty line a miss's fill
-    /// evicted, if it evicted one: the write the hierarchy forwards into
-    /// the L2. A fill evicts at most one line.
-    pub victim: Option<u64>,
-}
-
 /// The L1 interface the hierarchy drives: the live paper L1
 /// (`Cache<Traditional>`), or a replay of the outcomes such an L1
 /// produced over the same references. Nothing below the L1 feeds back
 /// into it (no back-invalidation; the prefetcher fills only the L2), so
 /// the two are interchangeable under every L2.
 pub trait L1Sim {
-    /// One demand access (write-allocate, write-back).
-    fn access(&mut self, addr: u64, write: bool) -> L1Outcome;
+    /// One demand access to `block` (in L1 lines; write-allocate,
+    /// write-back), and what it did. Every dirty victim must be
+    /// reported: the hierarchy writes it into the L2. A clean one
+    /// matters only to an attached recorder, which only a hierarchy
+    /// around the live L1 takes, so a replay may report it as none.
+    fn access(&mut self, block: u64, write: bool) -> CacheOutcome;
 
     /// Demand statistics. A replay has only its recording's, which
     /// describe the whole recorded run.
@@ -231,15 +222,8 @@ pub trait L1Sim {
 
 impl L1Sim for Cache<Traditional> {
     #[inline]
-    fn access(&mut self, addr: u64, write: bool) -> L1Outcome {
-        let (set, hit) = self.access_indexed(addr, write);
-        // A hit evicts nothing, and a miss's fill at most one line.
-        let victim = if hit {
-            None
-        } else {
-            self.take_writebacks().next()
-        };
-        L1Outcome { set, hit, victim }
+    fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
+        self.access_block(block, write)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -251,102 +235,61 @@ impl L1Sim for Cache<Traditional> {
 /// organizations; the hierarchy is generic over it so a concrete L2 type
 /// monomorphizes the whole access path.
 pub trait L2Sim {
-    /// A demand access (always a read at the L2: write misses
-    /// write-allocate through the L1 fill). Returns `(stats_set, hit)`.
-    fn demand_access(&mut self, addr: u64) -> (usize, bool);
+    /// One access to `block` (in L2 lines), and what it did: a demand
+    /// read (write misses write-allocate through the L1 fill), an L1
+    /// victim's write, or a prefetch fill.
+    fn access(&mut self, block: u64, write: bool) -> CacheOutcome;
 
-    /// A non-demand access: L1 writeback writes and prefetch fills.
-    fn plain_access(&mut self, addr: u64, write: bool) -> bool;
-
-    /// Raw statistics (demand + writeback traffic).
+    /// The cache's own statistics: every access, demand or not, and
+    /// every eviction.
     fn stats(&self) -> &CacheStats;
-
-    /// Drains, in place, the dirty-victim block addresses accumulated
-    /// since the last call.
-    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64>;
 
     /// Point-in-time occupancy snapshot (valid lines per set).
     fn occupancy(&self) -> Vec<u64>;
-
-    /// Attaches an eviction recorder tagged with `level`.
-    fn attach_obs(&mut self, level: Level, handle: ObsHandle);
 }
 
 impl<I: SetIndexer> L2Sim for Cache<I> {
-    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
-        self.access_indexed(addr, false)
-    }
-
-    fn plain_access(&mut self, addr: u64, write: bool) -> bool {
-        self.access(addr, write)
+    #[inline]
+    fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
+        self.access_block(block, write)
     }
 
     fn stats(&self) -> &CacheStats {
         CacheSim::stats(self)
-    }
-
-    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        Cache::take_writebacks(self)
     }
 
     fn occupancy(&self) -> Vec<u64> {
         Cache::occupancy(self)
     }
-
-    fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        Cache::attach_obs(self, level, handle);
-    }
 }
 
 impl<B: SetIndexer> L2Sim for SkewedCache<B> {
-    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
-        self.access_indexed(addr, false)
-    }
-
-    fn plain_access(&mut self, addr: u64, write: bool) -> bool {
-        self.access(addr, write)
+    #[inline]
+    fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
+        self.access_block(block, write)
     }
 
     fn stats(&self) -> &CacheStats {
         CacheSim::stats(self)
-    }
-
-    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        SkewedCache::take_writebacks(self)
     }
 
     fn occupancy(&self) -> Vec<u64> {
         SkewedCache::occupancy(self)
     }
-
-    fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        SkewedCache::attach_obs(self, level, handle);
-    }
 }
 
 impl L2Sim for FullyAssociative {
-    fn demand_access(&mut self, addr: u64) -> (usize, bool) {
-        (0, self.access(addr, false))
-    }
-
-    fn plain_access(&mut self, addr: u64, write: bool) -> bool {
-        self.access(addr, write)
+    #[inline]
+    fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
+        self.access_block(block, write)
     }
 
     fn stats(&self) -> &CacheStats {
         CacheSim::stats(self)
     }
 
-    fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        FullyAssociative::take_writebacks(self)
-    }
-
     fn occupancy(&self) -> Vec<u64> {
         FullyAssociative::occupancy(self)
-    }
-
-    fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        FullyAssociative::attach_obs(self, level, handle);
     }
 }
 
@@ -363,16 +306,23 @@ impl L2Sim for FullyAssociative {
 /// 3. on an L2 demand miss with prefetching on, the following lines are
 ///    then installed in the L2;
 /// 4. the L1 fill's dirty victim, if any, is then written into the L2.
-///    It counts in the L2 cache's own statistics ([`L2Sim::stats`]), not
-///    as demand traffic;
+///    It counts in the L2 cache's own statistics
+///    ([`Hierarchy::l2_cache_stats`]), not as demand traffic;
 /// 5. the dirty L2 victims of steps 2–4 become memory write traffic, in
-///    eviction order ([`Hierarchy::take_memory_writes`]), queued in the
-///    L2's own writeback buffer until taken.
+///    eviction order: each cache access returns what it evicted
+///    ([`CacheOutcome`]), and the hierarchy queues the dirty L2 victims
+///    until [`Hierarchy::take_memory_writes`] takes them.
+///
+/// Every cache counts its own evictions ([`CacheStats::evictions`]).
+/// The hierarchy is the one place that acts on an outcome: it also
+/// reports each demand access, and each eviction ahead of the access
+/// event of the access that caused it, to an attached recorder
+/// ([`Hierarchy::attach_obs`]).
 ///
 /// The L1 (`L`) is live by default. A hierarchy around a replayed L1
 /// ([`HierarchyConfig::build_around`]) applies the same steps to the
-/// recorded outcomes; it has no L1 to observe, so
-/// [`Hierarchy::attach_obs`] exists only for the live one.
+/// recorded outcomes; [`Hierarchy::attach_obs`] exists only for the
+/// live one.
 ///
 /// # Examples
 ///
@@ -391,11 +341,15 @@ pub struct Hierarchy<X: L2Sim, L: L1Sim = Cache<Traditional>> {
     config: HierarchyConfig,
     l1: L,
     l2: X,
+    /// Shifts from a byte address to an L1 and an L2 block address.
+    l1_shift: u32,
+    l2_shift: u32,
     /// Demand stats of the L2 only (excludes L1 writeback traffic), used
     /// by the figures.
     l2_demand: CacheStats,
-    /// Demand-access recorder (evictions are reported by the caches
-    /// themselves through their own attached handles).
+    /// Dirty L2 victims not yet taken, in eviction order.
+    memory_writes: Vec<u64>,
+    /// The recorder that sees demand accesses and evictions.
     obs: Option<ObsHandle>,
 }
 
@@ -408,7 +362,10 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
         Self {
             l1,
             l2,
+            l1_shift: config.l1.line_bytes().trailing_zeros(),
+            l2_shift: config.l2.line_bytes().trailing_zeros(),
             l2_demand: CacheStats::new(n_demand_sets),
+            memory_writes: Vec::new(),
             obs: None,
             config,
         }
@@ -430,40 +387,59 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
 
     /// Simulates one demand access.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        let l1 = self.l1.access(addr, write);
+        let l1 = self.l1.access(addr >> self.l1_shift, write);
         if let Some(h) = &self.obs {
-            h.borrow_mut()
-                .cache_access(Level::L1, l1.set as u32, l1.hit, write);
+            let mut rec = h.borrow_mut();
+            if let Some(victim) = l1.evicted {
+                rec.eviction(Level::L1, l1.set as u32, victim.dirty);
+            }
+            rec.cache_access(Level::L1, l1.set as u32, l1.hit, write);
         }
         if l1.hit {
             return AccessOutcome::L1Hit;
         }
         // L1 miss: demand access to L2. The fill into L1 has happened;
         // its dirty victim is forwarded below.
-        let (l2_set, l2_hit) = self.l2.demand_access(addr);
-        self.l2_demand.record(l2_set, !l2_hit, write);
+        let block = addr >> self.l2_shift;
+        let l2 = self.l2_access(block, false);
+        self.l2_demand.record(l2.set, !l2.hit, write);
         if let Some(h) = &self.obs {
             h.borrow_mut()
-                .cache_access(Level::L2, l2_set as u32, l2_hit, write);
+                .cache_access(Level::L2, l2.set as u32, l2.hit, write);
         }
-        if !l2_hit && self.config.prefetch_depth > 0 {
+        if !l2.hit && self.config.prefetch_depth > 0 {
             // Idealized next-line prefetch: install the following lines.
-            let line = self.config.l2.line_bytes();
             for i in 1..=u64::from(self.config.prefetch_depth) {
-                self.l2.plain_access(addr + i * line, false);
+                self.l2_access(block + i, false);
             }
         }
         // Forward the L1 fill's dirty victim into the L2 (write-allocate
-        // on miss); the L2's own victims wait for `take_memory_writes`.
-        if let Some(block) = l1.victim {
-            self.l2
-                .plain_access(block * self.config.l1.line_bytes(), true);
+        // on miss).
+        if let Some(victim) = l1.evicted.filter(|v| v.dirty) {
+            self.l2_access((victim.block << self.l1_shift) >> self.l2_shift, true);
         }
-        if l2_hit {
+        if l2.hit {
             AccessOutcome::L2Hit
         } else {
             AccessOutcome::Memory
         }
+    }
+
+    /// One L2 access: its dirty victim, if any, joins the memory writes,
+    /// and an attached recorder sees the eviction.
+    #[inline]
+    fn l2_access(&mut self, block: u64, write: bool) -> CacheOutcome {
+        let out = self.l2.access(block, write);
+        if let Some(victim) = out.evicted {
+            if victim.dirty {
+                self.memory_writes.push(victim.block);
+            }
+            if let Some(h) = &self.obs {
+                h.borrow_mut()
+                    .eviction(Level::L2, out.set as u32, victim.dirty);
+            }
+        }
+        out
     }
 
     /// L1 statistics.
@@ -473,17 +449,25 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
     }
 
     /// L2 *demand* statistics: only L1 misses, the traffic the paper's
-    /// figures count.
+    /// figures count. They count no evictions.
     #[must_use]
     pub fn l2_stats(&self) -> &CacheStats {
         &self.l2_demand
+    }
+
+    /// The L2 cache's own statistics: demand reads, L1 victims' writes
+    /// and prefetch fills, and every eviction they caused (a dirty one
+    /// is a writeback, i.e. a memory write).
+    #[must_use]
+    pub fn l2_cache_stats(&self) -> &CacheStats {
+        self.l2.stats()
     }
 
     /// Drains the block addresses of dirty L2 victims sent to memory
     /// since the last call (DRAM write traffic), in eviction order. The
     /// buffer drains in place and keeps its capacity.
     pub fn take_memory_writes(&mut self) -> std::vec::Drain<'_, u64> {
-        self.l2.take_writebacks()
+        self.memory_writes.drain(..)
     }
 }
 
@@ -500,13 +484,11 @@ impl<X: L2Sim> Hierarchy<X> {
         Self::with_parts(config, config.live_l1(), l2)
     }
 
-    /// Attaches one observability recorder to the whole hierarchy: the
-    /// hierarchy reports demand accesses (L1, and L2 demand traffic —
-    /// the counts the paper's figures use), and each level reports its
-    /// own evictions.
+    /// Attaches one observability recorder to the whole hierarchy: it
+    /// sees the demand accesses (L1, and L2 demand traffic — the counts
+    /// the paper's figures use) and every eviction at both levels, each
+    /// eviction ahead of the access event of the access that caused it.
     pub fn attach_obs(&mut self, handle: ObsHandle) {
-        self.l1.attach_obs(Level::L1, handle.clone());
-        self.l2.attach_obs(Level::L2, handle.clone());
         self.obs = Some(handle);
     }
 }
@@ -591,10 +573,7 @@ mod tests {
         for i in 0..1000u64 {
             h.access(i * 16 * 1024, true); // L1 is 16 KB: same L1 set region
         }
-        assert!(
-            CacheSim::stats(&h.l2).writes > 0,
-            "L1 writebacks must reach L2"
-        );
+        assert!(h.l2_cache_stats().writes > 0, "L1 writebacks must reach L2");
     }
 
     #[test]

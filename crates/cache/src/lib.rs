@@ -15,8 +15,11 @@
 //!   serviced each access (drives the timing model),
 //! * [`Tlb`] — a TLB that also caches the partial prime-modulo computation
 //!   (§3.1.1),
-//! * [`CacheStats`] — hit/miss/writeback counters plus per-set access and
-//!   miss histograms (for the §4 uniformity classification and Fig. 13).
+//! * [`CacheStats`] — hit/miss/eviction/writeback counters plus per-set
+//!   access, miss and eviction histograms (for the §4 uniformity
+//!   classification and Fig. 13),
+//! * [`CacheOutcome`] — what one access did: the set it indexed, whether
+//!   it hit, and the line its fill [`Evicted`].
 //!
 //! # Examples
 //!
@@ -52,7 +55,7 @@ mod victim;
 pub use config::{CacheConfig, ReplacementKind, SkewHashKind, SkewReplacement, SkewedConfig};
 pub use fully_assoc::FullyAssociative;
 pub use hierarchy::{
-    AccessOutcome, Hierarchy, HierarchyConfig, HierarchyOp, L1Outcome, L1Sim, L2Organization, L2Sim,
+    AccessOutcome, Hierarchy, HierarchyConfig, HierarchyOp, L1Sim, L2Organization, L2Sim,
 };
 pub use infinite::InfiniteCache;
 pub use set_assoc::Cache;
@@ -60,6 +63,31 @@ pub use skewed::{bank_disp_factor, SkewedCache};
 pub use stats::CacheStats;
 pub use tlb::{Tlb, TlbStats};
 pub use victim::VictimCache;
+
+/// What one access did to a cache, returned by value: every cache
+/// organization's `access_block`, and the [`L1Sim`] and [`L2Sim`]
+/// accesses the [`Hierarchy`] acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheOutcome {
+    /// The statistics set the access counts in: the indexed set (bank
+    /// 0's for a skewed cache, the single pseudo-set 0 for FA).
+    pub set: usize,
+    /// Whether the block was resident.
+    pub hit: bool,
+    /// The valid line a miss's fill evicted, clean or dirty. A hit
+    /// evicts nothing, and a fill at most one line.
+    pub evicted: Option<Evicted>,
+}
+
+/// A valid line an access's fill evicted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evicted {
+    /// Its block address (in the cache's own lines).
+    pub block: u64,
+    /// Whether it was dirty: a write-back cache writes it to the level
+    /// below.
+    pub dirty: bool,
+}
 
 /// Common behaviour shared by every cache organization in this crate.
 ///

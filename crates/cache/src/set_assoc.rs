@@ -8,10 +8,9 @@
 //! `primecache-sim` inline the index function into the probe.
 
 use primecache_core::index::{Geometry, SetIndexer};
-use primecache_obs::{Level, ObsHandle};
 
 use crate::replacement::ReplBank;
-use crate::{CacheConfig, CacheSim, CacheStats};
+use crate::{CacheConfig, CacheOutcome, CacheSim, CacheStats, Evicted};
 
 /// Flag bit: the way holds a valid line.
 const VALID: u8 = 1;
@@ -53,10 +52,6 @@ pub struct Cache<I: SetIndexer = Box<dyn SetIndexer>> {
     /// Replacement ages, flat across sets (see [`ReplBank`]).
     repl: ReplBank,
     stats: CacheStats,
-    /// Block addresses written back (observable by an L2 below).
-    pending_writebacks: Vec<u64>,
-    /// Eviction recorder, tagged with the level this cache plays.
-    obs: Option<(Level, ObsHandle)>,
 }
 
 impl Cache {
@@ -121,18 +116,8 @@ impl<I: SetIndexer> Cache<I> {
             flags: vec![0; total_lines],
             repl: ReplBank::new(config.replacement(), n_set, config.assoc()),
             stats: CacheStats::new(n_set),
-            pending_writebacks: Vec::new(),
-            obs: None,
             config,
         }
-    }
-
-    /// Attaches an observability recorder; every eviction is reported to
-    /// it tagged with `level`. Demand-access recording stays with the
-    /// caller (the [`Hierarchy`](crate::Hierarchy)) so writeback traffic
-    /// is not double-counted as demand.
-    pub fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        self.obs = Some((level, handle));
     }
 
     /// Point-in-time occupancy snapshot: valid lines per set. Not on the
@@ -157,11 +142,11 @@ impl<I: SetIndexer> Cache<I> {
         self.indexer.n_set()
     }
 
-    /// Drains the block addresses of lines written back since the last
-    /// call (the traffic an L2 below would observe). The buffer drains in
-    /// place and keeps its capacity, so steady state allocates nothing.
-    pub fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        self.pending_writebacks.drain(..)
+    /// Always empty: an access returns its victim by value
+    /// ([`Cache::access_block`]), so no writeback waits to be taken.
+    /// Kept only for the benchmark's traced L1 pass, which drops it.
+    pub fn take_writebacks(&mut self) -> std::iter::Empty<u64> {
+        std::iter::empty()
     }
 
     /// Converts a byte address to a block address.
@@ -188,31 +173,24 @@ impl<I: SetIndexer> Cache<I> {
         (0..self.assoc).find(|&i| self.flags[base + i] & VALID != 0 && self.tags[base + i] == block)
     }
 
-    /// Simulates an access to a *block address* (no offset bits).
-    ///
-    /// Returns `true` on a hit. Lower-level code that already works in
-    /// block units (e.g. writeback traffic) uses this directly.
-    pub fn access_block(&mut self, block: u64, write: bool) -> bool {
-        let set = self.narrow_set(self.indexer.index(block));
-        self.access_block_in_set(set, block, write)
-    }
-
-    /// Simulates an access, returning `(set, hit)` with the set index
-    /// computed once — callers that attribute per-set stats avoid a
-    /// second evaluation of the index function.
+    /// Simulates an access to a byte address, returning `(set, hit)`.
+    /// Kept only for the benchmark's traced L1 pass; everything else
+    /// takes the whole outcome from [`Cache::access_block`].
     pub fn access_indexed(&mut self, addr: u64, write: bool) -> (usize, bool) {
-        let block = self.block_of(addr);
-        let set = self.narrow_set(self.indexer.index(block));
-        (set, self.access_block_in_set(set, block, write))
+        let out = self.access_block(self.block_of(addr), write);
+        (out.set, out.hit)
     }
 
-    /// The access hot path, with `set` already computed from `block`.
+    /// Simulates an access to a *block address* (no offset bits): the
+    /// cache's one access path. Returns the set it indexed, whether it
+    /// hit, and the line its fill evicted.
     ///
     /// One fused scan over the ways finds both the hit way and the
     /// fill-victim candidate (first invalid way), so a miss does not
     /// rescan the set.
-    fn access_block_in_set(&mut self, set: usize, block: u64, write: bool) -> bool {
-        debug_assert_eq!(set as u64, self.indexer.index(block));
+    #[inline]
+    pub fn access_block(&mut self, block: u64, write: bool) -> CacheOutcome {
+        let set = self.narrow_set(self.indexer.index(block));
         let base = set * self.assoc;
         let mut hit_way = None;
         let mut invalid_way = None;
@@ -236,27 +214,33 @@ impl<I: SetIndexer> Cache<I> {
             }
             #[cfg(any(debug_assertions, feature = "check"))]
             self.debug_check(set);
-            return true;
+            return CacheOutcome {
+                set,
+                hit: true,
+                evicted: None,
+            };
         }
         self.stats.record(set, true, write);
         // Choose a victim: first invalid way, else the policy's pick.
         let way = invalid_way.unwrap_or_else(|| self.repl.victim(set));
         let slot = base + way;
-        let victim_valid = self.flags[slot] & VALID != 0;
-        let evicted_dirty = victim_valid.then_some(self.flags[slot] & DIRTY != 0);
-        if victim_valid && self.flags[slot] & DIRTY != 0 {
-            self.stats.record_writeback();
-            self.pending_writebacks.push(self.tags[slot]);
+        let evicted = (self.flags[slot] & VALID != 0).then(|| Evicted {
+            block: self.tags[slot],
+            dirty: self.flags[slot] & DIRTY != 0,
+        });
+        if let Some(victim) = evicted {
+            self.stats.record_eviction(set, victim.dirty);
         }
         self.tags[slot] = block;
         self.flags[slot] = if write { VALID | DIRTY } else { VALID };
         self.repl.fill(set, way);
-        if let (Some((level, h)), Some(dirty)) = (&self.obs, evicted_dirty) {
-            h.borrow_mut().eviction(*level, set as u32, dirty);
-        }
         #[cfg(any(debug_assertions, feature = "check"))]
         self.debug_check(set);
-        false
+        CacheOutcome {
+            set,
+            hit: false,
+            evicted,
+        }
     }
 
     /// Checks one set's structural invariants: occupancy within the
@@ -294,9 +278,8 @@ impl<I: SetIndexer> Cache<I> {
     }
 
     /// Checks every runtime invariant of the cache: stat integrity
-    /// ([`CacheStats::validate`]), evictions bounded by fills
-    /// (`writebacks <= misses`), and the per-set structure of
-    /// every set.
+    /// ([`CacheStats::validate`]) and the per-set structure of every
+    /// set.
     ///
     /// Debug builds (and release builds with the `check` feature) run the
     /// accessed set's checks after every access.
@@ -306,33 +289,20 @@ impl<I: SetIndexer> Cache<I> {
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         self.stats.validate()?;
-        if self.stats.writebacks > self.stats.misses {
-            return Err(format!(
-                "writebacks ({}) exceed misses ({}): more evictions than fills",
-                self.stats.writebacks, self.stats.misses
-            ));
-        }
         for set in 0..self.tags.len() / self.assoc {
             self.check_set(set)?;
         }
         Ok(())
     }
 
-    /// Per-access invariant hook: cheap O(1) stat checks plus the
-    /// accessed set's structural checks.
+    /// Per-access invariant hook: the O(1) counter checks
+    /// ([`CacheStats::check_counters`]) plus the accessed set's
+    /// structural checks.
     #[cfg(any(debug_assertions, feature = "check"))]
     fn debug_check(&self, set: usize) {
-        assert!(
-            self.stats.hits + self.stats.misses == self.stats.accesses
-                && self.stats.writebacks <= self.stats.misses,
-            "stat integrity violated: {:?}",
-            (
-                self.stats.hits,
-                self.stats.misses,
-                self.stats.accesses,
-                self.stats.writebacks
-            )
-        );
+        if let Err(e) = self.stats.check_counters() {
+            panic!("stat integrity violated: {e}");
+        }
         if let Err(e) = self.check_set(set) {
             panic!("set invariant violated: {e}");
         }
@@ -355,8 +325,7 @@ impl<I: SetIndexer> Cache<I> {
 
 impl<I: SetIndexer> CacheSim for Cache<I> {
     fn access(&mut self, addr: u64, write: bool) -> bool {
-        let block = self.block_of(addr);
-        self.access_block(block, write)
+        self.access_block(self.block_of(addr), write).hit
     }
 
     fn stats(&self) -> &CacheStats {
@@ -408,10 +377,14 @@ mod tests {
         let mut c = tiny(HashKind::Traditional);
         c.access(0, true); // dirty
         c.access(256, false);
-        c.access(512, false); // evicts block 0 (dirty)
-        assert_eq!(c.stats().writebacks, 1);
-        assert_eq!(c.take_writebacks().as_slice(), [0]);
-        assert!(c.take_writebacks().as_slice().is_empty());
+        let out = c.access_block(8, false); // evicts block 0 (dirty)
+        let victim = Evicted {
+            block: 0,
+            dirty: true,
+        };
+        assert_eq!((out.set, out.hit, out.evicted), (0, false, Some(victim)));
+        assert_eq!((c.stats().writebacks, c.stats().evictions), (1, 1));
+        assert_eq!(c.stats().set_evictions, [1, 0, 0, 0]);
     }
 
     #[test]
@@ -419,8 +392,13 @@ mod tests {
         let mut c = tiny(HashKind::Traditional);
         c.access(0, false);
         c.access(256, false);
-        c.access(512, false);
-        assert_eq!(c.stats().writebacks, 0);
+        let out = c.access_block(8, false); // evicts block 0 (clean)
+        let victim = Evicted {
+            block: 0,
+            dirty: false,
+        };
+        assert_eq!(out.evicted, Some(victim));
+        assert_eq!((c.stats().writebacks, c.stats().evictions), (0, 1));
     }
 
     #[test]
@@ -491,9 +469,9 @@ mod tests {
     fn validate_fires_on_seeded_eviction_excess() {
         let mut c = tiny(HashKind::Traditional);
         c.access(0, true);
-        // Corrupt: a writeback with no eviction to justify it.
-        c.stats.record_writeback();
-        c.stats.record_writeback();
+        // Corrupt: two evictions for the one fill.
+        c.stats.record_eviction(0, true);
+        c.stats.record_eviction(0, true);
         let err = c.validate().unwrap_err();
         assert!(err.contains("more evictions than fills"), "{err}");
     }
@@ -528,10 +506,10 @@ mod tests {
         for i in 0..20_000u64 {
             let addr = (i * 7919) % (1 << 24);
             let write = i % 3 == 0;
-            assert_eq!(boxed.access(addr, write), typed.access(addr, write), "{i}");
+            let block = addr >> 6;
             assert_eq!(
-                boxed.take_writebacks().as_slice(),
-                typed.take_writebacks().as_slice(),
+                boxed.access_block(block, write),
+                typed.access_block(block, write),
                 "{i}"
             );
         }

@@ -8,9 +8,10 @@
 //! bank's hash inlines into the probe loop.
 
 use primecache_core::index::{Geometry, SetIndexer, SkewDispBank, SkewXorBank, SKEW_DISP_FACTORS};
-use primecache_obs::{Level, ObsHandle};
 
-use crate::{CacheSim, CacheStats, SkewHashKind, SkewReplacement, SkewedConfig};
+use crate::{
+    CacheOutcome, CacheSim, CacheStats, Evicted, SkewHashKind, SkewReplacement, SkewedConfig,
+};
 
 /// Flag bit: the slot holds a valid line.
 const VALID: u8 = 1;
@@ -60,9 +61,6 @@ pub struct SkewedCache<B: SetIndexer = Box<dyn SetIndexer>> {
     /// Round-robin tie-break counter for victim selection.
     rr: u32,
     stats: CacheStats,
-    pending_writebacks: Vec<u64>,
-    /// Eviction recorder, tagged with the level this cache plays.
-    obs: Option<(Level, ObsHandle)>,
 }
 
 /// The displacement factor bank `bank` uses in a prime-displacement
@@ -135,18 +133,8 @@ impl<B: SetIndexer> SkewedCache<B> {
             scratch: Vec::with_capacity(config.banks() as usize * ways),
             rr: 0,
             stats: CacheStats::new(sets_per_bank),
-            pending_writebacks: Vec::new(),
-            obs: None,
             config,
         }
-    }
-
-    /// Attaches an observability recorder; every eviction is reported to
-    /// it tagged with `level` (set index = the victim's bank-0 stats set
-    /// is unavailable post-hoc, so the evicting access's bank-0 set is
-    /// used — the same axis the per-set miss histogram uses).
-    pub fn attach_obs(&mut self, level: Level, handle: ObsHandle) {
-        self.obs = Some((level, handle));
     }
 
     /// Point-in-time occupancy snapshot: valid lines per (bank, set),
@@ -163,12 +151,6 @@ impl<B: SetIndexer> SkewedCache<B> {
     #[must_use]
     pub fn config(&self) -> &SkewedConfig {
         &self.config
-    }
-
-    /// Drains the block addresses written back since the last call, in
-    /// place (the buffer keeps its capacity).
-    pub fn take_writebacks(&mut self) -> std::vec::Drain<'_, u64> {
-        self.pending_writebacks.drain(..)
     }
 
     /// Narrows an indexer-produced set index to `usize` (lossless:
@@ -254,26 +236,18 @@ impl<B: SetIndexer> SkewedCache<B> {
         }
     }
 
-    /// Simulates an access to a block address.
-    pub fn access_block(&mut self, block: u64, write: bool) -> bool {
-        self.access_block_indexed(block, write).1
-    }
-
-    /// Simulates an access to a block address, also returning the bank-0
-    /// set for stats attribution (computed once, alongside the probe).
-    fn access_block_indexed(&mut self, block: u64, write: bool) -> (usize, bool) {
+    /// Simulates an access to a block address: the cache's one access
+    /// path. Returns the bank-0 set (the statistics set, computed once
+    /// alongside the probe), whether it hit, and the line its fill
+    /// evicted.
+    pub fn access_block(&mut self, block: u64, write: bool) -> CacheOutcome {
         // The scratch buffer is detached while borrowed so the probe can
         // take `&mut self`; every return path restores it.
         let mut slots = std::mem::take(&mut self.scratch);
         let stat_set = self.collect_candidates(block, &mut slots);
-        let hit = self.access_at_candidates(block, write, stat_set, &slots);
+        let out = self.access_at_candidates(block, write, stat_set, &slots);
         self.scratch = slots;
-        (stat_set, hit)
-    }
-
-    /// Simulates an access to a byte address, returning `(stat_set, hit)`.
-    pub fn access_indexed(&mut self, addr: u64, write: bool) -> (usize, bool) {
-        self.access_block_indexed(addr >> self.line_shift, write)
+        out
     }
 
     /// The probe/fill path over an already-collected candidate list.
@@ -283,7 +257,7 @@ impl<B: SetIndexer> SkewedCache<B> {
         write: bool,
         stat_set: usize,
         slots: &[usize],
-    ) -> bool {
+    ) -> CacheOutcome {
         for (i, &slot) in slots.iter().enumerate() {
             if self.flags[slot] & VALID != 0 && self.tags[slot] == block {
                 self.stats.record(stat_set, false, write);
@@ -295,31 +269,39 @@ impl<B: SetIndexer> SkewedCache<B> {
                 self.age(slots, i);
                 #[cfg(any(debug_assertions, feature = "check"))]
                 self.debug_check(block, slots);
-                return true;
+                return CacheOutcome {
+                    set: stat_set,
+                    hit: true,
+                    evicted: None,
+                };
             }
         }
         self.stats.record(stat_set, true, write);
         let victim_i = self.pick_victim(slots);
         let slot = slots[victim_i];
-        let victim_valid = self.flags[slot] & VALID != 0;
-        let evicted_dirty = victim_valid.then_some(self.flags[slot] & DIRTY != 0);
-        if victim_valid && self.flags[slot] & DIRTY != 0 {
-            self.stats.record_writeback();
-            self.pending_writebacks.push(self.tags[slot]);
-        }
-        if let (Some((level, h)), Some(dirty)) = (&self.obs, evicted_dirty) {
-            h.borrow_mut().eviction(*level, stat_set as u32, dirty);
+        // The eviction counts in the evicting access's bank-0 set, the
+        // axis the per-set miss histogram uses.
+        let evicted = (self.flags[slot] & VALID != 0).then(|| Evicted {
+            block: self.tags[slot],
+            dirty: self.flags[slot] & DIRTY != 0,
+        });
+        if let Some(victim) = evicted {
+            self.stats.record_eviction(stat_set, victim.dirty);
         }
         self.tags[slot] = block;
         self.flags[slot] = VALID | RBIT | if write { DIRTY | WBIT } else { 0 };
         self.age(slots, victim_i);
         #[cfg(any(debug_assertions, feature = "check"))]
         self.debug_check(block, slots);
-        false
+        CacheOutcome {
+            set: stat_set,
+            hit: false,
+            evicted,
+        }
     }
 
     /// Checks every runtime invariant of the skewed cache: stat
-    /// integrity, evictions bounded by fills, every valid line sitting in
+    /// integrity ([`CacheStats::validate`]), every valid line sitting in
     /// the set its bank's hash assigns it, and no block resident twice.
     ///
     /// Debug builds (and release builds with the `check` feature) run the
@@ -330,12 +312,6 @@ impl<B: SetIndexer> SkewedCache<B> {
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         self.stats.validate()?;
-        if self.stats.writebacks > self.stats.misses {
-            return Err(format!(
-                "writebacks ({}) exceed misses ({}): more evictions than fills",
-                self.stats.writebacks, self.stats.misses
-            ));
-        }
         let mut seen = std::collections::HashMap::new();
         for i in 0..self.tags.len() {
             if self.flags[i] & VALID == 0 {
@@ -360,21 +336,14 @@ impl<B: SetIndexer> SkewedCache<B> {
         Ok(())
     }
 
-    /// Per-access invariant hook: O(1) stat checks plus "the accessed
-    /// block is resident exactly once among its candidates".
+    /// Per-access invariant hook: the O(1) counter checks
+    /// ([`CacheStats::check_counters`]) plus "the accessed block is
+    /// resident exactly once among its candidates".
     #[cfg(any(debug_assertions, feature = "check"))]
     fn debug_check(&self, block: u64, slots: &[usize]) {
-        assert!(
-            self.stats.hits + self.stats.misses == self.stats.accesses
-                && self.stats.writebacks <= self.stats.misses,
-            "stat integrity violated: {:?}",
-            (
-                self.stats.hits,
-                self.stats.misses,
-                self.stats.accesses,
-                self.stats.writebacks
-            )
-        );
+        if let Err(e) = self.stats.check_counters() {
+            panic!("stat integrity violated: {e}");
+        }
         let copies = slots
             .iter()
             .filter(|&&s| self.flags[s] & VALID != 0 && self.tags[s] == block)
@@ -400,7 +369,7 @@ impl<B: SetIndexer> SkewedCache<B> {
 
 impl<B: SetIndexer> CacheSim for SkewedCache<B> {
     fn access(&mut self, addr: u64, write: bool) -> bool {
-        self.access_block(addr >> self.line_shift, write)
+        self.access_block(addr >> self.line_shift, write).hit
     }
 
     fn stats(&self) -> &CacheStats {
@@ -465,12 +434,16 @@ mod tests {
             64,
             SkewHashKind::Xor,
         ));
-        // Fill far more dirty blocks than capacity.
+        // Fill far more dirty blocks than capacity: every eviction is a
+        // dirty one, and the outcomes report each.
+        let mut dirty_victims = 0;
         for i in 0..64u64 {
-            c.access(i * 64, true);
+            let out = c.access_block(i, true);
+            dirty_victims += u64::from(out.evicted.is_some_and(|v| v.dirty));
         }
         assert!(c.stats().writebacks > 0);
-        assert!(!c.take_writebacks().as_slice().is_empty());
+        assert_eq!(c.stats().writebacks, dirty_victims);
+        assert_eq!(c.stats().evictions, dirty_victims);
     }
 
     #[test]
@@ -588,10 +561,10 @@ mod tests {
         for i in 0..20_000u64 {
             let addr = (i * 7919) % (1 << 24);
             let write = i % 3 == 0;
-            assert_eq!(boxed.access(addr, write), typed.access(addr, write), "{i}");
+            let block = addr >> 6;
             assert_eq!(
-                boxed.take_writebacks().as_slice(),
-                typed.take_writebacks().as_slice(),
+                boxed.access_block(block, write),
+                typed.access_block(block, write),
                 "{i}"
             );
         }

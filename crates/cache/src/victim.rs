@@ -1,6 +1,6 @@
 //! A victim-cache front end (Jouppi's classic conflict-miss remedy).
 
-use crate::{Cache, CacheConfig, CacheSim, CacheStats};
+use crate::{Cache, CacheConfig, CacheSim, CacheStats, Evicted};
 
 /// A set-associative cache backed by a small fully-associative victim
 /// buffer: evicted lines park in the buffer and swap back on a near-term
@@ -103,21 +103,17 @@ impl VictimCache {
         Ok(())
     }
 
-    /// Per-access invariant hook.
+    /// Per-access invariant hook: the O(1) counter checks
+    /// ([`CacheStats::check_counters`]) plus the buffer's bounds.
     #[cfg(any(debug_assertions, feature = "check"))]
     fn debug_check(&self) {
+        if let Err(e) = self.stats.check_counters() {
+            panic!("victim invariant violated: {e}");
+        }
         assert!(
-            self.stats.hits + self.stats.misses == self.stats.accesses
-                && self.buffer.len() <= self.capacity
-                && self.victim_hits <= self.stats.hits,
+            self.buffer.len() <= self.capacity && self.victim_hits <= self.stats.hits,
             "victim invariant violated: {:?}",
-            (
-                self.stats.hits,
-                self.stats.misses,
-                self.stats.accesses,
-                self.buffer.len(),
-                self.victim_hits
-            )
+            (self.stats.hits, self.buffer.len(), self.victim_hits)
         );
     }
 }
@@ -125,22 +121,23 @@ impl VictimCache {
 impl CacheSim for VictimCache {
     fn access(&mut self, addr: u64, write: bool) -> bool {
         let block = addr >> self.line_shift;
-        let set = self.main.set_of(addr);
-        if self.main.access_block(block, write) {
+        let main = self.main.access_block(block, write);
+        let set = main.set;
+        if main.hit {
             // A main hit evicts nothing, so there is nothing to park.
             self.stats.record(set, false, write);
             #[cfg(any(debug_assertions, feature = "check"))]
             self.debug_check();
             return true;
         }
-        // Main miss: the fill already happened; park its victim (an
-        // access evicts at most one line; dirty lines come via
-        // take_writebacks; clean evictions are invisible, an accepted
-        // simplification — the buffer still sees the dirty, i.e. most
-        // conflict-prone, traffic of write-back workloads).
-        let victim = self.main.take_writebacks().next();
-        if let Some(victim) = victim {
-            self.park(victim, true);
+        // Main miss: the fill already happened. Only a dirty victim
+        // parks, an accepted simplification (the buffer still sees the
+        // dirty, i.e. most conflict-prone, traffic of write-back
+        // workloads); a clean one leaves the cache.
+        match main.evicted {
+            Some(Evicted { block, dirty: true }) => self.park(block, set),
+            Some(Evicted { dirty: false, .. }) => self.stats.record_eviction(set, false),
+            None => {}
         }
         // Probe the buffer for the requested block.
         if let Some(pos) = self.buffer.iter().position(|&(b, _)| b == block) {
@@ -163,14 +160,14 @@ impl CacheSim for VictimCache {
 }
 
 impl VictimCache {
-    fn park(&mut self, block: u64, dirty: bool) {
+    /// Parks a dirty main-cache victim; a full buffer first evicts its
+    /// oldest entry, counted in `set`, the set of the access that parks.
+    fn park(&mut self, block: u64, set: usize) {
         if self.buffer.len() == self.capacity {
             let (_, was_dirty) = self.buffer.remove(0);
-            if was_dirty {
-                self.stats.record_writeback();
-            }
+            self.stats.record_eviction(set, was_dirty);
         }
-        self.buffer.push((block, dirty));
+        self.buffer.push((block, true));
     }
 }
 

@@ -14,15 +14,15 @@
 use crate::oracle::{
     ref_bank_index, ref_decode_frame, ref_mersenne, ref_prime_displacement, ref_prime_modulo,
     ref_read_text, ref_set_index, ref_skew_xor, ref_subtract_select, ref_tlb_index,
-    ref_traditional, ref_xor, ref_xor_folded, OracleCache, OracleCpu, OracleDram, OracleMachine,
-    OracleMemory, OraclePolicy, OracleSkewed, OracleVictim, RefFrame, TextRead,
+    ref_traditional, ref_xor, ref_xor_folded, OracleAccess, OracleCache, OracleCpu, OracleDram,
+    OracleMachine, OracleMemory, OraclePolicy, OracleSkewed, OracleVictim, RefFrame, TextRead,
 };
 use crate::prop::{forall_result, Rng, Shrink};
 
 use primecache_cache::{
-    AccessOutcome, Cache, CacheConfig, CacheSim, FullyAssociative, Hierarchy, HierarchyConfig,
-    L2Organization, ReplacementKind, SkewHashKind, SkewReplacement, SkewedCache, SkewedConfig,
-    VictimCache,
+    AccessOutcome, Cache, CacheConfig, CacheOutcome, CacheSim, FullyAssociative, Hierarchy,
+    HierarchyConfig, L2Organization, ReplacementKind, SkewHashKind, SkewReplacement, SkewedCache,
+    SkewedConfig, VictimCache,
 };
 use primecache_core::hw::{
     mersenne_fold, IterativeLinear, Polynomial, SubtractSelect, TlbAssist, Wired2039,
@@ -782,21 +782,20 @@ fn set_assoc_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
 
 fn replay_set_assoc(fast: &mut Cache, oracle: &mut OracleCache, stream: &[(u64, bool)]) {
     for (i, &(block, write)) in stream.iter().enumerate() {
-        let fast_hit = fast.access_block(block, write);
-        let want = oracle.access_block(block, write);
-        assert_eq!(
-            fast_hit, want.hit,
-            "access {i} (block {block:#x}, write {write}): hit/miss mismatch"
-        );
-        let fast_wb: Vec<u64> = fast.take_writebacks().collect();
-        let want_wb: Vec<u64> = want.writeback.into_iter().collect();
-        assert_eq!(
-            fast_wb, want_wb,
-            "access {i} (block {block:#x}): writeback mismatch"
-        );
+        let got = fast.access_block(block, write);
+        assert_same_access(i, block, write, got, oracle.access_block(block, write));
     }
-    let s = fast.stats();
-    assert_eq!(s.hits + s.misses, s.accesses, "stat integrity after replay");
+    assert_eq!(fast.validate(), Ok(()), "invariants after replay");
+}
+
+/// Asserts that a cache access did what the oracle's did: the same
+/// statistics set, hit, and victim with its dirty bit (clean or dirty).
+fn assert_same_access(i: usize, block: u64, write: bool, got: CacheOutcome, want: OracleAccess) {
+    assert_eq!(
+        (got.set, got.hit, got.evicted),
+        (want.set, want.hit, want.evicted),
+        "access {i} (block {block:#x}, write {write}): (set, hit, evicted) mismatch"
+    );
 }
 
 fn skewed_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
@@ -838,19 +837,10 @@ fn skewed_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
                     let index_fns = (0..banks).map(|b| ref_bank_index(hash, sets, b)).collect();
                     let mut oracle = OracleSkewed::new(sets as usize, ways, write_aware, index_fns);
                     for (i, &(block, write)) in stream.iter().enumerate() {
-                        let fast_hit = fast.access_block(block, write);
-                        let want = oracle.access_block(block, write);
-                        assert_eq!(
-                            fast_hit, want.hit,
-                            "access {i} (block {block:#x}): hit/miss mismatch"
-                        );
-                        let fast_wb: Vec<u64> = fast.take_writebacks().collect();
-                        let want_wb: Vec<u64> = want.writeback.into_iter().collect();
-                        assert_eq!(
-                            fast_wb, want_wb,
-                            "access {i} (block {block:#x}): writeback mismatch"
-                        );
+                        let got = fast.access_block(block, write);
+                        assert_same_access(i, block, write, got, oracle.access_block(block, write));
                     }
+                    assert_eq!(fast.validate(), Ok(()), "invariants after replay");
                 },
             )
         })
@@ -881,21 +871,10 @@ fn fully_assoc_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
                 let mut fast = FullyAssociative::new(lines * 64, 64);
                 let mut oracle = OracleCache::new(1, lines as usize, OraclePolicy::Lru, |_| 0);
                 for (i, &(block, write)) in stream.iter().enumerate() {
-                    let fast_hit = fast.access_block(block, write);
-                    let want = oracle.access_block(block, write);
-                    assert_eq!(
-                        fast_hit, want.hit,
-                        "access {i} (block {block:#x}, write {write}): hit/miss mismatch"
-                    );
-                    let fast_wb: Vec<u64> = fast.take_writebacks().collect();
-                    let want_wb: Vec<u64> = want.writeback.into_iter().collect();
-                    assert_eq!(
-                        fast_wb, want_wb,
-                        "access {i} (block {block:#x}): writeback mismatch"
-                    );
+                    let got = fast.access_block(block, write);
+                    assert_same_access(i, block, write, got, oracle.access_block(block, write));
                 }
-                let s = fast.stats();
-                assert_eq!(s.hits + s.misses, s.accesses, "stat integrity after replay");
+                assert_eq!(fast.stats().validate(), Ok(()), "stats after replay");
             },
         )
     })

@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 
 use primecache_cache::{
-    AccessOutcome, CacheConfig, CacheStats, HierarchyConfig, L2Organization, ReplacementKind,
-    SkewHashKind, SkewReplacement,
+    AccessOutcome, CacheConfig, CacheStats, Evicted, HierarchyConfig, L2Organization,
+    ReplacementKind, SkewHashKind, SkewReplacement,
 };
 use primecache_core::index::{HashKind, SKEW_DISP_FACTORS};
 use primecache_cpu::{CpuConfig, ExecBreakdown, StallAttribution};
@@ -134,15 +134,16 @@ pub enum OraclePolicy {
 }
 
 /// What one oracle access observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleAccess {
     /// The set the block maps to (in bank 0, for a skewed cache): where
     /// demand statistics attribute the access.
     pub set: usize,
     /// Whether the block was resident.
     pub hit: bool,
-    /// Block address of a dirty line evicted by this access, if any.
-    pub writeback: Option<u64>,
+    /// The valid line this access's fill evicted, clean or dirty, if
+    /// any.
+    pub evicted: Option<Evicted>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -196,15 +197,16 @@ impl OracleCache {
             return OracleAccess {
                 set: index,
                 hit: true,
-                writeback: None,
+                evicted: None,
             };
         }
-        let mut writeback = None;
+        let mut evicted = None;
         if set.len() == self.assoc {
-            let evicted = set.remove(0);
-            if evicted.dirty {
-                writeback = Some(evicted.block);
-            }
+            let line = set.remove(0);
+            evicted = Some(Evicted {
+                block: line.block,
+                dirty: line.dirty,
+            });
         }
         set.push(OracleLine {
             block,
@@ -213,7 +215,7 @@ impl OracleCache {
         OracleAccess {
             set: index,
             hit: false,
-            writeback,
+            evicted,
         }
     }
 
@@ -340,7 +342,7 @@ impl OracleSkewed {
                     return OracleAccess {
                         set,
                         hit: true,
-                        writeback: None,
+                        evicted: None,
                     };
                 }
             }
@@ -364,7 +366,10 @@ impl OracleSkewed {
             }
         };
         let (b, s, w) = cands[victim_i];
-        let writeback = self.banks[b][s][w].filter(|l| l.dirty).map(|l| l.block);
+        let evicted = self.banks[b][s][w].map(|l| Evicted {
+            block: l.block,
+            dirty: l.dirty,
+        });
         self.banks[b][s][w] = Some(SkewLine {
             block,
             dirty: write,
@@ -375,7 +380,7 @@ impl OracleSkewed {
         OracleAccess {
             set,
             hit: false,
-            writeback,
+            evicted,
         }
     }
 }
@@ -431,8 +436,8 @@ impl OracleVictim {
     pub fn access_block(&mut self, block: u64, write: bool) -> VictimAccess {
         let mut writebacks = Vec::new();
         let main = self.main.access_block(block, write);
-        if let Some(victim) = main.writeback {
-            self.park(victim, true, &mut writebacks);
+        if let Some(victim) = main.evicted.filter(|v| v.dirty) {
+            self.park(victim.block, true, &mut writebacks);
         }
         if main.hit {
             return VictimAccess {
@@ -777,14 +782,16 @@ impl OracleCpu {
 // Composes the cache, DRAM and CPU oracles above, restating the
 // hierarchy's composition from the `Hierarchy` docs: the L1 probe, then
 // the L2 demand read, then the L1 victim's write into the L2, with every
-// dirty L2 victim sent to memory in eviction order. Demand statistics are
-// counted here, field by field, from the `CacheStats` docs.
+// dirty L2 victim sent to memory in eviction order. Statistics are
+// counted here, field by field, from the `CacheStats` docs: the L1's,
+// the L2's demand traffic, and the L2 cache's own (every access and
+// eviction).
 // ---------------------------------------------------------------------------
 
 /// A block-level L2 oracle behind one access function.
 type OracleL2 = Box<dyn FnMut(u64, bool) -> OracleAccess>;
 
-/// Counts one demand access as the `CacheStats` fields define it.
+/// Counts one access as the `CacheStats` fields define it.
 fn count_access(stats: &mut CacheStats, access: &OracleAccess, write: bool) {
     let (set, hit) = (access.set, access.hit);
     stats.accesses += 1;
@@ -797,6 +804,22 @@ fn count_access(stats: &mut CacheStats, access: &OracleAccess, write: bool) {
     } else {
         stats.misses += 1;
         stats.set_misses[set] += 1;
+    }
+}
+
+/// Counts what one access evicted as the `CacheStats` fields define it:
+/// an eviction in the access's set (the per-set counts are empty until
+/// the first one), and a writeback if it was dirty.
+fn count_eviction(stats: &mut CacheStats, access: &OracleAccess) {
+    if let Some(victim) = access.evicted {
+        if stats.set_evictions.is_empty() {
+            stats.set_evictions = vec![0; stats.set_accesses.len()];
+        }
+        stats.evictions += 1;
+        stats.set_evictions[access.set] += 1;
+        if victim.dirty {
+            stats.writebacks += 1;
+        }
     }
 }
 
@@ -877,6 +900,7 @@ pub struct OracleCaches {
     l2: OracleL2,
     l2_line: u64,
     l2_demand: CacheStats,
+    l2_cache: CacheStats,
 }
 
 impl OracleCaches {
@@ -906,7 +930,16 @@ impl OracleCaches {
             l2,
             l2_line: config.l2.line_bytes(),
             l2_demand: CacheStats::new(l2_sets as usize),
+            l2_cache: CacheStats::new(l2_sets as usize),
         }
+    }
+
+    /// One access to the L2 cache, counted in its own statistics.
+    fn l2_access(&mut self, block: u64, write: bool) -> OracleAccess {
+        let access = (self.l2)(block, write);
+        count_access(&mut self.l2_cache, &access, write);
+        count_eviction(&mut self.l2_cache, &access);
+        access
     }
 
     /// One demand access: which level served it, and the block addresses
@@ -916,21 +949,21 @@ impl OracleCaches {
         let l1_block = addr / self.l1_line;
         let l1 = self.l1.access_block(l1_block, write);
         count_access(&mut self.l1_stats, &l1, write);
-        if l1.writeback.is_some() {
-            self.l1_stats.writebacks += 1;
-        }
+        count_eviction(&mut self.l1_stats, &l1);
         if l1.hit {
             return (AccessOutcome::L1Hit, Vec::new());
         }
-        // 2. The L2 demand read, counted with the access's write flag.
+        // 2. The L2 demand read, counted in the demand statistics with
+        //    the access's write flag.
         let block = addr / self.l2_line;
-        let demand = (self.l2)(block, false);
+        let demand = self.l2_access(block, false);
         count_access(&mut self.l2_demand, &demand, write);
-        let mut to_memory: Vec<u64> = demand.writeback.into_iter().collect();
+        let dirty_block = |a: OracleAccess| a.evicted.filter(|v| v.dirty).map(|v| v.block);
+        let mut to_memory: Vec<u64> = dirty_block(demand).into_iter().collect();
         // 3. The L1 fill's dirty victim is written into the L2.
-        if let Some(victim) = l1.writeback {
-            let victim_block = victim * self.l1_line / self.l2_line;
-            to_memory.extend((self.l2)(victim_block, true).writeback);
+        if let Some(victim) = l1.evicted.filter(|v| v.dirty) {
+            let victim_block = victim.block * self.l1_line / self.l2_line;
+            to_memory.extend(dirty_block(self.l2_access(victim_block, true)));
         }
         let outcome = if demand.hit {
             AccessOutcome::L2Hit
@@ -950,6 +983,13 @@ impl OracleCaches {
     #[must_use]
     pub fn l2_stats(&self) -> &CacheStats {
         &self.l2_demand
+    }
+
+    /// The L2 cache's own statistics so far: demand reads and L1
+    /// victims' writes, and every eviction they caused.
+    #[must_use]
+    pub fn l2_cache_stats(&self) -> &CacheStats {
+        &self.l2_cache
     }
 }
 
@@ -1419,13 +1459,51 @@ mod tests {
     }
 
     #[test]
-    fn oracle_cache_reports_dirty_writebacks() {
+    fn oracle_cache_reports_clean_and_dirty_victims() {
         let mut c = OracleCache::new(1, 1, OraclePolicy::Lru, |_| 0);
-        c.access_block(7, true);
+        assert_eq!(c.access_block(7, true).evicted, None, "a cold fill");
         let out = c.access_block(8, false);
-        assert_eq!(out.writeback, Some(7));
+        let dirty = Evicted {
+            block: 7,
+            dirty: true,
+        };
+        assert_eq!(out.evicted, Some(dirty));
         let out = c.access_block(9, false);
-        assert_eq!(out.writeback, None, "clean eviction is silent");
+        let clean = Evicted {
+            block: 8,
+            dirty: false,
+        };
+        assert_eq!(out.evicted, Some(clean));
+    }
+
+    #[test]
+    fn oracle_caches_count_evictions_as_cache_stats_define_them() {
+        // Direct-mapped L1 and L2 of two sets; every address below maps
+        // to set 0 of both, so every L1 miss evicts the previous line.
+        let l2 = CacheConfig::new(128, 1, 64);
+        let config = HierarchyConfig {
+            l1: CacheConfig::new(64, 1, 32),
+            l2: L2Organization::SetAssoc(l2),
+            prefetch_depth: 0,
+        };
+        let mut caches = OracleCaches::new(&config);
+        caches.access(0, true); // cold misses
+                                // Evicts dirty L1 line 0, whose write then evicts L2 block 2.
+        caches.access(128, false);
+        // Evicts L2 block 0, dirty from that write: a memory write.
+        let (_, writes) = caches.access(256, false);
+        assert_eq!(writes, [0]);
+        let l1 = caches.l1_stats();
+        assert_eq!(
+            (l1.evictions, l1.writebacks, l1.set_evictions[0]),
+            (2, 1, 2)
+        );
+        let l2 = caches.l2_cache_stats();
+        assert_eq!((l2.accesses, l2.writes), (4, 1));
+        assert_eq!((l2.evictions, l2.writebacks), (3, 1));
+        assert_eq!(caches.l2_stats().evictions, 0, "demand stats count none");
+        assert_eq!(l1.validate(), Ok(()));
+        assert_eq!(l2.validate(), Ok(()));
     }
 
     #[test]

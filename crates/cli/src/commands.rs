@@ -794,7 +794,7 @@ fn analyze_expr(src: &str, args: &Args) -> i32 {
 /// `pcache analyze --self-check [--refs N]`: the full static-vs-concrete
 /// cross-validation battery, then the 23-workload distribution check.
 fn analyze_self_check(args: &Args) -> i32 {
-    let refs = match args.parsed("--refs", 60_000u64) {
+    let refs = match positive_refs(args, 60_000) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");

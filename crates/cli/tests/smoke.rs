@@ -119,12 +119,14 @@ fn zero_refs_exit_2_without_panicking() {
     // Zero references leave no Base time to normalize by, and no blocks
     // to measure a hash's balance over: both sweep paths, a run and the
     // workload metrics exit 2 with reproduce's message instead of
-    // panicking or printing NaN.
+    // panicking or printing NaN, and the analyzer's self-check instead
+    // of passing its workload-distribution check on no data.
     for argv in [
         &["sweep", "--refs", "0"][..],
         &["sweep", "--tenants", "tree,swim", "--refs", "0"],
         &["run", "tree", "--refs", "0"],
         &["metrics", "--app", "tree", "--refs", "0"],
+        &["analyze", "--self-check", "--refs", "0"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pcache"))
             .args(argv)

@@ -12,9 +12,8 @@
 //!   eviction histograms, DRAM row-hit and bank-wait totals, ROB-stall
 //!   attribution, streaming back-pressure),
 //! * [`Recorder`] + [`ObsHandle`] — the hot-path hook the cache
-//!   hierarchy, DRAM model, and CPU share during one run; it counts
-//!   evictions (the caches' statistics count only dirty victims, as
-//!   writebacks), and event tracing goes through a bounded
+//!   hierarchy, DRAM model, and CPU share during one run; it keeps only
+//!   the sim-time clock and the traced events, in a bounded
 //!   [`RingBuffer`] with a runtime sampling knob ([`ObsConfig`]),
 //! * [`ObsEvent`] / [`EventSink`] — sim-time-stamped trace events
 //!   (cache accesses, evictions, DRAM bank activity, sweep-task
@@ -29,9 +28,10 @@
 //!   dependencies.
 //!
 //! Every simulator build includes the hooks: each instrumented structure
-//! holds an `Option<ObsHandle>`, and with nothing attached the cost is
-//! one branch per access. Metrics are read from the run's own
-//! statistics at the end of the run, never re-counted. See
+//! (the hierarchy, the DRAM and the core) holds an `Option<ObsHandle>`,
+//! and with nothing attached the cost is one branch per access. Metrics
+//! are read from the run's own statistics at the end of the run, never
+//! re-counted. See
 //! `OBSERVABILITY.md` at the repo root for the metric and event
 //! reference.
 
@@ -44,7 +44,7 @@ pub mod report;
 pub use events::{EventKind, EventSink, JsonlSink, Level, MemorySink, ObsEvent, RingBuffer};
 pub use json::{Json, JsonError};
 pub use metrics::{Histogram, Metric, MetricValue, Metrics};
-pub use recorder::{HotCounters, ObsConfig, ObsHandle, Recorder};
+pub use recorder::{ObsConfig, ObsHandle, Recorder};
 pub use report::{
     fnv1a_64, git_revision, BreakdownSummary, CacheSummary, DramSummary, Provenance, RunReport,
     RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,

@@ -4,11 +4,11 @@
 //! cache hierarchy, DRAM model, and CPU each hold a clone of the same
 //! [`ObsHandle`] (`Rc<RefCell<Recorder>>` — a run is single-threaded)
 //! and call the `#[inline]` hook methods from their hot paths. The
-//! recorder counts only evictions, in total and per L2 set, which the
-//! simulator's own statistics do not; every other metric is read from
-//! the run's stats at the end (`primecache_sim::observe`).
-//! Event tracing is gated by [`ObsConfig::trace_events`] and thinned
-//! by [`ObsConfig::sample_every`].
+//! recorder keeps only the sim-time clock, the sampling tick and the
+//! event ring; it counts nothing, and every metric is read from the
+//! run's stats at the end (`primecache_sim::observe`). Event tracing is
+//! gated by [`ObsConfig::trace_events`] and thinned by
+//! [`ObsConfig::sample_every`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,15 +26,15 @@ pub type ObsHandle = Rc<RefCell<Recorder>>;
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Record every Nth cache-access event (1 = all). Evictions and DRAM
-    /// events are rarer and always recorded. Counts ignore sampling —
-    /// they are exact regardless.
+    /// events are rarer and always recorded. The metrics ignore sampling:
+    /// they are read from the run's statistics.
     pub sample_every: u64,
     /// Ring-buffer bound in events; the oldest are dropped (and counted)
     /// beyond this. The ring grows as events arrive, so a large bound
     /// reserves nothing up front.
     pub ring_capacity: usize,
-    /// Master switch for event tracing. Off: only eviction counts
-    /// accumulate.
+    /// Master switch for event tracing. Off: the recorder records
+    /// nothing, and the run reports only its metrics.
     pub trace_events: bool,
 }
 
@@ -48,32 +48,12 @@ impl Default for ObsConfig {
     }
 }
 
-/// Eviction counts, which only the eviction hook sees: the caches' own
-/// statistics count dirty victims as writebacks and clean ones not at
-/// all. Every other count a report carries is read from the run's
-/// `CacheStats`/`DramStats` when the run ends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotCounters {
-    /// Valid blocks evicted from L1.
-    pub l1_evictions: u64,
-    /// Dirty blocks evicted from L1 (writebacks to L2).
-    pub l1_dirty_evictions: u64,
-    /// Valid blocks evicted from L2.
-    pub l2_evictions: u64,
-    /// Dirty blocks evicted from L2 (writebacks to memory).
-    pub l2_dirty_evictions: u64,
-}
-
-/// Accumulates one run's observability state.
+/// One run's traced events, stamped with its sim-time clock.
 #[derive(Debug)]
 pub struct Recorder {
     cfg: ObsConfig,
     now: u64,
     tick: u64,
-    /// The exact eviction counts (public: the integration tests compare
-    /// the dirty ones with the stats' writeback counts).
-    pub hot: HotCounters,
-    l2_set_evictions: Vec<u64>,
     ring: RingBuffer,
 }
 
@@ -86,8 +66,6 @@ impl Recorder {
             cfg,
             now: 0,
             tick: 0,
-            hot: HotCounters::default(),
-            l2_set_evictions: Vec::new(),
             ring,
         }
     }
@@ -138,26 +116,12 @@ impl Recorder {
         }
     }
 
-    /// Hook: a valid block was evicted from `level`. Always counted;
-    /// traced un-sampled when tracing is on (evictions are the signal
-    /// per-set conflict analysis needs complete).
+    /// Hook: a valid block was evicted from `level` by an access that
+    /// counts in statistics set `set`. Traced un-sampled when tracing is
+    /// on (evictions are the signal per-set conflict analysis needs
+    /// complete); the caches count them in their own statistics.
     #[inline]
     pub fn eviction(&mut self, level: Level, set: u32, dirty: bool) {
-        match level {
-            Level::L1 => {
-                self.hot.l1_evictions += 1;
-                self.hot.l1_dirty_evictions += u64::from(dirty);
-            }
-            Level::L2 => {
-                self.hot.l2_evictions += 1;
-                self.hot.l2_dirty_evictions += u64::from(dirty);
-                let idx = set as usize;
-                if idx >= self.l2_set_evictions.len() {
-                    self.l2_set_evictions.resize(idx + 1, 0);
-                }
-                self.l2_set_evictions[idx] += 1;
-            }
-        }
         if self.cfg.trace_events {
             self.ring.push(ObsEvent {
                 t: self.now,
@@ -219,13 +183,6 @@ impl Recorder {
     pub fn drain_events(&mut self, sink: &mut dyn EventSink) {
         self.ring.drain_to(sink);
     }
-
-    /// Per-set L2 eviction counts (index = statistics set), up to the
-    /// highest set that evicted; sets beyond it evicted nothing.
-    #[must_use]
-    pub fn l2_set_evictions(&self) -> &[u64] {
-        &self.l2_set_evictions
-    }
 }
 
 #[cfg(test)]
@@ -247,16 +204,32 @@ mod tests {
     }
 
     #[test]
-    fn evictions_are_counted_per_level_and_per_l2_set() {
-        let mut r = Recorder::new(ObsConfig::default());
+    fn evictions_are_traced_unsampled() {
+        let mut r = Recorder::new(ObsConfig {
+            sample_every: 10,
+            trace_events: true,
+            ..ObsConfig::default()
+        });
         r.eviction(Level::L2, 3, true);
-        r.eviction(Level::L2, 3, false);
-        r.eviction(Level::L1, 1, true);
-        assert_eq!(r.hot.l2_evictions, 2);
-        assert_eq!(r.hot.l2_dirty_evictions, 1);
-        assert_eq!(r.hot.l1_evictions, 1);
-        assert_eq!(r.hot.l1_dirty_evictions, 1);
-        assert_eq!(r.l2_set_evictions(), &[0, 0, 0, 2]);
+        r.eviction(Level::L1, 1, false);
+        let mut sink = MemorySink::default();
+        r.drain_events(&mut sink);
+        let kinds: Vec<EventKind> = sink.events.into_iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Eviction {
+                    level: Level::L2,
+                    set: 3,
+                    dirty: true
+                },
+                EventKind::Eviction {
+                    level: Level::L1,
+                    set: 1,
+                    dirty: false
+                },
+            ]
+        );
     }
 
     #[test]
@@ -274,12 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn tracing_off_records_no_events_but_counts_evictions() {
+    fn tracing_off_records_no_events() {
         let mut r = Recorder::new(ObsConfig::default());
         r.cache_access(Level::L1, 0, true, true);
         r.dram_request(0, 0, false, true, 0);
         r.eviction(Level::L1, 0, false);
         assert_eq!(r.events_recorded(), 0);
-        assert_eq!(r.hot.l1_evictions, 1);
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! [`run_workload_observed`] is [`crate::run_workload`] with a
 //! `primecache_obs` recorder attached to every model of the run's
-//! engine: the hierarchy reports demand accesses, each cache its
-//! evictions, the DRAM its requests, and the CPU feeds the sim-time
-//! clock. [`observe_chunks`] does the same for any [`EventChunks`]
-//! source (a recorded or imported trace, a tenant mix). Attaching a
-//! recorder never changes the simulation.
+//! engine: the hierarchy reports demand accesses and evictions, the
+//! DRAM its requests, and the CPU feeds the sim-time clock.
+//! [`observe_chunks`] does the same for any [`EventChunks`] source (a
+//! recorded or imported trace, a tenant mix). Attaching a recorder never
+//! changes the simulation.
 //!
 //! The metric dump is built once, when the run ends, from the run's
-//! own statistics — [`RunResult`]'s cache and DRAM stats, the core's
-//! stall attribution, the L2 occupancy, the chunks pushed — plus the
-//! recorder's eviction counts, which the stats do not hold.
-//! Nothing is counted twice. [`observed_report`] wraps a run in the
+//! own statistics — [`RunResult`]'s cache and DRAM stats, the L2
+//! cache's own stats (its evictions), the core's stall attribution, the
+//! L2 occupancy, the chunks pushed. The recorder counts nothing, so
+//! nothing is counted twice. [`observed_report`] wraps a run in the
 //! versioned [`RunReport`] artifact.
 
 use std::path::Path;
@@ -35,8 +35,7 @@ use crate::{MachineConfig, RunResult, Scheme};
 pub struct ObservedRun {
     /// The plain run result (identical to the unobserved driver's).
     pub result: RunResult,
-    /// The recorder, holding the eviction counts and any buffered
-    /// events.
+    /// The recorder, holding any buffered events.
     pub recorder: Recorder,
     /// Full named-metric dump (names in `OBSERVABILITY.md`).
     pub metrics: Metrics,
@@ -90,12 +89,13 @@ fn observe(
     let result = engine.finish();
     let stalls = engine.last_stall_attribution();
     let occupancy = engine.l2_occupancy();
+    let l2_cache = engine.l2_cache_stats().clone();
     drop(engine);
     let recorder = Rc::try_unwrap(handle)
         .expect("all instrumented owners dropped")
         .into_inner();
 
-    let (l1, l2, d, h) = (&result.l1, &result.l2, &result.dram, &recorder.hot);
+    let (l1, l2, d) = (&result.l1, &result.l2, &result.dram);
     let mut metrics = Metrics::new();
     for (name, unit, help, value) in [
         (
@@ -111,13 +111,13 @@ fn observe(
             "cache.l1.evictions",
             "blocks",
             "valid blocks evicted from L1",
-            h.l1_evictions,
+            l1.evictions,
         ),
         (
             "cache.l1.dirty_evictions",
             "blocks",
             "dirty L1 victims written back to L2",
-            h.l1_dirty_evictions,
+            l1.writebacks,
         ),
         (
             "cache.l2.demand_accesses",
@@ -142,13 +142,13 @@ fn observe(
             "cache.l2.evictions",
             "blocks",
             "valid blocks evicted from L2",
-            h.l2_evictions,
+            l2_cache.evictions,
         ),
         (
             "cache.l2.dirty_evictions",
             "blocks",
             "dirty L2 victims written back to memory",
-            h.l2_dirty_evictions,
+            l2_cache.writebacks,
         ),
         ("dram.reads", "requests", "DRAM read requests", d.reads),
         ("dram.writes", "requests", "DRAM write requests", d.writes),
@@ -242,10 +242,9 @@ fn observe(
         );
     }
     // Every L2 set is a sample, including the sets that never evicted.
-    let per_set = recorder.l2_set_evictions();
     let mut evictions = Histogram::new(vec![0, 1, 4, 16, 64, 256, 1024, 4096]);
     for set in 0..l2.set_accesses.len() {
-        evictions.observe(per_set.get(set).copied().unwrap_or(0));
+        evictions.observe(l2_cache.set_evictions.get(set).copied().unwrap_or(0));
     }
     metrics.set_histogram(
         "cache.l2.evictions_per_set",

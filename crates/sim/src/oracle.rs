@@ -128,18 +128,18 @@ impl ProbeOracle for SimOracle {
         match &self.backend {
             Backend::SetAssoc(config) => {
                 let mut cache = Cache::new(*config);
-                cold_misses(&mut |b| cache.access_block(b, false))
+                cold_misses(&mut |b| cache.access_block(b, false).hit)
             }
             Backend::Skewed(config) => {
                 let mut cache = SkewedCache::new(*config);
-                cold_misses(&mut |b| cache.access_block(b, false))
+                cold_misses(&mut |b| cache.access_block(b, false).hit)
             }
             Backend::Fully {
                 size_bytes,
                 line_bytes,
             } => {
                 let mut cache = FullyAssociative::new(*size_bytes, *line_bytes);
-                cold_misses(&mut |b| cache.access_block(b, false))
+                cold_misses(&mut |b| cache.access_block(b, false).hit)
             }
         }
     }

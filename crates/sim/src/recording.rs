@@ -22,7 +22,7 @@
 //! - the reference count. A replay that runs out of outcomes, or ends
 //!   with outcomes left, panics in every build profile.
 
-use primecache_cache::{Cache, CacheConfig, CacheStats, L1Outcome, L1Sim};
+use primecache_cache::{Cache, CacheConfig, CacheOutcome, CacheStats, Evicted, L1Sim};
 use primecache_core::index::Traditional;
 use primecache_trace::encode::{read_varint, unzigzag, write_varint, zigzag};
 use primecache_trace::Event;
@@ -205,17 +205,17 @@ impl L1Writer {
     }
 
     fn access(&mut self, addr: u64, write: bool) {
-        let out = self.l1.access(addr, write);
-        let code = match (out.hit, out.victim) {
+        let AddrBits {
+            line_shift,
+            set_bits,
+        } = self.bits;
+        let block = addr >> line_shift;
+        let out = self.l1.access_block(block, write);
+        let code = match (out.hit, out.evicted.filter(|v| v.dirty)) {
             (true, _) => HIT,
             (false, None) => MISS,
             (false, Some(victim)) => {
-                let AddrBits {
-                    line_shift,
-                    set_bits,
-                } = self.bits;
-                let tag = (addr >> line_shift) >> set_bits;
-                let delta = (victim >> set_bits).wrapping_sub(tag);
+                let delta = (victim.block >> set_bits).wrapping_sub(block >> set_bits);
                 write_varint(&mut self.victims, zigzag(delta as i64));
                 DIRTY_MISS
             }
@@ -265,8 +265,10 @@ impl L1Replay<'_> {
 }
 
 impl L1Sim for L1Replay<'_> {
+    /// The recorded outcome. The record keeps only dirty victims, so a
+    /// clean one reads as none (see [`L1Sim::access`]).
     #[inline]
-    fn access(&mut self, addr: u64, _write: bool) -> L1Outcome {
+    fn access(&mut self, block: u64, _write: bool) -> CacheOutcome {
         let i = self.next;
         assert!(
             i < self.record.refs,
@@ -274,22 +276,21 @@ impl L1Sim for L1Replay<'_> {
         );
         self.next = i + 1;
         let code = (self.record.codes[i / 4] >> (2 * (i % 4))) & 3;
-        let AddrBits {
-            line_shift,
-            set_bits,
-        } = self.bits;
-        let block = addr >> line_shift;
+        let set_bits = self.bits.set_bits;
         let set = block & ((1 << set_bits) - 1);
-        let victim = (code == DIRTY_MISS).then(|| {
+        let evicted = (code == DIRTY_MISS).then(|| {
             let z = read_varint(&self.record.victims, &mut self.victim_pos)
                 .expect("the L1 record holds one victim per dirty miss");
             let tag = (block >> set_bits).wrapping_add(unzigzag(z) as u64);
-            (tag << set_bits) | set
+            Evicted {
+                block: (tag << set_bits) | set,
+                dirty: true,
+            }
         });
-        L1Outcome {
+        CacheOutcome {
             set: set as usize,
             hit: code == HIT,
-            victim,
+            evicted,
         }
     }
 
@@ -335,26 +336,30 @@ mod tests {
 
     #[test]
     fn replay_returns_the_live_outcomes() {
-        // Stores over 64 lines 16 KB apart share one L1 set, so nearly
-        // every fill evicts a dirty line, at tag distances of both signs.
+        // References to 64 lines 16 KB apart share one L1 set, so nearly
+        // every fill evicts a line, at tag distances of both signs; every
+        // other one is a store, so about half the victims are dirty. The
+        // replay returns the live outcomes, clean victims read as none.
         let addrs: Vec<(u64, bool)> = (0..2_000u64)
-            .map(|i| ((i * 7919 % 64) * (16 << 10) + (i % 3) * 8, i % 5 != 0))
+            .map(|i| ((i * 7919 % 64) * (16 << 10) + (i % 3) * 8, i % 2 == 0))
             .collect();
         let mut writer = L1Writer::paper();
         let mut live = L1Writer::paper().l1;
         let mut expected = Vec::new();
         for &(addr, write) in &addrs {
             writer.access(addr, write);
-            expected.push(live.access(addr, write));
+            let mut out = live.access_block(addr >> 5, write);
+            out.evicted = out.evicted.filter(|v| v.dirty);
+            expected.push(out);
         }
         let record = writer.finish();
         let mut replay = record.replay();
-        let replayed: Vec<L1Outcome> = addrs
+        let replayed: Vec<CacheOutcome> = addrs
             .iter()
-            .map(|&(addr, write)| replay.access(addr, write))
+            .map(|&(addr, write)| replay.access(addr >> 5, write))
             .collect();
         assert_eq!(replayed, expected);
-        assert!(expected.iter().filter(|o| o.victim.is_some()).count() > 1_000);
+        assert!(expected.iter().filter(|o| o.evicted.is_some()).count() > 500);
         assert_eq!(replay.stats(), L1Sim::stats(&live));
     }
 

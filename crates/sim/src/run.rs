@@ -42,9 +42,10 @@ pub struct RunResult {
     /// L1 statistics.
     pub l1: CacheStats,
     /// L2 demand statistics (Figs. 11–13 count these misses). They
-    /// count no evictions, so `writebacks` is always 0 here: the dirty
-    /// L2 victims count in the L2 cache's own statistics
-    /// ([`L2Sim::stats`]), and each one is a DRAM write (`dram.writes`).
+    /// count no evictions, so `evictions` and `writebacks` are always 0
+    /// here: the L2's victims count in the L2 cache's own statistics
+    /// ([`L2Sim::stats`]), and each dirty one is a DRAM write
+    /// (`dram.writes`).
     pub l2: CacheStats,
     /// DRAM statistics.
     pub dram: DramStats,
@@ -78,6 +79,9 @@ pub(crate) trait LiveEngine: Engine {
 
     /// L2 demand statistics so far.
     fn l2_stats(&self) -> &CacheStats;
+
+    /// The L2 cache's own statistics so far, evictions included.
+    fn l2_cache_stats(&self) -> &CacheStats;
 
     /// Attaches one recorder to the hierarchy, the DRAM and the core.
     fn attach_obs(&mut self, handle: ObsHandle);
@@ -132,6 +136,10 @@ impl<X: L2Sim> LiveEngine for Machine<X> {
 
     fn l2_stats(&self) -> &CacheStats {
         self.hierarchy.l2_stats()
+    }
+
+    fn l2_cache_stats(&self) -> &CacheStats {
+        self.hierarchy.l2_cache_stats()
     }
 
     fn attach_obs(&mut self, handle: ObsHandle) {

@@ -123,6 +123,10 @@ fn add_delta(into: &mut CacheStats, now: &CacheStats, prev: &mut CacheStats) {
     step(&mut into.misses, now.misses, &mut prev.misses);
     step(&mut into.writes, now.writes, &mut prev.writes);
     step(&mut into.writebacks, now.writebacks, &mut prev.writebacks);
+    step(&mut into.evictions, now.evictions, &mut prev.evictions);
+    // The per-set eviction counts are empty until the first eviction.
+    into.set_evictions.resize(now.set_evictions.len(), 0);
+    prev.set_evictions.resize(now.set_evictions.len(), 0);
     let sets = [
         (
             &mut into.set_accesses,
@@ -130,6 +134,11 @@ fn add_delta(into: &mut CacheStats, now: &CacheStats, prev: &mut CacheStats) {
             &mut prev.set_accesses,
         ),
         (&mut into.set_misses, &now.set_misses, &mut prev.set_misses),
+        (
+            &mut into.set_evictions,
+            &now.set_evictions,
+            &mut prev.set_evictions,
+        ),
     ];
     for (into, now, prev) in sets {
         for ((into, &now), prev) in into.iter_mut().zip(now).zip(prev.iter_mut()) {
@@ -186,6 +195,15 @@ mod tests {
         assert_eq!(l1_sum, run.aggregate.l1.accesses);
         let refs: u64 = run.lanes.iter().map(|l| l.refs).sum();
         assert_eq!(refs, run.aggregate.l1.accesses);
+        // Evictions too, set by set (each lane's start empty).
+        let l1 = &run.aggregate.l1;
+        let evictions: u64 = run.lanes.iter().map(|l| l.l1.evictions).sum();
+        assert_eq!(evictions, l1.evictions);
+        for (set, &n) in l1.set_evictions.iter().enumerate() {
+            let lanes: u64 = run.lanes.iter().map(|l| l.l1.set_evictions[set]).sum();
+            assert_eq!(lanes, n, "set {set}");
+        }
+        assert!(l1.evictions > 0, "the L1 must evict");
         assert!(run.mix.switches > 0, "two tenants must actually interleave");
     }
 

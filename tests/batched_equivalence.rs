@@ -13,7 +13,7 @@
 
 use primecache::cache::{Hierarchy, HierarchyConfig, HierarchyOp, L2Sim};
 use primecache::core::expr::register_anonymous;
-use primecache::obs::ObsConfig;
+use primecache::obs::{EventKind, Level, ObsConfig};
 use primecache::sim::observe::run_workload_observed;
 use primecache::sim::{run_trace, run_workload, MachineConfig, Scheme};
 use primecache::workloads::all;
@@ -93,7 +93,8 @@ fn write_heavy_refs(n: usize) -> Vec<(u64, bool)> {
 
 /// Feeds the write-heavy stream to the engine's hierarchy and to the
 /// oracle's, diffing each access's outcome and its complete memory-write
-/// sequence.
+/// sequence, then every statistic, the L2 cache's own (its evictions,
+/// clean and dirty) included.
 struct DiffWritebacks {
     config: HierarchyConfig,
     label: String,
@@ -116,6 +117,11 @@ impl HierarchyOp for DiffWritebacks {
         }
         assert_eq!(engine.l1_stats(), oracle.l1_stats(), "{label}: L1 stats");
         assert_eq!(engine.l2_stats(), oracle.l2_stats(), "{label}: L2 stats");
+        assert_eq!(
+            engine.l2_cache_stats(),
+            oracle.l2_cache_stats(),
+            "{label}: the L2 cache's own stats"
+        );
     }
 }
 
@@ -146,20 +152,41 @@ fn writeback_sequences_identical_scalar_vs_batched() {
 #[test]
 fn obs_counters_match_batched_stats_on_every_scheme() {
     // The observed driver runs the same engine with a recorder attached:
-    // its results equal the plain driver's, and the eviction counts only
-    // the recorder keeps agree with the stats where both see the same
-    // thing — a dirty L1 victim is an L1 writeback, a dirty L2 victim a
-    // DRAM write.
+    // its results equal the plain driver's. The eviction metrics come
+    // from the caches' own statistics, and the eviction events the
+    // hierarchy traces from the access outcomes must agree with them,
+    // level by level, clean and dirty; a dirty L2 victim is also a DRAM
+    // write.
+    let traced = ObsConfig {
+        trace_events: true,
+        ring_capacity: 1 << 20,
+        ..ObsConfig::default()
+    };
     for name in ["mcf", "tree", "cg"] {
         let w = primecache::workloads::by_name(name).unwrap();
         for &scheme in &Scheme::ALL {
             let batched = run_workload(w, scheme, 10_000);
-            let observed = run_workload_observed(w, scheme, 10_000, ObsConfig::default());
+            let observed = run_workload_observed(w, scheme, 10_000, traced.clone());
             let ctx = format!("{name}/{}", scheme.label());
             assert_results_equal(&batched, &observed.result, &ctx);
-            let h = &observed.recorder.hot;
-            assert_eq!(h.l1_dirty_evictions, observed.result.l1.writebacks, "{ctx}");
-            assert_eq!(h.l2_dirty_evictions, observed.result.dram.writes, "{ctx}");
+            assert_eq!(observed.recorder.events_dropped(), 0, "{ctx}");
+            // [level][dirty] eviction events.
+            let mut events = [[0u64; 2]; 2];
+            for ev in observed.recorder.events() {
+                if let EventKind::Eviction { level, dirty, .. } = ev.kind {
+                    events[usize::from(level == Level::L2)][usize::from(dirty)] += 1;
+                }
+            }
+            let counter = |key: &str| observed.metrics.counter(key).expect(key);
+            for (level, prefix) in [(0, "cache.l1"), (1, "cache.l2")] {
+                let [clean, dirty] = events[level];
+                let evictions = counter(&format!("{prefix}.evictions"));
+                assert_eq!(clean + dirty, evictions, "{ctx}: {prefix} evictions");
+                let dirty_evictions = counter(&format!("{prefix}.dirty_evictions"));
+                assert_eq!(dirty, dirty_evictions, "{ctx}: {prefix} dirty evictions");
+            }
+            assert_eq!(events[0][1], observed.result.l1.writebacks, "{ctx}");
+            assert_eq!(events[1][1], observed.result.dram.writes, "{ctx}");
         }
     }
 }

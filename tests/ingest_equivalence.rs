@@ -83,7 +83,7 @@ fn pcte_import_is_the_identity() {
     }
 }
 
-/// Observability counters — not just aggregates — agree between the
+/// The whole metric dump — not just aggregates — agrees between the
 /// direct replay and the imported trace.
 #[test]
 fn import_preserves_obs_counters() {
@@ -94,7 +94,7 @@ fn import_preserves_obs_counters() {
 
     let direct = observe_chunks(trace.replay(), Scheme::PrimeModulo, ObsConfig::default());
     let via = observe_chunks(imported.chunks(), Scheme::PrimeModulo, ObsConfig::default());
-    assert_eq!(via.recorder.hot, direct.recorder.hot, "hot counters");
+    assert_eq!(via.metrics, direct.metrics, "metric dump");
     assert_eq!(via.result.l2, direct.result.l2, "L2 stats");
 }
 
