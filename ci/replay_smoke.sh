@@ -9,23 +9,27 @@
 # and decodes all 23 workloads, so it also shows that both pipeline
 # stages complete over the whole suite.
 #
-# It runs twice in release: once as users build it, and once with
+# It runs at two lengths: REPLAY_REFS (default 1000), and 40,000
+# references, where every trace spans several 16,384-event batches, so
+# a single-scheme run's L1 stage hands the engine many batches and
+# reuses the ones sent back. At each length it runs twice in release: once as users build it, and once with
 # `--features primecache-sim/check`, which compiles the sweep's
 # completeness check (`Sweep::validate`) and the caches' per-access
 # invariants into the release build, so they check the sweep scheduler
-# at release speed. Run locally with `sh ci/replay_smoke.sh`;
-# REPLAY_REFS overrides the trace length.
+# at release speed. Run locally with `sh ci/replay_smoke.sh`.
 set -eu
 
 REFS="${REPLAY_REFS:-1000}"
 
 [ -f Cargo.toml ] || { echo "run from the repository root" >&2; exit 2; }
 
-echo "==> replay-equivalence battery (REPLAY_REFS=$REFS)"
-REPLAY_REFS="$REFS" cargo test --release -q --test replay_equivalence
+for refs in "$REFS" 40000; do
+    echo "==> replay-equivalence battery (REPLAY_REFS=$refs)"
+    REPLAY_REFS="$refs" cargo test --release -q --test replay_equivalence
 
-echo "==> the same battery with runtime checks (--features primecache-sim/check)"
-REPLAY_REFS="$REFS" cargo test --release -q --test replay_equivalence \
-    --features primecache-sim/check
+    echo "==> the same battery with runtime checks (--features primecache-sim/check)"
+    REPLAY_REFS="$refs" cargo test --release -q --test replay_equivalence \
+        --features primecache-sim/check
+done
 
-echo "replay smoke passed ($REFS refs/workload)"
+echo "replay smoke passed ($REFS and 40000 refs/workload)"

@@ -206,7 +206,8 @@ pub trait HierarchyOp<L: L1Sim = Cache<Traditional>> {
 /// (`Cache<Traditional>`), or a replay of the outcomes such an L1
 /// produced over the same references. Nothing below the L1 feeds back
 /// into it (no back-invalidation; the prefetcher fills only the L2), so
-/// the two are interchangeable under every L2.
+/// the two are interchangeable under every L2. Only the live L1 has
+/// statistics ([`Hierarchy::l1_stats`]); a replay's are its recording's.
 pub trait L1Sim {
     /// One demand access to `block` (in L1 lines; write-allocate,
     /// write-back), and what it did. Every dirty victim must be
@@ -214,20 +215,18 @@ pub trait L1Sim {
     /// matters only to an attached recorder, which only a hierarchy
     /// around the live L1 takes, so a replay may report it as none.
     fn access(&mut self, block: u64, write: bool) -> CacheOutcome;
-
-    /// Demand statistics. A replay has only its recording's, which
-    /// describe the whole recorded run.
-    fn stats(&self) -> &CacheStats;
 }
+
+/// An [`L1Sim`] that replays outcomes recorded elsewhere, which its
+/// driver loads between accesses ([`Hierarchy::replayed_l1_mut`]). The
+/// live L1 is not one, so a hierarchy never hands it out: an access made
+/// on it directly would skip the L2, its statistics and the recorder.
+pub trait ReplayedL1: L1Sim {}
 
 impl L1Sim for Cache<Traditional> {
     #[inline]
     fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
         self.access_block(block, write)
-    }
-
-    fn stats(&self) -> &CacheStats {
-        CacheSim::stats(self)
     }
 }
 
@@ -321,8 +320,9 @@ impl L2Sim for FullyAssociative {
 ///
 /// The L1 (`L`) is live by default. A hierarchy around a replayed L1
 /// ([`HierarchyConfig::build_around`]) applies the same steps to the
-/// recorded outcomes; [`Hierarchy::attach_obs`] exists only for the
-/// live one.
+/// recorded outcomes; [`Hierarchy::attach_obs`] and
+/// [`Hierarchy::l1_stats`] exist only for the live one, and
+/// [`Hierarchy::replayed_l1_mut`] only for a replay ([`ReplayedL1`]).
 ///
 /// # Examples
 ///
@@ -442,12 +442,6 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
         out
     }
 
-    /// L1 statistics.
-    #[must_use]
-    pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
-    }
-
     /// L2 *demand* statistics: only L1 misses, the traffic the paper's
     /// figures count. They count no evictions.
     #[must_use]
@@ -471,6 +465,14 @@ impl<X: L2Sim, L: L1Sim> Hierarchy<X, L> {
     }
 }
 
+impl<X: L2Sim, L: ReplayedL1> Hierarchy<X, L> {
+    /// The replayed L1, for its driver to load with the outcomes of the
+    /// references it sees next.
+    pub fn replayed_l1_mut(&mut self) -> &mut L {
+        &mut self.l1
+    }
+}
+
 impl<X: L2Sim> Hierarchy<X> {
     /// Assembles a hierarchy around a pre-built L2 (which must match
     /// `config.l2`), building the live L1 `config.l1` describes.
@@ -482,6 +484,12 @@ impl<X: L2Sim> Hierarchy<X> {
     #[must_use]
     pub fn with_l2(config: HierarchyConfig, l2: X) -> Self {
         Self::with_parts(config, config.live_l1(), l2)
+    }
+
+    /// L1 statistics.
+    #[must_use]
+    pub fn l1_stats(&self) -> &CacheStats {
+        CacheSim::stats(&self.l1)
     }
 
     /// Attaches one observability recorder to the whole hierarchy: it

@@ -56,6 +56,7 @@ pub use config::{CacheConfig, ReplacementKind, SkewHashKind, SkewReplacement, Sk
 pub use fully_assoc::FullyAssociative;
 pub use hierarchy::{
     AccessOutcome, Hierarchy, HierarchyConfig, HierarchyOp, L1Sim, L2Organization, L2Sim,
+    ReplayedL1,
 };
 pub use infinite::InfiniteCache;
 pub use set_assoc::Cache;

@@ -1,25 +1,47 @@
-//! Single-run driver: one engine, pushed the trace on the caller's
-//! thread.
+//! Single-run drivers: the source and the L1 on a second thread, the
+//! scheme's L2, DRAM and core on the caller's.
 //!
-//! Every entry point ([`run_trace`], [`run_chunks`], [`run_recorded`],
-//! [`run_workload`], the observed and tenant drivers, and
-//! [`Recording::run`](crate::Recording::run)) builds its
-//! run's engine with [`dispatch`] or, around a replayed L1,
-//! [`dispatch_replayed`] — **once** per run, through
-//! [`HierarchyConfig::build_around`](primecache_cache::HierarchyConfig::build_around),
-//! which picks the L2's concrete cache and index-function types — and
-//! then pushes the trace into it as `&[Event]` chunks: a replay, mix or
-//! import cursor pushes the chunks it decodes, a live generator each
-//! full `STREAM_CHUNK` buffer. The per-event loop ([`Cpu::feed`]) has no
+//! Every single-scheme entry point ([`run_trace`], [`run_chunks`],
+//! [`run_recorded`], [`run_workload`]) is a two-stage pipeline. The
+//! paper rehashes only the L2, and nothing below the L1 feeds back into
+//! it, so the L1's outcomes do not depend on the run's timing
+//! ([`crate::recording`]). The L1 stage — the source (a replay, import
+//! or solo mix cursor, or a live generator) and the paper's live L1 —
+//! runs on one scoped thread and writes each chunk the source pushes,
+//! with the L1's outcomes over it, into a [`Batch`]. It hands the batch
+//! through a bounded channel to the caller's thread, where the engine
+//! [`dispatch_replayed`] builds (L2, DRAM and core around an
+//! [`L1Replay`], as in a sweep cell) replays it and sends it back for
+//! reuse. The engine holds the run's `Rc` observability handles, so it
+//! stays on the caller's thread and the source moves: sources are
+//! `Send`.
+//!
+//! Observed runs ([`crate::observe`]) and tenant mixes
+//! ([`crate::tenants`]) keep the live L1 in the engine, on one thread,
+//! because they need what a replay cannot give: its clean victims, its
+//! time-ordered events and its statistics mid-run. They build their
+//! engine with [`dispatch`]. So does a single-scheme run whose stage
+//! would have no core of its own: on a one-core host, or on one of
+//! several fan-out workers (a sweep's unshared cells, the registry's
+//! parallel cells), which already occupy the cores.
+//!
+//! Both builders go through
+//! [`HierarchyConfig::build_around`](primecache_cache::HierarchyConfig::build_around)
+//! **once** per run, which picks the L2's concrete cache and
+//! index-function types, so the per-event loop ([`Cpu::feed`]) has no
 //! `dyn` dispatch; only the call into the engine, once per chunk, is
-//! virtual. Before building the engine, every driver runs
-//! [`MachineConfig::check_scheme`], in every build profile, and so
-//! panics on a scheme the config linter rejects.
+//! virtual. Before building the engine, and so before any thread
+//! starts, every driver runs [`MachineConfig::check_scheme`], in every
+//! build profile, and so panics on a scheme the config linter rejects.
 //!
 //! The `batched_equivalence` integration test and the `sim/machine` and
 //! `sim/l1-replay` units of the `check` battery compare these drivers
 //! with `OracleMachine`, a naive machine restated from the hierarchy,
 //! DRAM and core docs (stats, memory-write order, breakdowns).
+
+use std::panic;
+use std::sync::mpsc;
+use std::thread;
 
 use primecache_cache::{Cache, CacheStats, Hierarchy, HierarchyOp, L1Sim, L2Sim};
 use primecache_core::index::Traditional;
@@ -29,7 +51,8 @@ use primecache_obs::ObsHandle;
 use primecache_trace::{EncodedTrace, Event};
 use primecache_workloads::{EventChunks, Workload, STREAM_CHUNK};
 
-use crate::recording::L1Replay;
+use crate::recording::{Batch, L1Replay, L1Writer};
+use crate::suite::stage_has_a_core;
 use crate::{MachineConfig, Scheme};
 
 /// Everything one simulation produces.
@@ -59,21 +82,34 @@ impl RunResult {
     }
 }
 
-/// One run in progress: the scheme's machine — L1, L2, DRAM and core —
-/// built once by [`dispatch`] or [`dispatch_replayed`] and pushed the
-/// trace chunk by chunk.
+/// One run in progress around a replayed L1: the scheme's L2, DRAM and
+/// core, built once by [`dispatch_replayed`] and pushed the run's
+/// batches in order.
 pub(crate) trait Engine {
+    /// Simulates `batch`, continuing where the previous batch stopped,
+    /// its L1 outcomes replayed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the batch's references do not use up its outcomes
+    /// exactly.
+    fn push(&mut self, batch: &Batch);
+
+    /// Ends the run and packages its results; `l1` is the replayed L1's
+    /// statistics over the whole run.
+    fn finish(&mut self, l1: CacheStats) -> RunResult;
+}
+
+/// One run in progress around a live L1, built once by [`dispatch`] and
+/// pushed the trace chunk by chunk. It can also report its statistics
+/// mid-run and be observed, which a replayed L1 cannot.
+pub(crate) trait LiveEngine {
     /// Simulates `chunk`, continuing where the previous chunk stopped.
     fn push(&mut self, chunk: &[Event]);
 
     /// Ends the run and packages its results.
     fn finish(&mut self) -> RunResult;
-}
 
-/// A run whose L1 is live: it can also report its statistics mid-run
-/// and be observed. A replayed L1 can do neither, so an engine around
-/// one is only an [`Engine`].
-pub(crate) trait LiveEngine: Engine {
     /// L1 statistics so far.
     fn l1_stats(&self) -> &CacheStats;
 
@@ -110,26 +146,45 @@ impl<X: L2Sim, L: L1Sim> Machine<X, L> {
             cpu: Cpu::new(machine.cpu),
         }
     }
-}
 
-impl<X: L2Sim, L: L1Sim> Engine for Machine<X, L> {
-    fn push(&mut self, chunk: &[Event]) {
+    fn feed(&mut self, events: &[Event]) {
         self.cpu
-            .feed(chunk.iter().copied(), &mut self.hierarchy, &mut self.dram);
+            .feed(events.iter().copied(), &mut self.hierarchy, &mut self.dram);
     }
 
-    fn finish(&mut self) -> RunResult {
+    fn result(&mut self, l1: CacheStats) -> RunResult {
         RunResult {
             scheme: self.scheme,
             breakdown: self.cpu.finish(),
-            l1: self.hierarchy.l1_stats().clone(),
+            l1,
             l2: self.hierarchy.l2_stats().clone(),
             dram: *self.dram.stats(),
         }
     }
 }
 
+impl<X: L2Sim> Engine for Machine<X, L1Replay> {
+    fn push(&mut self, batch: &Batch) {
+        self.hierarchy.replayed_l1_mut().load(batch);
+        self.feed(batch.events());
+        self.hierarchy.replayed_l1_mut().check_drained();
+    }
+
+    fn finish(&mut self, l1: CacheStats) -> RunResult {
+        self.result(l1)
+    }
+}
+
 impl<X: L2Sim> LiveEngine for Machine<X> {
+    fn push(&mut self, chunk: &[Event]) {
+        self.feed(chunk);
+    }
+
+    fn finish(&mut self) -> RunResult {
+        let l1 = self.hierarchy.l1_stats().clone();
+        self.result(l1)
+    }
+
     fn l1_stats(&self) -> &CacheStats {
         self.hierarchy.l1_stats()
     }
@@ -172,21 +227,11 @@ pub(crate) fn dispatch(machine: &MachineConfig, scheme: Scheme) -> Box<dyn LiveE
 ///
 /// # Panics
 ///
-/// Panics when the config linter rejects `scheme`, or when `l1` was not
-/// recorded on `machine`'s L1.
-pub(crate) fn dispatch_replayed<'r>(
-    machine: &MachineConfig,
-    scheme: Scheme,
-    l1: L1Replay<'r>,
-) -> Box<dyn Engine + 'r> {
+/// Panics when the config linter rejects `scheme`.
+pub(crate) fn dispatch_replayed(machine: &MachineConfig, scheme: Scheme) -> Box<dyn Engine> {
     machine.check_scheme(scheme);
     let config = machine.hierarchy_config(scheme);
-    assert_eq!(
-        l1.config(),
-        &config.l1,
-        "the L1 was recorded on another configuration"
-    );
-    config.build_around(l1, Assemble { machine, scheme })
+    config.build_around(L1Replay::new(&config.l1), Assemble { machine, scheme })
 }
 
 /// Wraps the built hierarchy into the run's engine.
@@ -203,38 +248,86 @@ impl HierarchyOp for Assemble<'_> {
     }
 }
 
-impl<'r> HierarchyOp<L1Replay<'r>> for Assemble<'_> {
-    type Out = Box<dyn Engine + 'r>;
+impl HierarchyOp<L1Replay> for Assemble<'_> {
+    type Out = Box<dyn Engine>;
 
-    fn run<X: L2Sim + 'static>(
-        self,
-        hierarchy: Hierarchy<X, L1Replay<'r>>,
-    ) -> Box<dyn Engine + 'r> {
+    fn run<X: L2Sim + 'static>(self, hierarchy: Hierarchy<X, L1Replay>) -> Box<dyn Engine> {
         Box::new(Machine::new(self.machine, self.scheme, hierarchy))
     }
 }
 
-/// Runs `scheme`'s engine over the chunks `feed` pushes and returns the
-/// results.
+/// Batches the hand-off channel holds at most. With the one the L1
+/// stage fills and the one the engine replays, at most `DEPTH + 2`
+/// batches (about 265 KB each at [`STREAM_CHUNK`] events) exist per
+/// run.
+const DEPTH: usize = 2;
+
+/// Runs `scheme`'s engine on `machine` over the chunks `source` pushes:
+/// the source and the L1 stage on a scoped thread, the engine on this
+/// one. Where the stage has no core of its own ([`stage_has_a_core`]:
+/// a one-core host, or a thread among several fan-out workers), the run
+/// keeps its live L1 on this thread instead, because there the stage's
+/// batches cost time and win none.
+///
+/// The stage writes each chunk into a batch — one the engine sent back,
+/// or a new one while none has come back — and sends it through a
+/// channel of [`DEPTH`] batches, blocking while it is full. The engine
+/// replays each batch, in order, and sends it back. When the source
+/// ends, the stage drops its sender, which ends the engine's loop; the
+/// engine then joins the stage for the L1's statistics. If the source
+/// panics, the engine's loop ends the same way and the join re-raises
+/// the source's panic here. If the engine panics, its receiver drops:
+/// the stage's next send fails, it lets the rest of the source run
+/// without work, and the scope joins it before the engine's panic
+/// propagates.
 fn simulate(
     machine: &MachineConfig,
     scheme: Scheme,
-    feed: impl FnOnce(&mut dyn FnMut(&[Event])),
+    source: impl FnOnce(&mut dyn FnMut(&[Event])) + Send,
 ) -> RunResult {
-    let mut engine = dispatch(machine, scheme);
-    feed(&mut |chunk| engine.push(chunk));
-    engine.finish()
+    if !stage_has_a_core() {
+        let mut engine = dispatch(machine, scheme);
+        source(&mut |chunk| engine.push(chunk));
+        return engine.finish();
+    }
+    let mut engine = dispatch_replayed(machine, scheme);
+    let config = machine.hierarchy_config(scheme);
+    let (full_tx, full_rx) = mpsc::sync_channel::<Batch>(DEPTH);
+    let (empty_tx, empty_rx) = mpsc::channel::<Batch>();
+    thread::scope(|scope| {
+        let stage = scope.spawn(move || {
+            let mut writer = L1Writer::new(&config);
+            let mut open = true;
+            source(&mut |chunk| {
+                if open {
+                    let mut batch = empty_rx.try_recv().unwrap_or_default();
+                    writer.write(chunk, &mut batch);
+                    open = full_tx.send(batch).is_ok();
+                }
+            });
+            writer.into_stats()
+        });
+        for batch in full_rx {
+            engine.push(&batch);
+            // Fails only once the stage has finished; the batch drops.
+            let _ = empty_tx.send(batch);
+        }
+        let l1 = stage
+            .join()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload));
+        engine.finish(l1)
+    })
 }
 
 /// Runs an explicit event sequence under a scheme.
 ///
-/// Accepts anything iterable, e.g. a materialized `Vec<Event>` or a
-/// slice's copied iterator; the events reach the engine in
-/// `STREAM_CHUNK`-event chunks.
+/// Accepts anything iterable that can move to the L1 stage's thread,
+/// e.g. a materialized `Vec<Event>` or a slice's copied iterator; the
+/// events reach the engine in `STREAM_CHUNK`-event chunks.
 #[must_use]
 pub fn run_trace<T>(trace: T, scheme: Scheme, machine: &MachineConfig) -> RunResult
 where
-    T: IntoIterator<Item = Event>,
+    T: IntoIterator<Item = Event> + Send,
 {
     simulate(machine, scheme, |push| {
         let mut trace = trace.into_iter();
@@ -253,8 +346,8 @@ where
 /// Runs a workload under a scheme on the paper's default machine.
 ///
 /// `target_refs` controls the trace length (memory references). The
-/// generator runs on the calling thread and pushes each full chunk
-/// straight into the engine, so the trace is never materialized.
+/// generator pushes each chunk as it fills, so the trace is never
+/// materialized.
 ///
 /// # Examples
 ///
@@ -276,11 +369,12 @@ pub fn run_workload(workload: &Workload, scheme: Scheme, target_refs: u64) -> Ru
 /// Runs any [`EventChunks`] source — a recorded [`primecache_trace::ReplayCursor`],
 /// an imported trace's cursor, or a multi-tenant
 /// [`primecache_workloads::MixCursor`] — through the engine, each chunk
-/// as the source pushes it. Results across sources differ only by
-/// their event sequences; `tests/ingest_equivalence.rs` pins a
-/// single-tenant mix to the plain replay, bit-exactly.
+/// as the source pushes it; the source moves to the run's L1-stage
+/// thread. Results across sources differ only by their event sequences;
+/// `tests/ingest_equivalence.rs` pins a single-tenant mix to the plain
+/// replay, bit-exactly.
 #[must_use]
-pub fn run_chunks<S: EventChunks>(
+pub fn run_chunks<S: EventChunks + Send>(
     mut source: S,
     scheme: Scheme,
     machine: &MachineConfig,
@@ -295,9 +389,8 @@ pub fn run_chunks<S: EventChunks>(
 /// and a recording encodes the chunks the live generator pushes), so results
 /// match [`run_workload`] exactly — stats, writeback order, breakdowns —
 /// which the `replay_equivalence` integration test pins for all 23
-/// workloads × every scheme. The run simulates its own live L1; a
-/// sweep cell instead replays its workload's shared events and L1
-/// outcomes ([`crate::Recording::run`]).
+/// workloads × every scheme. A sweep cell instead replays its
+/// workload's shared events and L1 outcomes ([`crate::Recording::run`]).
 #[must_use]
 pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfig) -> RunResult {
     run_chunks(trace.replay(), scheme, machine)
@@ -307,6 +400,8 @@ pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfi
 mod tests {
     use super::*;
     use primecache_workloads::by_name;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
 
     #[test]
     fn run_produces_consistent_stats() {
@@ -364,6 +459,60 @@ mod tests {
         assert_eq!(expr.l1, pmod.l1);
         assert_eq!(expr.l2, pmod.l2);
         assert_eq!(expr.dram, pmod.dram);
+    }
+
+    /// A source that pushes one chunk, then panics on its second; the
+    /// `Arc` it holds shows when the stage has dropped it.
+    struct PanicsOnSecondChunk {
+        _alive: Arc<()>,
+    }
+
+    impl EventChunks for PanicsOnSecondChunk {
+        fn push_chunks(&mut self, consume: &mut dyn FnMut(&[Event])) {
+            consume(&[Event::Load {
+                addr: 0x40,
+                dep: true,
+            }]);
+            panic!("the source failed on its second chunk");
+        }
+    }
+
+    #[test]
+    fn a_source_panic_reaches_the_caller_after_the_stage_is_joined() {
+        let alive = Arc::new(());
+        let source = PanicsOnSecondChunk {
+            _alive: Arc::clone(&alive),
+        };
+        let machine = MachineConfig::paper_default();
+        let err = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_chunks(source, Scheme::Base, &machine)
+        }))
+        .expect_err("the source's panic reaches the caller");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"the source failed on its second chunk")
+        );
+        // The stage thread has ended and dropped its source.
+        assert_eq!(Arc::strong_count(&alive), 1);
+    }
+
+    #[test]
+    fn an_empty_source_returns_the_zero_result() {
+        struct Empty;
+        impl EventChunks for Empty {
+            fn push_chunks(&mut self, _: &mut dyn FnMut(&[Event])) {}
+        }
+        let machine = MachineConfig::paper_default();
+        for r in [
+            run_chunks(Empty, Scheme::PrimeModulo, &machine),
+            run_trace(Vec::new(), Scheme::PrimeModulo, &machine),
+        ] {
+            assert_eq!(r.breakdown, ExecBreakdown::default());
+            let l1_sets = machine.hierarchy_config(Scheme::Base).l1.n_set_phys();
+            assert_eq!(r.l1, CacheStats::new(l1_sets as usize));
+            assert_eq!(r.l2.accesses, 0);
+            assert_eq!(r.dram, DramStats::default());
+        }
     }
 
     #[test]

@@ -171,9 +171,26 @@ fn footprint(workload: &Workload) -> u64 {
 pub const STORE_MAX_REFS: u64 = 2_000_000;
 
 /// Worker threads a fan-out may use: the machine's available
-/// parallelism (4 when it cannot be queried).
+/// parallelism (4 when it cannot be queried), read once per process.
 pub(crate) fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS
+        .get_or_init(|| std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get))
+}
+
+thread_local! {
+    /// Whether this thread is one of two or more [`fan_out`] workers,
+    /// whose runs share the host's cores with the other workers. A lone
+    /// worker is not marked: its runs are the only ones going.
+    static FAN_OUT_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether a single-scheme run on the calling thread has a core for an
+/// L1 stage: the host has two or more, and the thread is not one of
+/// several fan-out workers, which already occupy them. Without one, the
+/// stage's batches are only overhead, so the run keeps its live L1.
+pub(crate) fn stage_has_a_core() -> bool {
+    !FAN_OUT_WORKER.get() && available_workers() > 1
 }
 
 /// Runs `task(worker, i)` once for every `i` in `0..n` on up to
@@ -192,11 +209,13 @@ pub(crate) fn fan_out<T: Send>(
     task: impl Fn(usize, usize) -> T + Sync,
 ) -> Vec<T> {
     let cursor = AtomicUsize::new(0);
+    let spawned = workers.max(1).min(n);
     let batches: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.max(1).min(n))
+        let handles: Vec<_> = (0..spawned)
             .map(|worker| {
                 let (cursor, task) = (&cursor, &task);
                 scope.spawn(move || {
+                    FAN_OUT_WORKER.set(spawned > 1);
                     let mut done = Vec::new();
                     loop {
                         // Relaxed suffices: the cursor publishes no other
@@ -584,15 +603,25 @@ mod tests {
 
     #[test]
     fn one_scheme_sweeps_generate_live() {
+        // A cell on one of several fan-out workers keeps its live L1 on
+        // the worker's thread; the same run on this thread, or on a lone
+        // worker, hands it to an L1 stage if the host has a second core.
+        // Both give the same results.
+        let marked = || FAN_OUT_WORKER.get();
+        assert!(!marked());
+        assert_eq!(fan_out(4, 2, |_, _| marked()), [true; 4]);
+        assert_eq!(fan_out(4, 1, |_, _| marked()), [false; 4]);
+        assert_eq!(fan_out(1, 2, |_, _| marked()), [false]);
         let sweep = run_sweep(&[Scheme::Base], 4_000);
         assert_eq!(sweep.shared, None);
         assert!(sweep.tasks.iter().all(|t| t.wait_us == 0));
         let w = primecache_workloads::by_name("mcf").expect("mcf");
         let cell = sweep.get(w.name, Scheme::Base).expect("cell present");
-        assert_eq!(
-            cell.result.breakdown,
-            run_workload(w, Scheme::Base, 4_000).breakdown
-        );
+        let staged = run_workload(w, Scheme::Base, 4_000);
+        assert_eq!(cell.result.breakdown, staged.breakdown);
+        assert_eq!(cell.result.l1, staged.l1);
+        assert_eq!(cell.result.l2, staged.l2);
+        assert_eq!(cell.result.dram, staged.dram);
     }
 
     #[test]

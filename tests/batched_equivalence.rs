@@ -15,8 +15,9 @@ use primecache::cache::{Hierarchy, HierarchyConfig, HierarchyOp, L2Sim};
 use primecache::core::expr::register_anonymous;
 use primecache::obs::{EventKind, Level, ObsConfig};
 use primecache::sim::observe::run_workload_observed;
-use primecache::sim::{run_trace, run_workload, MachineConfig, Scheme};
-use primecache::workloads::all;
+use primecache::sim::{run_trace, run_workload, MachineConfig, Recording, Scheme};
+use primecache::trace::Event;
+use primecache::workloads::{all, STREAM_CHUNK};
 use primecache_check::oracle::{OracleCaches, OracleMachine};
 
 /// References per workload for the full-suite sweep. Small enough that
@@ -51,19 +52,48 @@ fn assert_results_equal(
     assert_eq!(batched.dram, reference.dram, "DRAM stats {ctx}");
 }
 
+/// Multi-batch traces: a store-heavy workload and a pointer-chasing
+/// one, each at least [`MIN_BATCHES`] `STREAM_CHUNK`-event batches long.
+const LONG_TRACES: [(&str, u64); 2] = [("tomcatv", 80_000), ("mcf", 50_000)];
+
+/// Batches every multi-batch trace spans at least: more than a run's
+/// L1 stage ever holds at once, so its later batches reuse returned
+/// ones.
+const MIN_BATCHES: usize = 6;
+
+/// `name`'s trace of `refs` references under every scheme on both
+/// machines: `run_trace`, whose L1 stage hands the engine one batch at
+/// a time (on a host with a second core), and a recording's replay of
+/// its batches must both give the oracle's results.
+fn check_against_oracle(name: &str, trace: &[Event], refs: u64) {
+    let recording = Recording::of_events(trace);
+    for machine in machines() {
+        for &scheme in &Scheme::ALL {
+            let ctx = format!("{name}/{}/{} KB", scheme.label(), machine.l2_size >> 10);
+            let reference = OracleMachine::new(&machine, scheme).run(trace);
+            let pipelined = run_trace(trace.iter().copied(), scheme, &machine);
+            assert_results_equal(&pipelined, &reference, &format!("run_trace {ctx}"));
+            assert!(pipelined.l1.accesses >= refs, "{ctx}: short trace");
+            let replayed = recording.run(scheme, &machine);
+            assert_results_equal(&replayed, &reference, &format!("Recording::run {ctx}"));
+        }
+    }
+}
+
 #[test]
 fn batched_matches_reference_on_all_workloads_and_schemes() {
-    for machine in machines() {
-        for w in all() {
-            let trace = w.trace(SUITE_REFS);
-            for &scheme in &Scheme::ALL {
-                let batched = run_trace(trace.iter().copied(), scheme, &machine);
-                let reference = OracleMachine::new(&machine, scheme).run(&trace);
-                let ctx = format!("{}/{}/{} KB", w.name, scheme.label(), machine.l2_size >> 10);
-                assert_results_equal(&batched, &reference, &ctx);
-                assert!(batched.l1.accesses >= SUITE_REFS, "{ctx}: short trace");
-            }
-        }
+    // Every workload within one batch, then the multi-batch traces.
+    for w in all() {
+        check_against_oracle(w.name, &w.trace(SUITE_REFS), SUITE_REFS);
+    }
+    for (name, refs) in LONG_TRACES {
+        let trace = primecache::workloads::by_name(name).unwrap().trace(refs);
+        assert!(
+            trace.len() >= MIN_BATCHES * STREAM_CHUNK,
+            "{name}: {} events",
+            trace.len()
+        );
+        check_against_oracle(name, &trace, refs);
     }
 }
 
