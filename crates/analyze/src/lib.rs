@@ -43,7 +43,5 @@ pub use lint::{
 };
 pub use lower::lower_expr;
 pub use model::{model_of, skew_disp_model, skew_xor_model, xor_folded_model, IndexModel};
-pub use report::{
-    canonical_json, certificate_json, lint_json, report_json, REPORT_SCHEMA, REPORT_VERSION,
-};
+pub use report::{canonical_json, report_json, REPORT_SCHEMA, REPORT_VERSION};
 pub use verify::{self_check, CheckResult, SelfCheck};

@@ -41,6 +41,16 @@ pub enum LintLevel {
     Warning,
 }
 
+impl LintLevel {
+    /// The level's name in reports and messages (`error`, `warning`).
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            LintLevel::Error => "error",
+            LintLevel::Warning => "warning",
+        }
+    }
+}
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lint {
@@ -72,11 +82,7 @@ impl Lint {
 
 impl std::fmt::Display for Lint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let level = match self.level {
-            LintLevel::Error => "error",
-            LintLevel::Warning => "warning",
-        };
-        write!(f, "{level}[{}]: {}", self.code, self.message)
+        write!(f, "{}[{}]: {}", self.level.label(), self.code, self.message)
     }
 }
 

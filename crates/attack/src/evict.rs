@@ -31,32 +31,17 @@ use primecache_analyze::{input_mask, IndexModel};
 use primecache_core::probe::{ProbeCost, ProbeOracle};
 use primecache_workloads::probe::{naive_strides, random_pool, stride_candidates};
 
-/// Tuning knobs for [`eviction_cost`].
-#[derive(Debug, Clone, Copy)]
-pub struct EvictConfig {
-    /// Seed for the random-pool tier.
-    pub seed: u64,
-    /// Pool-size ceiling for the random-pool tier; doubling stops here.
-    pub max_pool: usize,
-    /// Simulated-reference budget for the random-pool tier (growth and
-    /// reduction combined).
-    pub ref_budget: u64,
-    /// Skip group-test reduction above this associativity (a
-    /// fully-associative probe's "ways" are its whole capacity, where
-    /// any set that evicts is already minimal in the interesting sense).
-    pub reduce_max_ways: u32,
-}
+/// Pool-size ceiling for the random-pool tier; doubling stops here.
+const MAX_POOL: usize = 1 << 17;
 
-impl Default for EvictConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0xE71C7,
-            max_pool: 1 << 17,
-            ref_budget: 1_000_000,
-            reduce_max_ways: 64,
-        }
-    }
-}
+/// Simulated-reference budget for the random-pool tier (growth and
+/// reduction combined).
+const REF_BUDGET: u64 = 1_000_000;
+
+/// Skip group-test reduction above this associativity (a
+/// fully-associative probe's "ways" are its whole capacity, where any
+/// set that evicts is already minimal in the interesting sense).
+const REDUCE_MAX_WAYS: u32 = 64;
 
 /// Outcome and cost of one attacker tier.
 #[derive(Debug, Clone)]
@@ -98,13 +83,14 @@ impl EvictionCost {
 
 /// Measures eviction-set construction cost against `oracle` for all
 /// three attacker tiers. `informed_model` is the output of a prior
-/// [`crate::recover()`] run (None when the verdict was Opaque), and
-/// `recovery_cost` is what that run cost — charged to the informed tier.
+/// [`crate::recover()`] run (None when the verdict was Opaque),
+/// `recovery_cost` is what that run cost — charged to the informed tier
+/// — and `seed` seeds the random-pool tier.
 pub fn eviction_cost(
     oracle: &mut dyn ProbeOracle,
     informed_model: Option<&IndexModel>,
     recovery_cost: ProbeCost,
-    cfg: &EvictConfig,
+    seed: u64,
 ) -> EvictionCost {
     let victim = 0u64;
     let assoc = oracle.assoc();
@@ -123,7 +109,7 @@ pub fn eviction_cost(
             detail: "skipped: naive-stride tier already succeeded".to_owned(),
         });
     } else {
-        tiers.push(random_tier(oracle, victim, assoc, cfg));
+        tiers.push(random_tier(oracle, victim, assoc, seed));
     }
 
     tiers.push(informed_tier(
@@ -173,31 +159,26 @@ fn naive_tier(oracle: &mut dyn ProbeOracle, victim: u64, assoc: u32) -> TierCost
 
 /// Tier 2: grow a seeded random pool until it evicts, then group-test it
 /// down toward `W` members.
-fn random_tier(
-    oracle: &mut dyn ProbeOracle,
-    victim: u64,
-    assoc: u32,
-    cfg: &EvictConfig,
-) -> TierCost {
+fn random_tier(oracle: &mut dyn ProbeOracle, victim: u64, assoc: u32, seed: u64) -> TierCost {
     let before = oracle.cost();
     let in_bits = oracle.in_bits();
-    let over = |oracle: &mut dyn ProbeOracle| oracle.cost().since(before).refs > cfg.ref_budget;
+    let over = |oracle: &mut dyn ProbeOracle| oracle.cost().since(before).refs > REF_BUDGET;
 
     // Growth: expected W blocks per set needs ~W·n_set blocks total.
     let mut size = (assoc as u64)
         .saturating_mul(oracle.n_set_phys())
-        .clamp(assoc as u64 + 1, cfg.max_pool as u64) as usize;
+        .clamp(assoc as u64 + 1, MAX_POOL as u64) as usize;
     let mut set: Option<Vec<u64>> = None;
     loop {
-        let pool = random_pool(cfg.seed, size, in_bits, victim);
+        let pool = random_pool(seed, size, in_bits, victim);
         if oracle.evicts(victim, &pool) {
             set = Some(pool);
             break;
         }
-        if size >= cfg.max_pool || over(oracle) {
+        if size >= MAX_POOL || over(oracle) {
             break;
         }
-        size = (size * 2).min(cfg.max_pool);
+        size = (size * 2).min(MAX_POOL);
     }
     let Some(mut set) = set else {
         let spent = oracle.cost().since(before);
@@ -216,7 +197,7 @@ fn random_tier(
     // Reduction: drop one of W+1 groups per round while the remainder
     // still evicts.
     let w = assoc as usize;
-    if assoc <= cfg.reduce_max_ways {
+    if assoc <= REDUCE_MAX_WAYS {
         'reduce: while set.len() > w && !over(oracle) {
             let groups = w + 1;
             let chunk = set.len().div_ceil(groups);
@@ -368,12 +349,7 @@ mod tests {
     #[test]
     fn traditional_falls_to_the_naive_ladder() {
         let mut oracle = ModelOracle::new(|a| a % 64, 64, 4, 16);
-        let out = eviction_cost(
-            &mut oracle,
-            None,
-            ProbeCost::default(),
-            &EvictConfig::default(),
-        );
+        let out = eviction_cost(&mut oracle, None, ProbeCost::default(), 0xE71C7);
         assert_eq!(out.first_success, Some("naive-stride"));
         let naive = out.tier("naive-stride").unwrap();
         assert!(naive.success);
@@ -386,12 +362,7 @@ mod tests {
     #[test]
     fn prime_modulus_resists_naive_but_not_the_random_pool() {
         let mut oracle = ModelOracle::new(|a| a % 61, 64, 2, 16);
-        let out = eviction_cost(
-            &mut oracle,
-            None,
-            ProbeCost::default(),
-            &EvictConfig::default(),
-        );
+        let out = eviction_cost(&mut oracle, None, ProbeCost::default(), 0xE71C7);
         assert_eq!(out.first_success, Some("random-pool"));
         let pool = out.tier("random-pool").unwrap();
         assert!(pool.success);
@@ -410,7 +381,7 @@ mod tests {
             probes: 100,
             refs: 300,
         };
-        let out = eviction_cost(&mut oracle, Some(&model), recovery, &EvictConfig::default());
+        let out = eviction_cost(&mut oracle, Some(&model), recovery, 0xE71C7);
         let informed = out.tier("informed").unwrap();
         assert!(informed.success);
         assert_eq!(informed.set_size, 2);
@@ -420,12 +391,7 @@ mod tests {
     #[test]
     fn opaque_verdict_leaves_the_informed_tier_empty_handed() {
         let mut oracle = ModelOracle::new(|a| a % 64, 64, 4, 16);
-        let out = eviction_cost(
-            &mut oracle,
-            None,
-            ProbeCost::default(),
-            &EvictConfig::default(),
-        );
+        let out = eviction_cost(&mut oracle, None, ProbeCost::default(), 0xE71C7);
         let informed = out.tier("informed").unwrap();
         assert!(!informed.success);
         assert!(informed.detail.contains("Opaque"));

@@ -31,6 +31,6 @@ pub mod evict;
 pub mod recover;
 pub mod report;
 
-pub use evict::{eviction_cost, EvictConfig, EvictionCost, TierCost};
-pub use recover::{recover, Recovery, RecoveryConfig, Verdict};
+pub use evict::{eviction_cost, EvictionCost, TierCost};
+pub use recover::{recover, Recovery, Verdict};
 pub use report::{attack_report_json, AttackEntry, ATTACK_REPORT_SCHEMA, ATTACK_REPORT_VERSION};

@@ -29,24 +29,9 @@
 use primecache_analyze::{canonicalize, input_mask, Gf2Matrix, IndexModel};
 use primecache_core::probe::{ProbeCost, ProbeOracle};
 
-/// Tuning knobs for [`recover`]. Defaults match the CLI and tests.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// Seed for the verification sampler.
-    pub seed: u64,
-    /// Verification pairs per accepted hypothesis (half structured
-    /// positives, half random agreement checks).
-    pub verify_pairs: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0x5EED,
-            verify_pairs: 64,
-        }
-    }
-}
+/// Verification pairs per accepted hypothesis (half structured
+/// positives, half random agreement checks).
+const VERIFY_PAIRS: usize = 64;
 
 /// What the attacker concluded.
 #[derive(Debug, Clone)]
@@ -135,16 +120,17 @@ impl Rng64 {
 }
 
 /// Recovers the structure of the probed index function. See the module
-/// docs for the hypothesis ladder; the returned [`Recovery`] carries the
-/// verdict and the full probe-cost accounting.
-pub fn recover(oracle: &mut dyn ProbeOracle, cfg: &RecoveryConfig) -> Recovery {
+/// docs for the hypothesis ladder; `seed` seeds the verification
+/// sampler, and the returned [`Recovery`] carries the verdict and the
+/// full probe-cost accounting.
+pub fn recover(oracle: &mut dyn ProbeOracle, seed: u64) -> Recovery {
     let start = oracle.cost();
-    let mut rng = Rng64::new(cfg.seed);
+    let mut rng = Rng64::new(seed);
     let mut phases = Vec::new();
     let mut reasons = Vec::new();
 
     let before = oracle.cost();
-    let residue = try_residue(oracle, cfg, &mut rng, &mut reasons);
+    let residue = try_residue(oracle, &mut rng, &mut reasons);
     phases.push(PhaseCost {
         phase: "residue",
         cost: oracle.cost().since(before),
@@ -154,7 +140,7 @@ pub fn recover(oracle: &mut dyn ProbeOracle, cfg: &RecoveryConfig) -> Recovery {
     }
 
     let before = oracle.cost();
-    let linear = try_linear(oracle, cfg, &mut rng, &mut reasons);
+    let linear = try_linear(oracle, &mut rng, &mut reasons);
     phases.push(PhaseCost {
         phase: "linear",
         cost: oracle.cost().since(before),
@@ -164,7 +150,7 @@ pub fn recover(oracle: &mut dyn ProbeOracle, cfg: &RecoveryConfig) -> Recovery {
     }
 
     let before = oracle.cost();
-    let affine = try_affine(oracle, cfg, &mut rng, &mut reasons);
+    let affine = try_affine(oracle, &mut rng, &mut reasons);
     phases.push(PhaseCost {
         phase: "affine",
         cost: oracle.cost().since(before),
@@ -189,11 +175,10 @@ fn done(verdict: Verdict, cost: ProbeCost, phases: Vec<PhaseCost>) -> Recovery {
 }
 
 /// Verifies a candidate model: `positives` structured pairs the model
-/// predicts collide must all collide; `verify_pairs` random pairs must
+/// predicts collide must all collide; [`VERIFY_PAIRS`] random pairs must
 /// agree with the model's prediction in both directions.
 fn verify_model(
     oracle: &mut dyn ProbeOracle,
-    cfg: &RecoveryConfig,
     rng: &mut Rng64,
     model: &IndexModel,
     positives: &[(u64, u64)],
@@ -204,7 +189,7 @@ fn verify_model(
         }
     }
     let mask = input_mask(oracle.in_bits());
-    for _ in 0..cfg.verify_pairs / 2 {
+    for _ in 0..VERIFY_PAIRS / 2 {
         let a = rng.next() & mask;
         let mut b = rng.next() & mask;
         if a == b {
@@ -224,7 +209,6 @@ fn verify_model(
 /// non-residue schemes (a linear kernel vector, an opaque coincidence).
 fn try_residue(
     oracle: &mut dyn ProbeOracle,
-    cfg: &RecoveryConfig,
     rng: &mut Rng64,
     reasons: &mut Vec<String>,
 ) -> Option<IndexModel> {
@@ -242,14 +226,14 @@ fn try_residue(
         in_bits,
     };
     // Structured positives: a and a + j·m collide for every a.
-    let positives: Vec<(u64, u64)> = (0..cfg.verify_pairs / 2)
+    let positives: Vec<(u64, u64)> = (0..VERIFY_PAIRS / 2)
         .map(|_| {
             let j = 1 + rng.below(4);
             let a = rng.below(mask - j * m + 1);
             (a, a + j * m)
         })
         .collect();
-    if verify_model(oracle, cfg, rng, &model, &positives) {
+    if verify_model(oracle, rng, &model, &positives) {
         Some(model)
     } else {
         reasons.push(format!(
@@ -265,7 +249,6 @@ fn try_residue(
 /// overflows the physical geometry or verification refutes linearity.
 fn try_linear(
     oracle: &mut dyn ProbeOracle,
-    cfg: &RecoveryConfig,
     rng: &mut Rng64,
     reasons: &mut Vec<String>,
 ) -> Option<IndexModel> {
@@ -324,7 +307,7 @@ fn try_linear(
     let kernel = matrix.kernel_basis();
     let mut positives = Vec::new();
     if !kernel.is_empty() {
-        for _ in 0..cfg.verify_pairs / 2 {
+        for _ in 0..VERIFY_PAIRS / 2 {
             let mut d = 0u64;
             for _ in 0..3 {
                 d ^= kernel[rng.below(kernel.len() as u64) as usize];
@@ -337,7 +320,7 @@ fn try_linear(
         }
     }
     let model = IndexModel::Linear(matrix);
-    if verify_model(oracle, cfg, rng, &model, &positives) {
+    if verify_model(oracle, rng, &model, &positives) {
         Some(model)
     } else {
         reasons.push(
@@ -353,7 +336,6 @@ fn try_linear(
 /// geometry wide enough to place a pure-tag probe address in the window.
 fn try_affine(
     oracle: &mut dyn ProbeOracle,
-    cfg: &RecoveryConfig,
     rng: &mut Rng64,
     reasons: &mut Vec<String>,
 ) -> Option<IndexModel> {
@@ -407,7 +389,7 @@ fn try_affine(
     // partner in its predicted set from a fresh random tag.
     let window = input_mask(in_bits);
     let mut positives = Vec::new();
-    for _ in 0..cfg.verify_pairs / 2 {
+    for _ in 0..VERIFY_PAIRS / 2 {
         let a = rng.next() & window;
         let target = model.eval(a);
         let tb = rng.next() & (window >> k);
@@ -417,7 +399,7 @@ fn try_affine(
             positives.push((a, b));
         }
     }
-    if verify_model(oracle, cfg, rng, &model, &positives) {
+    if verify_model(oracle, rng, &model, &positives) {
         Some(model)
     } else {
         reasons.push(format!(
@@ -438,7 +420,7 @@ mod tests {
         let geom = Geometry::new(n_set);
         let idx = kind.build(geom);
         let mut oracle = ModelOracle::from_indexer(idx, 1, in_bits);
-        let rec = recover(&mut oracle, &RecoveryConfig::default());
+        let rec = recover(&mut oracle, 0x5EED);
         (rec, model_of(kind, geom, in_bits))
     }
 
@@ -471,7 +453,7 @@ mod tests {
     #[test]
     fn trivial_single_set_cache_reads_as_residue_one() {
         let mut oracle = ModelOracle::new(|_| 0, 1, 1, 16);
-        let rec = recover(&mut oracle, &RecoveryConfig::default());
+        let rec = recover(&mut oracle, 0x5EED);
         let Verdict::Model(m) = &rec.verdict else {
             panic!("expected a model, got {:?}", rec.verdict);
         };
@@ -487,7 +469,7 @@ mod tests {
             1,
             16,
         );
-        let rec = recover(&mut oracle, &RecoveryConfig::default());
+        let rec = recover(&mut oracle, 0x5EED);
         let Verdict::Opaque { reasons } = &rec.verdict else {
             panic!("expected opaque, got {:?}", rec.verdict);
         };

@@ -1,10 +1,11 @@
 //! Machine-readable (JSON) rendering of an attack campaign.
 //!
-//! Same hand-rolled convention as `primecache_analyze::report`: the
-//! workspace has no external dependencies, so the schema is rendered
-//! directly — it is small, versioned, and consumed by scripts.
+//! Same convention as `primecache_analyze::report`: a versioned
+//! `primecache_obs::Json` document, consumed by scripts and parsed back
+//! by the tests.
 
 use primecache_analyze::{canonical_json, canonicalize};
+use primecache_obs::Json;
 
 use crate::evict::EvictionCost;
 use crate::recover::{Recovery, Verdict};
@@ -18,7 +19,7 @@ pub const ATTACK_REPORT_SCHEMA: &str = "primecache.attack-report";
 ///
 /// History: v1 — recovery verdict + per-phase cost + differential
 /// agreement + three-tier eviction-set cost.
-pub const ATTACK_REPORT_VERSION: u32 = 1;
+pub const ATTACK_REPORT_VERSION: u64 = 1;
 
 /// One scheme's worth of attack results: what was recovered, whether it
 /// agrees with the static analyzer, and what eviction sets cost.
@@ -37,110 +38,80 @@ pub struct AttackEntry {
     pub eviction: EvictionCost,
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn recovery_json(r: &Recovery) -> String {
+fn recovery_json(r: &Recovery) -> Json {
     let (canonical, reasons) = match &r.verdict {
-        Verdict::Model(m) => (canonical_json(&canonicalize(m)), "[]".to_owned()),
+        Verdict::Model(m) => (canonical_json(&canonicalize(m)), Vec::new()),
         Verdict::Opaque { reasons } => (
-            "null".to_owned(),
-            format!(
-                "[{}]",
-                reasons
-                    .iter()
-                    .map(|s| json_string(s))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
+            Json::Null,
+            reasons.iter().map(|s| Json::Str(s.clone())).collect(),
         ),
     };
-    let phases: Vec<String> = r
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"phase\":{},\"probes\":{},\"refs\":{}}}",
-                json_string(p.phase),
-                p.cost.probes,
-                p.cost.refs
-            )
-        })
-        .collect();
-    format!(
-        "{{\"family\":{},\"canonical\":{canonical},\"opaque_reasons\":{reasons},\
-         \"probes\":{},\"refs\":{},\"phases\":[{}]}}",
-        json_string(r.verdict.family()),
-        r.cost.probes,
-        r.cost.refs,
-        phases.join(",")
-    )
+    let phases = r.phases.iter().map(|p| {
+        Json::obj(vec![
+            ("phase", Json::Str(p.phase.to_owned())),
+            ("probes", Json::U64(p.cost.probes)),
+            ("refs", Json::U64(p.cost.refs)),
+        ])
+    });
+    Json::obj(vec![
+        ("family", Json::Str(r.verdict.family().to_owned())),
+        ("canonical", canonical),
+        ("opaque_reasons", Json::Arr(reasons)),
+        ("probes", Json::U64(r.cost.probes)),
+        ("refs", Json::U64(r.cost.refs)),
+        ("phases", Json::Arr(phases.collect())),
+    ])
 }
 
-fn eviction_json(e: &EvictionCost) -> String {
-    let tiers: Vec<String> = e
-        .tiers
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"tier\":{},\"success\":{},\"probes\":{},\"refs\":{},\
-                 \"set_size\":{},\"detail\":{}}}",
-                json_string(t.tier),
-                t.success,
-                t.cost.probes,
-                t.cost.refs,
-                t.set_size,
-                json_string(&t.detail)
-            )
-        })
-        .collect();
-    let first = e.first_success.map_or("null".to_owned(), json_string);
-    format!(
-        "{{\"victim\":{},\"assoc\":{},\"first_success\":{first},\"tiers\":[{}]}}",
-        e.victim,
-        e.assoc,
-        tiers.join(",")
-    )
+fn eviction_json(e: &EvictionCost) -> Json {
+    let tiers = e.tiers.iter().map(|t| {
+        Json::obj(vec![
+            ("tier", Json::Str(t.tier.to_owned())),
+            ("success", Json::Bool(t.success)),
+            ("probes", Json::U64(t.cost.probes)),
+            ("refs", Json::U64(t.cost.refs)),
+            ("set_size", Json::U64(t.set_size as u64)),
+            ("detail", Json::Str(t.detail.clone())),
+        ])
+    });
+    Json::obj(vec![
+        ("victim", Json::U64(e.victim)),
+        ("assoc", Json::U64(e.assoc.into())),
+        (
+            "first_success",
+            e.first_success
+                .map_or(Json::Null, |t| Json::Str(t.to_owned())),
+        ),
+        ("tiers", Json::Arr(tiers.collect())),
+    ])
 }
 
-/// Renders one entry as a JSON object.
+/// One entry as a JSON object.
+fn entry_json(e: &AttackEntry) -> Json {
+    Json::obj(vec![
+        ("scheme", Json::Str(e.scheme.clone())),
+        ("recovery", recovery_json(&e.recovery)),
+        ("agrees_static", Json::Bool(e.agrees_static)),
+        (
+            "static_canonical",
+            e.static_canonical
+                .as_ref()
+                .map_or(Json::Null, canonical_json),
+        ),
+        ("eviction", eviction_json(&e.eviction)),
+    ])
+}
+
+/// The full attack report.
 #[must_use]
-fn entry_json(e: &AttackEntry) -> String {
-    let statik = e
-        .static_canonical
-        .as_ref()
-        .map_or("null".to_owned(), canonical_json);
-    format!(
-        "{{\"scheme\":{},\"recovery\":{},\"agrees_static\":{},\
-         \"static_canonical\":{statik},\"eviction\":{}}}",
-        json_string(&e.scheme),
-        recovery_json(&e.recovery),
-        e.agrees_static,
-        eviction_json(&e.eviction)
-    )
-}
-
-/// Renders the full attack report.
-#[must_use]
-pub fn attack_report_json(entries: &[AttackEntry]) -> String {
-    let objs: Vec<String> = entries.iter().map(entry_json).collect();
-    format!(
-        "{{\"schema\":{},\"version\":{ATTACK_REPORT_VERSION},\"entries\":[{}]}}",
-        json_string(ATTACK_REPORT_SCHEMA),
-        objs.join(",")
+pub fn attack_report_json(entries: &[AttackEntry]) -> Json {
+    Json::document(
+        ATTACK_REPORT_SCHEMA,
+        ATTACK_REPORT_VERSION,
+        vec![(
+            "entries",
+            Json::Arr(entries.iter().map(entry_json).collect()),
+        )],
     )
 }
 
@@ -195,29 +166,50 @@ mod tests {
         }
     }
 
+    /// `json` rendered and parsed back.
+    fn parse_back(json: &Json) -> Json {
+        Json::parse(&json.render()).expect("the report parses")
+    }
+
     #[test]
     fn report_carries_schema_version_and_entries() {
-        let j = attack_report_json(&[sample_entry()]);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"schema\":\"primecache.attack-report\""));
-        assert!(j.contains("\"version\":1"));
-        assert!(j.contains("\"scheme\":\"pMod\""));
-        assert!(j.contains("\"family\":\"residue\""));
-        assert!(j.contains("\"modulus\":2039"));
-        assert!(j.contains("\"agrees_static\":true"));
-        assert!(j.contains("\"first_success\":null"));
+        let doc = parse_back(&attack_report_json(&[sample_entry()]));
+        assert_eq!(
+            doc.check_head(ATTACK_REPORT_SCHEMA, ATTACK_REPORT_VERSION),
+            Ok(1)
+        );
+        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        assert_eq!(entries.len(), 1);
+        let e = &entries[0];
+        assert_eq!(e.get("scheme").and_then(Json::as_str), Some("pMod"));
+        assert_eq!(e.get("agrees_static").and_then(Json::as_bool), Some(true));
+        let canonical = e.get("recovery").and_then(|r| r.get("canonical")).unwrap();
+        assert_eq!(
+            canonical.get("family").and_then(Json::as_str),
+            Some("residue")
+        );
+        assert_eq!(canonical.get("modulus").and_then(Json::as_u64), Some(2039));
+        let eviction = e.get("eviction").unwrap();
+        assert_eq!(eviction.get("first_success"), Some(&Json::Null));
+        let tiers = eviction.get("tiers").and_then(Json::as_arr).unwrap();
+        assert_eq!(tiers[0].get("refs").and_then(Json::as_u64), Some(114));
     }
 
     #[test]
     fn opaque_verdicts_render_reasons_and_null_canonical() {
         let mut e = sample_entry();
+        let reason = "residue: \"quoted\" reason";
         e.recovery.verdict = Verdict::Opaque {
-            reasons: vec!["residue: \"quoted\" reason".to_owned()],
+            reasons: vec![reason.to_owned()],
         };
         e.static_canonical = None;
-        let j = entry_json(&e);
-        assert!(j.contains("\"canonical\":null"));
-        assert!(j.contains("\\\"quoted\\\""));
-        assert!(j.contains("\"static_canonical\":null"));
+        let j = parse_back(&entry_json(&e));
+        let recovery = j.get("recovery").unwrap();
+        assert_eq!(recovery.get("canonical"), Some(&Json::Null));
+        assert_eq!(
+            recovery.get("opaque_reasons"),
+            Some(&Json::Arr(vec![Json::Str(reason.to_owned())]))
+        );
+        assert_eq!(j.get("static_canonical"), Some(&Json::Null));
     }
 }

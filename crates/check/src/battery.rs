@@ -1824,7 +1824,7 @@ fn case_matrix(seed: u64, in_bits: u32) -> primecache_analyze::Gf2Matrix {
 /// geometries with shrinkable case seeds.
 fn attack_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     use primecache_analyze::{canonicalize, models_equivalent, IndexModel};
-    use primecache_attack::{recover, RecoveryConfig, Verdict};
+    use primecache_attack::{recover, Verdict};
     use primecache_core::probe::ModelOracle;
 
     const IN_BITS: u32 = 12;
@@ -1846,7 +1846,7 @@ fn attack_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
             let n_phys = truth.n_set().next_power_of_two();
             let eval = |a: u64| truth.eval(a);
             let mut oracle = ModelOracle::new(eval, n_phys, 1, IN_BITS);
-            let rec = recover(&mut oracle, &RecoveryConfig::default());
+            let rec = recover(&mut oracle, 0x5EED);
             let Verdict::Model(got) = &rec.verdict else {
                 panic!("linear ground truth declared {:?}", rec.verdict);
             };
@@ -1875,7 +1875,7 @@ fn attack_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
             let n_phys = modulus.next_power_of_two();
             let eval = |a: u64| truth.eval(a);
             let mut oracle = ModelOracle::new(eval, n_phys, 1, IN_BITS + 2);
-            let rec = recover(&mut oracle, &RecoveryConfig::default());
+            let rec = recover(&mut oracle, 0x5EED);
             let Verdict::Model(got) = &rec.verdict else {
                 panic!(
                     "residue ground truth (mod {modulus}) declared {:?}",

@@ -6,9 +6,7 @@ use primecache_analyze::{
     certify_all, certify_expr, has_errors, model_of, report_json, self_check, xor_folded_model,
     Theorem1,
 };
-use primecache_attack::{
-    attack_report_json, eviction_cost, AttackEntry, EvictConfig, RecoveryConfig,
-};
+use primecache_attack::{attack_report_json, eviction_cost, AttackEntry};
 use primecache_core::expr::ExprError;
 use primecache_core::index::{Geometry, HashKind, SetIndexer, XorFolded};
 use primecache_core::metrics::{
@@ -28,6 +26,38 @@ use primecache_workloads::profile::profile_of;
 use primecache_workloads::{all, by_name, MixConfig, TenantMix};
 
 use crate::args::Args;
+
+/// Writes `args` to stdout, the one place the subcommands print. Rust
+/// ignores `SIGPIPE`, so a write to a pipe whose reader has gone (`pcache
+/// reproduce | head -n 1`) fails with `BrokenPipe`; the process then ends
+/// quietly with status 141, what a shell reports for a process the
+/// signal killed. Any other write error panics, as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// What `pcache help` prints after the subcommands.
 const SCHEMES: &str = "\
@@ -91,7 +121,7 @@ pub fn help_text() -> String {
 pub fn main(argv: &[String]) -> i32 {
     let name = argv.first().map_or("help", String::as_str);
     if matches!(name, "help" | "--help" | "-h") {
-        print!("{}", help_text());
+        out!("{}", help_text());
         return 0;
     }
     let named = |usage: &str| usage.split_whitespace().nth(1) == Some(name);
@@ -196,7 +226,7 @@ fn list(args: &Args) -> i32 {
                 ]
             })
             .collect();
-        print!(
+        out!(
             "{}",
             render_table(
                 &[
@@ -227,7 +257,7 @@ fn list(args: &Args) -> i32 {
                 ]
             })
             .collect();
-        print!("{}", render_table(&["app", "suite", "class (§4)"], &rows));
+        out!("{}", render_table(&["app", "suite", "class (§4)"], &rows));
     }
     0
 }
@@ -263,27 +293,27 @@ fn run(args: &Args) -> i32 {
     } else {
         run_workload(workload, scheme, refs)
     };
-    println!("{name} under {scheme} ({refs} refs):");
-    println!(
+    outln!("{name} under {scheme} ({refs} refs):");
+    outln!(
         "  cycles: {} (busy {}, other {}, mem {})",
         r.breakdown.total(),
         r.breakdown.busy,
         r.breakdown.other_stall,
         r.breakdown.mem_stall
     );
-    println!(
+    outln!(
         "  L1: {} accesses, {:.2}% miss; L2 demand: {} accesses, {:.2}% miss",
         r.l1.accesses,
         r.l1.miss_rate() * 100.0,
         r.l2.accesses,
         r.l2.miss_rate() * 100.0
     );
-    println!(
+    outln!(
         "  vs Base: time x{:.3}, misses x{:.3}",
         r.breakdown.total() as f64 / base.breakdown.total() as f64,
         r.l2.misses as f64 / base.l2.misses.max(1) as f64
     );
-    println!(
+    outln!(
         "  DRAM: {} reads, {} writes, {:.1}% row hits",
         r.dram.reads,
         r.dram.writes,
@@ -348,12 +378,12 @@ fn reproduce(args: &Args) -> i32 {
         );
     }
     let n = selected.len();
-    println!("primecache reproduction: {n} experiment(s), {refs} refs per (workload, scheme)\n");
+    outln!("primecache reproduction: {n} experiment(s), {refs} refs per (workload, scheme)\n");
     let (mut passed, mut failed, mut skipped) = (0, Vec::new(), 0);
     for e in selected {
         eprintln!("{} ...", e.name);
-        println!("--- {} [{}] ---\n", e.title, e.name);
-        println!("{}", (e.text)(&ctx).trim_end());
+        outln!("--- {} [{}] ---\n", e.title, e.name);
+        outln!("{}", (e.text)(&ctx).trim_end());
         let files = if write_figures { e.files } else { &[] };
         for (path, render) in files {
             let path = std::path::Path::new("figures").join(path);
@@ -369,14 +399,14 @@ fn reproduce(args: &Args) -> i32 {
         }
         if !e.claims.is_empty() {
             let report = check_claims(e.claims, &ctx);
-            print!("\n{}", report.table);
+            out!("\n{}", report.table);
             passed += report.passed;
             skipped += report.skipped;
             failed.extend(report.failed);
         }
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "claims: {passed} hold, {} fail, {skipped} not evaluated at {refs} refs",
         failed.len()
     );
@@ -432,10 +462,10 @@ fn sweep(args: &Args) -> i32 {
         }
         rows.push(row);
     }
-    println!("execution time normalized to Base ({refs} refs):\n");
-    print!("{}", render_table(&header, &rows));
+    outln!("execution time normalized to Base ({refs} refs):\n");
+    out!("{}", render_table(&header, &rows));
     if let Some(st) = ctx.sweep.shared {
-        println!(
+        outln!(
             "\nshared inputs: {} workloads prepared once in {:.2} s of worker time \
              ({} events; peak {} KB in flight), replayed into every scheme",
             st.prepared,
@@ -509,7 +539,6 @@ fn sweep_tenants(args: &Args) -> i32 {
         MixConfig {
             quantum_instructions: quantum,
             seed,
-            ..defaults
         },
     );
     let machine = MachineConfig::paper_default();
@@ -542,12 +571,12 @@ fn sweep_tenants(args: &Args) -> i32 {
         quanta = run.mix.quanta;
         switches = run.mix.switches;
     }
-    println!(
+    outln!(
         "{n} tenants time-sliced through one shared hierarchy \
          ({quantum}-instruction quanta, seed {seed:#x}):\n"
     );
-    print!("{}", render_table(&header_refs, &rows));
-    println!(
+    out!("{}", render_table(&header_refs, &rows));
+    outln!(
         "\nschedule: {quanta} quanta, {switches} tenant switches \
          (deterministic; L2 misses per tenant, solo = same stream alone)"
     );
@@ -599,8 +628,8 @@ fn metrics(args: &Args) -> i32 {
             format!("{:.4}", violation_fraction(&idx, &addrs)),
         ]);
     }
-    println!("stride {stride} over {sets} physical sets:\n");
-    print!(
+    outln!("stride {stride} over {sets} physical sets:\n");
+    out!(
         "{}",
         render_table(
             &[
@@ -653,7 +682,7 @@ fn analyze(args: &Args) -> i32 {
     let mut bare: Vec<primecache_analyze::Lint> = lints.iter().map(|(_, l)| l.clone()).collect();
     bare.extend(sweep_lints.iter().cloned());
     if args.has("--json") {
-        println!("{}", report_json(&certs, &bare));
+        outln!("{}", report_json(&certs, &bare).render());
         return i32::from(has_errors(&bare));
     }
     let rows: Vec<Vec<String>> = certs
@@ -679,13 +708,13 @@ fn analyze(args: &Args) -> i32 {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "static certificates over {} address bits ({} L2 sets, {}-set skew banks):\n",
         in_bits,
         geom.n_set_phys(),
         bank_geom.n_set_phys()
     );
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -702,21 +731,21 @@ fn analyze(args: &Args) -> i32 {
             &rows
         )
     );
-    println!();
+    outln!();
     if bare.is_empty() {
-        println!(
+        outln!(
             "config lints: all {} schemes clean; sweep shape {} tasks / {} workers ok",
             Scheme::ALL.len(),
             n_tasks,
             n_workers
         );
     } else {
-        println!("config lints:");
+        outln!("config lints:");
         for (s, l) in &lints {
-            println!("  {s}: {l}");
+            outln!("  {s}: {l}");
         }
         for l in &sweep_lints {
-            println!("  sweep: {l}");
+            outln!("  sweep: {l}");
         }
     }
     i32::from(has_errors(&bare))
@@ -744,12 +773,15 @@ fn analyze_expr(src: &str, args: &Args) -> i32 {
     let cert = certify_expr(id.name().to_owned(), id.folded(), in_bits);
     let lints = machine.lint_scheme(Scheme::Expr(id));
     if args.has("--json") {
-        println!("{}", report_json(std::slice::from_ref(&cert), &lints));
+        outln!(
+            "{}",
+            report_json(std::slice::from_ref(&cert), &lints).render()
+        );
         return i32::from(has_errors(&lints));
     }
-    println!("expression: {src}");
-    println!("  folded:      {}", id.folded());
-    println!(
+    outln!("expression: {src}");
+    outln!("  folded:      {}", id.folded());
+    outln!(
         "  certificate: {} ({} sets over {} address bits)",
         if cert.exact {
             "exact"
@@ -759,33 +791,33 @@ fn analyze_expr(src: &str, args: &Args) -> i32 {
         cert.n_set,
         cert.in_bits
     );
-    println!("  rank {} / kernel dim {}", cert.rank, cert.kernel_dim);
-    println!(
+    outln!("  rank {} / kernel dim {}", cert.rank, cert.kernel_dim);
+    outln!(
         "  permutation: {}; balance bound {:.2}{}",
         if cert.permutation { "yes" } else { "no" },
         cert.balance_bound,
         if cert.balanced { "" } else { " (UNBALANCED)" }
     );
     match cert.smallest_conflict_stride() {
-        Some(d) => println!("  smallest conflict stride: {d}"),
-        None => println!("  no universal conflict stride found"),
+        Some(d) => outln!("  smallest conflict stride: {d}"),
+        None => outln!("  no universal conflict stride found"),
     }
     match &cert.theorem1 {
-        Theorem1::Holds { modulus } => println!("  theorem 1: holds (p = {modulus})"),
+        Theorem1::Holds { modulus } => outln!("  theorem 1: holds (p = {modulus})"),
         Theorem1::Fails { witness_stride } => {
-            println!("  theorem 1: fails (witness stride {witness_stride})");
+            outln!("  theorem 1: fails (witness stride {witness_stride})");
         }
-        Theorem1::NoGuarantee => println!("  theorem 1: no guarantee"),
+        Theorem1::NoGuarantee => outln!("  theorem 1: no guarantee"),
     }
     if lints.is_empty() {
-        println!("  lints: clean — `--scheme expr:{src}` will simulate");
+        outln!("  lints: clean — `--scheme expr:{src}` will simulate");
     } else {
-        println!("  lints:");
+        outln!("  lints:");
         for l in &lints {
-            println!("    {l}");
+            outln!("    {l}");
         }
         if has_errors(&lints) {
-            println!("  the simulator's certificate gate REJECTS this scheme");
+            outln!("  the simulator's certificate gate REJECTS this scheme");
         }
     }
     i32::from(has_errors(&lints))
@@ -805,20 +837,20 @@ fn analyze_self_check(args: &Args) -> i32 {
     let report = self_check();
     for stage in &report.stages {
         match &stage.failure {
-            None => println!("  ok   {} ({} cases)", stage.name, stage.cases),
+            None => outln!("  ok   {} ({} cases)", stage.name, stage.cases),
             Some(f) => {
-                println!("  FAIL {}: {f}", stage.name);
+                outln!("  FAIL {}: {f}", stage.name);
                 failed = true;
             }
         }
     }
     match check_workload_distributions(refs) {
-        Ok(cases) => println!(
+        Ok(cases) => outln!(
             "  ok   workload-distributions ({cases} cases over {} apps)",
             all().len()
         ),
         Err(f) => {
-            println!("  FAIL workload-distributions: {f}");
+            outln!("  FAIL workload-distributions: {f}");
             failed = true;
         }
     }
@@ -826,12 +858,12 @@ fn analyze_self_check(args: &Args) -> i32 {
     let mut lint_errors = 0usize;
     for s in Scheme::ALL {
         if has_errors(&machine.lint_scheme(s)) {
-            println!("  FAIL lint: scheme {s} has error-level lints");
+            outln!("  FAIL lint: scheme {s} has error-level lints");
             lint_errors += 1;
         }
     }
     if lint_errors == 0 {
-        println!("  ok   config-lints ({} schemes)", Scheme::ALL.len());
+        outln!("  ok   config-lints ({} schemes)", Scheme::ALL.len());
     } else {
         failed = true;
     }
@@ -930,12 +962,12 @@ fn metrics_app(app: &str, args: &Args) -> i32 {
             format!("{:.3}", m.uniformity()),
         ]);
     }
-    println!(
+    outln!(
         "{app}: {} block accesses through a 2048-set geometry:
 ",
         blocks.len()
     );
-    print!(
+    out!(
         "{}",
         render_table(&["hash", "balance", "concentration", "stdev/mean"], &rows)
     );
@@ -946,9 +978,8 @@ fn metrics_app(app: &str, args: &Args) -> i32 {
 ///
 /// Runs one observed simulation and emits the versioned
 /// `primecache.run-report` JSON document: provenance (config
-/// fingerprint, git revision, wall and simulated time), the execution
-/// breakdown, per-level cache and DRAM totals, and the full named
-/// metric dump, read from the run's own statistics.
+/// fingerprint, git revision, wall and simulated time) and the full
+/// named metric dump, read from the run's own statistics.
 fn report(args: &Args) -> i32 {
     let Some(name) = args.positional() else {
         eprintln!("usage: {}", args.usage());
@@ -992,9 +1023,9 @@ fn report(args: &Args) -> i32 {
                 eprintln!("cannot write {out}: {e}");
                 return 1;
             }
-            println!("wrote run report for {name}/{scheme} to {out}");
+            outln!("wrote run report for {name}/{scheme} to {out}");
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     0
 }
@@ -1038,7 +1069,7 @@ fn emit_jsonl(args: &Args, events: &[primecache_obs::ObsEvent]) -> i32 {
         return 1;
     }
     if let Some(out) = args.value("--out") {
-        println!("wrote {lines} events to {out}");
+        outln!("wrote {lines} events to {out}");
     }
     0
 }
@@ -1076,12 +1107,12 @@ fn trace_events_run(args: &Args) -> i32 {
         sample_every: sample.max(1),
         ring_capacity: ring,
     };
-    let (report, mut recorder) =
-        primecache_sim::observe::observed_report(workload, scheme, refs, cfg);
-    if report.events_dropped > 0 {
+    let mut recorder =
+        primecache_sim::observe::run_workload_observed(workload, scheme, refs, cfg).recorder;
+    if recorder.events_dropped() > 0 {
         eprintln!(
             "note: ring overflowed; {} oldest events dropped (raise --ring or --sample)",
-            report.events_dropped
+            recorder.events_dropped()
         );
     }
     let mut mem = primecache_obs::MemorySink::default();
@@ -1170,7 +1201,7 @@ fn trace(args: &Args) -> i32 {
         eprintln!("cannot write {out}: {e}");
         return 1;
     }
-    println!(
+    outln!(
         "wrote {n_events} events ({} bytes, {label}) to {out}",
         bytes.len()
     );
@@ -1198,14 +1229,15 @@ fn import(args: &Args) -> i32 {
         }
     };
     let st = &imported.stats;
-    println!("{path}: valid {} source", st.format);
+    outln!("{path}: valid {} source", st.format);
     if st.format == SourceFormat::Text {
-        println!(
+        outln!(
             "  lines: {} ({} blank or comment-only)",
-            st.lines, st.silent_lines
+            st.lines,
+            st.silent_lines
         );
     }
-    println!(
+    outln!(
         "  events: {} ({} loads, {} stores, {} branches), {} refs, {} instructions",
         st.events,
         st.loads,
@@ -1215,10 +1247,10 @@ fn import(args: &Args) -> i32 {
         st.instructions
     );
     match st.addr_range {
-        Some((lo, hi)) => println!("  address range: {lo:#x}..={hi:#x}"),
-        None => println!("  address range: (no memory events)"),
+        Some((lo, hi)) => outln!("  address range: {lo:#x}..={hi:#x}"),
+        None => outln!("  address range: (no memory events)"),
     }
-    println!(
+    outln!(
         "  converted: {} chunks, {:.2} bytes/event, fingerprint {:016x}",
         imported.trace.chunks().len(),
         imported.trace.bytes_per_event(),
@@ -1230,7 +1262,7 @@ fn import(args: &Args) -> i32 {
             eprintln!("cannot write {out}: {e}");
             return 1;
         }
-        println!("  wrote PCTE frame ({} bytes) to {out}", bytes.len());
+        outln!("  wrote PCTE frame ({} bytes) to {out}", bytes.len());
     }
     if args.has("--run") {
         let scheme_label = args.value("--scheme").unwrap_or("pMod");
@@ -1252,7 +1284,7 @@ fn import(args: &Args) -> i32 {
 /// summary (`ci/ingest_smoke.sh` compares these lines across the text
 /// and binary imports of the same trace).
 fn print_run_summary(r: &RunResult) {
-    println!(
+    outln!(
         "simulated under {}: {} cycles (busy {}, other {}, mem {})",
         r.scheme,
         r.breakdown.total(),
@@ -1260,11 +1292,14 @@ fn print_run_summary(r: &RunResult) {
         r.breakdown.other_stall,
         r.breakdown.mem_stall
     );
-    println!(
+    outln!(
         "  L1: {} accesses, {} misses; L2: {} accesses, {} misses",
-        r.l1.accesses, r.l1.misses, r.l2.accesses, r.l2.misses
+        r.l1.accesses,
+        r.l1.misses,
+        r.l2.accesses,
+        r.l2.misses
     );
-    println!(
+    outln!(
         "  DRAM: {} reads, {} writes, {:.1}% row hits",
         r.dram.reads,
         r.dram.writes,
@@ -1294,13 +1329,13 @@ fn inspect(args: &Args) -> i32 {
     };
     let events = trace.decode_all().expect("a validated frame decodes");
     let stats: TraceStats = events.iter().collect();
-    println!(
+    outln!(
         "{path}: PCTE frame, {} events, {} refs in {} chunks",
         trace.events(),
         trace.refs(),
         trace.chunks().len()
     );
-    println!(
+    outln!(
         "  encoded: {} bytes ({:.2} bytes/event), fingerprint {:016x}",
         data.len(),
         trace.bytes_per_event(),
@@ -1312,16 +1347,19 @@ fn inspect(args: &Args) -> i32 {
 
 /// The per-kind event breakdown [`inspect`] prints.
 fn print_trace_stats(stats: &TraceStats) {
-    println!("  instructions: {}", stats.instructions);
-    println!(
+    outln!("  instructions: {}", stats.instructions);
+    outln!(
         "  loads: {} ({} dependent), stores: {}",
-        stats.loads, stats.dependent_loads, stats.stores
+        stats.loads,
+        stats.dependent_loads,
+        stats.stores
     );
-    println!(
+    outln!(
         "  branches: {} ({} mispredicted)",
-        stats.branches, stats.mispredicts
+        stats.branches,
+        stats.mispredicts
     );
-    println!(
+    outln!(
         "  memory intensity: {:.1}%",
         stats.memory_intensity() * 100.0
     );
@@ -1366,7 +1404,7 @@ fn attack(args: &Args) -> i32 {
         .collect();
     let all_agree = entries.iter().all(|e| e.agrees_static);
     if args.has("--json") {
-        println!("{}", attack_report_json(&entries));
+        outln!("{}", attack_report_json(&entries).render());
         return i32::from(!all_agree);
     }
     let rows: Vec<Vec<String>> = entries
@@ -1406,11 +1444,11 @@ fn attack(args: &Args) -> i32 {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "black-box recovery + eviction-set cost over {PROBE_BITS} address bits \
          (informed tier includes recovery cost):\n"
     );
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -1426,15 +1464,15 @@ fn attack(args: &Args) -> i32 {
             &rows
         )
     );
-    println!();
+    outln!();
     if all_agree {
-        println!(
+        outln!(
             "differential oracle: all {} scheme(s) agree with the static analyzer",
             entries.len()
         );
         0
     } else {
-        println!("differential oracle: MISMATCH — recovered and static models differ");
+        outln!("differential oracle: MISMATCH — recovered and static models differ");
         1
     }
 }
@@ -1442,12 +1480,8 @@ fn attack(args: &Args) -> i32 {
 /// One scheme's full attack campaign: recovery against the direct probe
 /// shape, then eviction-set cost against the native organization.
 fn attack_scheme(machine: &MachineConfig, scheme: Scheme, seed: u64) -> AttackEntry {
-    let rcfg = RecoveryConfig {
-        seed,
-        ..RecoveryConfig::default()
-    };
     let mut direct = SimOracle::direct(machine, scheme, PROBE_BITS);
-    let recovery = primecache_attack::recover(&mut direct, &rcfg);
+    let recovery = primecache_attack::recover(&mut direct, seed);
     let statik = static_model(machine, scheme, PROBE_BITS);
     let agrees_static = recovery.verdict.matches_static(statik.as_ref());
     let informed = match &recovery.verdict {
@@ -1455,15 +1489,7 @@ fn attack_scheme(machine: &MachineConfig, scheme: Scheme, seed: u64) -> AttackEn
         primecache_attack::Verdict::Opaque { .. } => None,
     };
     let mut native = SimOracle::native(machine, scheme, PROBE_BITS);
-    let eviction = eviction_cost(
-        &mut native,
-        informed.as_ref(),
-        recovery.cost,
-        &EvictConfig {
-            seed,
-            ..EvictConfig::default()
-        },
-    );
+    let eviction = eviction_cost(&mut native, informed.as_ref(), recovery.cost, seed);
     AttackEntry {
         scheme: scheme.label().to_owned(),
         recovery,

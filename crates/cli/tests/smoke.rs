@@ -1,11 +1,18 @@
-//! Smoke tests of the CLI subcommands (exit codes; output goes to stdout).
+//! Smoke tests of the CLI subcommands: the `pcache` binary's exit codes
+//! (its output is captured and dropped).
+
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 use primecache_cli::commands;
 
-/// Runs `pcache` on `argv` and returns its exit code.
+/// Runs the `pcache` binary on `argv` and returns its exit code.
 fn pcache(argv: &[&str]) -> i32 {
-    let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
-    commands::main(&argv)
+    let out = Command::new(env!("CARGO_BIN_EXE_pcache"))
+        .args(argv)
+        .output()
+        .expect("pcache runs");
+    out.status.code().expect("pcache exits with a status")
 }
 
 #[test]
@@ -99,7 +106,7 @@ fn reproduce_off_the_committed_scale_writes_no_figures() {
     let dir = std::env::temp_dir().join("pcache_cli_reproduce_scale");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pcache"))
+    let out = Command::new(env!("CARGO_BIN_EXE_pcache"))
         .args(["reproduce", "fig13", "--refs", "3000"])
         .current_dir(&dir)
         .output()
@@ -128,7 +135,7 @@ fn zero_refs_exit_2_without_panicking() {
         &["metrics", "--app", "tree", "--refs", "0"],
         &["analyze", "--self-check", "--refs", "0"],
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pcache"))
+        let out = Command::new(env!("CARGO_BIN_EXE_pcache"))
             .args(argv)
             .output()
             .expect("pcache runs");
@@ -269,4 +276,25 @@ fn help_prints_the_declared_usage_lines() {
     ] {
         assert!(help.contains(line), "{line}");
     }
+}
+
+#[test]
+fn a_reader_closing_the_pipe_ends_pcache_quietly_with_status_141() {
+    // Table 2 takes a while after the first line is out, so every line
+    // after it goes to a pipe whose reader has gone.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pcache"))
+        .args(["reproduce", "table1", "theorem1", "table2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pcache runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("pcache prints a line");
+    assert!(first.starts_with("primecache reproduction"), "{first}");
+    let out = child.wait_with_output().expect("pcache exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -1,10 +1,11 @@
 //! Minimal JSON document model: a writer and a strict parser.
 //!
-//! The workspace has no external dependencies, so every artifact in
-//! this repository is serialized by hand. Earlier crates each grew a
-//! bespoke one-way writer (the analyzer report among them); this module
-//! centralizes the idiom and adds the inverse direction — a parser — so
-//! report artifacts can be loaded back, diffed, and round-trip-tested.
+//! The workspace has no external dependencies, so this module is its one
+//! JSON model: the run, analyze and attack reports and the event traces
+//! are all built as [`Json`] values and rendered here, and the parser
+//! loads them back so they can be diffed and round-trip-tested. Every
+//! report opens with the same head, its `schema` and then its `version`:
+//! [`Json::document`] writes it and [`Json::check_head`] checks it.
 //!
 //! Integers are kept exact: `U64`/`I64` variants survive a
 //! render → parse round trip bit-for-bit, which the run-report equality
@@ -60,6 +61,46 @@ impl Json {
                 .map(|(k, v)| (k.to_owned(), v))
                 .collect(),
         )
+    }
+
+    /// A versioned artifact: an object that opens with its `schema` and
+    /// its `version`, then `body`'s members in order.
+    #[must_use]
+    pub fn document(schema: &str, version: u64, body: Vec<(&str, Json)>) -> Json {
+        let mut members = vec![
+            ("schema", Json::Str(schema.to_owned())),
+            ("version", Json::U64(version)),
+        ];
+        members.extend(body);
+        Json::obj(members)
+    }
+
+    /// Checks the head [`Json::document`] writes: the document's
+    /// `schema` must be `schema` and its `version` at most `supported`,
+    /// the newest version this build reads. Returns the version.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when either field is missing, the schema
+    /// differs, or the version is newer than `supported`.
+    pub fn check_head(&self, schema: &str, supported: u64) -> Result<u64, String> {
+        let found = self
+            .get("schema")
+            .and_then(Json::as_str)
+            .ok_or("missing string field \"schema\"")?;
+        if found != schema {
+            return Err(format!("unknown schema {found:?}, expected {schema:?}"));
+        }
+        let version = self
+            .get("version")
+            .and_then(Json::as_u64)
+            .ok_or("missing integer field \"version\"")?;
+        if version > supported {
+            return Err(format!(
+                "{schema} version {version} is newer than supported {supported}"
+            ));
+        }
+        Ok(version)
     }
 
     /// Looks up `key` in an object; `None` for other variants.
@@ -469,6 +510,19 @@ mod tests {
         assert_eq!(v.render(), "{\"b\":1,\"a\":true}");
         assert_eq!(v.get("a"), Some(&Json::Bool(true)));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn documents_open_with_their_checked_head() {
+        let doc = Json::document("x.report", 2, vec![("a", Json::U64(1))]);
+        assert_eq!(doc.render(), r#"{"schema":"x.report","version":2,"a":1}"#);
+        assert_eq!(doc.check_head("x.report", 2), Ok(2));
+        assert_eq!(doc.check_head("x.report", 3), Ok(2));
+        assert!(doc.check_head("x.report", 1).unwrap_err().contains("newer"));
+        assert!(doc.check_head("y.report", 2).is_err());
+        assert!(Json::obj(vec![("schema", Json::Str("x.report".into()))])
+            .check_head("x.report", 2)
+            .is_err());
     }
 
     #[test]

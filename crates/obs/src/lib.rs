@@ -23,9 +23,9 @@
 //!   (config hash, workload, git revision, wall/sim time) plus the full
 //!   metric dump, so every regenerated figure is reproducible from the
 //!   artifact alone,
-//! * [`Json`] — the hand-rolled JSON model (writer *and* parser) all of
-//!   the above serialize through; the workspace has no external
-//!   dependencies.
+//! * [`Json`] — the one JSON model (writer *and* parser) all of the
+//!   above, and the analyze and attack reports, serialize through; the
+//!   workspace has no external dependencies.
 //!
 //! Every simulator build includes the hooks: each instrumented structure
 //! (the hierarchy, the DRAM and the core) holds an `Option<ObsHandle>`,
@@ -46,6 +46,5 @@ pub use json::{Json, JsonError};
 pub use metrics::{Histogram, Metric, MetricValue, Metrics};
 pub use recorder::{ObsConfig, ObsHandle, Recorder};
 pub use report::{
-    fnv1a_64, git_revision, BreakdownSummary, CacheSummary, DramSummary, Provenance, RunReport,
-    RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,
+    fnv1a_64, git_revision, Provenance, RunReport, RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,
 };

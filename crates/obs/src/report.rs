@@ -4,11 +4,11 @@
 //! provenance to reproduce it: which workload and scheme ran, under
 //! which machine configuration (as a fingerprint), from which source
 //! revision, for how long in both wall-clock and simulated time. A
-//! [`RunReport`] bundles that provenance with the end-of-run aggregates
-//! (execution-time breakdown, per-level cache totals, DRAM totals — the
-//! Fig. 8 / Table 5 inputs) and the full [`Metrics`] dump, versioned
-//! under [`RUN_REPORT_SCHEMA`] so future readers can detect format
-//! drift. Reports serialize to JSON and parse back losslessly;
+//! [`RunReport`] bundles that provenance with the run's full [`Metrics`]
+//! dump, which states every other number once (the cache and DRAM
+//! totals, the stall cycles of the Fig. 8 breakdown), versioned under
+//! [`RUN_REPORT_SCHEMA`] so future readers can detect format drift.
+//! Reports serialize to JSON and parse back losslessly;
 //! `primecache_sim::observe::observed_report` builds them.
 
 use std::path::Path;
@@ -20,7 +20,13 @@ use crate::metrics::Metrics;
 pub const RUN_REPORT_SCHEMA: &str = "primecache.run-report";
 
 /// Current schema version; bump on any incompatible field change.
-pub const RUN_REPORT_VERSION: u64 = 1;
+///
+/// History: v1 — provenance, the metric dump, and mirror objects of
+/// numbers the dump already holds (`breakdown`, `l1`, `l2`, `dram`,
+/// `events_recorded`, `events_dropped`); v2 — provenance and the metric
+/// dump only. A v1 document still reads: its `provenance` and `metrics`
+/// are the same, and the mirrors are ignored.
+pub const RUN_REPORT_VERSION: u64 = 2;
 
 /// Where a report came from: everything needed to re-run it.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,74 +48,18 @@ pub struct Provenance {
     pub git_rev: String,
     /// Wall-clock milliseconds the run took.
     pub wall_ms: f64,
-    /// Simulated CPU cycles the run covered.
+    /// Simulated CPU cycles the run covered: Busy plus every stall
+    /// cycle the `cpu.stall.*` metrics count.
     pub sim_cycles: u64,
-}
-
-/// Aggregate totals for one cache level (mirrors `CacheStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Demand accesses.
-    pub accesses: u64,
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Store accesses.
-    pub writes: u64,
-    /// Dirty evictions written to the next level.
-    pub writebacks: u64,
-}
-
-/// Aggregate DRAM totals (mirrors `DramStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramSummary {
-    /// Read requests.
-    pub reads: u64,
-    /// Write requests.
-    pub writes: u64,
-    /// Requests that hit an open row.
-    pub row_hits: u64,
-    /// Requests that missed the open row.
-    pub row_misses: u64,
-    /// Total cycles requests spent queued.
-    pub queue_cycles: u64,
-}
-
-/// Execution-time split (the Fig. 8 stack: Busy / Other / Memory).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BreakdownSummary {
-    /// Cycles doing useful work.
-    pub busy: u64,
-    /// Non-memory stall cycles.
-    pub other_stall: u64,
-    /// Memory stall cycles.
-    pub mem_stall: u64,
 }
 
 /// A versioned, self-describing record of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Always [`RUN_REPORT_SCHEMA`].
-    pub schema: String,
-    /// Always [`RUN_REPORT_VERSION`] for reports this build writes.
-    pub version: u64,
     /// Reproduction provenance.
     pub provenance: Provenance,
-    /// Execution-time breakdown.
-    pub breakdown: BreakdownSummary,
-    /// L1 totals.
-    pub l1: CacheSummary,
-    /// L2 demand totals (the level the paper's schemes index).
-    pub l2: CacheSummary,
-    /// DRAM totals.
-    pub dram: DramSummary,
     /// Full named-metric dump.
     pub metrics: Metrics,
-    /// Trace events recorded during the run (0 without tracing).
-    pub events_recorded: u64,
-    /// Trace events lost to ring overflow.
-    pub events_dropped: u64,
 }
 
 impl RunReport {
@@ -117,75 +67,41 @@ impl RunReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let p = &self.provenance;
-        Json::obj(vec![
-            ("schema", Json::Str(self.schema.clone())),
-            ("version", Json::U64(self.version)),
-            (
-                "provenance",
-                Json::obj(vec![
-                    ("workload", Json::Str(p.workload.clone())),
-                    ("scheme", Json::Str(p.scheme.clone())),
-                    ("refs", Json::U64(p.refs)),
-                    ("seed", Json::U64(p.seed)),
-                    ("config_hash", Json::Str(p.config_hash.clone())),
-                    ("git_rev", Json::Str(p.git_rev.clone())),
-                    ("wall_ms", Json::F64(p.wall_ms)),
-                    ("sim_cycles", Json::U64(p.sim_cycles)),
-                ]),
-            ),
-            (
-                "breakdown",
-                Json::obj(vec![
-                    ("busy", Json::U64(self.breakdown.busy)),
-                    ("other_stall", Json::U64(self.breakdown.other_stall)),
-                    ("mem_stall", Json::U64(self.breakdown.mem_stall)),
-                ]),
-            ),
-            ("l1", cache_to_json(&self.l1)),
-            ("l2", cache_to_json(&self.l2)),
-            (
-                "dram",
-                Json::obj(vec![
-                    ("reads", Json::U64(self.dram.reads)),
-                    ("writes", Json::U64(self.dram.writes)),
-                    ("row_hits", Json::U64(self.dram.row_hits)),
-                    ("row_misses", Json::U64(self.dram.row_misses)),
-                    ("queue_cycles", Json::U64(self.dram.queue_cycles)),
-                ]),
-            ),
-            ("metrics", self.metrics.to_json()),
-            ("events_recorded", Json::U64(self.events_recorded)),
-            ("events_dropped", Json::U64(self.events_dropped)),
-        ])
+        Json::document(
+            RUN_REPORT_SCHEMA,
+            RUN_REPORT_VERSION,
+            vec![
+                (
+                    "provenance",
+                    Json::obj(vec![
+                        ("workload", Json::Str(p.workload.clone())),
+                        ("scheme", Json::Str(p.scheme.clone())),
+                        ("refs", Json::U64(p.refs)),
+                        ("seed", Json::U64(p.seed)),
+                        ("config_hash", Json::Str(p.config_hash.clone())),
+                        ("git_rev", Json::Str(p.git_rev.clone())),
+                        ("wall_ms", Json::F64(p.wall_ms)),
+                        ("sim_cycles", Json::U64(p.sim_cycles)),
+                    ]),
+                ),
+                ("metrics", self.metrics.to_json()),
+            ],
+        )
     }
 
-    /// Parses a report back from its JSON text.
+    /// Parses a report back from its JSON text (any version up to
+    /// [`RUN_REPORT_VERSION`]).
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON, a schema mismatch, or a
-    /// version newer than this build understands.
+    /// Returns a message on malformed JSON, a schema mismatch, a
+    /// version newer than this build understands, or a missing field.
     pub fn from_json_str(text: &str) -> Result<RunReport, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("report: missing schema")?;
-        if schema != RUN_REPORT_SCHEMA {
-            return Err(format!("report: unknown schema {schema:?}"));
-        }
-        let version = req_u64(&v, "version")?;
-        if version > RUN_REPORT_VERSION {
-            return Err(format!(
-                "report: version {version} is newer than supported {RUN_REPORT_VERSION}"
-            ));
-        }
+        v.check_head(RUN_REPORT_SCHEMA, RUN_REPORT_VERSION)
+            .map_err(|e| format!("report: {e}"))?;
         let p = v.get("provenance").ok_or("report: missing provenance")?;
-        let b = v.get("breakdown").ok_or("report: missing breakdown")?;
-        let d = v.get("dram").ok_or("report: missing dram")?;
         Ok(RunReport {
-            schema: schema.to_owned(),
-            version,
             provenance: Provenance {
                 workload: req_str(p, "workload")?,
                 scheme: req_str(p, "scheme")?,
@@ -199,45 +115,9 @@ impl RunReport {
                     .ok_or("report: missing wall_ms")?,
                 sim_cycles: req_u64(p, "sim_cycles")?,
             },
-            breakdown: BreakdownSummary {
-                busy: req_u64(b, "busy")?,
-                other_stall: req_u64(b, "other_stall")?,
-                mem_stall: req_u64(b, "mem_stall")?,
-            },
-            l1: cache_from_json(v.get("l1").ok_or("report: missing l1")?)?,
-            l2: cache_from_json(v.get("l2").ok_or("report: missing l2")?)?,
-            dram: DramSummary {
-                reads: req_u64(d, "reads")?,
-                writes: req_u64(d, "writes")?,
-                row_hits: req_u64(d, "row_hits")?,
-                row_misses: req_u64(d, "row_misses")?,
-                queue_cycles: req_u64(d, "queue_cycles")?,
-            },
             metrics: Metrics::from_json(v.get("metrics").ok_or("report: missing metrics")?)?,
-            events_recorded: req_u64(&v, "events_recorded")?,
-            events_dropped: req_u64(&v, "events_dropped")?,
         })
     }
-}
-
-fn cache_to_json(c: &CacheSummary) -> Json {
-    Json::obj(vec![
-        ("accesses", Json::U64(c.accesses)),
-        ("hits", Json::U64(c.hits)),
-        ("misses", Json::U64(c.misses)),
-        ("writes", Json::U64(c.writes)),
-        ("writebacks", Json::U64(c.writebacks)),
-    ])
-}
-
-fn cache_from_json(v: &Json) -> Result<CacheSummary, String> {
-    Ok(CacheSummary {
-        accesses: req_u64(v, "accesses")?,
-        hits: req_u64(v, "hits")?,
-        misses: req_u64(v, "misses")?,
-        writes: req_u64(v, "writes")?,
-        writebacks: req_u64(v, "writebacks")?,
-    })
 }
 
 fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
@@ -316,8 +196,6 @@ mod tests {
         metrics.set_counter("cache.l2.demand_misses", "refs", "L2 demand misses", 777);
         metrics.set_gauge("dram.row_hit_rate", "fraction", "row hits / requests", 0.5);
         RunReport {
-            schema: RUN_REPORT_SCHEMA.to_owned(),
-            version: RUN_REPORT_VERSION,
             provenance: Provenance {
                 workload: "mcf".into(),
                 scheme: "pMod".into(),
@@ -328,36 +206,20 @@ mod tests {
                 wall_ms: 12.5,
                 sim_cycles: 987_654,
             },
-            breakdown: BreakdownSummary {
-                busy: 1,
-                other_stall: 2,
-                mem_stall: 3,
-            },
-            l1: CacheSummary {
-                accesses: 10,
-                hits: 9,
-                misses: 1,
-                writes: 4,
-                writebacks: 2,
-            },
-            l2: CacheSummary {
-                accesses: 1,
-                hits: 0,
-                misses: 1,
-                writes: 0,
-                writebacks: 0,
-            },
-            dram: DramSummary {
-                reads: 1,
-                writes: 0,
-                row_hits: 0,
-                row_misses: 1,
-                queue_cycles: 5,
-            },
             metrics,
-            events_recorded: 42,
-            events_dropped: 0,
         }
+    }
+
+    /// `sample()`'s document under another head.
+    fn with_head(schema: &str, version: u64) -> String {
+        let Json::Obj(members) = sample().to_json() else {
+            unreachable!("a report is an object");
+        };
+        let body = members[2..]
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        Json::document(schema, version, body).render()
     }
 
     #[test]
@@ -365,22 +227,44 @@ mod tests {
         let r = sample();
         let compact = r.to_json().render();
         let pretty = r.to_json().render_pretty();
+        assert!(compact.starts_with(r#"{"schema":"primecache.run-report","version":2,"#));
         assert_eq!(RunReport::from_json_str(&compact).unwrap(), r);
         assert_eq!(RunReport::from_json_str(&pretty).unwrap(), r);
     }
 
     #[test]
     fn schema_and_version_are_enforced() {
-        let mut r = sample();
-        r.schema = "other.schema".into();
-        let text = r.to_json().render();
-        assert!(RunReport::from_json_str(&text).is_err());
-        let mut r = sample();
-        r.version = RUN_REPORT_VERSION + 1;
-        let text = r.to_json().render();
-        assert!(RunReport::from_json_str(&text)
+        let foreign = with_head("other.schema", RUN_REPORT_VERSION);
+        assert!(RunReport::from_json_str(&foreign).is_err());
+        let newer = with_head(RUN_REPORT_SCHEMA, RUN_REPORT_VERSION + 1);
+        assert!(RunReport::from_json_str(&newer)
             .unwrap_err()
             .contains("newer"));
+        for version in 1..=RUN_REPORT_VERSION {
+            let text = with_head(RUN_REPORT_SCHEMA, version);
+            assert_eq!(RunReport::from_json_str(&text), Ok(sample()), "v{version}");
+        }
+    }
+
+    #[test]
+    fn a_v1_document_still_reads() {
+        // The v1 shape: the mirror objects v2 dropped sit beside the
+        // same provenance and metric dump, and are ignored.
+        let v1 = r#"{"schema":"primecache.run-report","version":1,
+            "provenance":{"workload":"mcf","scheme":"pMod","refs":100000,"seed":0,
+                "config_hash":"deadbeefdeadbeef","git_rev":"unknown","wall_ms":12.5,
+                "sim_cycles":987654},
+            "breakdown":{"busy":1,"other_stall":2,"mem_stall":987651},
+            "l1":{"accesses":10,"hits":9,"misses":1,"writes":4,"writebacks":2},
+            "l2":{"accesses":1,"hits":0,"misses":777,"writes":0,"writebacks":0},
+            "dram":{"reads":1,"writes":0,"row_hits":0,"row_misses":1,"queue_cycles":5},
+            "metrics":{
+                "cache.l2.demand_misses":{"type":"counter","unit":"refs",
+                    "help":"L2 demand misses","value":777},
+                "dram.row_hit_rate":{"type":"gauge","unit":"fraction",
+                    "help":"row hits / requests","value":0.5}},
+            "events_recorded":42,"events_dropped":0}"#;
+        assert_eq!(RunReport::from_json_str(v1), Ok(sample()));
     }
 
     #[test]

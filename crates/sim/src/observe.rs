@@ -13,17 +13,14 @@
 //! cache's own stats (its evictions), the core's stall attribution, the
 //! L2 occupancy, the chunks pushed. The recorder counts nothing, so
 //! nothing is counted twice. [`observed_report`] wraps a run in the
-//! versioned [`RunReport`] artifact.
+//! versioned [`RunReport`] artifact: its provenance and that dump, so
+//! each number is stated once.
 
 use std::path::Path;
 use std::rc::Rc;
 use std::time::Instant;
 
-use primecache_cache::CacheStats;
-use primecache_obs::{
-    BreakdownSummary, CacheSummary, DramSummary, Histogram, Metrics, ObsConfig, Provenance,
-    Recorder, RunReport, RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,
-};
+use primecache_obs::{Histogram, Metrics, ObsConfig, Provenance, Recorder, RunReport};
 use primecache_trace::Event;
 use primecache_workloads::{EventChunks, Workload};
 
@@ -271,9 +268,8 @@ fn observe(
 }
 
 /// Runs `workload` under `scheme` observed and wraps it in a
-/// [`RunReport`]: provenance, the end-of-run aggregates and the full
-/// metric dump. Also returns the recorder so callers can drain traced
-/// events.
+/// [`RunReport`]: provenance and the full metric dump. Also returns the
+/// recorder so callers can drain traced events.
 #[must_use]
 pub fn observed_report(
     workload: &Workload,
@@ -288,16 +284,7 @@ pub fn observed_report(
         metrics,
     } = run_workload_observed(workload, scheme, refs, cfg);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let cache = |s: &CacheStats| CacheSummary {
-        accesses: s.accesses,
-        hits: s.hits,
-        misses: s.misses,
-        writes: s.writes,
-        writebacks: s.writebacks,
-    };
     let report = RunReport {
-        schema: RUN_REPORT_SCHEMA.to_owned(),
-        version: RUN_REPORT_VERSION,
         provenance: Provenance {
             workload: workload.name.to_owned(),
             scheme: scheme.label().to_owned(),
@@ -311,23 +298,7 @@ pub fn observed_report(
             wall_ms,
             sim_cycles: result.breakdown.total(),
         },
-        breakdown: BreakdownSummary {
-            busy: result.breakdown.busy,
-            other_stall: result.breakdown.other_stall,
-            mem_stall: result.breakdown.mem_stall,
-        },
-        l1: cache(&result.l1),
-        l2: cache(&result.l2),
-        dram: DramSummary {
-            reads: result.dram.reads,
-            writes: result.dram.writes,
-            row_hits: result.dram.row_hits,
-            row_misses: result.dram.row_misses,
-            queue_cycles: result.dram.queue_cycles,
-        },
         metrics,
-        events_recorded: recorder.events_recorded(),
-        events_dropped: recorder.events_dropped(),
     };
     (report, recorder)
 }
@@ -362,10 +333,13 @@ mod tests {
         let w = by_name("tree").unwrap();
         let (report, _) = observed_report(w, Scheme::PrimeModulo, 10_000, ObsConfig::default());
         let rerun = run_workload(w, Scheme::PrimeModulo, 10_000);
-        assert_eq!(report.l2.misses, rerun.l2.misses);
-        assert_eq!(report.l2.accesses, rerun.l2.accesses);
-        assert_eq!(report.l1.hits, rerun.l1.hits);
-        assert_eq!(report.breakdown.busy, rerun.breakdown.busy);
+        let m = &report.metrics;
+        assert_eq!(m.counter("cache.l2.demand_misses"), Some(rerun.l2.misses));
+        assert_eq!(
+            m.counter("cache.l2.demand_accesses"),
+            Some(rerun.l2.accesses)
+        );
+        assert_eq!(m.counter("cache.l1.hits"), Some(rerun.l1.hits));
         assert_eq!(report.provenance.sim_cycles, rerun.breakdown.total());
         assert_eq!(report.provenance.scheme, "pMod");
     }
@@ -431,11 +405,10 @@ mod tests {
                 ..ObsConfig::default()
             },
         );
-        assert!(report.events_recorded > 0);
-        assert_eq!(
-            report.metrics.counter("cache.l2.demand_misses"),
-            Some(report.l2.misses)
-        );
+        let recorded = report.metrics.counter("trace.events_recorded");
+        assert!(recorded > Some(0));
+        assert_eq!(recorded, Some(recorder.events_recorded()));
+        assert_eq!(report.metrics.counter("trace.events_dropped"), Some(0));
         // Timestamps are monotone within the buffered window.
         let times: Vec<u64> = recorder.events().map(|e| e.t).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));

@@ -24,7 +24,6 @@
 use primecache_analyze::{model_of, IndexModel};
 use primecache_cache::{
     Cache, CacheConfig, FullyAssociative, L2Organization, ReplacementKind, SkewedCache,
-    SkewedConfig,
 };
 use primecache_core::index::Geometry;
 use primecache_core::probe::{ProbeCost, ProbeOracle};
@@ -35,15 +34,10 @@ use crate::config::{MachineConfig, Scheme};
 /// paper machine's 4 GB physical address space is 2^26 blocks of 64 B.
 pub const PROBE_BITS: u32 = 26;
 
-enum Backend {
-    SetAssoc(CacheConfig),
-    Skewed(SkewedConfig),
-    Fully { size_bytes: u64, line_bytes: u64 },
-}
-
 /// A [`ProbeOracle`] that answers by simulating the scheme's L2.
 pub struct SimOracle {
-    backend: Backend,
+    /// The probed organization, built fresh for every probe.
+    l2: L2Organization,
     in_bits: u32,
     cost: ProbeCost,
 }
@@ -54,20 +48,22 @@ impl SimOracle {
     /// special cases).
     #[must_use]
     pub fn direct(machine: &MachineConfig, scheme: Scheme, in_bits: u32) -> Self {
-        let backend = match machine.l2_organization(scheme) {
-            L2Organization::SetAssoc(c) => Backend::SetAssoc(
+        let l2 = match machine.l2_organization(scheme) {
+            L2Organization::SetAssoc(c) => L2Organization::SetAssoc(
                 CacheConfig::new(c.n_set_phys() * c.line_bytes(), 1, c.line_bytes())
                     .with_hash(c.hash())
                     .with_replacement(ReplacementKind::Lru),
             ),
-            L2Organization::Skewed(c) => Backend::Skewed(c),
-            L2Organization::FullyAssociative { line_bytes, .. } => Backend::Fully {
-                size_bytes: line_bytes,
-                line_bytes,
-            },
+            L2Organization::FullyAssociative { line_bytes, .. } => {
+                L2Organization::FullyAssociative {
+                    size_bytes: line_bytes,
+                    line_bytes,
+                }
+            }
+            skewed @ L2Organization::Skewed(_) => skewed,
         };
         Self {
-            backend,
+            l2,
             in_bits,
             cost: ProbeCost::default(),
         }
@@ -76,19 +72,8 @@ impl SimOracle {
     /// The eviction-cost shape: the scheme's real L2 organization.
     #[must_use]
     pub fn native(machine: &MachineConfig, scheme: Scheme, in_bits: u32) -> Self {
-        let backend = match machine.l2_organization(scheme) {
-            L2Organization::SetAssoc(c) => Backend::SetAssoc(c),
-            L2Organization::Skewed(c) => Backend::Skewed(c),
-            L2Organization::FullyAssociative {
-                size_bytes,
-                line_bytes,
-            } => Backend::Fully {
-                size_bytes,
-                line_bytes,
-            },
-        };
         Self {
-            backend,
+            l2: machine.l2_organization(scheme),
             in_bits,
             cost: ProbeCost::default(),
         }
@@ -101,18 +86,18 @@ impl ProbeOracle for SimOracle {
     }
 
     fn n_set_phys(&self) -> u64 {
-        match &self.backend {
-            Backend::SetAssoc(c) => c.n_set_phys(),
-            Backend::Skewed(c) => c.sets_per_bank(),
-            Backend::Fully { .. } => 1,
+        match &self.l2 {
+            L2Organization::SetAssoc(c) => c.n_set_phys(),
+            L2Organization::Skewed(c) => c.sets_per_bank(),
+            L2Organization::FullyAssociative { .. } => 1,
         }
     }
 
     fn assoc(&self) -> u32 {
-        match &self.backend {
-            Backend::SetAssoc(c) => c.assoc(),
-            Backend::Skewed(c) => c.banks() * c.ways_per_bank(),
-            Backend::Fully {
+        match &self.l2 {
+            L2Organization::SetAssoc(c) => c.assoc(),
+            L2Organization::Skewed(c) => c.banks() * c.ways_per_bank(),
+            L2Organization::FullyAssociative {
                 size_bytes,
                 line_bytes,
             } => u32::try_from(size_bytes / line_bytes).expect("L2 capacity fits u32"),
@@ -125,16 +110,16 @@ impl ProbeOracle for SimOracle {
         let cold_misses = |hits: &mut dyn FnMut(u64) -> bool| -> u64 {
             blocks.iter().filter(|&&b| !hits(b)).count() as u64
         };
-        match &self.backend {
-            Backend::SetAssoc(config) => {
+        match &self.l2 {
+            L2Organization::SetAssoc(config) => {
                 let mut cache = Cache::new(*config);
                 cold_misses(&mut |b| cache.access_block(b, false).hit)
             }
-            Backend::Skewed(config) => {
+            L2Organization::Skewed(config) => {
                 let mut cache = SkewedCache::new(*config);
                 cold_misses(&mut |b| cache.access_block(b, false).hit)
             }
-            Backend::Fully {
+            L2Organization::FullyAssociative {
                 size_bytes,
                 line_bytes,
             } => {

@@ -10,8 +10,6 @@
 use crate::util::{Lcg, TraceSink};
 
 const KB: u64 = 1024;
-#[allow(dead_code)]
-const MB: u64 = 1024 * 1024;
 
 /// Shared CSR sweep: for each row, stream `nnz_per_row` (value, col) pairs
 /// and gather `x[col]` via `gather`, then store `y[row]`.

@@ -14,7 +14,7 @@
 //! * The schedule is a pure function of `(tenant traces, MixConfig)` —
 //!   the scheduler PRNG is a seeded [`Lcg`], so every cursor over the
 //!   same mix replays the identical interleaved sequence.
-//! * Tenant 0's namespace tag is `0 << ns_shift = 0`, and XOR with 0 is
+//! * Tenant 0's namespace tag is `0 << 48 = 0`, and XOR with 0 is
 //!   the identity: a **single-tenant mix replays its trace unchanged**,
 //!   so `run_chunks(mix.cursor(), ..)` is bit-identical to
 //!   `run_recorded(trace, ..)` — pinned by `tests/ingest_equivalence.rs`.
@@ -29,7 +29,14 @@ use primecache_trace::{EncodedTrace, Event, ReplayCursor};
 use crate::chunks::EventChunks;
 use crate::util::Lcg;
 
-/// Scheduling and namespace parameters of a [`TenantMix`].
+/// Bit position of the per-tenant address namespace: tenant `i`'s
+/// addresses are XOR-tagged with `i << NS_SHIFT`, and tenant 0 is always
+/// untouched. Workload footprints live far below 2^48; tagging bit 48
+/// and up keeps namespaces disjoint without disturbing low-order index
+/// bits.
+const NS_SHIFT: u32 = 48;
+
+/// Scheduling parameters of a [`TenantMix`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixConfig {
     /// Instructions per scheduling quantum (events are never split; the
@@ -38,10 +45,6 @@ pub struct MixConfig {
     pub quantum_instructions: u64,
     /// Seed of the scheduler's [`Lcg`]; same seed, same interleaving.
     pub seed: u64,
-    /// Bit position of the per-tenant address namespace: tenant `i`'s
-    /// addresses are XOR-tagged with `i << ns_shift`. Tenant 0 is always
-    /// untouched.
-    pub ns_shift: u32,
 }
 
 impl Default for MixConfig {
@@ -49,10 +52,6 @@ impl Default for MixConfig {
         Self {
             quantum_instructions: 20_000,
             seed: 0x7E9A_11CE_D5EE_D001,
-            // Workload footprints live far below 2^48; tagging bit 48+
-            // keeps namespaces disjoint without disturbing low-order
-            // index bits.
-            ns_shift: 48,
         }
     }
 }
@@ -64,8 +63,8 @@ pub struct MixStats {
     pub quanta: u64,
     /// Quanta whose tenant differed from the previous quantum's.
     pub switches: u64,
-    /// Memory events whose *untagged* address already occupied bits at
-    /// or above `ns_shift` (the tag then aliases instead of
+    /// Memory events whose *untagged* address already occupied bit 48
+    /// or above, the namespace bits (the tag then aliases instead of
     /// namespacing; external traces with full 64-bit addresses can
     /// trip this, generated workloads never do).
     pub ns_overflows: u64,
@@ -90,22 +89,17 @@ impl TenantMix {
     ///
     /// # Panics
     ///
-    /// Panics when `tenants` is empty, the quantum is zero, `ns_shift`
-    /// is outside `1..=63`, or the tenant count does not fit the
-    /// namespace bits above `ns_shift`.
+    /// Panics when `tenants` is empty, the quantum is zero, or the
+    /// tenant count does not fit the 16 namespace bits.
     #[must_use]
     pub fn new(tenants: Vec<(String, EncodedTrace)>, cfg: MixConfig) -> Self {
         assert!(!tenants.is_empty(), "a mix needs at least one tenant");
         assert!(cfg.quantum_instructions > 0, "quantum must be positive");
         assert!(
-            (1..=63).contains(&cfg.ns_shift),
-            "ns_shift must be in 1..=63"
-        );
-        assert!(
-            tenants.len() as u64 - 1 <= u64::MAX >> cfg.ns_shift,
+            tenants.len() as u64 - 1 <= u64::MAX >> NS_SHIFT,
             "{} tenants do not fit a {}-bit namespace",
             tenants.len(),
-            64 - cfg.ns_shift
+            64 - NS_SHIFT
         );
         Self { tenants, cfg }
     }
@@ -156,7 +150,7 @@ impl TenantMix {
     fn lane(&self, idx: usize) -> Lane<'_> {
         Lane {
             cursor: self.tenants[idx].1.replay(),
-            ns: (idx as u64) << self.cfg.ns_shift,
+            ns: (idx as u64) << NS_SHIFT,
         }
     }
 }
@@ -183,7 +177,6 @@ pub struct MixCursor<'a> {
     live: Vec<usize>,
     rng: Lcg,
     quantum: u64,
-    shift: u32,
     /// The current quantum, tagged.
     buf: Vec<Event>,
     /// Events of `buf` already delivered.
@@ -200,7 +193,6 @@ impl<'a> MixCursor<'a> {
             lanes,
             rng: Lcg::new(cfg.seed),
             quantum: cfg.quantum_instructions,
-            shift: cfg.ns_shift,
             buf: Vec::new(),
             pos: 0,
             last: None,
@@ -231,7 +223,7 @@ impl<'a> MixCursor<'a> {
             let slot = self.rng.below(self.live.len() as u64) as usize;
             let pick = self.live[slot];
             let lane = &mut self.lanes[pick];
-            let (ns, shift, quantum) = (lane.ns, self.shift, self.quantum);
+            let (ns, quantum) = (lane.ns, self.quantum);
             let buf = &mut self.buf;
             buf.clear();
             self.pos = 0;
@@ -253,7 +245,7 @@ impl<'a> MixCursor<'a> {
                     issued += ev.instructions();
                     if let Some(addr) = ev.addr() {
                         refs += 1;
-                        overflows += u64::from(addr >> shift != 0);
+                        overflows += u64::from(addr >> NS_SHIFT != 0);
                     }
                     if issued >= quantum {
                         break;
@@ -382,7 +374,7 @@ mod tests {
         while !live.is_empty() {
             let slot = rng.below(live.len() as u64) as usize;
             let pick = live[slot];
-            let ns = (pick as u64) << cfg.ns_shift;
+            let ns = (pick as u64) << NS_SHIFT;
             let (mut q, mut issued) = (Vec::new(), 0u64);
             while issued < cfg.quantum_instructions {
                 let Some(ev) = lanes[pick].next() else {
@@ -390,7 +382,7 @@ mod tests {
                     break;
                 };
                 issued += ev.instructions();
-                if ev.addr().is_some_and(|a| a >> cfg.ns_shift != 0) {
+                if ev.addr().is_some_and(|a| a >> NS_SHIFT != 0) {
                     stats.ns_overflows += 1;
                 }
                 q.push(retag(ev, ns));
@@ -488,16 +480,15 @@ mod tests {
                 ..MixConfig::default()
             },
         );
-        let shift = mix.config().ns_shift;
         let mut per_lane: Vec<Vec<Event>> = vec![Vec::new(); 2];
         let mut cur = mix.cursor();
         while let Some((t, events)) = cur.pull_quantum() {
             for ev in events {
                 if let Some(addr) = ev.addr() {
-                    assert_eq!(addr >> shift, t as u64, "address outside namespace {t}");
+                    assert_eq!(addr >> NS_SHIFT, t as u64, "address outside namespace {t}");
                 }
             }
-            let ns = (t as u64) << shift;
+            let ns = (t as u64) << NS_SHIFT;
             per_lane[t].extend(events.iter().map(|&e| retag(e, ns)));
         }
         // Untagged, each lane is exactly its tenant's recorded sequence.
@@ -539,7 +530,7 @@ mod tests {
         let tenants = vec![recorded("tree", 2_000), recorded("mcf", 2_000)];
         let mcf = tenants[1].1.decode_all().unwrap();
         let mix = TenantMix::with_defaults(tenants);
-        let ns = 1u64 << mix.config().ns_shift;
+        let ns = 1u64 << NS_SHIFT;
         let solo: Vec<Event> = mix.solo_cursor(1).collect();
         let tagged: Vec<Event> = mcf.into_iter().map(|e| retag(e, ns)).collect();
         assert_eq!(solo, tagged);

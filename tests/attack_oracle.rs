@@ -10,14 +10,16 @@
 
 use primecache::analyze::canonicalize;
 use primecache::attack::{
-    attack_report_json, eviction_cost, recover, AttackEntry, EvictConfig, RecoveryConfig, Verdict,
+    attack_report_json, eviction_cost, recover, AttackEntry, Verdict, ATTACK_REPORT_SCHEMA,
+    ATTACK_REPORT_VERSION,
 };
 use primecache::core::expr::register_anonymous;
+use primecache::obs::Json;
 use primecache::sim::{static_model, MachineConfig, Scheme, SimOracle, PROBE_BITS};
 
 fn recover_scheme(machine: &MachineConfig, scheme: Scheme) -> (primecache::attack::Recovery, bool) {
     let mut oracle = SimOracle::direct(machine, scheme, PROBE_BITS);
-    let rec = recover(&mut oracle, &RecoveryConfig::default());
+    let rec = recover(&mut oracle, 0x5EED);
     let statik = static_model(machine, scheme, PROBE_BITS);
     let agrees = rec.verdict.matches_static(statik.as_ref());
     (rec, agrees)
@@ -100,7 +102,7 @@ fn eviction_cost_ranks_pmod_above_the_naive_tier_attack() {
             &mut native,
             None,
             primecache::core::probe::ProbeCost::default(),
-            &EvictConfig::default(),
+            0xE71C7,
         );
         naive_refs.insert(scheme.label(), cost.tier("naive-stride").cloned());
     }
@@ -116,7 +118,7 @@ fn attack_report_json_is_versioned_and_well_formed() {
     let machine = MachineConfig::paper_default();
     let scheme = Scheme::PrimeModulo;
     let mut direct = SimOracle::direct(&machine, scheme, PROBE_BITS);
-    let recovery = recover(&mut direct, &RecoveryConfig::default());
+    let recovery = recover(&mut direct, 0x5EED);
     let statik = static_model(&machine, scheme, PROBE_BITS);
     let agrees_static = recovery.verdict.matches_static(statik.as_ref());
     let informed = match &recovery.verdict {
@@ -124,12 +126,7 @@ fn attack_report_json_is_versioned_and_well_formed() {
         Verdict::Opaque { .. } => None,
     };
     let mut native = SimOracle::native(&machine, scheme, PROBE_BITS);
-    let eviction = eviction_cost(
-        &mut native,
-        informed.as_ref(),
-        recovery.cost,
-        &EvictConfig::default(),
-    );
+    let eviction = eviction_cost(&mut native, informed.as_ref(), recovery.cost, 0xE71C7);
     let entry = AttackEntry {
         scheme: scheme.label().to_owned(),
         recovery,
@@ -137,27 +134,28 @@ fn attack_report_json_is_versioned_and_well_formed() {
         static_canonical: statik.as_ref().map(canonicalize),
         eviction,
     };
-    let json = attack_report_json(std::slice::from_ref(&entry));
-    assert!(json.starts_with('{') && json.ends_with('}'));
-    assert!(json.contains("\"schema\":\"primecache.attack-report\""));
-    assert!(json.contains("\"version\":1"));
-    assert!(json.contains("\"scheme\":\"pMod\""));
-    assert!(json.contains("\"modulus\":2039"));
-    assert!(json.contains("\"agrees_static\":true"));
-    assert!(json.contains("\"tier\":\"informed\""));
-    // Braces and brackets balance — the report is parseable JSON.
-    let depth_ok = |open: char, close: char| {
-        let mut depth = 0i64;
-        for c in json.chars() {
-            if c == open {
-                depth += 1;
-            } else if c == close {
-                depth -= 1;
-                assert!(depth >= 0, "unbalanced {close}");
-            }
-        }
-        depth == 0
-    };
-    assert!(depth_ok('{', '}'));
-    assert!(depth_ok('[', ']'));
+    let text = attack_report_json(std::slice::from_ref(&entry)).render();
+    let doc = Json::parse(&text).expect("the report is parseable JSON");
+    assert_eq!(
+        doc.check_head(ATTACK_REPORT_SCHEMA, ATTACK_REPORT_VERSION),
+        Ok(1)
+    );
+    let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+    let e = &entries[0];
+    assert_eq!(e.get("scheme").and_then(Json::as_str), Some("pMod"));
+    assert_eq!(e.get("agrees_static").and_then(Json::as_bool), Some(true));
+    let modulus = |canonical: &Json| canonical.get("modulus").and_then(Json::as_u64);
+    let recovered = e.get("recovery").and_then(|r| r.get("canonical")).unwrap();
+    assert_eq!(modulus(recovered), Some(2039));
+    assert_eq!(modulus(e.get("static_canonical").unwrap()), Some(2039));
+    let tiers = e
+        .get("eviction")
+        .and_then(|v| v.get("tiers"))
+        .and_then(Json::as_arr)
+        .unwrap();
+    let informed = tiers
+        .iter()
+        .find(|t| t.get("tier").and_then(Json::as_str) == Some("informed"))
+        .expect("an informed tier");
+    assert_eq!(informed.get("success").and_then(Json::as_bool), Some(true));
 }

@@ -2,16 +2,17 @@
 //!
 //! Exercises the observed runs through the umbrella crate exactly as an
 //! external consumer would: the self-describing [`RunReport`] must
-//! survive a JSON round trip, its metrics must equal the simulator's
-//! own `stats.rs` aggregates they are read from, and the metric
-//! reference in `OBSERVABILITY.md` must list exactly what a report
-//! emits.
+//! survive a JSON round trip and give back the run's result from its
+//! provenance and metric dump alone, its metrics must equal the
+//! simulator's own `stats.rs` aggregates they are read from, and the
+//! metric reference in `OBSERVABILITY.md` must list exactly what a
+//! report emits.
 
 use std::collections::BTreeSet;
 
 use primecache::obs::{MetricValue, ObsConfig, RunReport, RUN_REPORT_SCHEMA, RUN_REPORT_VERSION};
 use primecache::sim::observe::{observed_report, run_workload_observed};
-use primecache::sim::Scheme;
+use primecache::sim::{run_workload, Scheme};
 use primecache::workloads::by_name;
 
 #[test]
@@ -22,11 +23,14 @@ fn run_report_round_trips_through_json() {
         20_000,
         ObsConfig::default(),
     );
-    let text = report.to_json().render_pretty();
+    let doc = report.to_json();
+    assert_eq!(
+        doc.check_head(RUN_REPORT_SCHEMA, RUN_REPORT_VERSION),
+        Ok(RUN_REPORT_VERSION)
+    );
+    let text = doc.render_pretty();
     let parsed = RunReport::from_json_str(&text).expect("report JSON parses back");
     assert_eq!(parsed, report);
-    assert_eq!(parsed.schema, RUN_REPORT_SCHEMA);
-    assert_eq!(parsed.version, RUN_REPORT_VERSION);
 
     // Compact rendering round-trips too.
     let compact = report.to_json().render();
@@ -77,25 +81,48 @@ fn obs_miss_class_metrics_match_stats_aggregates() {
 }
 
 #[test]
-fn report_miss_totals_match_embedded_metrics() {
-    let (report, _recorder) = observed_report(
-        by_name("mcf").unwrap(),
-        Scheme::Xor,
-        20_000,
-        ObsConfig::default(),
-    );
-    assert_eq!(
-        report.metrics.counter("cache.l2.demand_misses"),
-        Some(report.l2.misses)
-    );
-    assert_eq!(
-        report.metrics.counter("cache.l1.misses"),
-        Some(report.l1.misses)
-    );
-    assert_eq!(
-        report.metrics.counter("dram.reads"),
-        Some(report.dram.reads)
-    );
+fn report_gives_back_the_run_result() {
+    // mcf mispredicts branches, so its Other stalls are not 0 and Busy
+    // must leave them out along with the memory stalls.
+    let w = by_name("mcf").unwrap();
+    let (report, _recorder) = observed_report(w, Scheme::Xor, 20_000, ObsConfig::default());
+    let report = RunReport::from_json_str(&report.to_json().render()).expect("parses back");
+    let run = run_workload(w, Scheme::Xor, 20_000);
+    let counter = |key: &str| {
+        report
+            .metrics
+            .counter(key)
+            .unwrap_or_else(|| panic!("metric {key} missing"))
+    };
+
+    let (l1, l2, dram) = (&run.l1, &run.l2, &run.dram);
+    for (key, want) in [
+        ("cache.l1.accesses", l1.accesses),
+        ("cache.l1.hits", l1.hits),
+        ("cache.l1.misses", l1.misses),
+        ("cache.l1.writes", l1.writes),
+        ("cache.l1.evictions", l1.evictions),
+        ("cache.l1.dirty_evictions", l1.writebacks),
+        ("cache.l2.demand_accesses", l2.accesses),
+        ("cache.l2.demand_hits", l2.hits),
+        ("cache.l2.demand_misses", l2.misses),
+        ("cache.l2.demand_writes", l2.writes),
+        ("dram.reads", dram.reads),
+        ("dram.writes", dram.writes),
+        ("dram.row_hits", dram.row_hits),
+        ("dram.row_misses", dram.row_misses),
+        ("dram.queue_cycles", dram.queue_cycles),
+    ] {
+        assert_eq!(counter(key), want, "{key}");
+    }
+
+    let stalls: u64 = ["rob", "mlp", "dep", "store", "drain", "branch"]
+        .iter()
+        .map(|cause| counter(&format!("cpu.stall.{cause}_cycles")))
+        .sum();
+    assert!(run.breakdown.other_stall > 0, "mcf should mispredict");
+    assert_eq!(report.provenance.sim_cycles, run.breakdown.total());
+    assert_eq!(report.provenance.sim_cycles - stalls, run.breakdown.busy);
 }
 
 /// `(name, type, unit)` of every row in the "Metric reference" tables of
