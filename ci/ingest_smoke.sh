@@ -3,7 +3,8 @@
 # export it as both a PCTE frame and TRACE_FORMAT.md text, import the
 # text back, and require the conversion to be byte-identical to the
 # native frame (`cmp`); then simulate both imports and require
-# identical results, run a 2-tenant interference sweep end-to-end, and
+# identical results, run a 2-tenant interference sweep end-to-end (and
+# again pinned to one CPU, where no L1 stage runs: same table), and
 # check that every malformed-input class fails with a clean error (exit
 # code exactly 1, no panic, no control byte on stderr). Run locally with
 # `sh ci/ingest_smoke.sh`; INGEST_REFS overrides the trace length.
@@ -42,7 +43,14 @@ grep -q "PCTE frame" "$TMP/inspect.txt" \
   || { echo "inspect failed to recognize the frame" >&2; exit 1; }
 
 echo "==> 2-tenant interference sweep (workload + imported file as tenants)"
-$PCACHE sweep --tenants tree,"$TMP/native.pcte" --refs "$REFS" --quantum 2000
+$PCACHE sweep --tenants tree,"$TMP/native.pcte" --refs "$REFS" --quantum 2000 \
+  | tee "$TMP/tenants.txt"
+
+echo "==> the same sweep on one CPU (live L1, no L1 stage) prints the same table"
+taskset -c 0 $PCACHE sweep --tenants tree,"$TMP/native.pcte" --refs "$REFS" --quantum 2000 \
+  > "$TMP/tenants-one-cpu.txt"
+diff "$TMP/tenants.txt" "$TMP/tenants-one-cpu.txt" \
+  || { echo "the one-CPU tenant sweep differs" >&2; exit 1; }
 
 echo "==> malformed inputs must fail cleanly (exit 1, no panic, no control byte)"
 head -c 20 "$TMP/native.pcte" > "$TMP/truncated.pcte"

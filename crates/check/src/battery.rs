@@ -14,15 +14,16 @@
 use crate::oracle::{
     ref_bank_index, ref_decode_frame, ref_mersenne, ref_prime_displacement, ref_prime_modulo,
     ref_read_text, ref_set_index, ref_skew_xor, ref_subtract_select, ref_tlb_index,
-    ref_traditional, ref_xor, ref_xor_folded, OracleAccess, OracleCache, OracleCpu, OracleDram,
-    OracleMachine, OracleMemory, OraclePolicy, OracleSkewed, OracleVictim, RefFrame, TextRead,
+    ref_traditional, ref_xor, ref_xor_folded, OracleAccess, OracleCache, OracleCaches, OracleCpu,
+    OracleDram, OracleMachine, OracleMemory, OraclePolicy, OracleSkewed, OracleVictim, RefFrame,
+    TextRead,
 };
 use crate::prop::{forall_result, Rng, Shrink};
 
 use primecache_cache::{
-    AccessOutcome, Cache, CacheConfig, CacheOutcome, CacheSim, FullyAssociative, Hierarchy,
-    HierarchyConfig, L2Organization, ReplacementKind, SkewHashKind, SkewReplacement, SkewedCache,
-    SkewedConfig, VictimCache,
+    AccessOutcome, Cache, CacheConfig, CacheOutcome, CacheSim, CacheStats, FullyAssociative,
+    Hierarchy, HierarchyConfig, L2Organization, ReplacementKind, SkewHashKind, SkewReplacement,
+    SkewedCache, SkewedConfig, VictimCache,
 };
 use primecache_core::hw::{
     mersenne_fold, IterativeLinear, Polynomial, SubtractSelect, TlbAssist, Wired2039,
@@ -34,7 +35,9 @@ use primecache_core::index::{
 use primecache_cpu::{Cpu, CpuConfig};
 use primecache_ingest::MAX_LINE_BYTES;
 use primecache_mem::{Dram, MemConfig};
-use primecache_sim::{run_trace, MachineConfig, Recording, Scheme};
+use primecache_sim::{run_tenant_mix, run_trace, MachineConfig, Recording, Scheme, TenantLane};
+use primecache_trace::{EncodedTrace, Event};
+use primecache_workloads::{MixConfig, TenantMix};
 
 /// Accesses per cache/DRAM stream case (the shrinkable unit of replay).
 const STREAM_LEN: usize = 256;
@@ -1802,6 +1805,134 @@ fn machine_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     out
 }
 
+/// A `sim/tenants` case: each tenant's `tuple_event` stream, the
+/// quantum and the scheduler's seed, and the events per encoded chunk.
+/// The prop maps the quantum into 1–2,000 instructions and the chunk
+/// into 1–64 events, so shrinking toward zero stays valid.
+type TenantCase = (Vec<Vec<(u64, u64, bool)>>, (u64, u64), u64);
+
+/// Adds what `now` counts beyond `before` into `lane`: one quantum's
+/// share. A lane's per-set eviction counts take `now`'s length, so they
+/// stay empty until the cache's first eviction.
+fn credit_quantum(lane: &mut CacheStats, before: &CacheStats, now: &CacheStats) {
+    lane.accesses += now.accesses - before.accesses;
+    lane.hits += now.hits - before.hits;
+    lane.misses += now.misses - before.misses;
+    lane.writes += now.writes - before.writes;
+    lane.writebacks += now.writebacks - before.writebacks;
+    lane.evictions += now.evictions - before.evictions;
+    lane.set_evictions.resize(now.set_evictions.len(), 0);
+    for (lane, now, before) in [
+        (
+            &mut lane.set_accesses,
+            &now.set_accesses,
+            &before.set_accesses,
+        ),
+        (&mut lane.set_misses, &now.set_misses, &before.set_misses),
+        (
+            &mut lane.set_evictions,
+            &now.set_evictions,
+            &before.set_evictions,
+        ),
+    ] {
+        for (set, n) in now.iter().enumerate() {
+            lane[set] += n - before.get(set).copied().unwrap_or(0);
+        }
+    }
+}
+
+/// The `sim/tenants` units run random two- and three-tenant mixes
+/// through `run_tenant_mix`, which credits each tenant's lane at tenant
+/// switches. The reference drives [`OracleCaches`] one quantum at a
+/// time and credits every quantum's statistics to its tenant; each lane
+/// must equal it, and the aggregate must equal the oracle machine over
+/// the interleaved stream. Quanta of 1–2,000 instructions over streams
+/// encoded in chunks of 1–64 events end both inside a tenant's chunks
+/// and at their edges.
+fn tenant_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
+    let machine = machine_unit_config();
+    let schemes = [
+        Scheme::Base,
+        Scheme::PrimeModulo,
+        Scheme::Skewed,
+        Scheme::FullyAssociative,
+    ];
+    schemes
+        .into_iter()
+        .map(|scheme| {
+            run_unit(
+                cfg,
+                &format!("sim/tenants/{}", scheme.label()),
+                stream_cases(cfg),
+                STREAM_LEN,
+                |rng| {
+                    let tenants = rng.range_usize(2, 4);
+                    let streams = (0..tenants)
+                        .map(|_| gen_cpu_stream(rng, machine_unit_addrs))
+                        .collect();
+                    (streams, (rng.next_u64(), rng.next_u64()), rng.next_u64())
+                },
+                move |(streams, (quantum, seed), chunk): &TenantCase| {
+                    if streams.is_empty() {
+                        return;
+                    }
+                    let tenants = streams.iter().enumerate().map(|(i, stream)| {
+                        let events: Vec<Event> = stream.iter().map(tuple_event).collect();
+                        let trace = EncodedTrace::encode(&events, 1 + (chunk % 64) as usize);
+                        (format!("t{i}"), trace)
+                    });
+                    let config = MixConfig {
+                        quantum_instructions: 1 + quantum % 2_000,
+                        seed: *seed,
+                    };
+                    let mix = TenantMix::new(tenants.collect(), config);
+                    let got = run_tenant_mix(&mix, scheme, &machine);
+
+                    let mut caches = OracleCaches::new(&machine.hierarchy_config(scheme));
+                    let mut want: Vec<TenantLane> = (0..streams.len())
+                        .map(|i| TenantLane {
+                            name: format!("t{i}"),
+                            events: 0,
+                            refs: 0,
+                            quanta: 0,
+                            l1: caches.l1_stats().clone(),
+                            l2: caches.l2_stats().clone(),
+                        })
+                        .collect();
+                    let mut interleaved = Vec::new();
+                    let mut cursor = mix.cursor();
+                    while let Some((tenant, events)) = cursor.pull_quantum() {
+                        let l1 = caches.l1_stats().clone();
+                        let l2 = caches.l2_stats().clone();
+                        let lane = &mut want[tenant];
+                        for ev in events {
+                            if let Some(addr) = ev.addr() {
+                                caches.access(addr, matches!(ev, Event::Store { .. }));
+                                lane.refs += 1;
+                            }
+                        }
+                        credit_quantum(&mut lane.l1, &l1, caches.l1_stats());
+                        credit_quantum(&mut lane.l2, &l2, caches.l2_stats());
+                        lane.events += events.len() as u64;
+                        lane.quanta += 1;
+                        interleaved.extend_from_slice(events);
+                    }
+                    for (got, want) in got.lanes.iter().zip(&want) {
+                        assert_eq!(got, want, "lane {} mismatch", want.name);
+                    }
+                    assert_eq!(got.lanes.len(), want.len(), "lane count mismatch");
+                    let whole = OracleMachine::new(&machine, scheme).run(&interleaved);
+                    let agg = &got.aggregate;
+                    assert_eq!(agg.breakdown, whole.breakdown, "breakdown mismatch");
+                    assert_eq!(agg.l1, whole.l1, "L1 stats mismatch");
+                    assert_eq!(agg.l2, whole.l2, "L2 demand stats mismatch");
+                    assert_eq!(agg.dram, whole.dram, "DRAM stats mismatch");
+                },
+            )
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Attack units: black-box recovery vs known ground-truth models.
 // ---------------------------------------------------------------------------
@@ -1957,6 +2088,7 @@ pub fn run_battery(cfg: &BatteryConfig) -> Vec<UnitReport> {
     out.extend(dram_units(cfg));
     out.extend(cpu_units(cfg));
     out.extend(machine_units(cfg));
+    out.extend(tenant_units(cfg));
     out.extend(attack_units(cfg));
     out
 }
@@ -2062,10 +2194,26 @@ mod tests {
             "sim/l1-replay/SKW",
             "sim/l1-replay/FA",
             "sim/l1-replay/expr:a % 31",
+            "sim/tenants/Base",
+            "sim/tenants/pMod",
+            "sim/tenants/SKW",
+            "sim/tenants/FA",
         ] {
             assert!(
                 names.iter().any(|n| n == prefix),
                 "battery lost coverage of {prefix}; units: {names:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tenant_lanes_equal_the_per_quantum_attribution() {
+        for r in tenant_units(&small()) {
+            assert!(
+                r.passed,
+                "unit {} failed: {}",
+                r.unit,
+                r.counterexample.unwrap_or_default()
             );
         }
     }

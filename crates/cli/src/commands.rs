@@ -1063,13 +1063,15 @@ fn emit_jsonl(args: &Args, events: &[primecache_obs::ObsEvent]) -> i32 {
     for ev in events {
         sink.emit(ev);
     }
-    let lines = sink.lines();
-    if sink.finish().is_err() || lines != events.len() as u64 {
-        eprintln!("short write: {lines} of {} events", events.len());
+    if let Err(e) = sink.finish() {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("cannot write the events: {e}");
         return 1;
     }
     if let Some(out) = args.value("--out") {
-        outln!("wrote {lines} events to {out}");
+        outln!("wrote {} events to {out}", events.len());
     }
     0
 }

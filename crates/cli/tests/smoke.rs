@@ -298,3 +298,24 @@ fn a_reader_closing_the_pipe_ends_pcache_quietly_with_status_141() {
     assert_eq!(out.status.code(), Some(141), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn trace_events_ends_quietly_with_status_141_when_its_reader_closes_the_pipe() {
+    // About 58,000 JSONL events, far more than a pipe holds, so writing
+    // them outlives the reader.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pcache"))
+        .args(["trace-events", "tree", "--refs", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pcache runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("pcache prints a line");
+    assert!(first.starts_with("{\"t\":"), "{first}");
+    let out = child.wait_with_output().expect("pcache exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

@@ -183,31 +183,29 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Writes one compact JSON object per line (JSONL) to any writer.
+/// Writes one compact JSON object per line (JSONL) to any writer,
+/// until the first write error, which [`JsonlSink::finish`] returns.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     w: W,
-    lines: u64,
+    error: Option<std::io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps `w`; every event becomes one line.
     pub fn new(w: W) -> JsonlSink<W> {
-        JsonlSink { w, lines: 0 }
-    }
-
-    /// Lines written so far.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.lines
+        JsonlSink { w, error: None }
     }
 
     /// Flushes and returns the inner writer.
     ///
     /// # Errors
     ///
-    /// Propagates the flush failure.
+    /// The first write error, or the flush failure.
     pub fn finish(mut self) -> std::io::Result<W> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         self.w.flush()?;
         Ok(self.w)
     }
@@ -215,10 +213,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> EventSink for JsonlSink<W> {
     fn emit(&mut self, ev: &ObsEvent) {
-        // I/O errors here must not abort a simulation; the line count
-        // lets callers detect truncation.
-        if writeln!(self.w, "{}", ev.to_json().render()).is_ok() {
-            self.lines += 1;
+        // An I/O error must not abort a simulation: the sink keeps the
+        // first one for `finish` and writes nothing after it.
+        if self.error.is_none() {
+            self.error = writeln!(self.w, "{}", ev.to_json().render()).err();
         }
     }
 }
@@ -374,7 +372,6 @@ mod tests {
                 wait_us: 3,
             },
         });
-        assert_eq!(sink.lines(), 2);
         let bytes = sink.finish().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -383,5 +380,34 @@ mod tests {
             let v = Json::parse(line).unwrap();
             assert!(v.get("ev").is_some(), "{line}");
         }
+    }
+
+    #[test]
+    fn jsonl_sink_stops_at_its_first_write_error_and_returns_it() {
+        /// Takes two writes, then fails every one after.
+        #[derive(Debug)]
+        struct Breaks {
+            calls: u32,
+        }
+        impl Write for Breaks {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                if self.calls <= 2 {
+                    Ok(buf.len())
+                } else {
+                    Err(std::io::ErrorKind::BrokenPipe.into())
+                }
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = JsonlSink::new(Breaks { calls: 0 });
+        for t in 0..5 {
+            sink.emit(&access(t, 0));
+        }
+        assert_eq!(sink.w.calls, 3, "no write after the first error");
+        let err = sink.finish().expect_err("the write error comes back");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
     }
 }

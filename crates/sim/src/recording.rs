@@ -13,8 +13,9 @@
 //! scheme's L2, DRAM and core and replays the outcomes instead of
 //! simulating the L1 again. The writer, the batch and the replay serve
 //! two drivers:
-//! - every single-scheme run (`crate::run`) writes its batches on a
-//!   second thread and replays each as it arrives;
+//! - every unobserved run (`crate::run`), a tenant mix's included,
+//!   writes its batches on a second thread and replays each as it
+//!   arrives;
 //! - a [`Recording`] keeps every batch of a workload in memory, and
 //!   each [`Recording::run`] replays them all into one scheme's engine
 //!   (a sweep's cells).
@@ -53,6 +54,8 @@ const DIRTY_MISS: u8 = 2;
 /// [`L1Replay`].
 #[derive(Debug, Default)]
 pub(crate) struct Batch {
+    /// The lane of the events: a tenant's index in a mix, 0 otherwise.
+    pub(crate) lane: usize,
     events: Vec<Event>,
     /// References among `events`.
     refs: usize,
@@ -130,7 +133,7 @@ impl Recording {
         Self {
             l1: *writer.l1.config(),
             batches,
-            stats: writer.into_stats(),
+            stats: writer.stats().clone(),
         }
     }
 
@@ -254,9 +257,9 @@ impl L1Writer {
         }
     }
 
-    /// The L1's statistics over every chunk written.
-    pub(crate) fn into_stats(self) -> CacheStats {
-        CacheSim::stats(&self.l1).clone()
+    /// The L1's statistics over every chunk written so far.
+    pub(crate) fn stats(&self) -> &CacheStats {
+        CacheSim::stats(&self.l1)
     }
 }
 
@@ -416,7 +419,7 @@ mod tests {
         }
         assert_eq!(replayed, expected);
         assert!(expected.iter().filter(|o| o.evicted.is_some()).count() > 500);
-        assert_eq!(&writer.into_stats(), CacheSim::stats(&live));
+        assert_eq!(writer.stats(), CacheSim::stats(&live));
     }
 
     #[test]

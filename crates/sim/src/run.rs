@@ -1,12 +1,13 @@
-//! Single-run drivers: the source and the L1 on a second thread, the
-//! scheme's L2, DRAM and core on the caller's.
+//! Run drivers: the source and the L1 on a second thread, the scheme's
+//! L2, DRAM and core on the caller's.
 //!
-//! Every single-scheme entry point ([`run_trace`], [`run_chunks`],
-//! [`run_recorded`], [`run_workload`]) is a two-stage pipeline. The
-//! paper rehashes only the L2, and nothing below the L1 feeds back into
-//! it, so the L1's outcomes do not depend on the run's timing
-//! ([`crate::recording`]). The L1 stage — the source (a replay, import
-//! or solo mix cursor, or a live generator) and the paper's live L1 —
+//! Every unobserved run — the single-scheme entry points
+//! ([`run_trace`], [`run_chunks`], [`run_recorded`], [`run_workload`])
+//! and tenant mixes ([`crate::run_tenant_mix`]) — is a two-stage
+//! pipeline. The paper rehashes only the L2, and nothing below the L1
+//! feeds back into it, so the L1's outcomes do not depend on the run's
+//! timing ([`crate::recording`]). The L1 stage — the source (a replay,
+//! import or mix cursor, or a live generator) and the paper's live L1 —
 //! runs on one scoped thread and writes each chunk the source pushes,
 //! with the L1's outcomes over it, into a [`Batch`]. It hands the batch
 //! through a bounded channel to the caller's thread, where the engine
@@ -16,14 +17,19 @@
 //! stays on the caller's thread and the source moves: sources are
 //! `Send`.
 //!
-//! Observed runs ([`crate::observe`]) and tenant mixes
-//! ([`crate::tenants`]) keep the live L1 in the engine, on one thread,
-//! because they need what a replay cannot give: its clean victims, its
-//! time-ordered events and its statistics mid-run. They build their
-//! engine with [`dispatch`]. So does a single-scheme run whose stage
-//! would have no core of its own: on a one-core host, or on one of
-//! several fan-out workers (a sweep's unshared cells, the registry's
-//! parallel cells), which already occupy the cores.
+//! A source pushes each chunk with its lane: a tenant mix each quantum
+//! with its tenant's index, a single stream every chunk in lane 0. At
+//! each lane switch, and once at the end, the outgoing lane is credited
+//! with what the statistics gained since the previous switch: the stage
+//! credits the L1's, the engine the L2's demand statistics.
+//!
+//! Observed runs ([`crate::observe`]) keep the live L1 in the engine, on
+//! one thread, because they need what a replay cannot give: its clean
+//! victims and its time-ordered events. They build their engine with
+//! [`dispatch`]. So does a run whose stage would have no core of its
+//! own: on a one-core host, or on one of several fan-out workers (a
+//! sweep's unshared cells, the registry's parallel cells), which already
+//! occupy the cores. That run credits its lanes by the same rule.
 //!
 //! Both builders go through
 //! [`HierarchyConfig::build_around`](primecache_cache::HierarchyConfig::build_around)
@@ -34,10 +40,11 @@
 //! starts, every driver runs [`MachineConfig::check_scheme`], in every
 //! build profile, and so panics on a scheme the config linter rejects.
 //!
-//! The `batched_equivalence` integration test and the `sim/machine` and
-//! `sim/l1-replay` units of the `check` battery compare these drivers
-//! with `OracleMachine`, a naive machine restated from the hierarchy,
-//! DRAM and core docs (stats, memory-write order, breakdowns).
+//! The `batched_equivalence` integration test and the `sim/machine`,
+//! `sim/l1-replay` and `sim/tenants` units of the `check` battery
+//! compare these drivers with `OracleMachine`, a naive machine restated
+//! from the hierarchy, DRAM and core docs (stats, memory-write order,
+//! breakdowns), and a mix's lanes with a per-quantum attribution.
 
 use std::panic;
 use std::sync::mpsc;
@@ -95,13 +102,16 @@ pub(crate) trait Engine {
     /// exactly.
     fn push(&mut self, batch: &Batch);
 
+    /// L2 demand statistics so far.
+    fn l2_stats(&self) -> &CacheStats;
+
     /// Ends the run and packages its results; `l1` is the replayed L1's
     /// statistics over the whole run.
     fn finish(&mut self, l1: CacheStats) -> RunResult;
 }
 
 /// One run in progress around a live L1, built once by [`dispatch`] and
-/// pushed the trace chunk by chunk. It can also report its statistics
+/// pushed the trace chunk by chunk. It can also report its L1 statistics
 /// mid-run and be observed, which a replayed L1 cannot.
 pub(crate) trait LiveEngine {
     /// Simulates `chunk`, continuing where the previous chunk stopped.
@@ -168,6 +178,10 @@ impl<X: L2Sim> Engine for Machine<X, L1Replay> {
         self.hierarchy.replayed_l1_mut().load(batch);
         self.feed(batch.events());
         self.hierarchy.replayed_l1_mut().check_drained();
+    }
+
+    fn l2_stats(&self) -> &CacheStats {
+        self.hierarchy.l2_stats()
     }
 
     fn finish(&mut self, l1: CacheStats) -> RunResult {
@@ -262,12 +276,86 @@ impl HierarchyOp<L1Replay> for Assemble<'_> {
 /// run.
 const DEPTH: usize = 2;
 
-/// Runs `scheme`'s engine on `machine` over the chunks `source` pushes:
-/// the source and the L1 stage on a scoped thread, the engine on this
-/// one. Where the stage has no core of its own ([`stage_has_a_core`]:
-/// a one-core host, or a thread among several fan-out workers), the run
-/// keeps its live L1 on this thread instead, because there the stage's
-/// batches cost time and win none.
+/// A run's statistics per lane, credited at switches: before a chunk
+/// whose lane differs from the previous chunk's, and when the run ends,
+/// the outgoing lane gets what the counters gained since the previous
+/// switch.
+struct Lanes {
+    /// The lane running now, lane 0 at the start.
+    current: usize,
+    /// The counters at the previous switch.
+    mark: CacheStats,
+    credited: Vec<CacheStats>,
+}
+
+impl Lanes {
+    /// `n` lanes over counters that stand at `start`.
+    fn new(n: usize, start: &CacheStats) -> Self {
+        Self {
+            current: 0,
+            mark: start.clone(),
+            credited: vec![CacheStats::new(start.set_accesses.len()); n],
+        }
+    }
+
+    /// Makes `lane` current before its chunk runs; `now` are the counters.
+    #[inline]
+    fn enter(&mut self, lane: usize, now: &CacheStats) {
+        if lane != self.current {
+            self.credit(now);
+            self.current = lane;
+        }
+    }
+
+    /// Ends the run: credits the current lane and returns every lane.
+    fn finish(mut self, now: &CacheStats) -> Vec<CacheStats> {
+        self.credit(now);
+        self.credited
+    }
+
+    /// Adds `now - mark` into the current lane and advances the mark to
+    /// `now`, in place, so nothing here allocates.
+    fn credit(&mut self, now: &CacheStats) {
+        fn step(into: &mut u64, now: u64, prev: &mut u64) {
+            *into += now - *prev;
+            *prev = now;
+        }
+        fn steps(into: &mut [u64], now: &[u64], prev: &mut [u64]) {
+            for ((into, &now), prev) in into.iter_mut().zip(now).zip(prev) {
+                step(into, now, prev);
+            }
+        }
+        let (into, prev) = (&mut self.credited[self.current], &mut self.mark);
+        step(&mut into.accesses, now.accesses, &mut prev.accesses);
+        step(&mut into.hits, now.hits, &mut prev.hits);
+        step(&mut into.misses, now.misses, &mut prev.misses);
+        step(&mut into.writes, now.writes, &mut prev.writes);
+        step(&mut into.writebacks, now.writebacks, &mut prev.writebacks);
+        step(&mut into.evictions, now.evictions, &mut prev.evictions);
+        steps(
+            &mut into.set_accesses,
+            &now.set_accesses,
+            &mut prev.set_accesses,
+        );
+        steps(&mut into.set_misses, &now.set_misses, &mut prev.set_misses);
+        // The per-set eviction counts are empty until the first eviction.
+        into.set_evictions.resize(now.set_evictions.len(), 0);
+        prev.set_evictions.resize(now.set_evictions.len(), 0);
+        steps(
+            &mut into.set_evictions,
+            &now.set_evictions,
+            &mut prev.set_evictions,
+        );
+    }
+}
+
+/// Runs `scheme`'s engine on `machine` over the chunks `source` pushes,
+/// each with its lane (below `lanes`), and returns the result and each
+/// lane's L1 and L2 demand statistics: the source and the L1 stage on a
+/// scoped thread, the engine on this one. Where the stage has no core of
+/// its own ([`stage_has_a_core`]: a one-core host, or a thread among
+/// several fan-out workers), the run keeps its live L1 on this thread
+/// instead, because there the stage's batches cost time and win none.
 ///
 /// The stage writes each chunk into a batch — one the engine sent back,
 /// or a new one while none has come back — and sends it through a
@@ -280,15 +368,23 @@ const DEPTH: usize = 2;
 /// the stage's next send fails, it lets the rest of the source run
 /// without work, and the scope joins it before the engine's panic
 /// propagates.
-fn simulate(
+pub(crate) fn simulate(
     machine: &MachineConfig,
     scheme: Scheme,
-    source: impl FnOnce(&mut dyn FnMut(&[Event])) + Send,
-) -> RunResult {
+    lanes: usize,
+    source: impl FnOnce(&mut dyn FnMut(usize, &[Event])) + Send,
+) -> (RunResult, Vec<CacheStats>, Vec<CacheStats>) {
     if !stage_has_a_core() {
         let mut engine = dispatch(machine, scheme);
-        source(&mut |chunk| engine.push(chunk));
-        return engine.finish();
+        let mut l1 = Lanes::new(lanes, engine.l1_stats());
+        let mut l2 = Lanes::new(lanes, engine.l2_stats());
+        source(&mut |lane, chunk| {
+            l1.enter(lane, engine.l1_stats());
+            l2.enter(lane, engine.l2_stats());
+            engine.push(chunk);
+        });
+        let (l1, l2) = (l1.finish(engine.l1_stats()), l2.finish(engine.l2_stats()));
+        return (engine.finish(), l1, l2);
     }
     let mut engine = dispatch_replayed(machine, scheme);
     let config = machine.hierarchy_config(scheme);
@@ -297,25 +393,31 @@ fn simulate(
     thread::scope(|scope| {
         let stage = scope.spawn(move || {
             let mut writer = L1Writer::new(&config);
+            let mut l1 = Lanes::new(lanes, writer.stats());
             let mut open = true;
-            source(&mut |chunk| {
+            source(&mut |lane, chunk| {
                 if open {
+                    l1.enter(lane, writer.stats());
                     let mut batch = empty_rx.try_recv().unwrap_or_default();
                     writer.write(chunk, &mut batch);
+                    batch.lane = lane;
                     open = full_tx.send(batch).is_ok();
                 }
             });
-            writer.into_stats()
+            (writer.stats().clone(), l1.finish(writer.stats()))
         });
+        let mut l2 = Lanes::new(lanes, engine.l2_stats());
         for batch in full_rx {
+            l2.enter(batch.lane, engine.l2_stats());
             engine.push(&batch);
             // Fails only once the stage has finished; the batch drops.
             let _ = empty_tx.send(batch);
         }
-        let l1 = stage
+        let (l1, l1_lanes) = stage
             .join()
             .unwrap_or_else(|payload| panic::resume_unwind(payload));
-        engine.finish(l1)
+        let l2_lanes = l2.finish(engine.l2_stats());
+        (engine.finish(l1), l1_lanes, l2_lanes)
     })
 }
 
@@ -329,7 +431,7 @@ pub fn run_trace<T>(trace: T, scheme: Scheme, machine: &MachineConfig) -> RunRes
 where
     T: IntoIterator<Item = Event> + Send,
 {
-    simulate(machine, scheme, |push| {
+    simulate(machine, scheme, 1, |push| {
         let mut trace = trace.into_iter();
         let mut chunk = Vec::with_capacity(STREAM_CHUNK);
         loop {
@@ -338,9 +440,10 @@ where
             if chunk.is_empty() {
                 break;
             }
-            push(&chunk);
+            push(0, &chunk);
         }
     })
+    .0
 }
 
 /// Runs a workload under a scheme on the paper's default machine.
@@ -361,9 +464,10 @@ where
 #[must_use]
 pub fn run_workload(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
     let machine = MachineConfig::paper_default();
-    simulate(&machine, scheme, |push| {
-        workload.push_chunks(target_refs, push);
+    simulate(&machine, scheme, 1, |push| {
+        workload.push_chunks(target_refs, &mut |chunk| push(0, chunk));
     })
+    .0
 }
 
 /// Runs any [`EventChunks`] source — a recorded [`primecache_trace::ReplayCursor`],
@@ -379,7 +483,10 @@ pub fn run_chunks<S: EventChunks + Send>(
     scheme: Scheme,
     machine: &MachineConfig,
 ) -> RunResult {
-    simulate(machine, scheme, |push| source.push_chunks(push))
+    simulate(machine, scheme, 1, |push| {
+        source.push_chunks(&mut |chunk| push(0, chunk));
+    })
+    .0
 }
 
 /// Runs a *recorded* trace from its start: [`run_chunks`] over its

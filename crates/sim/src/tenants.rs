@@ -1,16 +1,20 @@
 //! Multi-tenant interleaved runs: N recorded traces time-sliced through
 //! one shared hierarchy, with per-tenant cache attribution.
 //!
-//! The interleaved stream (a [`primecache_workloads::MixCursor`])
-//! drives the one engine every run uses, a scheduling quantum at a
-//! time. Timing, DRAM behaviour, and the execution breakdown come from
-//! that one continuous simulation; a single-tenant mix is therefore
-//! bit-identical to [`crate::run_recorded`] on the plain trace (the
-//! namespace tag is the identity for tenant 0), which
-//! `tests/ingest_equivalence.rs` pins. After each quantum the run
-//! snapshots the L1 and L2 statistics and credits the delta to the
-//! tenant that ran it, so the per-tenant deltas sum to the aggregate
-//! statistics exactly.
+//! The interleaved stream (a [`primecache_workloads::MixCursor`]) is
+//! the source of one run of the pipeline every unobserved run uses
+//! (the L1 stage and the engine of [`crate::run_workload`]): it pushes
+//! each scheduling quantum as one batch, with its tenant's index as the
+//! batch's lane. Timing, DRAM behaviour,
+//! and the execution breakdown come from that one continuous
+//! simulation; a single-tenant mix is therefore bit-identical to
+//! [`crate::run_recorded`] on the plain trace (the namespace tag is the
+//! identity for tenant 0), which `tests/ingest_equivalence.rs` pins. At
+//! each tenant switch, and once at the end, the run credits the
+//! outgoing tenant with what the L1 and L2 statistics gained since the
+//! previous switch — the sum of the deltas a snapshot after every
+//! quantum would credit — so the per-tenant statistics sum to the
+//! aggregate exactly.
 //!
 //! The interesting output is interference: comparing a tenant's shared
 //! miss count against [`tenant_solo_baseline`] (same tagged address
@@ -21,11 +25,11 @@
 use primecache_cache::CacheStats;
 use primecache_workloads::{MixStats, TenantMix};
 
-use crate::run::{dispatch, run_chunks};
+use crate::run::{run_chunks, simulate};
 use crate::{MachineConfig, RunResult, Scheme};
 
 /// One tenant's share of an interleaved run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantLane {
     /// Tenant name (the recorded trace it replays).
     pub name: String,
@@ -58,38 +62,29 @@ pub struct TenantRun {
 /// deterministic quantum scheduling, per-tenant attribution.
 #[must_use]
 pub fn run_tenant_mix(mix: &TenantMix, scheme: Scheme, machine: &MachineConfig) -> TenantRun {
-    let mut engine = dispatch(machine, scheme);
-    let mut prev_l1 = engine.l1_stats().clone();
-    let mut prev_l2 = engine.l2_stats().clone();
-    let mut lanes: Vec<TenantLane> = mix
-        .names()
-        .into_iter()
-        .map(|name| TenantLane {
+    let names = mix.names();
+    let mut cursor = mix.cursor();
+    let mut quanta = vec![0; names.len()];
+    let (aggregate, l1, l2) = simulate(machine, scheme, names.len(), |push| {
+        while let Some((tenant, events)) = cursor.pull_quantum() {
+            quanta[tenant] += 1;
+            push(tenant, events);
+        }
+    });
+    let mix_stats = cursor.mix_stats().clone();
+    let lanes = (names.into_iter().zip(quanta).zip(l1.into_iter().zip(l2)))
+        .enumerate()
+        .map(|(i, ((name, quanta), (l1, l2)))| TenantLane {
             name: name.to_owned(),
-            events: 0,
-            refs: 0,
-            quanta: 0,
-            l1: CacheStats::new(prev_l1.set_accesses.len()),
-            l2: CacheStats::new(prev_l2.set_accesses.len()),
+            events: mix_stats.events[i],
+            refs: mix_stats.refs[i],
+            quanta,
+            l1,
+            l2,
         })
         .collect();
-
-    let mut cursor = mix.cursor();
-    while let Some((tenant, events)) = cursor.pull_quantum() {
-        engine.push(events);
-        let lane = &mut lanes[tenant];
-        lane.quanta += 1;
-        add_delta(&mut lane.l1, engine.l1_stats(), &mut prev_l1);
-        add_delta(&mut lane.l2, engine.l2_stats(), &mut prev_l2);
-    }
-    let mix_stats = cursor.mix_stats().clone();
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        lane.events = mix_stats.events[i];
-        lane.refs = mix_stats.refs[i];
-    }
-
     TenantRun {
-        aggregate: engine.finish(),
+        aggregate,
         lanes,
         mix: mix_stats,
     }
@@ -111,46 +106,11 @@ pub fn tenant_solo_baseline(
     (solo.l1, solo.l2)
 }
 
-/// Adds `now - prev` into `into`, then advances `prev` to `now` in
-/// place: after every quantum, so nothing here allocates.
-fn add_delta(into: &mut CacheStats, now: &CacheStats, prev: &mut CacheStats) {
-    fn step(into: &mut u64, now: u64, prev: &mut u64) {
-        *into += now - *prev;
-        *prev = now;
-    }
-    step(&mut into.accesses, now.accesses, &mut prev.accesses);
-    step(&mut into.hits, now.hits, &mut prev.hits);
-    step(&mut into.misses, now.misses, &mut prev.misses);
-    step(&mut into.writes, now.writes, &mut prev.writes);
-    step(&mut into.writebacks, now.writebacks, &mut prev.writebacks);
-    step(&mut into.evictions, now.evictions, &mut prev.evictions);
-    // The per-set eviction counts are empty until the first eviction.
-    into.set_evictions.resize(now.set_evictions.len(), 0);
-    prev.set_evictions.resize(now.set_evictions.len(), 0);
-    let sets = [
-        (
-            &mut into.set_accesses,
-            &now.set_accesses,
-            &mut prev.set_accesses,
-        ),
-        (&mut into.set_misses, &now.set_misses, &mut prev.set_misses),
-        (
-            &mut into.set_evictions,
-            &now.set_evictions,
-            &mut prev.set_evictions,
-        ),
-    ];
-    for (into, now, prev) in sets {
-        for ((into, &now), prev) in into.iter_mut().zip(now).zip(prev.iter_mut()) {
-            step(into, now, prev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::run_recorded;
+    use crate::suite::fan_out;
     use primecache_workloads::{by_name, MixConfig, TenantMix};
 
     fn mix2(refs: u64) -> TenantMix {
@@ -163,6 +123,41 @@ mod tests {
                 ..MixConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn the_stage_and_the_live_l1_credit_the_same_lanes() {
+        // On this thread a run takes the L1-stage path (on a host with
+        // two or more cores); on a worker of a two-worker fan-out it
+        // keeps its live L1 on the worker's thread. Both are one run.
+        let record = |name: &str| (name.to_owned(), by_name(name).unwrap().record(20_000));
+        let one = TenantMix::with_defaults(vec![record("mcf")]);
+        let three = TenantMix::new(
+            vec![record("mcf"), record("cg"), record("tree")],
+            MixConfig {
+                quantum_instructions: 700,
+                ..MixConfig::default()
+            },
+        );
+        let machine = MachineConfig::paper_default();
+        for mix in [&one, &three] {
+            for scheme in [Scheme::Base, Scheme::PrimeModulo, Scheme::Skewed] {
+                let staged = run_tenant_mix(mix, scheme, &machine);
+                assert_eq!(staged.mix.switches > 0, mix.names().len() > 1);
+                for live in fan_out(2, 2, |_, _| run_tenant_mix(mix, scheme, &machine)) {
+                    let (a, b) = (&live.aggregate, &staged.aggregate);
+                    assert_eq!(a.breakdown, b.breakdown, "{scheme}");
+                    assert_eq!(a.l1, b.l1, "{scheme}: L1");
+                    assert_eq!(a.l2, b.l2, "{scheme}: L2");
+                    assert_eq!(a.dram, b.dram, "{scheme}: DRAM");
+                    assert_eq!(live.lanes.len(), staged.lanes.len());
+                    for (x, y) in live.lanes.iter().zip(&staged.lanes) {
+                        assert_eq!(x, y, "{scheme}: lane {}", x.name);
+                    }
+                    assert_eq!(live.mix, staged.mix, "{scheme}");
+                }
+            }
+        }
     }
 
     #[test]
